@@ -4,13 +4,14 @@ declaration order."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingFile, ShapeMismatch
+from .errors import ConfigMismatch, MissingFile, ShapeMismatch
 
 
 def save_checkpoint(path: str | Path, header: dict, params: list[np.ndarray]) -> None:
@@ -31,8 +32,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
     if not path.is_file():
         raise MissingFile(f"missing checkpoint {path}")
     raw = path.read_bytes()
+    if len(raw) < 4:
+        raise ShapeMismatch(f"checkpoint {path} holds {len(raw)} bytes, shorter than its 4-byte header length")
     (hlen,) = struct.unpack("<I", raw[:4])
+    if 4 + hlen > len(raw):
+        raise ShapeMismatch(f"checkpoint {path} declares a {hlen}-byte header but holds {len(raw) - 4} bytes after it")
     header = json.loads(raw[4 : 4 + hlen])
+    if not isinstance(header, dict) or not isinstance(header.get("shapes"), list):
+        raise ShapeMismatch(f"checkpoint {path} header carries no parameter shapes")
     shapes = [tuple(s) for s in header["shapes"]]
     expected = sum(int(np.prod(s)) * 4 for s in shapes)
     blob = raw[4 + hlen :]
@@ -45,3 +52,16 @@ def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
         params.append(np.frombuffer(blob[off : off + size], dtype="<f4").reshape(s).copy())
         off += size
     return header, params
+
+
+def config_from_dict(cls, config: dict):
+    """Rebuild the config dataclass ``cls`` from a checkpoint header's
+    ``config``, which must hold exactly the dataclass's fields."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    if not isinstance(config, dict):
+        raise ConfigMismatch(f"checkpoint config is not a JSON object: {config!r}")
+    unknown = sorted(set(config) - fields)
+    missing = sorted(fields - set(config))
+    if unknown or missing:
+        raise ConfigMismatch(f"checkpoint config for {cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+    return cls(**config)

@@ -28,12 +28,19 @@ from .neural.classifier import classifier_from_checkpoint, predict_nodes
 _ENV_THREADS = "SITSGRAPH_THREADS"
 
 
+class UsageError(Exception):
+    """A bad flag combination or environment value that argparse cannot see; exit code 2."""
+
+
 def _threads(args) -> int:
     if getattr(args, "threads", None):
         return max(1, args.threads)
     env = os.environ.get(_ENV_THREADS)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"{_ENV_THREADS} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -143,13 +150,7 @@ def cmd_segment(args):
 def cmd_features(args):
     cube = datacube.load_cube(args.cube)
     seg = segmentation.load_seg(args.seg)
-    fm = features.band_stats(cube, seg)
-    if args.geometry:
-        gm = features.geom_features(seg)
-        fm = features.FeatureMatrix(
-            values=np.concatenate([fm.values, gm.values], axis=1),
-            names=fm.names + gm.names,
-        )
+    fm = features.object_features(cube, seg, geometry=args.geometry)
     if args.standardize:
         fm = features.standardize(fm)
     out = Path(args.out)
@@ -165,13 +166,7 @@ def cmd_features(args):
 def cmd_build_graph(args):
     cube = datacube.load_cube(args.cube)
     seg = segmentation.load_seg(args.seg)
-    fm = features.band_stats(cube, seg)
-    if args.geometry:
-        gm = features.geom_features(seg)
-        fm = features.FeatureMatrix(
-            values=np.concatenate([fm.values, gm.values], axis=1),
-            names=fm.names + gm.names,
-        )
+    fm = features.object_features(cube, seg, geometry=args.geometry)
     label_maps = None
     if datacube.has_labels(args.cube):
         t, _, h, w = cube.shape
@@ -309,7 +304,7 @@ def cmd_train(args):
 def _load_classifier(path: str):
     header, params = load_checkpoint(path)
     return classifier_from_checkpoint(
-        {"config": header["config"], "in_dim": header["in_dim"], "state": params}
+        {"config": header.get("config"), "in_dim": header["in_dim"], "state": params}
     )
 
 
@@ -328,6 +323,10 @@ def cmd_predict(args):
 
 
 def cmd_eval(args):
+    needs = ("checkpoint", "graph", "seg", "cube") if args.task == "classify" else ("pred", "target")
+    missing = [f"--{k}" for k in needs if getattr(args, k) is None]
+    if missing:
+        raise UsageError(f"eval --task {args.task} needs {' '.join(missing)}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.task == "classify":
@@ -365,12 +364,7 @@ def cmd_eval(args):
 
 def _cube_to_samples(cube_dir: str, input_len: int) -> list[ForecastSample]:
     cube = datacube.load_cube(cube_dir)
-    if "NDWI" in cube.bands:
-        values = cube.values[:, cube.bands.index("NDWI")]
-    elif "B03" in cube.bands and "B08" in cube.bands:
-        values = datacube.ndwi(cube).values[:, 0]
-    else:
-        raise SitsGraphError(f"cube {cube_dir} has neither an NDWI band nor B03/B08")
+    values = datacube.ndwi_values(cube)
     t = values.shape[0]
     if t <= input_len:
         raise SitsGraphError(f"cube {cube_dir} holds {t} dates; need > input_len={input_len}")
@@ -421,13 +415,10 @@ def cmd_forecast_train(args):
 
 def cmd_forecast_predict(args):
     header, params = load_checkpoint(args.checkpoint)
-    model = forecaster_from_checkpoint({"config": header["config"], "state": params})
+    model = forecaster_from_checkpoint({"config": header.get("config"), "state": params})
     n = model.cfg.input_len
     cube = datacube.load_cube(args.cube)
-    if "NDWI" in cube.bands:
-        values = cube.values[:, cube.bands.index("NDWI")]
-    else:
-        values = datacube.ndwi(cube).values[:, 0]
+    values = datacube.ndwi_values(cube)
     t = values.shape[0]
     end = args.window_end if args.window_end is not None else (t - 1 if t > n else t)
     if end < n or end > t:
@@ -462,7 +453,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults (unknown keys rejected)")
-        p.add_argument("--threads", type=int, default=None, help=f"worker cap (env {_ENV_THREADS})")
+        p.add_argument("--threads", type=int, default=None, help=f"per-date worker cap for segment (env {_ENV_THREADS})")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")
@@ -554,7 +545,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("train", help="train the node classifier on a graph")
-    p.add_argument("--task", choices=["classify"], default="classify")
     p.add_argument("--graph", required=True)
     p.add_argument("--conv", choices=["gcn", "sage", "mlp"], default="sage")
     p.add_argument("--hidden", type=int, default=64)
@@ -629,6 +619,8 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
     if idx + 1 >= len(argv):
         return  # argparse reports the missing value
     cfg = json.loads(Path(argv[idx + 1]).read_text())
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {argv[idx + 1]} must hold a JSON object")
     positionals = [tok for tok in argv if not tok.startswith("-")]
     key = tuple(positionals[:2]) if positionals[:1] == ["forecast"] else tuple(positionals[:1])
     sp = registry.get(key)
@@ -649,10 +641,12 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
-    _preload_config(parser, registry, argv)
-    args = parser.parse_args(argv)
     try:
+        _preload_config(parser, registry, argv)
+        args = parser.parse_args(argv)
         return args.func(args)
+    except UsageError as e:
+        parser.error(str(e))
     except (SitsGraphError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

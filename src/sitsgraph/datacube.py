@@ -52,6 +52,13 @@ class GeoBounds:
     def as_dict(self) -> dict:
         return {"lat0": self.lat0, "lat1": self.lat1, "lon0": self.lon0, "lon1": self.lon1}
 
+    def pixel_centers(self, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """Latitudes of the ``h`` row centres and longitudes of the ``w``
+        column centres, interpolated linearly between the bounds."""
+        lat = self.lat0 + (np.arange(h) + 0.5) / h * (self.lat1 - self.lat0)
+        lon = self.lon0 + (np.arange(w) + 0.5) / w * (self.lon1 - self.lon0)
+        return lat, lon
+
 
 @dataclass(frozen=True)
 class PixelGeo:
@@ -120,9 +127,10 @@ class SitsCube:
         t_, _, h, w = self.shape
         if not (0 <= row < h and 0 <= col < w and 0 <= t < t_):
             raise ShapeMismatch(f"pixel ({row},{col}) at t={t} outside cube {self.shape}")
-        lat = self.geo.lat0 + (row + 0.5) / h * (self.geo.lat1 - self.geo.lat0)
-        lon = self.geo.lon0 + (col + 0.5) / w * (self.geo.lon1 - self.geo.lon0)
-        return PixelGeo(row=row, col=col, lat=lat, lon=lon, doy=day_of_year_fraction(self.timestamps[t]))
+        lat, lon = self.geo.pixel_centers(h, w)
+        return PixelGeo(
+            row=row, col=col, lat=float(lat[row]), lon=float(lon[col]), doy=day_of_year_fraction(self.timestamps[t])
+        )
 
 
 def _parse_date(s: str) -> datetime.date:
@@ -141,6 +149,9 @@ def day_of_year_fraction(timestamp: str) -> float:
 # ---------------------------------------------------------------------------
 # directory layout
 
+_META_KEYS = ("T", "C", "H", "W", "bands", "timestamps", "geo")
+_GEO_KEYS = ("lat0", "lat1", "lon0", "lon1")
+
 
 def load_cube(path: str | Path) -> SitsCube:
     """Load ``meta.json`` + ``cube.bin`` from a directory."""
@@ -152,6 +163,11 @@ def load_cube(path: str | Path) -> SitsCube:
     if not bin_path.is_file():
         raise MissingFile(f"missing {bin_path}")
     meta = json.loads(meta_path.read_text())
+    missing = [k for k in _META_KEYS if k not in meta]
+    geo_meta = meta["geo"] if isinstance(meta.get("geo"), dict) else {}
+    missing += [f"geo.{k}" for k in _GEO_KEYS if k not in geo_meta]
+    if missing:
+        raise InvalidCube(f"{meta_path} lacks required key(s) {missing}")
     t, c, h, w = (int(meta[k]) for k in ("T", "C", "H", "W"))
     if meta.get("dtype", "f32") != "f32":
         raise ShapeMismatch(f"unsupported dtype {meta.get('dtype')!r}")
@@ -160,7 +176,7 @@ def load_cube(path: str | Path) -> SitsCube:
     if len(blob) != expected:
         raise ShapeMismatch(f"cube.bin holds {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4").reshape(t, c, h, w).copy()
-    geo = GeoBounds(**{k: float(meta["geo"][k]) for k in ("lat0", "lat1", "lon0", "lon1")})
+    geo = GeoBounds(**{k: float(meta["geo"][k]) for k in _GEO_KEYS})
     nodata = meta.get("nodata")
     cube = SitsCube(
         values=values,
@@ -250,6 +266,16 @@ def ndwi(cube: SitsCube, green_band: str = "B03", nir_band: str = "B08") -> Sits
         geo=cube.geo,
         nodata=None,
     )
+
+
+def ndwi_values(cube: SitsCube) -> np.ndarray:
+    """(T, H, W) NDWI frames: the cube's own NDWI band when it has one,
+    otherwise ``ndwi`` computed from B03/B08."""
+    if "NDWI" in cube.bands:
+        return cube.values[:, cube.bands.index("NDWI")]
+    if "B03" in cube.bands and "B08" in cube.bands:
+        return ndwi(cube).values[:, 0]
+    raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor B03/B08")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datacube import PixelGeo, SitsCube
+from .datacube import GeoBounds, PixelGeo, SitsCube, day_of_year_fraction
 from .errors import AllNodataWarning, DimMismatch, ShapeMismatch
 from .segmentation import SegStack
 
@@ -117,13 +117,38 @@ def geom_features(seg: SegStack) -> FeatureMatrix:
     return FeatureMatrix(values=out, names=["area", "centroid_row", "centroid_col", "date_index"])
 
 
+def object_features(cube: SitsCube, seg: SegStack, geometry: bool = False) -> FeatureMatrix:
+    """``band_stats`` columns, followed by the ``geom_features`` columns when
+    ``geometry`` is set."""
+    fm = band_stats(cube, seg)
+    if not geometry:
+        return fm
+    gm = geom_features(seg)
+    return FeatureMatrix(values=np.concatenate([fm.values, gm.values], axis=1), names=fm.names + gm.names)
+
+
 def pos_encoding(p: PixelGeo) -> np.ndarray:
     """[sin(lat), sin(lon), cos(lon), sin(2*pi*doy)], all in [-1, 1]."""
-    lat = math.radians(p.lat)
-    lon = math.radians(p.lon)
-    return np.array(
-        [math.sin(lat), math.sin(lon), math.cos(lon), math.sin(2.0 * math.pi * p.doy)],
-        dtype=np.float64,
+    return _encode_positions(np.array([p.lat]), np.array([p.lon]), p.doy)[0]
+
+
+def pixel_pos_encoding(geo: GeoBounds, h: int, w: int, timestamp: str) -> np.ndarray:
+    """(H*W, 4) ``pos_encoding`` of every pixel centre in row-major order."""
+    lat, lon = geo.pixel_centers(h, w)
+    return _encode_positions(np.repeat(lat, w), np.tile(lon, h), day_of_year_fraction(timestamp))
+
+
+def _encode_positions(lat: np.ndarray, lon: np.ndarray, doy: float) -> np.ndarray:
+    lat_r = np.radians(lat)
+    lon_r = np.radians(lon)
+    return np.stack(
+        [
+            np.sin(lat_r),
+            np.sin(lon_r),
+            np.cos(lon_r),
+            np.full(lat_r.shape, math.sin(2.0 * math.pi * doy)),
+        ],
+        axis=1,
     )
 
 

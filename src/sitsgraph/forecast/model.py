@@ -10,13 +10,12 @@ parameters zero the network is exactly the persistence baseline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..datacube import GeoBounds, day_of_year_fraction
 from ..errors import ConfigMismatch, LengthMismatch, MeshMismatch, ShapeMismatch
+from ..features import pixel_pos_encoding  # noqa: F401 - the forecaster's pixel encoding
 from ..neural import autograd as ag
 from ..neural.autograd import Tensor, no_grad
 from ..neural.nn import MLP, Linear
@@ -38,7 +37,6 @@ class ForecastConfig:
     huber_delta: float = 1.0
     seed: int = 0
     mesh_from: str = "last"      # "last" | "stack"
-    aggregation: str = "sum"     # "sum" | "mean"
 
     def __post_init__(self):
         if self.input_len < 1:
@@ -49,8 +47,6 @@ class ForecastConfig:
             raise ConfigMismatch(f"hidden must be even and >= 2, got {self.hidden}")
         if self.mesh_from not in ("last", "stack"):
             raise ConfigMismatch(f"mesh_from must be 'last' or 'stack', got {self.mesh_from!r}")
-        if self.aggregation not in ("sum", "mean"):
-            raise ConfigMismatch(f"aggregation must be 'sum' or 'mean', got {self.aggregation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +60,9 @@ def gn_block(
     dst: np.ndarray,
     mlp_e: MLP,
     mlp_v: MLP,
-    aggregation: str = "sum",
 ) -> tuple[Tensor, Tensor]:
     """Residual relational block: e' = e + MLP_e([e, x_src, x_dst]);
-    x' = x + MLP_v([x, agg incoming e']). Edge-less nodes aggregate zero."""
+    x' = x + MLP_v([x, sum of incoming e']). Edge-less nodes aggregate zero."""
     n = x.data.shape[0]
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -78,9 +73,6 @@ def gn_block(
     if len(src):
         e2 = ag.add(e, mlp_e(ag.concat_cols([e, ag.gather_rows(x, src), ag.gather_rows(x, dst)])))
         agg = ag.scatter_add_rows(e2, dst, n)
-        if aggregation == "mean":
-            deg = np.bincount(dst, minlength=n).astype(x.data.dtype)
-            agg = ag.scale_rows(agg, 1.0 / np.maximum(deg, 1.0))
     else:
         e2 = e
         agg = Tensor(np.zeros((n, e.data.shape[1]), dtype=x.data.dtype))
@@ -93,24 +85,6 @@ def pixel_embedding(series: Tensor, pos: Tensor, mlp_ts: MLP, mlp_pos: MLP, mlp_
     a = mlp_ts(series)
     b = mlp_pos(pos)
     return mlp_mix(ag.concat_cols([a, b]))
-
-
-def pixel_pos_encoding(geo: GeoBounds, h: int, w: int, timestamp: str) -> np.ndarray:
-    """(H*W, 4) positional encoding: [sin lat, sin lon, cos lon, sin 2*pi*doy]."""
-    lat = geo.lat0 + (np.arange(h) + 0.5) / h * (geo.lat1 - geo.lat0)
-    lon = geo.lon0 + (np.arange(w) + 0.5) / w * (geo.lon1 - geo.lon0)
-    lat_r = np.radians(np.repeat(lat, w))
-    lon_r = np.radians(np.tile(lon, h))
-    doy = day_of_year_fraction(timestamp)
-    return np.stack(
-        [
-            np.sin(lat_r),
-            np.sin(lon_r),
-            np.cos(lon_r),
-            np.full(h * w, math.sin(2.0 * math.pi * doy)),
-        ],
-        axis=1,
-    )
 
 
 def baseline_persistence(window: np.ndarray) -> np.ndarray:
@@ -139,8 +113,8 @@ class _Block:
         self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
         self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
 
-    def __call__(self, x, e, src, dst, aggregation):
-        return gn_block(x, e, src, dst, self.mlp_e, self.mlp_v, aggregation)
+    def __call__(self, x, e, src, dst):
+        return gn_block(x, e, src, dst, self.mlp_e, self.mlp_v)
 
     def parameters(self):
         return self.mlp_e.parameters() + self.mlp_v.parameters()
@@ -195,7 +169,6 @@ class Forecaster:
             raise MeshMismatch(f"mesh over {mesh.shape} for frames of {(h, w)}")
         p = h * w
         m = mesh.n_regions
-        agg = self.cfg.aggregation
 
         series = Tensor(window.reshape(n, p).T.astype(self.dtype))
         pos_t = Tensor(np.asarray(pos, dtype=self.dtype))
@@ -204,19 +177,19 @@ class Forecaster:
         # encoder: pixels push messages onto zero-initialized mesh nodes
         nodes = ag.concat_rows([px, Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         e_g2m = self.enc_g2m(Tensor(mesh.g2m_feat.astype(self.dtype)))
-        nodes, _ = self.block_g2m(nodes, e_g2m, mesh.g2m_src, mesh.g2m_dst + p, agg)
+        nodes, _ = self.block_g2m(nodes, e_g2m, mesh.g2m_src, mesh.g2m_dst + p)
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
 
         # processor on the region adjacency graph
         e_proc = self.enc_proc(Tensor(mesh.proc_feat.astype(self.dtype)))
         for block in self.blocks_proc:
-            mesh_latent, e_proc = block(mesh_latent, e_proc, mesh.proc_src, mesh.proc_dst, agg)
+            mesh_latent, e_proc = block(mesh_latent, e_proc, mesh.proc_src, mesh.proc_dst)
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
         e_m2g = self.enc_m2g(Tensor(mesh.m2g_feat.astype(self.dtype)))
-        nodes, _ = self.block_m2g(nodes, e_m2g, mesh.m2g_src, mesh.m2g_dst + m, agg)
+        nodes, _ = self.block_m2g(nodes, e_m2g, mesh.m2g_src, mesh.m2g_dst + m)
         px_out = ag.slice_rows(nodes, m, m + p)
 
         delta = self.head(px_out)

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..checkpoint import config_from_dict
 from ..datacube import GeoBounds
 from ..errors import LengthMismatch, NoData, SiteLeakage
 from ..neural.autograd import Tape
 from ..neural.nn import Adam, PlateauScheduler
 from . import model as fm
-from .mesh import build_mesh
+from .mesh import MeshGraph, build_mesh
 from .model import ForecastConfig, Forecaster
 
 
@@ -58,6 +59,13 @@ def make_site_splits(
     return train, val, test
 
 
+def _window_mesh(window: np.ndarray, cfg: ForecastConfig) -> MeshGraph:
+    """The mesh of one input window: SLIC over its last frame, or over the
+    whole stack when ``cfg.mesh_from == "stack"``."""
+    source = window if cfg.mesh_from == "stack" else window[-1][None]
+    return build_mesh(source, cfg.n_segments, cfg.compactness, cfg.slic_iters)
+
+
 def _prepare(samples: list[ForecastSample], cfg: ForecastConfig):
     out = []
     for s in samples:
@@ -65,17 +73,9 @@ def _prepare(samples: list[ForecastSample], cfg: ForecastConfig):
             raise LengthMismatch(
                 f"sample window holds {s.window.shape[0]} frames, config says {cfg.input_len}"
             )
-        if cfg.mesh_from == "stack":
-            mesh = build_mesh(
-                s.window, cfg.n_segments, cfg.compactness, cfg.slic_iters
-            )
-        else:
-            mesh = build_mesh(
-                s.window[-1][None], cfg.n_segments, cfg.compactness, cfg.slic_iters
-            )
         h, w = s.target.shape
         pos = fm.pixel_pos_encoding(s.geo, h, w, s.timestamp)
-        out.append((s, mesh, pos))
+        out.append((s, _window_mesh(s.window, cfg), pos))
     return out
 
 
@@ -135,20 +135,7 @@ def train_forecaster(
         p.data = a
     checkpoint = {
         "kind": "forecaster",
-        "config": {
-            "input_len": cfg.input_len,
-            "n_segments": cfg.n_segments,
-            "compactness": cfg.compactness,
-            "slic_iters": cfg.slic_iters,
-            "hidden": cfg.hidden,
-            "processor_rounds": cfg.processor_rounds,
-            "lr": cfg.lr,
-            "epochs": cfg.epochs,
-            "huber_delta": cfg.huber_delta,
-            "seed": cfg.seed,
-            "mesh_from": cfg.mesh_from,
-            "aggregation": cfg.aggregation,
-        },
+        "config": asdict(cfg),
         "best_epoch": best[1],
         "best_val_rmse": float(best[0]),
         "state": best[2],
@@ -157,7 +144,7 @@ def train_forecaster(
 
 
 def forecaster_from_checkpoint(checkpoint: dict) -> Forecaster:
-    cfg = ForecastConfig(**checkpoint["config"])
+    cfg = config_from_dict(ForecastConfig, checkpoint["config"])
     model = Forecaster(cfg)
     for p, a in zip(model.parameters(), checkpoint["state"]):
         p.data = np.asarray(a, dtype=p.data.dtype).reshape(p.data.shape)
@@ -165,9 +152,6 @@ def forecaster_from_checkpoint(checkpoint: dict) -> Forecaster:
 
 
 def predict_next_frame(model: Forecaster, window: np.ndarray, geo: GeoBounds, timestamp: str) -> np.ndarray:
-    cfg = model.cfg
-    source = window if cfg.mesh_from == "stack" else window[-1][None]
-    mesh = build_mesh(source, cfg.n_segments, cfg.compactness, cfg.slic_iters)
     h, w = window.shape[1:]
     pos = fm.pixel_pos_encoding(geo, h, w, timestamp)
-    return model.predict(window, mesh, pos)
+    return model.predict(window, _window_mesh(window, model.cfg), pos)

@@ -136,20 +136,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _emit(out, backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeMismatch(f"sub {a.shape} - {b.shape}")
-    out = Tensor(a.data - b.data, requires_grad=_needs(a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
-
-    return _emit(out, backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"mul {a.shape} * {b.shape}")

@@ -5,10 +5,11 @@ linear head."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..checkpoint import config_from_dict
 from ..errors import ConfigMismatch, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
@@ -17,7 +18,6 @@ from .autograd import Tape, Tensor, no_grad
 from .nn import Adam, BatchNorm, Linear, cross_entropy, gcn_conv, glorot, sage_conv, softmax
 
 _SUPPORTED = ("gcn", "sage", "mlp")
-_EXCLUDED = ("gatv2", "resgatedgcn")
 
 
 @dataclass
@@ -31,10 +31,6 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.conv in _EXCLUDED:
-            raise ConfigMismatch(
-                f"convolution {self.conv!r} is deliberately not provided; pick one of {_SUPPORTED}"
-            )
         if self.conv not in _SUPPORTED:
             raise ConfigMismatch(f"unknown convolution {self.conv!r}; pick one of {_SUPPORTED}")
         if self.hidden < 1:
@@ -136,29 +132,36 @@ def graph_arrays(g: StGraph, dtype=np.float32):
     return x, es, est, labels
 
 
-def predict_nodes(model: STClassifier, g: StGraph) -> np.ndarray:
-    x, es, est, _ = graph_arrays(g)
+def _logits(model: STClassifier, arrays) -> np.ndarray:
+    """Inference-mode logits from ``graph_arrays`` output."""
+    x, es, est, _ = arrays
     with no_grad():
-        logits = model.forward(Tensor(x), es, est, train=False)
-    return logits.data.argmax(axis=1)
+        return model.forward(Tensor(x), es, est, train=False).data
+
+
+def predict_nodes(model: STClassifier, g: StGraph) -> np.ndarray:
+    return _logits(model, graph_arrays(g)).argmax(axis=1)
 
 
 def node_probabilities(model: STClassifier, g: StGraph) -> np.ndarray:
-    x, es, est, _ = graph_arrays(g)
-    with no_grad():
-        logits = model.forward(Tensor(x), es, est, train=False)
-    return softmax(logits.data)
+    return softmax(_logits(model, graph_arrays(g)))
 
 
-def _miou(model: STClassifier, graphs: list[StGraph], masks) -> float:
-    cms = None
+def _masked_arrays(graphs: list[StGraph], masks) -> list[tuple]:
+    """``graph_arrays`` per graph, with the labels outside ``masks[i]`` set to -1."""
+    out = []
     for gi, g in enumerate(graphs):
-        _, _, _, labels = graph_arrays(g)
-        pred = predict_nodes(model, g)
+        x, es, est, labels = graph_arrays(g)
         if masks is not None:
-            labels = labels.copy()
             labels[~masks[gi]] = -1
-        cm = confusion(labels, pred, model.cfg.n_classes)
+        out.append((x, es, est, labels))
+    return out
+
+
+def _miou(model: STClassifier, split: list[tuple]) -> float:
+    cms = None
+    for arrays in split:
+        cm = confusion(arrays[3], _logits(model, arrays).argmax(axis=1), model.cfg.n_classes)
         cms = cm.counts if cms is None else cms + cm.counts
     if cms is None or cms.sum() == 0:
         return float("nan")
@@ -181,14 +184,9 @@ def train_classifier(
     """
     if not train_graphs:
         raise NoLabels("no training graphs")
-    labeled = 0
-    for gi, g in enumerate(train_graphs):
-        _, _, _, labels = graph_arrays(g)
-        if train_masks is not None:
-            labels = labels.copy()
-            labels[~train_masks[gi]] = -1
-        labeled += int((labels >= 0).sum())
-    if labeled == 0:
+    train_split = _masked_arrays(train_graphs, train_masks)
+    val_split = _masked_arrays(val_graphs, val_masks)
+    if not any((labels >= 0).any() for *_, labels in train_split):
         raise NoLabels("no labeled node in the training split")
 
     in_dim = train_graphs[0].features.dim
@@ -198,12 +196,8 @@ def train_classifier(
     log: list[dict] = []
     best = (-np.inf, 0, None)
     for epoch in range(cfg.epochs):
-        for gi, g in enumerate(train_graphs):
-            x, es, est, labels = graph_arrays(g)
-            if train_masks is not None:
-                labels = labels.copy()
-                labels[~train_masks[gi]] = -1
-            if (labels >= 0).sum() == 0:
+        for x, es, est, labels in train_split:
+            if not (labels >= 0).any():
                 continue
             with Tape() as tape:
                 logits = model.forward(Tensor(x), es, est, train=True)
@@ -211,8 +205,8 @@ def train_classifier(
                 tape.backward(loss)
             opt.step()
             opt.zero_grad()
-        train_miou = _miou(model, train_graphs, train_masks)
-        val_miou = _miou(model, val_graphs, val_masks) if val_graphs else train_miou
+        train_miou = _miou(model, train_split)
+        val_miou = _miou(model, val_split) if val_split else train_miou
         log.append({"epoch": epoch, "train_miou": train_miou, "val_miou": val_miou})
         if val_miou > best[0]:
             best = (val_miou, epoch, model.state())
@@ -220,15 +214,7 @@ def train_classifier(
     model.load_state(best[2])
     checkpoint = {
         "kind": "classifier",
-        "config": {
-            "n_classes": cfg.n_classes,
-            "conv": cfg.conv,
-            "hidden": cfg.hidden,
-            "n_layers": cfg.n_layers,
-            "lr": cfg.lr,
-            "epochs": cfg.epochs,
-            "seed": cfg.seed,
-        },
+        "config": asdict(cfg),
         "in_dim": in_dim,
         "best_epoch": best[1],
         "best_val_miou": float(best[0]),
@@ -238,7 +224,7 @@ def train_classifier(
 
 
 def classifier_from_checkpoint(checkpoint: dict) -> STClassifier:
-    cfg = ClassifierConfig(**checkpoint["config"])
+    cfg = config_from_dict(ClassifierConfig, checkpoint["config"])
     model = STClassifier(cfg, int(checkpoint["in_dim"]))
     model.load_state(checkpoint["state"])
     return model

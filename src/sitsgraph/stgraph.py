@@ -49,15 +49,16 @@ class StGraph:
         edges_spatial: list[Edge],
         edges_st: list[Edge],
         features: FeatureMatrix | None = None,
-        seg: SegStack | None = None,
         meta: dict | None = None,
     ):
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self._by_id = {n.id: n for n in self.nodes}
+        for e in (*edges_spatial, *edges_st):
+            if e.src not in self._by_id or e.dst not in self._by_id:
+                raise UnknownNode(f"edge {e.src}->{e.dst} names a node that does not exist")
         self.edges_spatial = _canonical_spatial(edges_spatial)
         self.edges_st = _canonical_st(edges_st, self._by_id)
         self.features = features
-        self.seg = seg
         self.meta = dict(meta or {})
         self.validate()
 
@@ -286,28 +287,23 @@ def _overlap_pairs(lab_a: np.ndarray, lab_b: np.ndarray, min_pixels: int) -> dic
 def overlap_edges(seg: SegStack, min_pixels: int = 1) -> list[Edge]:
     """Directed edges between footprint-overlapping objects at consecutive
     dates; weight = |A & B| / min(|A|, |B|)."""
-    t = seg.shape[0]
-    if t < 2:
+    if seg.shape[0] < 2:
         raise ShapeMismatch("overlap edges need at least two dates")
-    if min_pixels < 1:
-        raise ShapeMismatch(f"min_pixels must be >= 1, got {min_pixels}")
-    out = []
-    for date in range(t - 1):
-        pairs = _overlap_pairs(seg.labels[date], seg.labels[date + 1], min_pixels)
-        for (a, b), w in sorted(pairs.items()):
-            out.append(Edge(a, b, SPATIOTEMPORAL, w))
-    return out
+    return _lagged_overlap_edges(seg, 1, min_pixels)
 
 
 def periodic_edges(seg: SegStack, lag: int, min_pixels: int = 1) -> list[Edge]:
     """Same overlap rule between dates t and t+lag (lag >= 2)."""
     if lag < 2:
         raise InvalidLag(f"lag must be >= 2, got {lag}")
+    return _lagged_overlap_edges(seg, lag, min_pixels)
+
+
+def _lagged_overlap_edges(seg: SegStack, lag: int, min_pixels: int) -> list[Edge]:
     if min_pixels < 1:
         raise ShapeMismatch(f"min_pixels must be >= 1, got {min_pixels}")
-    t = seg.shape[0]
     out = []
-    for date in range(t - lag):
+    for date in range(seg.shape[0] - lag):
         pairs = _overlap_pairs(seg.labels[date], seg.labels[date + lag], min_pixels)
         for (a, b), w in sorted(pairs.items()):
             out.append(Edge(a, b, SPATIOTEMPORAL, w))
@@ -401,7 +397,7 @@ def build_graph(
             est.extend(periodic_edges(seg, lag, minpx))
         else:
             raise ShapeMismatch(f"unknown spatio-temporal builder {kind!r}")
-    return StGraph(nodes, es, est, features=features, seg=seg, meta=meta)
+    return StGraph(nodes, es, est, features=features, meta=meta)
 
 
 def _split_spec(item) -> tuple[str, tuple]:

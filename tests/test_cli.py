@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sitsgraph.cli import main
+from sitsgraph.datacube import save_cube, synth_seasonal
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -49,6 +50,76 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert e.value.code == 2
+
+
+def _cube(tmp_path: Path) -> str:
+    cube, _ = synth_seasonal(seed=0, t=4, h=8, w=8, n_blobs=2, period_dates=2)
+    save_cube(cube, tmp_path / "cube")
+    return str(tmp_path / "cube")
+
+
+def _config(tmp_path: Path, text: str) -> list[str]:
+    (tmp_path / "cfg.json").write_text(text)
+    return ["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+
+
+def _meta_without_geo(tmp_path: Path) -> list[str]:
+    cube = Path(_cube(tmp_path))
+    meta = json.loads((cube / "meta.json").read_text())
+    del meta["geo"]
+    (cube / "meta.json").write_text(json.dumps(meta))
+    return ["segment", "--cube", str(cube), "--out", str(tmp_path / "seg")]
+
+
+def _dangling_edge(tmp_path: Path) -> list[str]:
+    node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
+    doc = {"nodes": [node], "edges": [{"src": 0, "dst": 99999, "kind": "ST", "w": 1.0}], "meta": {}}
+    (tmp_path / "graph.json").write_text(json.dumps(doc))
+    return ["events", "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "ev")]
+
+
+def _truncated_checkpoint(tmp_path: Path) -> list[str]:
+    (tmp_path / "c.bin").write_bytes(b"abc")
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
+
+
+# (argv builder, environment, exit code, text the error line must name)
+FAILURES = {
+    "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], {}, 1, "absent.json"),
+    "config_malformed_json": (lambda tmp: _config(tmp, "{not json"), {}, 1, "line 1"),
+    "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
+    "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
+    "meta_without_geo": (_meta_without_geo, {}, 1, "geo"),
+    "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
+    "eval_classify_without_graph": (
+        lambda tmp: ["eval", "--task", "classify", "--checkpoint", "c.bin", "--seg", "s", "--cube", "c", "--out", str(tmp / "r")],
+        {}, 2, "--graph",
+    ),
+    "eval_forecast_without_pred": (
+        lambda tmp: ["eval", "--task", "forecast", "--target", "t.bin", "--out", str(tmp / "r")], {}, 2, "--pred",
+    ),
+    "threads_env_not_integer": (
+        lambda tmp: ["segment", "--cube", _cube(tmp), "--out", str(tmp / "seg")], {"SITSGRAPH_THREADS": "abc"}, 2, "SITSGRAPH_THREADS",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURES))
+def test_failure_is_one_error_line(case, tmp_path, monkeypatch, capsys):
+    build, env, code, named = FAILURES[case]
+    argv = build(tmp_path)
+    for k, v in env.items():
+        monkeypatch.setenv(k, v)
+    capsys.readouterr()
+    try:
+        got = main(argv)
+    except SystemExit as e:
+        got = e.code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert got == code
+    assert len(errors) == 1 and named in errors[0], err
+    assert "Traceback" not in err
 
 
 class TestConfigReplay:

@@ -363,6 +363,31 @@ class TestTraining:
         assert log[0]["val_rmse"] == pytest.approx(pers, rel=1e-6)
         assert log[-1]["val_rmse"] == pytest.approx(pers, rel=1e-6)
 
+    def test_stack_mesh_rule_shared_by_training_and_prediction(self, monkeypatch):
+        from sitsgraph.forecast import train as forecast_train
+
+        sources = []
+
+        def recording_build_mesh(source, *args, **kw):
+            sources.append(source.shape)
+            return build_mesh(source, *args, **kw)
+
+        monkeypatch.setattr(forecast_train, "build_mesh", recording_build_mesh)
+        samples = _make_samples(range(4), t=8)
+        train = [s for s in samples if s.site != "site3"]
+        val = [s for s in samples if s.site == "site3"]
+        cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=1, epochs=1, seed=0, mesh_from="stack")
+        ckpt, _ = train_forecaster(train, val, cfg)
+        model = forecaster_from_checkpoint(ckpt)
+        assert model.cfg.mesh_from == "stack"
+        s = val[0]
+        pred = predict_next_frame(model, s.window, s.geo, s.timestamp)
+        # every mesh, in training and in prediction, comes from the whole window
+        assert sources == [s.window.shape] * (len(train) + len(val) + 1)
+        mesh = build_mesh(s.window, cfg.n_segments, cfg.compactness, cfg.slic_iters)
+        pos = pixel_pos_encoding(s.geo, *s.target.shape, s.timestamp)
+        assert np.array_equal(pred, model.predict(s.window, mesh, pos))
+
     def test_training_beats_persistence_quick(self):
         samples = _make_samples(range(5), t=9)
         train = [s for s in samples if s.site not in ("site3", "site4")]
