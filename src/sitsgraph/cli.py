@@ -41,7 +41,9 @@ def _threads(args) -> int:
             return max(1, int(env))
         except ValueError:
             raise UsageError(f"{_ENV_THREADS} must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    # serial by default: per-date segmentation is interpreter-bound, so a
+    # thread pool adds memory and no speed
+    return 1
 
 
 def _write_run_config(args, out_dir: Path) -> None:
@@ -304,7 +306,7 @@ def cmd_train(args):
 def _load_classifier(path: str):
     header, params = load_checkpoint(path)
     return classifier_from_checkpoint(
-        {"config": header.get("config"), "in_dim": header["in_dim"], "state": params}
+        {"config": header.get("config"), "in_dim": header.get("in_dim"), "state": params}
     )
 
 
@@ -453,7 +455,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults (unknown keys rejected)")
-        p.add_argument("--threads", type=int, default=None, help=f"per-date worker cap for segment (env {_ENV_THREADS})")
+        p.add_argument("--threads", type=int, default=None, help=f"per-date worker threads for segment (env {_ENV_THREADS}; default 1, serial)")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")

@@ -224,7 +224,10 @@ def train_classifier(
 
 
 def classifier_from_checkpoint(checkpoint: dict) -> STClassifier:
-    cfg = config_from_dict(ClassifierConfig, checkpoint["config"])
-    model = STClassifier(cfg, int(checkpoint["in_dim"]))
+    cfg = config_from_dict(ClassifierConfig, checkpoint.get("config"))
+    in_dim = checkpoint.get("in_dim")
+    if not isinstance(in_dim, int) or in_dim < 1:
+        raise ConfigMismatch(f"classifier checkpoint needs a positive integer in_dim, got {in_dim!r}")
+    model = STClassifier(cfg, in_dim)
     model.load_state(checkpoint["state"])
     return model

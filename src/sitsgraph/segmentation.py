@@ -64,30 +64,6 @@ class SegStack:
 # graph-based merge segmentation
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, a: int) -> int:
-        parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
-
-    def union(self, ra: int, rb: int) -> int:
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
-
-
 def _grid_edges_8(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward 8-neighbor edges with Euclidean band-space weights."""
     c, h, w = image.shape
@@ -124,29 +100,61 @@ def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarr
     if min_size < 1:
         raise ShapeMismatch(f"min_size must be >= 1, got {min_size}")
 
+    scale = float(scale)  # float64 thresholds whatever scalar type scale has
     src, dst, weight = _grid_edges_8(image)
     order = np.lexsort((dst, src, weight))
     src, dst, weight = src[order], dst[order], weight[order]
 
-    uf = _UnionFind(h * w)
-    internal = np.zeros(h * w, dtype=np.float64)  # max MST edge weight per component root
+    # union-find over plain lists (NumPy scalar indexing dominates otherwise);
+    # thr[root] caches the merge threshold internal(comp) + scale / |comp|,
+    # internal being the component's largest MST edge weight
+    parent = list(range(h * w))
+    size = [1] * (h * w)
+    thr = [scale] * (h * w)
     for a, b, wt in zip(src.tolist(), dst.tolist(), weight.tolist()):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra == rb:
+        while parent[a] != a:  # find with path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b or not (wt <= thr[a] and wt <= thr[b]):  # NaN never merges
             continue
-        if wt <= min(internal[ra] + scale / uf.size[ra], internal[rb] + scale / uf.size[rb]):
-            internal[uf.union(ra, rb)] = wt
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
+        thr[a] = wt + scale / size[a]
 
     if min_size > 1:
         # merge any still-too-small component into its most-similar neighbor,
-        # i.e. across the lowest-weight boundary edge first
-        for a, b in zip(src.tolist(), dst.tolist()):
-            ra, rb = uf.find(a), uf.find(b)
-            if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
-                uf.union(ra, rb)
+        # i.e. across the lowest-weight boundary edge first. Components only
+        # grow, so an edge that joins one component, or two that already
+        # reach min_size, can never merge anything: walk only the others.
+        roots = _roots(parent)
+        big = np.asarray(size)[roots] >= min_size
+        live = (roots[src] != roots[dst]) & ~(big[src] & big[dst])
+        for a, b in zip(src[live].tolist(), dst[live].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b or (size[a] >= min_size and size[b] >= min_size):
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            parent[b] = a
+            size[a] += size[b]
 
-    roots = np.array([uf.find(i) for i in range(h * w)], dtype=np.int64)
-    return _relabel_first_occurrence(roots.reshape(h, w))
+    return _relabel_first_occurrence(_roots(parent).reshape(h, w))
+
+
+def _roots(parent: list[int]) -> np.ndarray:
+    """Root of every element of a union-find parent list (pointer jumping)."""
+    par = np.asarray(parent, dtype=np.int64)
+    while True:
+        nxt = par[par]
+        if np.array_equal(nxt, par):
+            return par
+        par = nxt
 
 
 def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:

@@ -190,40 +190,35 @@ def eps_ball_edges(nodes: list[Node], eps: float) -> list[Edge]:
     """Centroid distance <= eps (inclusive) between same-date nodes."""
     if eps <= 0:
         raise ShapeMismatch(f"eps must be > 0, got {eps}")
-    out = []
-    nodes = sorted(nodes, key=lambda n: n.id)
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1 :]:
-            if a.t != b.t:
-                continue
-            d = float(np.hypot(a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1]))
-            if d <= eps:
-                out.append(Edge(a.id, b.id, SPATIAL, d))
-    return out
+    ids, dates, cent = _node_arrays(nodes)
+    src, dst, dist = [], [], []
+    for t in np.unique(dates):
+        members = np.nonzero(dates == t)[0]
+        for rows in _row_blocks(members, len(members)):
+            d = _centroid_distance(cent, rows[:, None], members[None, :])
+            hit = (d <= eps) & (members[None, :] > rows[:, None])
+            r, c = np.nonzero(hit)
+            src.append(rows[r])
+            dst.append(members[c])
+            dist.append(d[r, c])
+    pairs, dist = _unique_pairs(src, dst, dist)
+    return [Edge(a, b, SPATIAL, d) for (a, b), d in zip(ids[pairs].tolist(), dist.tolist())]
 
 
 def knn_edges(nodes: list[Node], k: int) -> list[Edge]:
     """Symmetrized k-nearest-neighbor relation over same-date centroids."""
-    by_date: dict[int, list[Node]] = {}
-    for n in nodes:
-        by_date.setdefault(n.t, []).append(n)
-    out: dict[tuple[int, int], float] = {}
-    for t, group in sorted(by_date.items()):
-        group = sorted(group, key=lambda n: n.id)
-        if k < 1 or k >= len(group):
-            raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(group)}")
-        for a in group:
-            cand = []
-            for b in group:
-                if b.id == a.id:
-                    continue
-                d = float(np.hypot(a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1]))
-                cand.append((d, b.id))
-            cand.sort()  # ties resolved by lower id
-            for d, bid in cand[:k]:
-                key = (min(a.id, bid), max(a.id, bid))
-                out.setdefault(key, d)
-    return [Edge(a, b, SPATIAL, d) for (a, b), d in sorted(out.items())]
+    ids, dates, cent = _node_arrays(nodes)
+    src, dst, dist = [], [], []
+    for t in np.unique(dates):
+        members = np.nonzero(dates == t)[0]
+        if k < 1 or k >= len(members):
+            raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(members)}")
+        for a, b, d in _k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b)):
+            src.append(np.minimum(a, b))
+            dst.append(np.maximum(a, b))
+            dist.append(d)
+    pairs, dist = _unique_pairs(src, dst, dist)
+    return [Edge(a, b, SPATIAL, d) for (a, b), d in zip(ids[pairs].tolist(), dist.tolist())]
 
 
 def similarity_edges(
@@ -245,30 +240,105 @@ def similarity_edges(
     node_dates = np.asarray(node_dates)
     if node_dates.shape[0] != v.shape[0]:
         raise DimMismatch(f"{node_dates.shape[0]} dates for {v.shape[0]} feature rows")
-    n = v.shape[0]
-    edges: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        if scope == "within-date":
-            mask = (node_dates == node_dates[i])
-        else:
-            mask = node_dates != node_dates[i]
-        mask = mask.copy()
-        mask[i] = False
-        cand_ids = np.nonzero(mask)[0]
-        if cand_ids.size == 0:
-            continue
-        d = np.sqrt(((v[cand_ids] - v[i]) ** 2).sum(axis=1))
-        order = np.lexsort((cand_ids, d))
-        for j in order[:k]:
-            other = int(cand_ids[j])
-            w = float(np.exp(-float(d[j]) ** 2))
+
+    def feature_distance(a, b):
+        diff = v[b]
+        diff -= v[a]
+        return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
+
+    src, dst, dist = [], [], []
+    for t in np.unique(node_dates):
+        members = np.nonzero(node_dates == t)[0]
+        cands = None if scope == "within-date" else np.nonzero(node_dates != t)[0]
+        for a, b, d in _k_nearest(members, cands, k, feature_distance):
             if scope == "within-date":
-                key = (min(i, other), max(i, other))
+                a, b = np.minimum(a, b), np.maximum(a, b)
             else:
-                key = (i, other) if node_dates[i] < node_dates[other] else (other, i)
-            edges.setdefault(key, w)
+                past = node_dates[a] < node_dates[b]
+                a, b = np.where(past, a, b), np.where(past, b, a)
+            src.append(a)
+            dst.append(b)
+            dist.append(d)
+    pairs, dist = _unique_pairs(src, dst, dist)
+    # d ** 2 on Python floats (libm pow) differs from NumPy's d * d in the
+    # last bit for some d; the weights keep the scalar rule
+    weights = np.exp(-np.array([d ** 2 for d in dist.tolist()]))
     kind = SPATIAL if scope == "within-date" else SPATIOTEMPORAL
-    return [Edge(a, b, kind, w) for (a, b), w in sorted(edges.items())]
+    return [Edge(a, b, kind, w) for (a, b), w in zip(pairs.tolist(), weights.tolist())]
+
+
+# candidate pairs per distance block: bounds builder memory whatever the
+# number of nodes per date
+_BLOCK_PAIRS = 1 << 16
+
+
+def _row_blocks(rows: np.ndarray, n_cols: int):
+    step = max(1, _BLOCK_PAIRS // max(1, n_cols))
+    for lo in range(0, len(rows), step):
+        yield rows[lo : lo + step]
+
+
+def _k_nearest(rows: np.ndarray, cands: np.ndarray | None, k: int, distance):
+    """Each row's ``k`` nearest candidates, in bounded blocks of
+    ``(row, neighbor, distance)`` arrays. ``rows`` and ``cands`` hold ascending
+    indices; ``cands=None`` makes every row's candidates the other rows.
+    Equal distances resolve to the lower index."""
+    m = len(rows) - 1 if cands is None else len(cands)
+    if m == 0:
+        return
+    for block in _row_blocks(rows, m):
+        if cands is None:
+            # row i's candidates skip column i: 0..i-1, i+1..n-1
+            pos = np.searchsorted(rows, block)[:, None]
+            j = np.arange(m)[None, :]
+            cols = rows[j + (j >= pos)]
+        else:
+            cols = np.broadcast_to(cands, (len(block), m))
+        d = distance(block[:, None], cols)
+        pick = _smallest(d, k)
+        yield (
+            np.repeat(block, pick.shape[1]),
+            np.take_along_axis(cols, pick, axis=1).ravel(),
+            np.take_along_axis(d, pick, axis=1).ravel(),
+        )
+
+
+def _smallest(d: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of each row's ``k`` smallest entries, ordered by value
+    and then by position (NaN last), as a stable argsort would give them."""
+    if k >= d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    # every entry tied with the k-th value stays a candidate
+    r, c = np.nonzero((d <= kth) | np.isnan(kth))
+    order = np.lexsort((c, d[r, c], r))
+    r, c = r[order], c[order]
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    return c[rank < k].reshape(d.shape[0], k)
+
+
+def _node_arrays(nodes: list[Node]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids, dates and (row, col) centroids of ``nodes`` in ascending id order."""
+    nodes = sorted(nodes, key=lambda n: n.id)
+    ids = np.array([n.id for n in nodes], dtype=np.int64)
+    dates = np.array([n.t for n in nodes], dtype=np.int64)
+    cent = np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2)
+    return ids, dates, cent
+
+
+def _centroid_distance(cent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.hypot(cent[a, 0] - cent[b, 0], cent[a, 1] - cent[b, 1])
+
+
+def _unique_pairs(src: list, dst: list, dist: list) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ``(src, dst)`` pairs sorted with duplicates dropped, and
+    their distances. A duplicate pair always carries the same distance, so
+    which copy survives does not matter."""
+    if not src:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0)
+    pairs = np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
+    pairs, first = np.unique(pairs, axis=0, return_index=True)
+    return pairs, np.concatenate(dist)[first]
 
 
 def _overlap_pairs(lab_a: np.ndarray, lab_b: np.ndarray, min_pixels: int) -> dict[tuple[int, int], float]:

@@ -39,6 +39,88 @@ def cc_equal_values(image: np.ndarray) -> np.ndarray:
     return labels
 
 
+class _UnionFind:
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = np.arange(n, dtype=np.int64)
+        self.size = np.ones(n, dtype=np.int64)
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, ra: int, rb: int) -> int:
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return ra
+
+
+def _grid_edges_8(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    c, h, w = image.shape
+    flat = image.reshape(c, h * w).T.astype(np.float64)  # (HW, C)
+    idx = np.arange(h * w).reshape(h, w)
+    pairs = []
+    if w > 1:
+        pairs.append((idx[:, :-1].ravel(), idx[:, 1:].ravel()))
+    if h > 1:
+        pairs.append((idx[:-1, :].ravel(), idx[1:, :].ravel()))
+    if h > 1 and w > 1:
+        pairs.append((idx[:-1, :-1].ravel(), idx[1:, 1:].ravel()))
+        pairs.append((idx[:-1, 1:].ravel(), idx[1:, :-1].ravel()))
+    if not pairs:
+        return (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64))
+    src = np.concatenate([p[0] for p in pairs])
+    dst = np.concatenate([p[1] for p in pairs])
+    weight = np.sqrt(((flat[src] - flat[dst]) ** 2).sum(axis=1))
+    return src, dst, weight
+
+
+def _relabel_first_occurrence(labels: np.ndarray) -> np.ndarray:
+    flat = labels.ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")
+    return rank[inverse].reshape(labels.shape).astype(np.int32)
+
+
+def brute_felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarray:
+    """Graph-based merge segmentation with a NumPy-array union-find: the
+    sequential Kruskal merge (ties by weight, src, dst), then the min_size
+    pass over every edge in the same order, then first-occurrence labels."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim == 2:
+        image = image[None]
+    c, h, w = image.shape
+    src, dst, weight = _grid_edges_8(image)
+    order = np.lexsort((dst, src, weight))
+    src, dst, weight = src[order], dst[order], weight[order]
+
+    uf = _UnionFind(h * w)
+    internal = np.zeros(h * w, dtype=np.float64)  # max MST edge weight per component root
+    for a, b, wt in zip(src.tolist(), dst.tolist(), weight.tolist()):
+        ra, rb = uf.find(a), uf.find(b)
+        if ra == rb:
+            continue
+        if wt <= min(internal[ra] + scale / uf.size[ra], internal[rb] + scale / uf.size[rb]):
+            internal[uf.union(ra, rb)] = wt
+
+    if min_size > 1:
+        for a, b in zip(src.tolist(), dst.tolist()):
+            ra, rb = uf.find(a), uf.find(b)
+            if ra != rb and (uf.size[ra] < min_size or uf.size[rb] < min_size):
+                uf.union(ra, rb)
+
+    roots = np.array([uf.find(i) for i in range(h * w)], dtype=np.int64)
+    return _relabel_first_occurrence(roots.reshape(h, w))
+
+
 def brute_adjacency(labels: np.ndarray) -> dict[tuple[int, int], int]:
     """All 4-neighbor label pairs with their boundary pair counts."""
     h, w = labels.shape
@@ -52,40 +134,53 @@ def brute_adjacency(labels: np.ndarray) -> dict[tuple[int, int], int]:
     return {(int(a), int(b)): v for (a, b), v in out.items()}
 
 
-def brute_eps_ball(centroids: dict[int, tuple[float, float]], eps: float) -> set[tuple[int, int]]:
+def brute_eps_ball(
+    centroids: dict[int, tuple[float, float]], eps: float, dates: dict[int, int] | None = None
+) -> dict[tuple[int, int], float]:
+    """Same-date pairs (lower id first) within centroid distance eps, with
+    their distances. ``dates`` maps id -> date; omitted, all share one date."""
     ids = sorted(centroids)
-    out = set()
+    out = {}
     for i, a in enumerate(ids):
         for b in ids[i + 1 :]:
-            d = np.hypot(
+            if dates is not None and dates[a] != dates[b]:
+                continue
+            d = float(np.hypot(
                 centroids[a][0] - centroids[b][0], centroids[a][1] - centroids[b][1]
-            )
+            ))
             if d <= eps:
-                out.add((a, b))
+                out[(a, b)] = d
     return out
 
 
-def brute_knn(centroids: dict[int, tuple[float, float]], k: int) -> set[tuple[int, int]]:
+def brute_knn(
+    centroids: dict[int, tuple[float, float]], k: int, dates: dict[int, int] | None = None
+) -> dict[tuple[int, int], float]:
+    """Symmetrized k nearest same-date centroids (ties to the lower id), with
+    their distances."""
     ids = sorted(centroids)
-    out = set()
+    out = {}
     for a in ids:
         cand = sorted(
             (
-                (np.hypot(centroids[a][0] - centroids[b][0], centroids[a][1] - centroids[b][1]), b)
-                for b in ids
-                if b != a
+                float(np.hypot(centroids[a][0] - centroids[b][0], centroids[a][1] - centroids[b][1])),
+                b,
             )
+            for b in ids
+            if b != a and (dates is None or dates[a] == dates[b])
         )
-        for _, b in cand[:k]:
-            out.add((min(a, b), max(a, b)))
+        for d, b in cand[:k]:
+            out.setdefault((min(a, b), max(a, b)), d)
     return out
 
 
 def brute_similarity(
     feats: np.ndarray, dates: np.ndarray, scope: str, k: int
-) -> set[tuple[int, int]]:
+) -> dict[tuple[int, int], float]:
+    """k most feature-similar nodes per node (ties to the lower index), with
+    weights exp(-d^2)."""
     n = feats.shape[0]
-    out = set()
+    out = {}
     for i in range(n):
         cand = []
         for j in range(n):
@@ -94,13 +189,14 @@ def brute_similarity(
             same = dates[i] == dates[j]
             if (scope == "within-date") != same:
                 continue
-            cand.append((float(np.linalg.norm(feats[i] - feats[j])), j))
+            cand.append((float(np.sqrt(((feats[j] - feats[i]) ** 2).sum())), j))
         cand.sort()
-        for _, j in cand[:k]:
+        for d, j in cand[:k]:
             if scope == "within-date":
-                out.add((min(i, j), max(i, j)))
+                key = (min(i, j), max(i, j))
             else:
-                out.add((i, j) if dates[i] < dates[j] else (j, i))
+                key = (i, j) if dates[i] < dates[j] else (j, i)
+            out.setdefault(key, float(np.exp(-d ** 2)))
     return out
 
 

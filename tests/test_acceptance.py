@@ -126,19 +126,20 @@ def test_criterion_02_graph_builder_oracles():
         oracle_ov = brute_overlap(a, b, 2)
         ok &= set(ov) == set(oracle_ov) and all(abs(ov[k] - oracle_ov[k]) < 1e-12 for k in ov)
 
-        date0 = [n for n in nodes if n.t == 0]
-        cents = {n.id: n.centroid for n in date0}
+        cents = {n.id: n.centroid for n in nodes}
+        node_dates = {n.id: n.t for n in nodes}
         eps = float(rng.uniform(1.5, 5.0))
-        ok &= {(e.src, e.dst) for e in eps_ball_edges(date0, eps)} == brute_eps_ball(cents, eps)
-        if len(date0) >= 3:
-            k = int(rng.integers(1, len(date0)))
-            ok &= {(e.src, e.dst) for e in knn_edges(date0, k)} == brute_knn(cents, k)
+        got = {(e.src, e.dst): e.weight for e in eps_ball_edges(nodes, eps)}
+        ok &= got == brute_eps_ball(cents, eps, node_dates)
+        k = int(rng.integers(1, min(seg.counts)))
+        got = {(e.src, e.dst): e.weight for e in knn_edges(nodes, k)}
+        ok &= got == brute_knn(cents, k, node_dates)
 
         feats = rng.normal(size=(seg.n_objects, 3))
         fm = standardize(FeatureMatrix(values=feats, names=list("abc")))
         dates = seg.object_dates()
         for scope in ("within-date", "cross-date"):
-            got = {(e.src, e.dst) for e in similarity_edges(fm, dates, scope, k=2)}
+            got = {(e.src, e.dst): e.weight for e in similarity_edges(fm, dates, scope, k=2)}
             ok &= got == brute_similarity(fm.values, dates, scope, 2)
 
         g = build_graph(seg, features=fm, spatial=["adjacency"], st=[("overlap", 1)])

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sitsgraph.cli import main
+from sitsgraph.checkpoint import save_checkpoint
+from sitsgraph.cli import _threads, build_parser, main
 from sitsgraph.datacube import save_cube, synth_seasonal
+from sitsgraph.neural import ClassifierConfig
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -83,12 +86,21 @@ def _truncated_checkpoint(tmp_path: Path) -> list[str]:
     return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
 
 
+def _checkpoint_without_in_dim(tmp_path: Path) -> list[str]:
+    node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.0], "label": None}
+    (tmp_path / "graph.json").write_text(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
+    header = {"kind": "classifier", "config": dataclasses.asdict(ClassifierConfig(n_classes=2))}
+    save_checkpoint(tmp_path / "c.bin", header, [])
+    return ["predict", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "p")]
+
+
 # (argv builder, environment, exit code, text the error line must name)
 FAILURES = {
     "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], {}, 1, "absent.json"),
     "config_malformed_json": (lambda tmp: _config(tmp, "{not json"), {}, 1, "line 1"),
     "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
+    "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
     "meta_without_geo": (_meta_without_geo, {}, 1, "geo"),
     "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
     "eval_classify_without_graph": (
@@ -120,6 +132,18 @@ def test_failure_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     assert got == code
     assert len(errors) == 1 and named in errors[0], err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, env, want", [([], None, 1), (["--threads", "3"], None, 3), ([], "3", 3)]
+)
+def test_threads_default_serial(flag, env, want, monkeypatch):
+    monkeypatch.delenv("SITSGRAPH_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("SITSGRAPH_THREADS", env)
+    parser, _ = build_parser()
+    args = parser.parse_args(["segment", "--cube", "c", "--out", "o", *flag])
+    assert _threads(args) == want
 
 
 class TestConfigReplay:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import cc_equal_values
+from _oracles import brute_felzenszwalb, cc_equal_values
 from sitsgraph.errors import EmptyImage, InvalidSegmentCount
 from sitsgraph.segmentation import (
     felzenszwalb,
@@ -56,6 +56,24 @@ class TestFelzenszwalb:
     def test_empty_image(self):
         with pytest.raises(EmptyImage):
             felzenszwalb(np.zeros((1, 0, 4)), scale=1.0)
+
+    @pytest.mark.parametrize("quantized", [False, True])
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_union_find_oracle(self, block, quantized):
+        # quantized images carry few distinct values, so most edge weights tie
+        rng = np.random.default_rng(1000 * block + quantized)
+        for _ in range(50):
+            c, h, w = (int(x) for x in rng.integers(1, [4, 21, 21]))
+            if quantized:
+                img = rng.integers(0, 3, size=(c, h, w)) * 0.25
+            else:
+                img = rng.uniform(size=(c, h, w))
+            scale = float(10 ** rng.uniform(-6, np.log10(50)))
+            min_size = int(rng.integers(1, 13))
+            got = felzenszwalb(img, scale=scale, min_size=min_size)
+            want = brute_felzenszwalb(img, scale=scale, min_size=min_size)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (c, h, w, scale, min_size)
 
 
 class TestSlic:

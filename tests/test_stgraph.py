@@ -106,14 +106,32 @@ class TestProximity:
         rng = np.random.default_rng(100 + seed)
         cents = {i: tuple(rng.uniform(0, 10, size=2)) for i in range(5)}
         edges = knn_edges(_nodes_at(cents), k=2)
-        assert {(e.src, e.dst) for e in edges} == brute_knn(cents, 2)
+        assert {(e.src, e.dst): e.weight for e in edges} == brute_knn(cents, 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eps_matches_bruteforce(self, seed):
         rng = np.random.default_rng(200 + seed)
         cents = {i: tuple(rng.uniform(0, 8, size=2)) for i in range(7)}
         edges = eps_ball_edges(_nodes_at(cents), eps=3.0)
-        assert {(e.src, e.dst) for e in edges} == brute_eps_ball(cents, 3.0)
+        assert {(e.src, e.dst): e.weight for e in edges} == brute_eps_ball(cents, 3.0)
+
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_several_dates_match_bruteforce(self, seed, grid):
+        # integer-grid centroids make many distances equal
+        rng = np.random.default_rng(400 + seed)
+        n = 30
+        dates = {i: int(t) for i, t in enumerate(rng.integers(0, 3, size=n))}
+        pos = rng.integers(0, 5, size=(n, 2)) if grid else rng.uniform(0, 10, size=(n, 2))
+        cents = {i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)}
+        nodes = [Node(id=i, t=dates[i], pixel_count=1, centroid=cents[i]) for i in range(n)]
+        k = min(4, min(list(dates.values()).count(t) for t in set(dates.values())) - 1)
+        edges = knn_edges(nodes, k=k)
+        assert [(e.src, e.dst) for e in edges] == sorted(brute_knn(cents, k, dates))
+        assert {(e.src, e.dst): e.weight for e in edges} == brute_knn(cents, k, dates)
+        edges = eps_ball_edges(nodes, eps=2.0)
+        assert [(e.src, e.dst) for e in edges] == sorted(brute_eps_ball(cents, 2.0, dates))
+        assert {(e.src, e.dst): e.weight for e in edges} == brute_eps_ball(cents, 2.0, dates)
 
 
 class TestSimilarity:
@@ -144,7 +162,23 @@ class TestSimilarity:
         edges = similarity_edges(
             FeatureMatrix(values=feats, names=list("abc")), dates, scope, k=2
         )
-        assert {(e.src, e.dst) for e in edges} == brute_similarity(feats, dates, scope, 2)
+        assert {(e.src, e.dst): e.weight for e in edges} == brute_similarity(feats, dates, scope, 2)
+
+    @pytest.mark.parametrize("scope", ["within-date", "cross-date"])
+    @pytest.mark.parametrize("grid", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ties_and_several_dates_match_bruteforce(self, seed, grid, scope):
+        # integer-grid features make many distances equal; 10 columns take
+        # the pairwise-summation path of the distance reduction
+        rng = np.random.default_rng(500 + seed)
+        n = 40
+        feats = rng.integers(0, 3, size=(n, 10)).astype(float) if grid else rng.normal(size=(n, 10))
+        dates = rng.integers(0, 4, size=n)
+        k = int(rng.integers(1, 6))
+        edges = similarity_edges(FeatureMatrix(values=feats, names=list("abcdefghij")), dates, scope, k)
+        oracle = brute_similarity(feats, dates, scope, k)
+        assert [(e.src, e.dst) for e in edges] == sorted(oracle)
+        assert {(e.src, e.dst): e.weight for e in edges} == oracle
 
 
 class TestOverlap:
