@@ -208,22 +208,23 @@ def save_cube(cube: SitsCube, path: str | Path) -> None:
     (path / "cube.bin").write_bytes(np.ascontiguousarray(cube.values, dtype="<f4").tobytes())
 
 
-def save_labels(labels: np.ndarray, path: str | Path) -> None:
-    """Write per-date label maps as ``labels_t{k}.bin`` (int32 row-major)."""
+def save_labels(labels: np.ndarray, path: str | Path, stem: str = "labels") -> None:
+    """Write per-date maps as ``{stem}_t{k}.bin`` (int32 row-major); the
+    segmentation writes its object id maps with ``stem="seg"``."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     labels = np.asarray(labels, dtype="<i4")
     if labels.ndim != 3:
         raise ShapeMismatch(f"labels must be (T,H,W), got {labels.shape}")
     for k in range(labels.shape[0]):
-        (path / f"labels_t{k}.bin").write_bytes(np.ascontiguousarray(labels[k]).tobytes())
+        (path / f"{stem}_t{k}.bin").write_bytes(np.ascontiguousarray(labels[k]).tobytes())
 
 
-def load_labels(path: str | Path, t: int, h: int, w: int) -> np.ndarray:
+def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") -> np.ndarray:
     path = Path(path)
     out = np.empty((t, h, w), dtype=np.int32)
     for k in range(t):
-        f = path / f"labels_t{k}.bin"
+        f = path / f"{stem}_t{k}.bin"
         if not f.is_file():
             raise MissingFile(f"missing {f}")
         blob = f.read_bytes()

@@ -10,7 +10,7 @@ import numpy as np
 
 from .datacube import GeoBounds, PixelGeo, SitsCube, day_of_year_fraction
 from .errors import AllNodataWarning, DimMismatch, ShapeMismatch
-from .segmentation import SegStack
+from .segmentation import SegStack, region_moments
 
 
 @dataclass
@@ -101,14 +101,10 @@ def band_stats(cube: SitsCube, seg: SegStack) -> FeatureMatrix:
 
 def geom_features(seg: SegStack) -> FeatureMatrix:
     """Per object: [area_pixels, centroid_row, centroid_col, date_index]."""
-    t, h, w = seg.shape
     n = seg.n_objects
     out = np.zeros((n, 4), dtype=np.float64)
-    for date in range(t):
-        lab = seg.labels[date].ravel().astype(np.int64)
-        count = np.bincount(lab, minlength=n).astype(np.float64)
-        rsum = np.bincount(lab, weights=np.repeat(np.arange(h), w), minlength=n)
-        csum = np.bincount(lab, weights=np.tile(np.arange(w), h), minlength=n)
+    for date in range(seg.shape[0]):
+        count, rsum, csum = region_moments(seg.labels[date], n)
         present = count > 0
         out[present, 0] = count[present]
         out[present, 1] = rsum[present] / count[present]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..segmentation import slic
+from ..segmentation import region_adjacency, region_moments, slic
 
 
 @dataclass
@@ -62,9 +62,7 @@ def build_mesh(
 
     m = int(labels.max()) + 1
     flat = labels.ravel().astype(np.int64)
-    counts = np.bincount(flat, minlength=m).astype(np.float64)
-    rsum = np.bincount(flat, weights=np.repeat(np.arange(h), w), minlength=m)
-    csum = np.bincount(flat, weights=np.tile(np.arange(w), h), minlength=m)
+    counts, rsum, csum = region_moments(labels, m)
     centroids = np.stack([rsum / counts, csum / counts], axis=1)
 
     scale = float(max(h, w))
@@ -74,18 +72,10 @@ def build_mesh(
     )
 
     # region adjacency, both orientations
-    pairs = set()
-    for a, b in ((labels[:, :-1], labels[:, 1:]), (labels[:-1, :], labels[1:, :])):
-        diff = a != b
-        for x, y in zip(a[diff].tolist(), b[diff].tolist()):
-            pairs.add((min(x, y), max(x, y)))
-    proc_src, proc_dst = [], []
-    for a, b in sorted(pairs):
-        proc_src += [a, b]
-        proc_dst += [b, a]
-    proc_src = np.array(proc_src, dtype=np.int64)
-    proc_dst = np.array(proc_dst, dtype=np.int64)
-    proc_feat = (centroids[proc_dst] - centroids[proc_src]) / scale if len(proc_src) else np.zeros((0, 2))
+    pairs, _ = region_adjacency(labels)
+    proc_src = pairs.ravel()
+    proc_dst = pairs[:, ::-1].ravel()
+    proc_feat = (centroids[proc_dst] - centroids[proc_src]) / scale
 
     # encoder: pixel -> owning region
     g2m_src = np.arange(h * w, dtype=np.int64)

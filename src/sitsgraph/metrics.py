@@ -68,20 +68,11 @@ def majority_upper_bound(seg: SegStack, label_maps: np.ndarray) -> float:
     This is the ceiling for any method that predicts one class per object;
     pixels labeled -1 are ignored.
     """
-    label_maps = np.asarray(label_maps)
-    if label_maps.shape != seg.shape:
-        raise ShapeMismatch(f"label maps {label_maps.shape} do not match seg {seg.shape}")
-    lab = seg.labels.ravel().astype(np.int64)
-    cls = label_maps.ravel().astype(np.int64)
-    ok = cls >= 0
-    if not ok.any():
+    table = seg.class_counts(label_maps)
+    labeled = table.sum()
+    if labeled == 0:
         raise NoLabels("no labeled pixel")
-    n_obj = seg.n_objects
-    n_cls = int(cls[ok].max()) + 1
-    table = np.zeros((n_obj, n_cls), dtype=np.int64)
-    np.add.at(table, (lab[ok], cls[ok]), 1)
-    correct = table.max(axis=1).sum()
-    return float(correct / ok.sum())
+    return float(table.max(axis=1).sum() / labeled)
 
 
 def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:

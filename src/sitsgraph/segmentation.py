@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datacube import SitsCube
+from .datacube import SitsCube, load_labels, save_labels
 from .errors import EmptyImage, InvalidSegmentCount, MissingFile, ShapeMismatch
 
 
@@ -58,6 +58,57 @@ class SegStack:
     def object_dates(self) -> np.ndarray:
         """Date index per object id, shape (n_objects,)."""
         return np.repeat(np.arange(len(self.counts)), self.counts).astype(np.int64)
+
+    def class_counts(self, label_maps: np.ndarray) -> np.ndarray:
+        """(n_objects, n_classes) int64 table: pixels of each class per
+        object, over every date. Negative class pixels are ignored; the table
+        keeps at least one column when no pixel is labeled."""
+        label_maps = np.asarray(label_maps)
+        if label_maps.shape != self.shape:
+            raise ShapeMismatch(f"label maps {label_maps.shape} do not match seg {self.shape}")
+        cls = label_maps.ravel().astype(np.int64)
+        ok = cls >= 0
+        n_cls = int(cls.max(initial=0)) + 1
+        key = self.labels.ravel()[ok].astype(np.int64) * n_cls + cls[ok]
+        return np.bincount(key, minlength=self.n_objects * n_cls).reshape(self.n_objects, n_cls)
+
+
+# ---------------------------------------------------------------------------
+# label-map primitives
+
+
+def label_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``(a[i], b[i])`` pairs of two equally shaped non-negative
+    integer arrays, as an ascending (n, 2) int64 array, and the number of
+    positions holding each pair."""
+    a = np.asarray(a, dtype=np.int64).ravel()
+    b = np.asarray(b, dtype=np.int64).ravel()
+    base = int(b.max(initial=0)) + 1
+    keys, counts = np.unique(a * base + b, return_counts=True)
+    return np.stack([keys // base, keys % base], axis=1), counts
+
+
+def region_adjacency(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regions of an (H, W) label map that touch across a 4-neighbour pixel
+    pair: ascending ``(lo, hi)`` pairs and their boundary length in pixel
+    pairs."""
+    labels = np.asarray(labels)
+    a = np.concatenate([labels[:, :-1].ravel(), labels[:-1, :].ravel()])
+    b = np.concatenate([labels[:, 1:].ravel(), labels[1:, :].ravel()])
+    diff = a != b
+    a, b = a[diff], b[diff]
+    return label_pairs(np.minimum(a, b), np.maximum(a, b))
+
+
+def region_moments(labels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pixel count, row-index sum and column-index sum (float64, length
+    ``n``) of every region of an (H, W) label map with ids in [0, n)."""
+    h, w = labels.shape
+    flat = labels.ravel()
+    count = np.bincount(flat, minlength=n).astype(np.float64)
+    rsum = np.bincount(flat, weights=np.repeat(np.arange(h), w), minlength=n)
+    csum = np.bincount(flat, weights=np.tile(np.arange(w), h), minlength=n)
+    return count, rsum, csum
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +309,7 @@ def slic(
             )
             labels_flat[up] = np.argmin(d2u, axis=1)
 
-        counts = np.bincount(labels_flat, minlength=n_centers).astype(np.float64)
-        rsum = np.bincount(labels_flat, weights=np.repeat(np.arange(h), w), minlength=n_centers)
-        csum = np.bincount(labels_flat, weights=np.tile(np.arange(w), h), minlength=n_centers)
+        counts, rsum, csum = region_moments(labels, n_centers)
         nonzero = counts > 0
         centers_rc[nonzero, 0] = rsum[nonzero] / counts[nonzero]
         centers_rc[nonzero, 1] = csum[nonzero] / counts[nonzero]
@@ -314,22 +363,20 @@ def _connected_components(labels: np.ndarray) -> np.ndarray:
 
 
 def _enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndarray:
-    h, w = labels.shape
+    """Give every fragment but the largest of each (non-negative) label to
+    the adjacent kept or already reassigned label whose center is nearest to
+    the fragment's centroid (ties to the lower label)."""
     comp = _connected_components(labels)
     n_comp = int(comp.max()) + 1
     flatc = comp.ravel()
     comp_label = labels.ravel()[np.unique(flatc, return_index=True)[1]]
-    comp_size = np.bincount(flatc, minlength=n_comp)
-
-    adj: list[set[int]] = [set() for _ in range(n_comp)]
-    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1, :], comp[1:, :])):
-        diff = a != b
-        for x, y in zip(a[diff].tolist(), b[diff].tolist()):
-            adj[x].add(y)
-            adj[y].add(x)
-    rsum = np.bincount(flatc, weights=np.repeat(np.arange(h), w), minlength=n_comp)
-    csum = np.bincount(flatc, weights=np.tile(np.arange(w), h), minlength=n_comp)
+    comp_size, rsum, csum = region_moments(comp, n_comp)
     cent = np.stack([rsum / comp_size, csum / comp_size], axis=1)
+
+    adj: list[list[int]] = [[] for _ in range(n_comp)]
+    for a, b in region_adjacency(comp)[0].tolist():
+        adj[a].append(b)
+        adj[b].append(a)
 
     # keep the largest fragment per label (scan order wins ties)
     keep: dict[int, int] = {}
@@ -341,10 +388,11 @@ def _enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndar
     for lab, ci in keep.items():
         frag_label[ci] = lab
 
-    pending = [ci for ci in range(n_comp) if frag_label[ci] < 0]
+    # the grid is connected and every label keeps a fragment, so each pass
+    # reassigns at least one pending fragment
+    pending = np.nonzero(frag_label < 0)[0].tolist()
     while pending:
         deferred = []
-        progressed = False
         for ci in pending:
             cand = {int(frag_label[cj]) for cj in adj[ci] if frag_label[cj] >= 0}
             if not cand:
@@ -353,11 +401,6 @@ def _enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndar
             frag_label[ci] = min(
                 cand, key=lambda lab: (((centers_rc[lab] - cent[ci]) ** 2).sum(), lab)
             )
-            progressed = True
-        if not progressed and deferred:
-            # pocket fully surrounded by other orphans: retain the first as-is
-            frag_label[deferred[0]] = comp_label[deferred[0]]
-            deferred = deferred[1:]
         pending = deferred
     return frag_label[comp]
 
@@ -417,37 +460,43 @@ def segment_cube(
 
 
 def save_seg(seg: SegStack, path: str | Path) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    t = seg.labels.shape[0]
-    for k in range(t):
-        (path / f"seg_t{k}.bin").write_bytes(
-            np.ascontiguousarray(seg.labels[k], dtype="<i4").tobytes()
-        )
+    save_labels(seg.labels, path, stem="seg")
     meta = {
-        "T": t,
+        "T": seg.labels.shape[0],
         "H": int(seg.labels.shape[1]),
         "W": int(seg.labels.shape[2]),
         "counts": [int(x) for x in seg.counts],
         "provenance": seg.provenance,
     }
-    (path / "seg_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    (Path(path) / "seg_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
 def load_seg(path: str | Path) -> SegStack:
+    """Read ``save_seg`` output. Every required ``seg_meta.json`` key must be
+    present, with one count per date, and each date's ids must lie in the
+    range its count gives, ``[offset, offset + count)``."""
     path = Path(path)
     meta_path = path / "seg_meta.json"
     if not meta_path.is_file():
         raise MissingFile(f"missing {meta_path}")
     meta = json.loads(meta_path.read_text())
-    t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-    labels = np.empty((t, h, w), dtype=np.int32)
-    for k in range(t):
-        f = path / f"seg_t{k}.bin"
-        if not f.is_file():
-            raise MissingFile(f"missing {f}")
-        blob = f.read_bytes()
-        if len(blob) != 4 * h * w:
-            raise ShapeMismatch(f"{f} holds {len(blob)} bytes, expected {4 * h * w}")
-        labels[k] = np.frombuffer(blob, dtype="<i4").reshape(h, w)
-    return SegStack(labels=labels, counts=[int(x) for x in meta["counts"]], provenance=meta.get("provenance", {}))
+    missing = [k for k in ("T", "H", "W", "counts") if k not in meta]
+    if missing:
+        raise ShapeMismatch(f"{meta_path} lacks required key(s) {missing}")
+    try:
+        t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
+        counts = [int(x) for x in meta["counts"]]
+    except (TypeError, ValueError) as e:
+        raise ShapeMismatch(f"{meta_path}: T, H, W and counts must be integers ({e})") from None
+    if len(counts) != t:
+        raise ShapeMismatch(f"{meta_path} holds {len(counts)} counts for T={t} dates")
+    labels = load_labels(path, t, h, w, stem="seg")
+    offset = 0
+    for k, n in enumerate(counts):
+        lo, hi = int(labels[k].min()), int(labels[k].max())
+        if lo < offset or hi >= offset + n:
+            raise ShapeMismatch(
+                f"date {k} of {path} holds object ids {lo}..{hi}, outside [{offset}, {offset + n}) from counts"
+            )
+        offset += n
+    return SegStack(labels=labels, counts=counts, provenance=meta.get("provenance", {}))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidLag, ShapeMismatch, TooFewNodes, UnknownNode
 from .features import FeatureMatrix, geom_features
-from .segmentation import SegStack
+from .segmentation import SegStack, label_pairs, region_adjacency
 
 SPATIAL = "S"
 SPATIOTEMPORAL = "ST"
@@ -175,15 +175,8 @@ def adjacency_edges(seg: SegStack, t: int) -> list[Edge]:
     length in pixel-pair units."""
     if not (0 <= t < seg.shape[0]):
         raise ShapeMismatch(f"date {t} out of range for {seg.shape[0]} dates")
-    lab = seg.labels[t]
-    pairs: dict[tuple[int, int], int] = {}
-    for a, b in ((lab[:, :-1], lab[:, 1:]), (lab[:-1, :], lab[1:, :])):
-        diff = a != b
-        lo = np.minimum(a[diff], b[diff])
-        hi = np.maximum(a[diff], b[diff])
-        for key in zip(lo.tolist(), hi.tolist()):
-            pairs[key] = pairs.get(key, 0) + 1
-    return [Edge(a, b, SPATIAL, float(c)) for (a, b), c in sorted(pairs.items())]
+    pairs, length = region_adjacency(seg.labels[t])
+    return [Edge(a, b, SPATIAL, float(c)) for (a, b), c in zip(pairs.tolist(), length.tolist())]
 
 
 def eps_ball_edges(nodes: list[Node], eps: float) -> list[Edge]:
@@ -341,19 +334,6 @@ def _unique_pairs(src: list, dst: list, dist: list) -> tuple[np.ndarray, np.ndar
     return pairs, np.concatenate(dist)[first]
 
 
-def _overlap_pairs(lab_a: np.ndarray, lab_b: np.ndarray, min_pixels: int) -> dict[tuple[int, int], float]:
-    inter: dict[tuple[int, int], int] = {}
-    for key in zip(lab_a.ravel().tolist(), lab_b.ravel().tolist()):
-        inter[key] = inter.get(key, 0) + 1
-    size_a = dict(zip(*np.unique(lab_a, return_counts=True)))
-    size_b = dict(zip(*np.unique(lab_b, return_counts=True)))
-    out = {}
-    for (a, b), c in inter.items():
-        if c >= min_pixels:
-            out[(int(a), int(b))] = c / min(int(size_a[a]), int(size_b[b]))
-    return out
-
-
 def overlap_edges(seg: SegStack, min_pixels: int = 1) -> list[Edge]:
     """Directed edges between footprint-overlapping objects at consecutive
     dates; weight = |A & B| / min(|A|, |B|)."""
@@ -372,11 +352,14 @@ def periodic_edges(seg: SegStack, lag: int, min_pixels: int = 1) -> list[Edge]:
 def _lagged_overlap_edges(seg: SegStack, lag: int, min_pixels: int) -> list[Edge]:
     if min_pixels < 1:
         raise ShapeMismatch(f"min_pixels must be >= 1, got {min_pixels}")
+    size = np.bincount(seg.labels.ravel(), minlength=seg.n_objects)
     out = []
     for date in range(seg.shape[0] - lag):
-        pairs = _overlap_pairs(seg.labels[date], seg.labels[date + lag], min_pixels)
-        for (a, b), w in sorted(pairs.items()):
-            out.append(Edge(a, b, SPATIOTEMPORAL, w))
+        pairs, inter = label_pairs(seg.labels[date], seg.labels[date + lag])
+        keep = inter >= min_pixels
+        pairs, inter = pairs[keep], inter[keep]
+        weight = inter / np.minimum(size[pairs[:, 0]], size[pairs[:, 1]])
+        out.extend(Edge(a, b, SPATIOTEMPORAL, w) for (a, b), w in zip(pairs.tolist(), weight.tolist()))
     return out
 
 
@@ -389,24 +372,11 @@ def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> list[
     modal class label of its pixels (-1 labels ignored; pure -1 -> None)."""
     geom = geom_features(seg).values
     dates = seg.object_dates()
-    labels: dict[int, int | None] = {}
+    labels = [None] * seg.n_objects
     if label_maps is not None:
-        label_maps = np.asarray(label_maps)
-        if label_maps.shape != seg.shape:
-            raise ShapeMismatch(f"label maps {label_maps.shape} do not match seg {seg.shape}")
-        for date in range(seg.shape[0]):
-            lab = seg.labels[date].ravel().astype(np.int64)
-            cls = label_maps[date].ravel().astype(np.int64)
-            ok = cls >= 0
-            if not ok.any():
-                continue
-            n_cls = int(cls[ok].max()) + 1
-            counts = np.zeros((seg.n_objects, n_cls), dtype=np.int64)
-            np.add.at(counts, (lab[ok], cls[ok]), 1)
-            for obj in np.unique(lab):
-                row = counts[obj]
-                if row.sum() > 0:
-                    labels[int(obj)] = int(row.argmax())  # ties -> lower class id
+        table = seg.class_counts(label_maps)
+        modal = table.argmax(axis=1).tolist()  # ties -> lower class id
+        labels = [m if s > 0 else None for m, s in zip(modal, table.sum(axis=1).tolist())]
     out = []
     for obj in range(seg.n_objects):
         out.append(
@@ -415,7 +385,7 @@ def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> list[
                 t=int(dates[obj]),
                 pixel_count=int(geom[obj, 0]),
                 centroid=(float(geom[obj, 1]), float(geom[obj, 2])),
-                label=labels.get(obj),
+                label=labels[obj],
             )
         )
     return out

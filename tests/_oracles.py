@@ -121,6 +121,81 @@ def brute_felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np
     return _relabel_first_occurrence(roots.reshape(h, w))
 
 
+def _connected_components_4(labels: np.ndarray) -> np.ndarray:
+    """4-connected component index per pixel, numbered in scan order."""
+    h, w = labels.shape
+    comp = np.full((h, w), -1, dtype=np.int64)
+    n = 0
+    for r0 in range(h):
+        for c0 in range(w):
+            if comp[r0, c0] >= 0:
+                continue
+            lab = labels[r0, c0]
+            stack = [(r0, c0)]
+            comp[r0, c0] = n
+            while stack:
+                r, cc = stack.pop()
+                for rr, ccc in ((r - 1, cc), (r + 1, cc), (r, cc - 1), (r, cc + 1)):
+                    if 0 <= rr < h and 0 <= ccc < w and comp[rr, ccc] < 0 and labels[rr, ccc] == lab:
+                        comp[rr, ccc] = n
+                        stack.append((rr, ccc))
+            n += 1
+    return comp
+
+
+def brute_enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndarray:
+    """SLIC connectivity pass with Python adjacency sets: every fragment but
+    the largest of each label goes to the adjacent labeled fragment whose
+    label center is nearest to the fragment centroid (ties to the lower
+    label), in passes over the fragments in scan order."""
+    h, w = labels.shape
+    comp = _connected_components_4(labels)
+    n_comp = int(comp.max()) + 1
+    flatc = comp.ravel()
+    comp_label = labels.ravel()[np.unique(flatc, return_index=True)[1]]
+    comp_size = np.bincount(flatc, minlength=n_comp)
+
+    adj: list[set[int]] = [set() for _ in range(n_comp)]
+    for a, b in ((comp[:, :-1], comp[:, 1:]), (comp[:-1, :], comp[1:, :])):
+        diff = a != b
+        for x, y in zip(a[diff].tolist(), b[diff].tolist()):
+            adj[x].add(y)
+            adj[y].add(x)
+    rsum = np.bincount(flatc, weights=np.repeat(np.arange(h), w), minlength=n_comp)
+    csum = np.bincount(flatc, weights=np.tile(np.arange(w), h), minlength=n_comp)
+    cent = np.stack([rsum / comp_size, csum / comp_size], axis=1)
+
+    # keep the largest fragment per label (scan order wins ties)
+    keep: dict[int, int] = {}
+    for ci in range(n_comp):
+        lab = int(comp_label[ci])
+        if lab not in keep or comp_size[ci] > comp_size[keep[lab]]:
+            keep[lab] = ci
+    frag_label = np.full(n_comp, -1, dtype=np.int64)
+    for lab, ci in keep.items():
+        frag_label[ci] = lab
+
+    pending = [ci for ci in range(n_comp) if frag_label[ci] < 0]
+    while pending:
+        deferred = []
+        progressed = False
+        for ci in pending:
+            cand = {int(frag_label[cj]) for cj in adj[ci] if frag_label[cj] >= 0}
+            if not cand:
+                deferred.append(ci)
+                continue
+            frag_label[ci] = min(
+                cand, key=lambda lab: (((centers_rc[lab] - cent[ci]) ** 2).sum(), lab)
+            )
+            progressed = True
+        if not progressed and deferred:
+            # pocket fully surrounded by other orphans: retain the first as-is
+            frag_label[deferred[0]] = comp_label[deferred[0]]
+            deferred = deferred[1:]
+        pending = deferred
+    return frag_label[comp]
+
+
 def brute_adjacency(labels: np.ndarray) -> dict[tuple[int, int], int]:
     """All 4-neighbor label pairs with their boundary pair counts."""
     h, w = labels.shape
@@ -277,6 +352,19 @@ def modal_label_accuracy(seg_labels: np.ndarray, truth: np.ndarray) -> float:
         correct += best
         total += vals.size
     return correct / total
+
+
+def brute_modal_labels(seg_labels: np.ndarray, truth: np.ndarray, n_objects: int) -> list[int | None]:
+    """Per object id: the most frequent non-negative class of its pixels
+    (ties to the lower class), or None when none of its pixels is labeled."""
+    out: list[int | None] = []
+    for obj in range(n_objects):
+        vals = truth[seg_labels == obj]
+        counts: dict[int, int] = {}
+        for v in vals[vals >= 0].tolist():
+            counts[v] = counts.get(v, 0) + 1
+        out.append(min(counts, key=lambda c: (-counts[c], c)) if counts else None)
+    return out
 
 
 def fd_gradient(f, arrays: list[np.ndarray], h: float = 1e-4) -> list[np.ndarray]:

@@ -74,6 +74,16 @@ def _meta_without_geo(tmp_path: Path) -> list[str]:
     return ["segment", "--cube", str(cube), "--out", str(tmp_path / "seg")]
 
 
+def _seg_meta(tmp_path: Path, edit) -> list[str]:
+    cube = _cube(tmp_path)
+    seg = tmp_path / "seg"
+    assert main(["segment", "--cube", cube, "--scale", "0.5", "--out", str(seg)]) == 0
+    meta = json.loads((seg / "seg_meta.json").read_text())
+    edit(meta)
+    (seg / "seg_meta.json").write_text(json.dumps(meta))
+    return ["features", "--cube", cube, "--seg", str(seg), "--out", str(tmp_path / "feat")]
+
+
 def _dangling_edge(tmp_path: Path) -> list[str]:
     node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
     doc = {"nodes": [node], "edges": [{"src": 0, "dst": 99999, "kind": "ST", "w": 1.0}], "meta": {}}
@@ -103,6 +113,10 @@ FAILURES = {
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
     "meta_without_geo": (_meta_without_geo, {}, 1, "geo"),
     "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
+    "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), {}, 1, "counts"),
+    "seg_ids_outside_counts": (
+        lambda tmp: _seg_meta(tmp, lambda m: m.update(counts=[1] * len(m["counts"]))), {}, 1, "date 0",
+    ),
     "eval_classify_without_graph": (
         lambda tmp: ["eval", "--task", "classify", "--checkpoint", "c.bin", "--seg", "s", "--cube", "c", "--out", str(tmp / "r")],
         {}, 2, "--graph",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_gradients, randomize_biases, weighted_sum
+from _oracles import brute_adjacency
 from sitsgraph.datacube import synth_seasonal
 from sitsgraph.errors import LengthMismatch, MeshMismatch, NoData, SiteLeakage
 from sitsgraph.forecast import (
@@ -31,6 +32,20 @@ class TestBuildMesh:
         assert len(mesh.proc_src) == 8
         pairs = {(min(a, b), max(a, b)) for a, b in zip(mesh.proc_src, mesh.proc_dst)}
         assert pairs == {(0, 1), (0, 2), (1, 3), (2, 3)}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_processor_edges_match_bruteforce(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = (int(x) for x in rng.integers(2, 17, size=2))
+        img = rng.uniform(size=(1, h, w))
+        mesh = build_mesh(img, n_segments=int(rng.integers(1, h * w // 2 + 2)), compactness=0.3)
+        # each adjacent pair once per orientation, lower id first, pairs ascending
+        pairs = sorted(brute_adjacency(mesh.labels))
+        want_src = [x for a, b in pairs for x in (a, b)]
+        want_dst = [x for a, b in pairs for x in (b, a)]
+        assert mesh.proc_src.dtype == mesh.proc_dst.dtype == np.int64
+        assert mesh.proc_src.tolist() == want_src and mesh.proc_dst.tolist() == want_dst
+        assert mesh.proc_feat.shape == (len(want_src), 2)
 
     def test_encoder_edge_targets_owning_region(self):
         rng = np.random.default_rng(0)
@@ -64,6 +79,8 @@ class TestBuildMesh:
         mesh = build_mesh(np.full((1, 6, 6), 0.1), n_segments=1, compactness=0.1)
         assert mesh.n_regions == 1
         assert np.all(np.bincount(mesh.m2g_dst) == 1)  # one decoder edge per pixel
+        assert len(mesh.proc_src) == len(mesh.proc_dst) == 0
+        assert mesh.proc_feat.shape == (0, 2) and mesh.proc_feat.dtype == np.float64
 
 
 class TestGnBlock:

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_felzenszwalb, cc_equal_values
-from sitsgraph.errors import EmptyImage, InvalidSegmentCount
+from _oracles import brute_enforce_connectivity, brute_felzenszwalb, cc_equal_values
+from sitsgraph.errors import EmptyImage, InvalidSegmentCount, ShapeMismatch
 from sitsgraph.segmentation import (
+    _enforce_connectivity,
     felzenszwalb,
     load_seg,
     save_seg,
@@ -121,6 +124,39 @@ class TestSlic:
                         stack.append((r2, c2))
             assert len(seen) == mask.sum()
 
+    # the top-left pixel is a label-2 fragment touching only a label-1
+    # fragment that is itself an orphan: it is resolved in a second pass
+    POCKET = np.array(
+        [
+            [2, 1, 0, 0, 0, 0],
+            [1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0],
+            [1, 1, 1, 1, 1, 1],
+            [2, 2, 2, 2, 2, 2],
+            [2, 2, 2, 2, 2, 2],
+        ]
+    )
+
+    @pytest.mark.parametrize("grid_centers", [False, True])
+    @pytest.mark.parametrize("block", range(3))
+    def test_enforce_connectivity_matches_oracle(self, block, grid_centers):
+        # integer centers put many fragment centroids at equal distances
+        rng = np.random.default_rng(100 * block + grid_centers)
+        cases = [(self.POCKET, rng.uniform(0, 6, size=(3, 2)))]
+        for _ in range(60):
+            h, w, k = (int(x) for x in rng.integers(1, [13, 13, 6]))
+            labels = rng.integers(0, k, size=(h, w))
+            if grid_centers:
+                centers = rng.integers(0, max(h, w), size=(k, 2)).astype(np.float64)
+            else:
+                centers = rng.uniform(-1, max(h, w), size=(k, 2))
+            cases.append((labels, centers))
+        for labels, centers in cases:
+            got = _enforce_connectivity(labels, centers)
+            want = brute_enforce_connectivity(labels, centers)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (labels, centers)
+
     def test_invalid_segment_count(self):
         img = np.zeros((1, 4, 4))
         with pytest.raises(InvalidSegmentCount):
@@ -172,3 +208,20 @@ class TestSegmentCube:
         assert np.array_equal(back.labels, seg.labels)
         assert back.counts == seg.counts
         assert back.provenance["algorithm"] == "felzenszwalb"
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda m: m.pop("T"), "'T'"),
+            (lambda m: m.update(counts=5), "must be integers"),
+            (lambda m: m["counts"].append(1), "3 counts for T=2"),
+            (lambda m: m.update(counts=[m["counts"][0] + 1, m["counts"][1] - 1]), "date 1"),
+        ],
+    )
+    def test_load_rejects_malformed_meta(self, tmp_path, fix_a, edit, named):
+        save_seg(segment_cube(fix_a, "felzenszwalb", {"scale": 0.01, "min_size": 1}), tmp_path)
+        meta = json.loads((tmp_path / "seg_meta.json").read_text())
+        edit(meta)
+        (tmp_path / "seg_meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ShapeMismatch, match=named):
+            load_seg(tmp_path)

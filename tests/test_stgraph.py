@@ -6,10 +6,13 @@ from _oracles import (
     brute_eps_ball,
     brute_knn,
     brute_overlap,
+    brute_modal_labels,
     brute_similarity,
+    modal_label_accuracy,
 )
-from sitsgraph.errors import InvalidLag, TooFewNodes
+from sitsgraph.errors import InvalidLag, NoLabels, TooFewNodes
 from sitsgraph.features import FeatureMatrix, band_stats
+from sitsgraph.metrics import majority_upper_bound
 from sitsgraph.segmentation import SegStack, segment_cube
 from sitsgraph.stgraph import (
     SPATIAL,
@@ -382,3 +385,26 @@ class TestNodesFromSeg:
         nodes = nodes_from_seg(seg, maps)
         assert nodes[0].label == 1
         assert nodes[1].label is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_modal_labels_and_majority_bound_match_bruteforce(self, seed):
+        # few classes on small objects make modal ties common; seed 0 labels
+        # no pixel at all
+        rng = np.random.default_rng(700 + seed)
+        t, h, w = (int(x) for x in rng.integers([1, 3, 3], [4, 10, 10]))
+        frames, offset = [], 0
+        for _ in range(t):
+            frame = _random_seg_frame(rng, h, w, int(rng.integers(1, 8)))
+            frames.append(frame + offset)
+            offset += int(frame.max()) + 1
+        seg = _seg(np.stack(frames))
+        low = -1 if seed else -2
+        truth = rng.integers(low, 3 if seed else 0, size=(t, h, w)).astype(np.int32)
+        labels = [n.label for n in nodes_from_seg(seg, truth)]
+        assert labels == brute_modal_labels(seg.labels, truth, seg.n_objects)
+        if seed == 0:
+            assert labels == [None] * seg.n_objects
+            with pytest.raises(NoLabels):
+                majority_upper_bound(seg, truth)
+        else:
+            assert majority_upper_bound(seg, truth) == modal_label_accuracy(seg.labels, truth)
