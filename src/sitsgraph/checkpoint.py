@@ -65,3 +65,17 @@ def config_from_dict(cls, config: dict):
     if unknown or missing:
         raise ConfigMismatch(f"checkpoint config for {cls.__name__}: unknown keys {unknown}, missing keys {missing}")
     return cls(**config)
+
+
+def check_state(arrays: list[np.ndarray], shapes: list[tuple], kind: str) -> None:
+    """Raise ``ShapeMismatch`` unless ``arrays`` holds one array of each of the
+    model's ``shapes``, in order, naming the first index that differs."""
+    for i in range(max(len(arrays), len(shapes))):
+        got = tuple(np.shape(arrays[i])) if i < len(arrays) else None
+        want = tuple(shapes[i]) if i < len(shapes) else None
+        if got != want:
+            raise ShapeMismatch(
+                f"{kind} state array {i}: {'missing' if got is None else f'shape {got}'},"
+                f" the model expects {'none' if want is None else f'shape {want}'}"
+                f" ({len(arrays)} arrays for a model of {len(shapes)})"
+            )

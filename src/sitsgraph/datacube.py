@@ -168,7 +168,14 @@ def load_cube(path: str | Path) -> SitsCube:
     missing += [f"geo.{k}" for k in _GEO_KEYS if k not in geo_meta]
     if missing:
         raise InvalidCube(f"{meta_path} lacks required key(s) {missing}")
-    t, c, h, w = (int(meta[k]) for k in ("T", "C", "H", "W"))
+
+    def number(key: str, value, kind):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise InvalidCube(f"{meta_path} key {key!r} is not a number: {value!r}") from None
+
+    t, c, h, w = (number(k, meta[k], int) for k in ("T", "C", "H", "W"))
     if meta.get("dtype", "f32") != "f32":
         raise ShapeMismatch(f"unsupported dtype {meta.get('dtype')!r}")
     blob = bin_path.read_bytes()
@@ -176,14 +183,14 @@ def load_cube(path: str | Path) -> SitsCube:
     if len(blob) != expected:
         raise ShapeMismatch(f"cube.bin holds {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4").reshape(t, c, h, w).copy()
-    geo = GeoBounds(**{k: float(meta["geo"][k]) for k in _GEO_KEYS})
+    geo = GeoBounds(**{k: number(f"geo.{k}", meta["geo"][k], float) for k in _GEO_KEYS})
     nodata = meta.get("nodata")
     cube = SitsCube(
         values=values,
         timestamps=list(meta["timestamps"]),
         bands=list(meta["bands"]),
         geo=geo,
-        nodata=None if nodata is None else float(nodata),
+        nodata=None if nodata is None else number("nodata", nodata, float),
     )
     cube.values.setflags(write=False)  # loaded cubes are shared read-only
     return cube

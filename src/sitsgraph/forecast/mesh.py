@@ -9,11 +9,12 @@ partition has fewer regions). Edge features are the relative displacement
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ShapeMismatch
+from ..neural.autograd import ScatterPlan
 from ..segmentation import region_adjacency, region_moments, slic
 
 
@@ -31,6 +32,17 @@ class MeshGraph:
     m2g_src: np.ndarray         # region id
     m2g_dst: np.ndarray         # flat pixel index
     m2g_feat: np.ndarray
+    # (src, dst) scatter plans of each block over its stacked node rows:
+    # pixels then regions (g2m), regions (processor), regions then pixels (m2g)
+    g2m_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
+    proc_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
+    m2g_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p, m = self.labels.size, self.n_regions
+        self.g2m_plans = (ScatterPlan(self.g2m_src, p + m), ScatterPlan(self.g2m_dst + p, p + m))
+        self.proc_plans = (ScatterPlan(self.proc_src, m), ScatterPlan(self.proc_dst, m))
+        self.m2g_plans = (ScatterPlan(self.m2g_src, m + p), ScatterPlan(self.m2g_dst + m, m + p))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -53,30 +53,17 @@ class ForecastConfig:
 # functional pieces
 
 
-def gn_block(
-    x: Tensor,
-    e: Tensor,
-    src: np.ndarray,
-    dst: np.ndarray,
-    mlp_e: MLP,
-    mlp_v: MLP,
-) -> tuple[Tensor, Tensor]:
+def gn_block(x: Tensor, e: Tensor, src, dst, mlp_e: MLP, mlp_v: MLP) -> tuple[Tensor, Tensor]:
     """Residual relational block: e' = e + MLP_e([e, x_src, x_dst]);
-    x' = x + MLP_v([x, sum of incoming e']). Edge-less nodes aggregate zero."""
+    x' = x + MLP_v([x, sum of incoming e']). Edge-less nodes aggregate zero.
+    ``src``/``dst`` are index arrays or their ``ScatterPlan``s over x's rows."""
     n = x.data.shape[0]
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if e.data.shape[0] != src.shape[0] or src.shape != dst.shape:
-        raise ShapeMismatch(
-            f"{e.data.shape[0]} edge features for {src.shape[0]} src / {dst.shape[0]} dst"
-        )
-    if len(src):
-        e2 = ag.add(e, mlp_e(ag.concat_cols([e, ag.gather_rows(x, src), ag.gather_rows(x, dst)])))
-        agg = ag.scatter_add_rows(e2, dst, n)
-    else:
-        e2 = e
-        agg = Tensor(np.zeros((n, e.data.shape[1]), dtype=x.data.dtype))
-    x2 = ag.add(x, mlp_v(ag.concat_cols([x, agg])))
+    src = ag.scatter_plan(src, n)
+    dst = ag.scatter_plan(dst, n)
+    if e.data.shape[0] != src.size or src.size != dst.size:
+        raise ShapeMismatch(f"{e.data.shape[0]} edge features for {src.size} src / {dst.size} dst")
+    e2 = ag.add(e, mlp_e(ag.concat_cols([e, ag.gather_rows(x, src), ag.gather_rows(x, dst)])))
+    x2 = ag.add(x, mlp_v(ag.concat_cols([x, ag.scatter_add_rows(e2, dst, n)])))
     return x2, e2
 
 
@@ -177,19 +164,19 @@ class Forecaster:
         # encoder: pixels push messages onto zero-initialized mesh nodes
         nodes = ag.concat_rows([px, Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         e_g2m = self.enc_g2m(Tensor(mesh.g2m_feat.astype(self.dtype)))
-        nodes, _ = self.block_g2m(nodes, e_g2m, mesh.g2m_src, mesh.g2m_dst + p)
+        nodes, _ = self.block_g2m(nodes, e_g2m, *mesh.g2m_plans)
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
 
         # processor on the region adjacency graph
         e_proc = self.enc_proc(Tensor(mesh.proc_feat.astype(self.dtype)))
         for block in self.blocks_proc:
-            mesh_latent, e_proc = block(mesh_latent, e_proc, mesh.proc_src, mesh.proc_dst)
+            mesh_latent, e_proc = block(mesh_latent, e_proc, *mesh.proc_plans)
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
         e_m2g = self.enc_m2g(Tensor(mesh.m2g_feat.astype(self.dtype)))
-        nodes, _ = self.block_m2g(nodes, e_m2g, mesh.m2g_src, mesh.m2g_dst + m)
+        nodes, _ = self.block_m2g(nodes, e_m2g, *mesh.m2g_plans)
         px_out = ag.slice_rows(nodes, m, m + p)
 
         delta = self.head(px_out)

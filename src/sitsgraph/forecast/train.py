@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..checkpoint import config_from_dict
+from ..checkpoint import check_state, config_from_dict
 from ..datacube import GeoBounds
 from ..errors import LengthMismatch, NoData, SiteLeakage
 from ..neural.autograd import Tape
@@ -146,8 +146,10 @@ def train_forecaster(
 def forecaster_from_checkpoint(checkpoint: dict) -> Forecaster:
     cfg = config_from_dict(ForecastConfig, checkpoint["config"])
     model = Forecaster(cfg)
-    for p, a in zip(model.parameters(), checkpoint["state"]):
-        p.data = np.asarray(a, dtype=p.data.dtype).reshape(p.data.shape)
+    params = model.parameters()
+    check_state(checkpoint["state"], [p.data.shape for p in params], "forecaster")
+    for p, a in zip(params, checkpoint["state"]):
+        p.data = np.asarray(a, dtype=p.data.dtype)
     return model
 
 

@@ -38,9 +38,12 @@ def confusion(truth: np.ndarray, pred: np.ndarray, n_classes: int, ignore_index:
     if truth.shape != pred.shape:
         raise ShapeMismatch(f"truth {truth.shape} vs pred {pred.shape}")
     ok = truth != ignore_index
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(counts, (truth[ok], pred[ok]), 1)
-    return ConfusionMatrix(counts=counts, ignored=int((~ok).sum()))
+    truth, pred = truth[ok], pred[ok]
+    for name, v in (("truth", truth), ("pred", pred)):
+        if v.size and (v.min() < 0 or v.max() >= n_classes):
+            raise ShapeMismatch(f"{name} label {v[(v < 0) | (v >= n_classes)][0]} outside [0, {n_classes})")
+    counts = np.bincount(truth.astype(np.int64) * n_classes + pred, minlength=n_classes * n_classes)
+    return ConfusionMatrix(counts=counts.reshape(n_classes, n_classes), ignored=int((~ok).sum()))
 
 
 def iou_oa(cm: ConfusionMatrix) -> dict:

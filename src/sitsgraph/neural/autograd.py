@@ -209,31 +209,90 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit(out, backward)
 
 
-def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = Tensor(x.data[idx], requires_grad=x.requires_grad)
+class ScatterPlan:
+    """Row sums over one index array ``idx`` into ``n`` rows, planned once.
+
+    ``sum(rows)[j]`` adds the rows whose index is ``j`` in their order in
+    ``idx``, starting from zero, exactly as ``np.add.at`` does, so the bytes
+    are the same. The edges are stable-sorted by target row and grouped by
+    their rank among the edges that share it; no row repeats within a rank,
+    so one fancy-indexed ``+=`` per rank adds every term, and the loop runs
+    max-in-degree times. One plan serves a scatter's forward pass and the
+    backward pass of the gather over the same indices.
+    """
+
+    __slots__ = ("idx", "n", "counts", "_ranks")
+
+    def __init__(self, idx: np.ndarray, n: int):
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ShapeMismatch(f"indices are 1-D, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= n):
+            bad = idx[(idx < 0) | (idx >= n)][0]
+            raise ShapeMismatch(f"row index {bad} outside [0, {n})")
+        self.idx = idx
+        self.n = n
+        self.counts = np.bincount(idx, minlength=n)
+        order = np.argsort(idx, kind="stable")
+        first = np.cumsum(self.counts) - self.counts  # first sorted position of each row
+        rank = np.arange(idx.size) - first[idx[order]]
+        by_rank = np.argsort(rank, kind="stable")
+        perm = order[by_rank]
+        bounds = np.cumsum(np.bincount(rank))
+        self._ranks = [(_run(idx[p]), _run(p)) for p in np.split(perm, bounds[:-1])]
+
+    @property
+    def size(self) -> int:
+        return self.idx.shape[0]
+
+    def sum(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[0] != self.size:
+            raise ShapeMismatch(f"{rows.shape[0]} rows for {self.size} indices")
+        out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
+        for dst, src in self._ranks:
+            out[dst] += rows[src]  # no row repeats within a rank
+        return out
+
+
+def _run(a: np.ndarray):
+    """``a`` as a slice when it is a run of consecutive indices (a view instead
+    of a fancy-indexed copy), else ``a`` itself."""
+    if a.size and a[-1] - a[0] == a.size - 1 and (np.diff(a) == 1).all():
+        return slice(int(a[0]), int(a[-1]) + 1)
+    return a
+
+
+def scatter_plan(idx, n: int) -> ScatterPlan:
+    """``idx`` as a plan over ``n`` rows: a plan passes through, an index array
+    is planned here."""
+    if isinstance(idx, ScatterPlan):
+        if idx.n != n:
+            raise ShapeMismatch(f"plan over {idx.n} rows used for {n}")
+        return idx
+    return ScatterPlan(idx, n)
+
+
+def gather_rows(x: Tensor, idx) -> Tensor:
+    """out[i] = x[idx[i]]; ``idx`` is an index array or its ``ScatterPlan``."""
+    plan = scatter_plan(idx, x.data.shape[0])
+    out = Tensor(x.data[plan.idx], requires_grad=x.requires_grad)
 
     def backward(g):
         if x.requires_grad:
-            acc = np.zeros_like(x.data)
-            np.add.at(acc, idx, g)
-            x.accumulate(acc)
+            x.accumulate(plan.sum(g))
 
     return _emit(out, backward)
 
 
-def scatter_add_rows(x: Tensor, idx: np.ndarray, n_rows: int) -> Tensor:
-    """out[j] = sum of x rows whose idx equals j (zero rows if none)."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.shape[0] != x.data.shape[0]:
-        raise ShapeMismatch(f"{idx.shape[0]} indices for {x.data.shape[0]} rows")
-    data = np.zeros((n_rows, x.data.shape[1]), dtype=x.data.dtype)
-    np.add.at(data, idx, x.data)
-    out = Tensor(data, requires_grad=x.requires_grad)
+def scatter_add_rows(x: Tensor, idx, n_rows: int) -> Tensor:
+    """out[j] = sum of x rows whose idx equals j (zero rows if none); ``idx``
+    is an index array or its ``ScatterPlan``."""
+    plan = scatter_plan(idx, n_rows)
+    out = Tensor(plan.sum(x.data), requires_grad=x.requires_grad)
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g[idx])
+            x.accumulate(g[plan.idx])
 
     return _emit(out, backward)
 

@@ -9,13 +9,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..checkpoint import config_from_dict
+from ..checkpoint import check_state, config_from_dict
 from ..errors import ConfigMismatch, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
 from .autograd import Tape, Tensor, no_grad
-from .nn import Adam, BatchNorm, Linear, cross_entropy, gcn_conv, glorot, sage_conv, softmax
+from .nn import Adam, BatchNorm, Linear, cross_entropy, gcn_conv, glorot, relation, sage_conv, softmax
 
 _SUPPORTED = ("gcn", "sage", "mlp")
 
@@ -108,9 +108,10 @@ class STClassifier:
         return arrays
 
     def load_state(self, arrays: list[np.ndarray]) -> None:
+        check_state(arrays, [a.shape for a in self.state()], "classifier")
         params = self.parameters()
         for p, a in zip(params, arrays):
-            p.data = np.asarray(a, dtype=p.data.dtype).reshape(p.data.shape)
+            p.data = np.asarray(a, dtype=p.data.dtype)
         rest = arrays[len(params) :]
         for i, norm in enumerate(self.norms):
             norm.running_mean = np.asarray(rest[2 * i], dtype=norm.running_mean.dtype).ravel()
@@ -118,18 +119,18 @@ class STClassifier:
 
 
 def graph_arrays(g: StGraph, dtype=np.float32):
-    """(features, spatial edge index, temporal edge index, labels) for training."""
+    """(features, spatial ``Relation``, temporal ``Relation``, labels) for
+    training; the relations carry the scatter plans every layer, epoch and
+    evaluation on this graph reuses."""
     x = np.asarray(g.features.values, dtype=dtype)
-    es = (
-        np.array([e.src for e in g.edges_spatial], dtype=np.int64),
-        np.array([e.dst for e in g.edges_spatial], dtype=np.int64),
-    )
-    est = (
-        np.array([e.src for e in g.edges_st], dtype=np.int64),
-        np.array([e.dst for e in g.edges_st], dtype=np.int64),
-    )
+
+    def plans(edges):
+        src = np.array([e.src for e in edges], dtype=np.int64)
+        dst = np.array([e.dst for e in edges], dtype=np.int64)
+        return relation((src, dst), x.shape[0])
+
     labels = np.array([-1 if n.label is None else n.label for n in g.nodes], dtype=np.int64)
-    return x, es, est, labels
+    return x, plans(g.edges_spatial), plans(g.edges_st), labels
 
 
 def _logits(model: STClassifier, arrays) -> np.ndarray:

@@ -390,3 +390,21 @@ def fd_gradient(f, arrays: list[np.ndarray], h: float = 1e-4) -> list[np.ndarray
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+def addat_scatter_add_rows(x: np.ndarray, idx: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row sums by ``np.add.at``: the forward of ``autograd.scatter_add_rows``
+    before it summed over a ``ScatterPlan``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    data = np.zeros((n_rows, x.shape[1]), dtype=x.dtype)
+    np.add.at(data, idx, x)
+    return data
+
+
+def addat_gather_rows_backward(x: np.ndarray, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``x[idx]`` by ``np.add.at``: the backward of
+    ``autograd.gather_rows`` before it summed over a ``ScatterPlan``."""
+    idx = np.asarray(idx, dtype=np.int64)
+    acc = np.zeros_like(x)
+    np.add.at(acc, idx, g)
+    return acc

@@ -8,7 +8,8 @@ import pytest
 from sitsgraph.checkpoint import save_checkpoint
 from sitsgraph.cli import _threads, build_parser, main
 from sitsgraph.datacube import save_cube, synth_seasonal
-from sitsgraph.neural import ClassifierConfig
+from sitsgraph.forecast import ForecastConfig, Forecaster
+from sitsgraph.neural import ClassifierConfig, STClassifier
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -66,10 +67,10 @@ def _config(tmp_path: Path, text: str) -> list[str]:
     return ["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
 
 
-def _meta_without_geo(tmp_path: Path) -> list[str]:
+def _cube_meta(tmp_path: Path, edit) -> list[str]:
     cube = Path(_cube(tmp_path))
     meta = json.loads((cube / "meta.json").read_text())
-    del meta["geo"]
+    edit(meta)
     (cube / "meta.json").write_text(json.dumps(meta))
     return ["segment", "--cube", str(cube), "--out", str(tmp_path / "seg")]
 
@@ -104,6 +105,28 @@ def _checkpoint_without_in_dim(tmp_path: Path) -> list[str]:
     return ["predict", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "p")]
 
 
+def _classifier_checkpoint(tmp_path: Path, edit) -> list[str]:
+    """A predict run on a checkpoint of an untrained default classifier, after
+    ``edit(config, state)``."""
+    node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.0], "label": None}
+    (tmp_path / "graph.json").write_text(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
+    cfg = ClassifierConfig(n_classes=2)
+    config, state = dataclasses.asdict(cfg), STClassifier(cfg, in_dim=1).state()
+    edit(config, state)
+    save_checkpoint(tmp_path / "c.bin", {"kind": "classifier", "config": config, "in_dim": 1}, state)
+    return ["predict", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "p")]
+
+
+def _forecaster_checkpoint(tmp_path: Path, edit) -> list[str]:
+    """A forecast predict run on a checkpoint of an untrained default
+    forecaster, after ``edit(config, state)``."""
+    cfg = ForecastConfig()
+    config, state = dataclasses.asdict(cfg), [p.data for p in Forecaster(cfg).parameters()]
+    edit(config, state)
+    save_checkpoint(tmp_path / "c.bin", {"kind": "forecaster", "config": config}, state)
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
+
+
 # (argv builder, environment, exit code, text the error line must name)
 FAILURES = {
     "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], {}, 1, "absent.json"),
@@ -111,7 +134,21 @@ FAILURES = {
     "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
-    "meta_without_geo": (_meta_without_geo, {}, 1, "geo"),
+    "classifier_checkpoint_hidden_edited": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=32)), {}, 1, "array 0:",
+    ),
+    "classifier_checkpoint_one_array_short": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 25:",
+    ),
+    "forecaster_checkpoint_rounds_edited": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=5)), {}, 1, "array 66:",
+    ),
+    "forecaster_checkpoint_one_array_short": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 67:",
+    ),
+    "meta_without_geo": (lambda tmp: _cube_meta(tmp, lambda m: m.pop("geo")), {}, 1, "geo"),
+    "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), {}, 1, "'T'"),
+    "meta_geo_not_number": (lambda tmp: _cube_meta(tmp, lambda m: m["geo"].update(lat0="north")), {}, 1, "'geo.lat0'"),
     "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
     "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), {}, 1, "counts"),
     "seg_ids_outside_counts": (

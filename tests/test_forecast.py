@@ -380,6 +380,29 @@ class TestTraining:
         assert log[0]["val_rmse"] == pytest.approx(pers, rel=1e-6)
         assert log[-1]["val_rmse"] == pytest.approx(pers, rel=1e-6)
 
+    def test_scatter_plans_built_once_per_mesh(self, monkeypatch):
+        from sitsgraph.neural import autograd as ag
+
+        built = []
+        init = ag.ScatterPlan.__init__
+
+        def counting_init(plan, idx, n):
+            built.append(n)
+            init(plan, idx, n)
+
+        monkeypatch.setattr(ag.ScatterPlan, "__init__", counting_init)
+        samples = _make_samples(range(4), t=7)
+        train = [s for s in samples if s.site != "site3"]
+        val = [s for s in samples if s.site == "site3"]
+        counts = []
+        for epochs in (1, 3):
+            built.clear()
+            cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=2, lr=1e-3, epochs=epochs, seed=0)
+            train_forecaster(train, val, cfg)
+            counts.append(len(built))
+        # src and dst plans of g2m, processor and m2g, for each of the 4 meshes
+        assert counts == [24, 24]
+
     def test_stack_mesh_rule_shared_by_training_and_prediction(self, monkeypatch):
         from sitsgraph.forecast import train as forecast_train
 

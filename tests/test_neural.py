@@ -366,6 +366,26 @@ class TestClassifier:
         _, log_b = train_classifier([g], [g], cfg)
         assert log_a == log_b
 
+    @pytest.mark.parametrize("conv", ["sage", "gcn"])
+    def test_scatter_plans_built_once_per_graph(self, conv, monkeypatch):
+        built = []
+        init = ag.ScatterPlan.__init__
+
+        def counting_init(plan, idx, n):
+            built.append(n)
+            init(plan, idx, n)
+
+        monkeypatch.setattr(ag.ScatterPlan, "__init__", counting_init)
+        g = _tiny_graph(seed=3)
+        counts = []
+        for epochs in (1, 5):
+            built.clear()
+            cfg = ClassifierConfig(n_classes=2, conv=conv, hidden=8, n_layers=2, lr=1e-2, epochs=epochs, seed=0)
+            train_classifier([g], [g], cfg)
+            counts.append(len(built))
+        # src and dst plans of both relations, once for the train and once for the val split
+        assert counts == [8, 8]
+
     def test_checkpoint_roundtrip_preserves_predictions(self, tmp_path):
         from sitsgraph.checkpoint import load_checkpoint, save_checkpoint
 

@@ -1,0 +1,74 @@
+"""The scatter plan behind message passing: byte-equal to ``np.add.at`` in
+the scatter forward and the gather backward, and strict about indices."""
+
+import numpy as np
+import pytest
+
+from _oracles import addat_gather_rows_backward, addat_scatter_add_rows
+from sitsgraph.errors import ShapeMismatch
+from sitsgraph.neural import autograd as ag
+from sitsgraph.neural.autograd import ScatterPlan, Tape, Tensor
+
+
+def _cases(dtype):
+    """(rows, idx, n) cases: random edge sets with signed zeros, an empty
+    edge set, rows nobody points at, and one hub of in-degree above 500."""
+    rng = np.random.default_rng(0)
+    out = [(np.zeros((0, 3), dtype=dtype), np.zeros(0, dtype=np.int64), 5)]
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        e = int(rng.integers(1, 200))
+        idx = rng.integers(0, n, e)
+        out.append((rng.standard_normal((e, int(rng.integers(1, 6)))).astype(dtype), idx, n))
+    n = 50
+    idx = rng.permutation(np.concatenate([np.full(700, 7), rng.integers(0, n // 2, 300)]))
+    out.append((rng.standard_normal((idx.size, 4)).astype(dtype), idx, n))  # rows >= 25 get no edge
+    for rows, _, _ in out:
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scatter_forward_matches_add_at_bytes(dtype):
+    for rows, idx, n in _cases(dtype):
+        want = addat_scatter_add_rows(rows, idx, n)
+        assert ScatterPlan(idx, n).sum(rows).tobytes() == want.tobytes()
+        out = ag.scatter_add_rows(Tensor(rows), idx, n)
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gather_backward_matches_add_at_bytes(dtype):
+    rng = np.random.default_rng(1)
+    for g, idx, n in _cases(dtype):
+        x = Tensor(rng.standard_normal((n, g.shape[1])).astype(dtype), requires_grad=True)
+        with Tape() as tape:
+            ag.gather_rows(x, idx)
+        ((_, backward),) = tape._records
+        backward(g)  # the case's rows as the upstream gradient
+        want = np.zeros_like(x.data)
+        want += addat_gather_rows_backward(x.data, idx, g)  # as Tensor.accumulate adds it
+        assert x.grad.tobytes() == want.tobytes()
+
+
+def test_one_plan_serves_scatter_and_gather():
+    idx = np.array([2, 0, 2, 2, 1])
+    plan = ScatterPlan(idx, 4)
+    x = Tensor(np.arange(8.0).reshape(4, 2))
+    assert np.array_equal(ag.gather_rows(x, plan).data, x.data[idx])
+    rows = Tensor(np.arange(10.0).reshape(5, 2))
+    assert np.array_equal(ag.scatter_add_rows(rows, plan, 4).data, ag.scatter_add_rows(rows, idx, 4).data)
+    assert plan.counts.tolist() == [1, 1, 3, 0]
+    with pytest.raises(ShapeMismatch):
+        ag.scatter_add_rows(rows, plan, 5)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_index_outside_rows_raises(bad):
+    idx = np.array([0, bad, 1])
+    with pytest.raises(ShapeMismatch, match=str(bad)):
+        ScatterPlan(idx, 4)
+    with pytest.raises(ShapeMismatch):
+        ag.scatter_add_rows(Tensor(np.ones((3, 2))), idx, 4)
+    with pytest.raises(ShapeMismatch):
+        ag.gather_rows(Tensor(np.ones((4, 2))), idx)
