@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -40,23 +42,38 @@ def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
     header = json.loads(raw[4 : 4 + hlen])
     if not isinstance(header, dict) or not isinstance(header.get("shapes"), list):
         raise ShapeMismatch(f"checkpoint {path} header carries no parameter shapes")
-    shapes = [tuple(s) for s in header["shapes"]]
-    expected = sum(int(np.prod(s)) * 4 for s in shapes)
+    shapes = []
+    for i, s in enumerate(header["shapes"]):
+        if not isinstance(s, list) or not all(type(d) is int and d >= 0 for d in s):
+            raise ShapeMismatch(
+                f"checkpoint {path} parameter {i} has shape {s!r}, not a list of non-negative integers"
+            )
+        shapes.append(tuple(s))
+    expected = sum(math.prod(s) * 4 for s in shapes)
     blob = raw[4 + hlen :]
     if len(blob) != expected:
         raise ShapeMismatch(f"parameter blob holds {len(blob)} bytes, expected {expected}")
     params = []
     off = 0
-    for s in shapes:
-        size = int(np.prod(s)) * 4
-        params.append(np.frombuffer(blob[off : off + size], dtype="<f4").reshape(s).copy())
+    for i, s in enumerate(shapes):
+        size = math.prod(s) * 4
+        try:  # a zero-size shape can still name a dimension NumPy cannot hold
+            params.append(np.frombuffer(blob[off : off + size], dtype="<f4").reshape(s).copy())
+        except ValueError as e:
+            raise ShapeMismatch(f"checkpoint {path} parameter {i} has shape {list(s)}: {e}") from None
         off += size
     return header, params
 
 
+# the JSON values each config field type accepts: a number without a fraction
+# is a valid float, a bool is no number
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def config_from_dict(cls, config: dict):
     """Rebuild the config dataclass ``cls`` from a checkpoint header's
-    ``config``, which must hold exactly the dataclass's fields."""
+    ``config``, which must hold exactly the dataclass's fields, each with a
+    value of the field's type."""
     fields = {f.name for f in dataclasses.fields(cls)}
     if not isinstance(config, dict):
         raise ConfigMismatch(f"checkpoint config is not a JSON object: {config!r}")
@@ -64,6 +81,11 @@ def config_from_dict(cls, config: dict):
     missing = sorted(fields - set(config))
     if unknown or missing:
         raise ConfigMismatch(f"checkpoint config for {cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+    hints = typing.get_type_hints(cls)
+    for name, value in config.items():
+        kind = hints[name]
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigMismatch(f"checkpoint config for {cls.__name__}: {name} = {value!r} is not {kind.__name__}")
     return cls(**config)
 
 

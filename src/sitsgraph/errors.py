@@ -94,6 +94,10 @@ class NoData(SitsGraphError):
     pass
 
 
+class TapeReplayed(SitsGraphError):
+    pass
+
+
 # -- metrics ----------------------------------------------------------------
 
 class EmptyMatrix(SitsGraphError):

@@ -5,6 +5,13 @@ Every pixel sends exactly one encoder edge to its owning region and receives
 decoder edges from its 3 nearest region centroids (fewer only when the
 partition has fewer regions). Edge features are the relative displacement
 (d_row, d_col) / max(H, W) from source to destination.
+
+The decoder search runs over fixed tiles of ``DECODER_TILE`` pixels: each
+tile's squared pixel-to-centroid distances are computed and its 3 nearest
+centroids picked by ``segmentation.smallest_k`` (equal distances go to the
+lower region id) before the next tile starts. Its working set is one tile
+times the region count, so the mesh's memory grows with pixels x 3 decoder
+edges, never with pixels x regions.
 """
 
 from __future__ import annotations
@@ -15,7 +22,10 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from ..neural.autograd import ScatterPlan
-from ..segmentation import region_adjacency, region_moments, slic
+from ..segmentation import region_adjacency, region_moments, slic, smallest_k
+
+# pixels per decoder-search tile
+DECODER_TILE = 4096
 
 
 @dataclass
@@ -96,10 +106,15 @@ def build_mesh(
 
     # decoder: 3 nearest centroids -> pixel (ties by lower region id)
     k = min(3, m)
-    d2 = ((pix_pos[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    nearest = np.empty((h * w, k), dtype=np.int64)
+    for lo in range(0, h * w, DECODER_TILE):
+        tile = pix_pos[lo : lo + DECODER_TILE]
+        # the same two-term sum as squaring (d_row, d_col) and summing it
+        # over its last axis, without the (tile, M, 2) intermediate
+        d2 = (tile[:, :1] - centroids[:, 0]) ** 2 + (tile[:, 1:] - centroids[:, 1]) ** 2
+        nearest[lo : lo + DECODER_TILE] = smallest_k(d2, k)
     m2g_dst = np.repeat(np.arange(h * w, dtype=np.int64), k)
-    m2g_src = order.ravel().astype(np.int64)
+    m2g_src = nearest.ravel()
     m2g_feat = (pix_pos[m2g_dst] - centroids[m2g_src]) / scale
 
     return MeshGraph(

@@ -52,18 +52,78 @@ class ForecastConfig:
 # ---------------------------------------------------------------------------
 # functional pieces
 
+# rows per block of a row-wise stage run without a tape: bounds the stage's
+# temporaries (edge MLP inputs are 3 x hidden wide) whatever the scene size
+ROW_BLOCK = 4096
 
-def gn_block(x: Tensor, e: Tensor, src, dst, mlp_e: MLP, mlp_v: MLP) -> tuple[Tensor, Tensor]:
+
+class _Rows:
+    """The rows ``[lo, hi)`` of a row-wise stage's inputs, or all of them
+    (``lo is None``) as the tensors themselves, so a taped run records the
+    same ops as a direct call."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int | None = None, hi: int | None = None):
+        self.lo, self.hi = lo, hi
+
+    def __call__(self, t: Tensor) -> Tensor:
+        return t if self.lo is None else Tensor(t.data[self.lo : self.hi])
+
+    def gather(self, x: Tensor, plan: ag.ScatterPlan) -> Tensor:
+        """The rows of ``gather_rows(x, plan)``."""
+        if self.lo is None:
+            return ag.gather_rows(x, plan)
+        return Tensor(x.data[plan.idx[self.lo : self.hi]])
+
+
+def row_wise(stage, n: int) -> Tensor:
+    """``stage(rows)`` for a stage that maps each of its ``n`` output rows from
+    the same rows of its inputs (matmuls, adds, ReLUs, clamps; no sum over
+    rows), where ``rows`` takes the stage's inputs.
+
+    While a tape records, the stage runs once over all rows. Otherwise it
+    runs over blocks of ``ROW_BLOCK`` rows into one preallocated output, with
+    the same bytes as one pass: blocks start at multiples of ``ROW_BLOCK``, a
+    power of two, so every row keeps its place in BLAS's unrolled loops, and a
+    1-row remainder joins the block before it, since a single row would take
+    BLAS's vector path, which rounds differently."""
+    if ag.recording() or n <= ROW_BLOCK:
+        return stage(_Rows())
+    bounds = list(range(0, n, ROW_BLOCK))
+    if n - bounds[-1] == 1:
+        bounds.pop()
+    out = None
+    for lo, hi in zip(bounds, bounds[1:] + [n]):
+        part = stage(_Rows(lo, hi)).data
+        if out is None:
+            out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+        out[lo:hi] = part
+    return Tensor(out)
+
+
+def gn_block(
+    x: Tensor, e: Tensor, src, dst, mlp_e: MLP, mlp_v: MLP, enc: Linear | None = None
+) -> tuple[Tensor, Tensor]:
     """Residual relational block: e' = e + MLP_e([e, x_src, x_dst]);
     x' = x + MLP_v([x, sum of incoming e']). Edge-less nodes aggregate zero.
-    ``src``/``dst`` are index arrays or their ``ScatterPlan``s over x's rows."""
+    ``src``/``dst`` are index arrays or their ``ScatterPlan``s over x's rows.
+    ``enc``, when given, first encodes the raw edge features ``e`` inside the
+    edge stage, so that a run without a tape never holds every encoded edge.
+    The edge and node updates run through ``row_wise``; the sum stays whole."""
     n = x.data.shape[0]
     src = ag.scatter_plan(src, n)
     dst = ag.scatter_plan(dst, n)
     if e.data.shape[0] != src.size or src.size != dst.size:
         raise ShapeMismatch(f"{e.data.shape[0]} edge features for {src.size} src / {dst.size} dst")
-    e2 = ag.add(e, mlp_e(ag.concat_cols([e, ag.gather_rows(x, src), ag.gather_rows(x, dst)])))
-    x2 = ag.add(x, mlp_v(ag.concat_cols([x, ag.scatter_add_rows(e2, dst, n)])))
+
+    def edge_update(rows):
+        e_rows = rows(e) if enc is None else enc(rows(e))
+        return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, rows.gather(x, src), rows.gather(x, dst)])))
+
+    e2 = row_wise(edge_update, src.size)
+    agg = ag.scatter_add_rows(e2, dst, n)
+    x2 = row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), n)
     return x2, e2
 
 
@@ -100,8 +160,8 @@ class _Block:
         self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
         self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
 
-    def __call__(self, x, e, src, dst):
-        return gn_block(x, e, src, dst, self.mlp_e, self.mlp_v)
+    def __call__(self, x, e, src, dst, enc=None):
+        return gn_block(x, e, src, dst, self.mlp_e, self.mlp_v, enc)
 
     def parameters(self):
         return self.mlp_e.parameters() + self.mlp_v.parameters()
@@ -145,7 +205,8 @@ class Forecaster:
             p.data[...] = 0
 
     def forward(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> Tensor:
-        """Flat (H*W, 1) prediction tensor for one window."""
+        """Flat (H*W, 1) prediction tensor for one window. Without a tape,
+        the row-wise stages run in blocks of rows (``row_wise``)."""
         window = np.asarray(window, dtype=self.dtype)
         if window.ndim != 3:
             raise ShapeMismatch(f"window must be (N,H,W), got {window.shape}")
@@ -159,12 +220,14 @@ class Forecaster:
 
         series = Tensor(window.reshape(n, p).T.astype(self.dtype))
         pos_t = Tensor(np.asarray(pos, dtype=self.dtype))
-        px = pixel_embedding(series, pos_t, self.mlp_ts, self.mlp_pos, self.mlp_mix)
+
+        def embed(rows):
+            return pixel_embedding(rows(series), rows(pos_t), self.mlp_ts, self.mlp_pos, self.mlp_mix)
 
         # encoder: pixels push messages onto zero-initialized mesh nodes
-        nodes = ag.concat_rows([px, Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
-        e_g2m = self.enc_g2m(Tensor(mesh.g2m_feat.astype(self.dtype)))
-        nodes, _ = self.block_g2m(nodes, e_g2m, *mesh.g2m_plans)
+        nodes = ag.concat_rows([row_wise(embed, p), Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
+        g2m_feat = Tensor(mesh.g2m_feat.astype(self.dtype))
+        nodes = self.block_g2m(nodes, g2m_feat, *mesh.g2m_plans, enc=self.enc_g2m)[0]
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
 
@@ -175,13 +238,13 @@ class Forecaster:
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
-        e_m2g = self.enc_m2g(Tensor(mesh.m2g_feat.astype(self.dtype)))
-        nodes, _ = self.block_m2g(nodes, e_m2g, *mesh.m2g_plans)
+        del px_latent  # without a tape, nothing else holds these pixel rows
+        m2g_feat = Tensor(mesh.m2g_feat.astype(self.dtype))
+        nodes = self.block_m2g(nodes, m2g_feat, *mesh.m2g_plans, enc=self.enc_m2g)[0]
         px_out = ag.slice_rows(nodes, m, m + p)
 
-        delta = self.head(px_out)
         last = Tensor(window[-1].reshape(p, 1))
-        return ag.clamp(ag.add(last, delta), -1.0, 1.0)
+        return row_wise(lambda rows: ag.clamp(ag.add(rows(last), self.head(rows(px_out))), -1.0, 1.0), p)
 
     def predict(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> np.ndarray:
         with no_grad():

@@ -3,9 +3,10 @@
 Forward ops append (output, backward closure) records to the active tape in
 execution order; ``Tape.backward`` replays them in exact reverse order, and
 every gradient accumulates with += so parameters reused across ops collect
-contributions from every use. Arrays are float32 by default; building the
-graph in float64 (for finite-difference checks) just means passing float64
-data in.
+contributions from every use. The replay frees each record and each
+intermediate gradient once consumed, so a tape replays once. Arrays are
+float32 by default; building the graph in float64 (for finite-difference
+checks) just means passing float64 data in.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import contextlib
 
 import numpy as np
 
-from ..errors import AllIgnored, ShapeMismatch
+from ..errors import AllIgnored, ShapeMismatch, TapeReplayed
 
 
 class Tensor:
@@ -53,10 +54,18 @@ _ACTIVE_TAPE: "Tape | None" = None
 
 
 class Tape:
-    """Operation record in execution order."""
+    """Operation record in execution order.
+
+    ``backward`` drops each record once it has replayed it and clears the
+    ``.grad`` of each op output once that gradient has been passed on, so
+    activations and intermediate gradients are freed in reverse order while
+    the replay runs; leaf and parameter gradients are kept. A tape therefore
+    replays once. ``len`` counts the recorded ops, before and after.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, callable]] = []
+        self._replayed: int | None = None  # records freed by backward
 
     def __enter__(self):
         global _ACTIVE_TAPE
@@ -70,16 +79,21 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._records)
+        return len(self._records) + (self._replayed or 0)
 
     def backward(self, loss: Tensor) -> None:
+        if self._replayed is not None:
+            raise TapeReplayed(f"this tape has already replayed its {self._replayed} ops; record a new one")
         if loss.data.size != 1:
             raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
+        records = self._records
+        self._replayed = len(records)
         loss.grad = np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
-            if out.grad is None:
-                continue
-            fn(out.grad)
+        while records:
+            out, fn = records.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
 
 @contextlib.contextmanager
@@ -91,6 +105,12 @@ def no_grad():
         yield
     finally:
         _ACTIVE_TAPE = prev
+
+
+def recording() -> bool:
+    """Whether a tape is active, so ops on tensors that need a gradient are
+    recorded."""
+    return _ACTIVE_TAPE is not None
 
 
 def _emit(out: Tensor, fn) -> Tensor:

@@ -88,6 +88,23 @@ def label_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([keys // base, keys % base], axis=1), counts
 
 
+def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of each row's ``k`` smallest entries of a 2-D array,
+    ordered by value and then by position (NaN last), as a stable argsort
+    would give them; all columns when ``k`` reaches the column count. The one
+    k-smallest rule of the package: nearest-neighbour edges and the mesh
+    decoder both pick through it."""
+    if k >= d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    # every entry tied with the k-th value stays a candidate
+    r, c = np.nonzero((d <= kth) | np.isnan(kth))
+    order = np.lexsort((c, d[r, c], r))
+    r, c = r[order], c[order]
+    rank = np.arange(len(r)) - np.searchsorted(r, r)
+    return c[rank < k].reshape(d.shape[0], k)
+
+
 def region_adjacency(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Regions of an (H, W) label map that touch across a 4-neighbour pixel
     pair: ascending ``(lo, hi)`` pairs and their boundary length in pixel

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidLag, ShapeMismatch, TooFewNodes, UnknownNode
 from .features import FeatureMatrix, geom_features
-from .segmentation import SegStack, label_pairs, region_adjacency
+from .segmentation import SegStack, label_pairs, region_adjacency, smallest_k
 
 SPATIAL = "S"
 SPATIOTEMPORAL = "ST"
@@ -288,26 +288,12 @@ def _k_nearest(rows: np.ndarray, cands: np.ndarray | None, k: int, distance):
         else:
             cols = np.broadcast_to(cands, (len(block), m))
         d = distance(block[:, None], cols)
-        pick = _smallest(d, k)
+        pick = smallest_k(d, k)
         yield (
             np.repeat(block, pick.shape[1]),
             np.take_along_axis(cols, pick, axis=1).ravel(),
             np.take_along_axis(d, pick, axis=1).ravel(),
         )
-
-
-def _smallest(d: np.ndarray, k: int) -> np.ndarray:
-    """Column positions of each row's ``k`` smallest entries, ordered by value
-    and then by position (NaN last), as a stable argsort would give them."""
-    if k >= d.shape[1]:
-        return np.argsort(d, axis=1, kind="stable")
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-    # every entry tied with the k-th value stays a candidate
-    r, c = np.nonzero((d <= kth) | np.isnan(kth))
-    order = np.lexsort((c, d[r, c], r))
-    r, c = r[order], c[order]
-    rank = np.arange(len(r)) - np.searchsorted(r, r)
-    return c[rank < k].reshape(d.shape[0], k)
 
 
 def _node_arrays(nodes: list[Node]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

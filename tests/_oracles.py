@@ -408,3 +408,14 @@ def addat_gather_rows_backward(x: np.ndarray, idx: np.ndarray, g: np.ndarray) ->
     acc = np.zeros_like(x)
     np.add.at(acc, idx, g)
     return acc
+
+
+def brute_decoder(centroids: np.ndarray, h: int, w: int, k: int) -> np.ndarray:
+    """Decoder sources of every pixel of an (h, w) frame by the dense search:
+    all squared pixel-to-centroid distances at once, a stable argsort, and
+    each pixel's ``k`` nearest centroids (ties to the lower region id)."""
+    pix = np.stack(
+        [np.repeat(np.arange(h), w).astype(np.float64), np.tile(np.arange(w), h).astype(np.float64)], axis=1
+    )
+    d2 = ((pix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k].ravel().astype(np.int64)

@@ -3,9 +3,9 @@ from dataclasses import asdict
 import pytest
 
 from sitsgraph.errors import ConfigMismatch
-from sitsgraph.forecast import ForecastConfig
+from sitsgraph.forecast import ForecastConfig, Forecaster
 from sitsgraph.forecast.train import forecaster_from_checkpoint
-from sitsgraph.neural import ClassifierConfig
+from sitsgraph.neural import ClassifierConfig, STClassifier
 from sitsgraph.neural.classifier import classifier_from_checkpoint
 
 LOADERS = {
@@ -25,3 +25,33 @@ def test_checkpoint_config_must_hold_exactly_the_config_fields(model, change):
         del config["seed"]
     with pytest.raises(ConfigMismatch):
         load({"config": config, "in_dim": 2, "state": []})
+
+
+@pytest.mark.parametrize(
+    "model, key, value",
+    [
+        ("classifier", "hidden", "64"),
+        ("classifier", "n_classes", True),
+        ("classifier", "lr", "fast"),
+        ("forecaster", "input_len", "x"),
+        ("forecaster", "hidden", 64.0),
+        ("forecaster", "compactness", None),
+    ],
+)
+def test_checkpoint_config_values_must_have_the_field_types(model, key, value):
+    load, cfg = LOADERS[model]
+    config = asdict(cfg)
+    config[key] = value
+    with pytest.raises(ConfigMismatch, match=key):
+        load({"config": config, "in_dim": 2, "state": []})
+
+
+@pytest.mark.parametrize("model", sorted(LOADERS))
+def test_checkpoint_config_float_field_takes_a_whole_number(model):
+    load, cfg = LOADERS[model]
+    config = asdict(cfg)
+    config["lr"] = 0
+    if model == "forecaster":
+        assert load({"config": config, "state": [p.data for p in Forecaster(cfg).parameters()]}).cfg.lr == 0
+    else:
+        assert load({"config": config, "in_dim": 2, "state": STClassifier(cfg, in_dim=2).state()}).cfg.lr == 0

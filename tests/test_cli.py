@@ -97,6 +97,14 @@ def _truncated_checkpoint(tmp_path: Path) -> list[str]:
     return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
 
 
+def _checkpoint_shapes(tmp_path: Path, shapes) -> list[str]:
+    """A forecast predict run on a hand-written checkpoint whose header lists
+    ``shapes`` and whose blob is empty."""
+    header = json.dumps({"kind": "forecaster", "config": dataclasses.asdict(ForecastConfig()), "shapes": shapes}).encode()
+    (tmp_path / "c.bin").write_bytes(len(header).to_bytes(4, "little") + header)
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
+
+
 def _checkpoint_without_in_dim(tmp_path: Path) -> list[str]:
     node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.0], "label": None}
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
@@ -134,6 +142,10 @@ FAILURES = {
     "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
+    "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), {}, 1, "parameter 0 has shape 3"),
+    "checkpoint_shape_not_integer": (lambda tmp: _checkpoint_shapes(tmp, [["a"]]), {}, 1, "parameter 0 has shape ['a']"),
+    "checkpoint_shape_negative": (lambda tmp: _checkpoint_shapes(tmp, [[2], [-1]]), {}, 1, "parameter 1 has shape [-1]"),
+    "checkpoint_shape_beyond_numpy": (lambda tmp: _checkpoint_shapes(tmp, [[0, 10**30]]), {}, 1, "parameter 0 has shape"),
     "classifier_checkpoint_hidden_edited": (
         lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=32)), {}, 1, "array 0:",
     ),
@@ -142,6 +154,9 @@ FAILURES = {
     ),
     "forecaster_checkpoint_rounds_edited": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=5)), {}, 1, "array 66:",
+    ),
+    "forecaster_checkpoint_value_retyped": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(input_len="x")), {}, 1, "input_len = 'x'",
     ),
     "forecaster_checkpoint_one_array_short": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 67:",

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from _gradcheck import check_gradients, randomize_biases, weighted_sum
-from _oracles import brute_adjacency
+from _oracles import brute_adjacency, brute_decoder
 from sitsgraph.datacube import synth_seasonal
 from sitsgraph.errors import LengthMismatch, MeshMismatch, NoData, SiteLeakage
 from sitsgraph.forecast import (
@@ -18,9 +20,11 @@ from sitsgraph.forecast import (
     pixel_embedding,
     train_forecaster,
 )
+from sitsgraph.forecast import mesh as forecast_mesh
+from sitsgraph.forecast import model as forecast_model
 from sitsgraph.forecast.model import pixel_pos_encoding
-from sitsgraph.forecast.train import check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
-from sitsgraph.neural.autograd import Tensor, no_grad
+from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
+from sitsgraph.neural.autograd import Tape, Tensor, no_grad
 from sitsgraph.neural.nn import MLP
 
 
@@ -81,6 +85,28 @@ class TestBuildMesh:
         assert np.all(np.bincount(mesh.m2g_dst) == 1)  # one decoder edge per pixel
         assert len(mesh.proc_src) == len(mesh.proc_dst) == 0
         assert mesh.proc_feat.shape == (0, 2) and mesh.proc_feat.dtype == np.float64
+
+
+def _grid_labels(h: int, w: int, rows: int, cols: int) -> np.ndarray:
+    """(h, w) label map of a rows x cols grid of rectangles, numbered row by
+    row."""
+    return (np.arange(h)[:, None] * rows // h) * cols + np.arange(w)[None, :] * cols // w
+
+
+class TestDecoderSearch:
+    @pytest.mark.parametrize("tile", [1, 7, 180, 4096])
+    @pytest.mark.parametrize(
+        "grid", [(4, 5), (6, 5), (1, 2), (1, 1), None], ids=["3x3", "2x3", "halves", "one_region", "slic"]
+    )
+    def test_tiled_search_matches_dense_argsort(self, tile, grid, monkeypatch):
+        # 3x3 regions have integer centroids and 2x3 ones half-integer rows:
+        # many pixels sit at equal distance from several centroids
+        monkeypatch.setattr(forecast_mesh, "DECODER_TILE", tile)
+        img = np.random.default_rng(tile).uniform(size=(1, 12, 15))
+        labels = None if grid is None else _grid_labels(12, 15, *grid)
+        mesh = build_mesh(img, n_segments=9, compactness=0.3, labels=labels)
+        want = brute_decoder(mesh.centroids, 12, 15, min(3, mesh.n_regions))
+        assert mesh.m2g_src.dtype == np.int64 and np.array_equal(mesh.m2g_src, want)
 
 
 class TestGnBlock:
@@ -325,6 +351,35 @@ class TestForecaster:
         with pytest.raises(MeshMismatch):
             model.forward(window, mesh, pos)
 
+    @pytest.mark.parametrize(
+        "shape, n_segments, mesh_from",
+        [
+            ((5, 5), 6, "last"),  # fewer pixels than one block
+            ((4, 8), 6, "last"),  # exactly one block of pixels
+            ((6, 9), 8, "last"),  # a ragged last block
+            ((3, 11), 5, "last"),  # one row past a block
+            ((6, 7), 2, "last"),  # fewer than 3 regions
+            ((7, 6), 6, "stack"),
+        ],
+        ids=["under_one_block", "one_block", "ragged", "one_row_past", "two_regions", "stack"],
+    )
+    def test_predict_in_blocks_equals_taped_forward(self, shape, n_segments, mesh_from, geo, monkeypatch):
+        monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+        # hidden 64: a 1-row product of that width takes BLAS's vector path,
+        # whose sums round differently from the matrix path
+        cfg = self._cfg(input_len=4, n_segments=n_segments, hidden=64, processor_rounds=2, mesh_from=mesh_from)
+        model = Forecaster(cfg)
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for p in model.parameters():
+            p.data = rng.normal(scale=0.05, size=p.data.shape).astype(np.float32)
+        window = rng.uniform(-0.9, 0.9, size=(4, *shape)).astype(np.float32)
+        mesh = _window_mesh(window, cfg)
+        pos = pixel_pos_encoding(geo, *shape, "2020-06-01")
+        with Tape():
+            taped = model.forward(window, mesh, pos).data.reshape(shape)
+        assert np.abs(taped).max() < 1.0  # no output sits on the clamp
+        assert model.predict(window, mesh, pos).tobytes() == taped.tobytes()
+
     def test_end_to_end_gradients_small_instance(self, geo):
         cfg = ForecastConfig(input_len=3, n_segments=4, compactness=0.1, hidden=4, processor_rounds=1, seed=0)
         model = Forecaster(cfg, dtype=np.float64)
@@ -439,3 +494,40 @@ class TestTraining:
         m = np.sqrt(np.mean([np.mean((predict_next_frame(model, s.window, s.geo, s.timestamp).astype(np.float64) - s.target) ** 2) for s in test]))
         p = np.sqrt(np.mean([np.mean((s.window[-1].astype(np.float64) - s.target) ** 2) for s in test]))
         assert m < p
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryGrowsWithOutput:
+    """Scene-sized paths whose memory grows with the output (pixels x 3
+    decoder edges), not with pixels x regions."""
+
+    def test_512_mesh_stays_under_the_dense_decoder_distances(self):
+        # the dense decoder's (H*W x M) float64 distances alone took
+        # 512 * 512 * 128 * 8 bytes = 268 MB; the whole tiled build, its
+        # 70 MB of output included, peaks near 105 MB
+        labels = _grid_labels(512, 512, 8, 16)
+        peak = _traced_peak(lambda: build_mesh(np.zeros((1, 512, 512), np.float32), 128, 0.1, labels=labels))
+        assert peak < 150e6
+
+    def test_256_predict_in_blocks(self, geo):
+        # the whole-batch forward without a tape peaked at 439 MB on this
+        # scene and model size; the blocked one near 110 MB
+        labels = _grid_labels(256, 256, 8, 16)
+        mesh = build_mesh(np.zeros((1, 256, 256), np.float32), 128, 0.1, labels=labels)
+        cfg = ForecastConfig(input_len=6, n_segments=128, hidden=64, processor_rounds=4)
+        model = Forecaster(cfg)
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            p.data = rng.normal(scale=0.1, size=p.data.shape).astype(np.float32)
+        window = rng.uniform(-1, 1, size=(6, 256, 256)).astype(np.float32)
+        pos = pixel_pos_encoding(geo, 256, 256, "2020-06-01")
+        assert _traced_peak(lambda: model.predict(window, mesh, pos)) < 160e6

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_gradients, weighted_sum
-from sitsgraph.errors import AllIgnored, ConfigMismatch, NoLabels, ShapeMismatch
+from sitsgraph.errors import AllIgnored, ConfigMismatch, NoLabels, ShapeMismatch, SitsGraphError
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tape, Tensor, no_grad
 from sitsgraph.neural.classifier import (
@@ -51,6 +51,20 @@ class TestPrimitives:
             loss = ag.mean_all(ag.add(a, b))
             tape.backward(loss)
         assert w.grad[0, 0] == pytest.approx(2.0)
+
+    def test_backward_frees_the_tape_and_replays_once(self):
+        w = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
+        x = Tensor(np.array([[1.0], [3.0]]))
+        with Tape() as tape:
+            h = ag.matmul(x, w)
+            a = relu(h)
+            loss = ag.mean_all(a)
+            tape.backward(loss)
+        assert len(tape) == 3 and not tape._records
+        assert h.grad is None and a.grad is None and loss.grad is None
+        assert w.grad.tolist() == [[1.0, 0.0]] and x.grad is None
+        with pytest.raises(SitsGraphError):
+            tape.backward(loss)
 
     def test_backward_needs_scalar(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
