@@ -41,6 +41,12 @@ class ForecastConfig:
     def __post_init__(self):
         if self.input_len < 1:
             raise ConfigMismatch(f"input_len must be >= 1, got {self.input_len}")
+        if self.n_segments < 1:
+            raise ConfigMismatch(f"n_segments must be >= 1, got {self.n_segments}")
+        if self.compactness <= 0:
+            raise ConfigMismatch(f"compactness must be > 0, got {self.compactness}")
+        if self.slic_iters < 1:
+            raise ConfigMismatch(f"slic_iters must be >= 1, got {self.slic_iters}")
         if self.processor_rounds < 1:
             raise ConfigMismatch(f"processor_rounds must be >= 1, got {self.processor_rounds}")
         if self.hidden < 2 or self.hidden % 2:

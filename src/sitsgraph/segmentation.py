@@ -4,8 +4,12 @@ Two segmenters are provided: a graph-based merge segmentation on the
 8-connected pixel grid (threshold tau(comp) = scale/|comp| with a minimum
 component size post-pass) and a superpixel k-means in joint (band, xy) space
 with grid initialization and a 4-connectivity enforcement pass. Both are
-deterministic: edge sorting breaks ties by (weight, src, dst) and cluster
-assignment resolves equal distances to the lowest segment id.
+deterministic: edge sorting breaks ties by (weight, src, dst), and each
+superpixel iteration gives every pixel the lexicographic minimum of
+(distance with NaN last, center id) over its candidate centers. That
+minimum needs no sort: a scatter ``fmin`` takes each pixel's smallest
+distance and a scatter ``minimum`` its lowest id at that distance, both
+exact whatever the scatter order.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarr
     return _relabel_first_occurrence(_roots(parent).reshape(h, w))
 
 
-def _roots(parent: list[int]) -> np.ndarray:
+def _roots(parent: list[int] | np.ndarray) -> np.ndarray:
     """Root of every element of a union-find parent list (pointer jumping)."""
     par = np.asarray(parent, dtype=np.int64)
     while True:
@@ -263,7 +267,16 @@ def slic(
     compactness: float,
     iters: int = 10,
 ) -> np.ndarray:
-    """Superpixel partition of one (C, H, W) image; 0-based int32 (H, W)."""
+    """Superpixel partition of one (C, H, W) image; 0-based int32 (H, W).
+
+    Each of the ``iters`` rounds gives every pixel the lowest center id
+    among the candidates at its smallest squared distance
+    ``dcol2 + ratio2 * dxy2``, the centers whose window covers the pixel.
+    A NaN distance counts above every number, so a pixel whose candidates
+    are all NaN goes to its lowest candidate id. A pixel no window covers
+    takes the ``argmin`` of its distances to all centers. Centers then
+    move to their members' means, and a final pass makes every segment
+    4-connected."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[None]
@@ -276,6 +289,8 @@ def slic(
         raise InvalidSegmentCount(f"n_segments must be in [1, {h * w}], got {n_segments}")
     if compactness <= 0:
         raise InvalidSegmentCount(f"compactness must be > 0, got {compactness}")
+    if iters < 1:
+        raise InvalidSegmentCount(f"iters must be >= 1, got {iters}")
 
     step = float(np.sqrt(h * w / n_segments))
     nrows, ncols = _slic_grid(h, w, n_segments)
@@ -295,9 +310,11 @@ def slic(
     dc = np.tile(offs, len(offs))
     img_flat = img.reshape(h * w, c)
     center_ids = np.repeat(np.arange(n_centers), len(offs) ** 2)
-    labels = np.full((h, w), -1, dtype=np.int64)
+    labels = np.empty((h, w), dtype=np.int64)
+    labels_flat = labels.ravel()
+    no_center = n_centers  # above every id: marks a pixel no window covers
 
-    for _ in range(max(1, iters)):
+    for _ in range(iters):
         # all candidate (center, pixel) pairs in one batch; border windows
         # clamp onto edge pixels, which only duplicates in-window entries
         rows = np.clip(np.floor(centers_rc[:, 0]).astype(np.int64)[:, None] + dr, 0, h - 1)
@@ -306,16 +323,18 @@ def slic(
         dcol2 = ((img_flat[pix] - np.repeat(centers_color, len(offs) ** 2, axis=0)) ** 2).sum(-1)
         dxy2 = (rows - centers_rc[:, 0][:, None]) ** 2 + (cols - centers_rc[:, 1][:, None]) ** 2
         d2 = dcol2 + ratio2 * dxy2.ravel()
-        # per pixel: smallest distance wins, ties to the lowest center id
-        order = np.lexsort((center_ids, d2, pix))
-        sorted_pix = pix[order]
-        first = np.ones(len(sorted_pix), dtype=bool)
-        first[1:] = sorted_pix[1:] != sorted_pix[:-1]
-        labels_flat = labels.ravel()
-        labels_flat.fill(-1)
-        labels_flat[sorted_pix[first]] = center_ids[order][first]
+        # per pixel: the lowest id among the candidates at the smallest d2,
+        # NaN counting above every number (fmin skips it, so a pixel's best
+        # is NaN only when all its candidates are); both minima are exact,
+        # so the scatter order cannot change them
+        best = np.full(h * w, np.nan)
+        np.fmin.at(best, pix, d2)
+        best_pix = best[pix]
+        win = (d2 == best_pix) | np.isnan(best_pix)
+        labels_flat.fill(no_center)
+        np.minimum.at(labels_flat, pix[win], center_ids[win])
 
-        unassigned = labels_flat < 0
+        unassigned = labels_flat == no_center
         if unassigned.any():
             up = np.nonzero(unassigned)[0]
             pts = img_flat[up]
@@ -339,44 +358,58 @@ def slic(
 
 
 def _move_to_lowest_gradient(img: np.ndarray, centers_rc: np.ndarray) -> np.ndarray:
+    """Each center moved to the lowest central-difference gradient of its
+    clipped 3x3 window. The window offsets are visited in row-major order
+    with a strict ``<`` against the best so far, which starts at the center
+    itself: the original pixel is kept on ties, and a NaN never wins."""
     h, w = img.shape[:2]
     grad = np.zeros((h, w))
     if h > 2:
         grad[1:-1, :] += ((img[2:, :] - img[:-2, :]) ** 2).sum(-1)
     if w > 2:
         grad[:, 1:-1] += ((img[:, 2:] - img[:, :-2]) ** 2).sum(-1)
-    out = centers_rc.copy()
-    for k, (cy, cx) in enumerate(centers_rc):
-        cy, cx = int(cy), int(cx)
-        best = (grad[cy, cx], cy, cx)
-        for r in range(max(0, cy - 1), min(h, cy + 2)):
-            for cc in range(max(0, cx - 1), min(w, cx + 2)):
-                if grad[r, cc] < best[0]:  # strict: keep the original on ties
-                    best = (grad[r, cc], r, cc)
-        out[k] = (best[1], best[2])
-    return out
+    cy = centers_rc[:, 0].astype(np.int64)
+    cx = centers_rc[:, 1].astype(np.int64)
+    best_r, best_c = cy.copy(), cx.copy()
+    best = grad[cy, cx]
+    for dy in (-1, 0, 1):
+        r = cy + dy
+        for dx in (-1, 0, 1):
+            cc = cx + dx
+            inside = (r >= 0) & (r < h) & (cc >= 0) & (cc < w)
+            g = grad[np.clip(r, 0, h - 1), np.clip(cc, 0, w - 1)]
+            better = inside & (g < best)
+            best = np.where(better, g, best)
+            best_r = np.where(better, r, best_r)
+            best_c = np.where(better, cc, best_c)
+    return np.stack([best_r, best_c], axis=1).astype(np.float64)
 
 
 def _connected_components(labels: np.ndarray) -> np.ndarray:
-    """4-connected component index per pixel, numbered in scan order."""
+    """4-connected component index per pixel, numbered in scan order.
+
+    Min-label propagation: every tree root hooks onto the smallest root
+    across an equal-label 4-neighbour pair, then pointer jumping flattens
+    the forest. Roots only decrease, so each component ends rooted at its
+    first pixel in scan order."""
     h, w = labels.shape
-    comp = np.full((h, w), -1, dtype=np.int64)
-    n = 0
-    for r0 in range(h):
-        for c0 in range(w):
-            if comp[r0, c0] >= 0:
-                continue
-            lab = labels[r0, c0]
-            stack = [(r0, c0)]
-            comp[r0, c0] = n
-            while stack:
-                r, cc = stack.pop()
-                for rr, ccc in ((r - 1, cc), (r + 1, cc), (r, cc - 1), (r, cc + 1)):
-                    if 0 <= rr < h and 0 <= ccc < w and comp[rr, ccc] < 0 and labels[rr, ccc] == lab:
-                        comp[rr, ccc] = n
-                        stack.append((rr, ccc))
-            n += 1
-    return comp
+    idx = np.arange(h * w).reshape(h, w)
+    same_h = labels[:, :-1] == labels[:, 1:]
+    same_v = labels[:-1, :] == labels[1:, :]
+    a = np.concatenate([idx[:, :-1][same_h], idx[:-1, :][same_v]])
+    b = np.concatenate([idx[:, 1:][same_h], idx[1:, :][same_v]])
+    parent = idx.ravel().copy()
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb  # a pair inside one tree stays inside it
+        if not split.any():
+            break
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, ra, rb)
+        np.minimum.at(parent, rb, ra)
+        parent = _roots(parent)
+    is_root = parent == idx.ravel()
+    return (np.cumsum(is_root) - 1)[parent].reshape(h, w)
 
 
 def _enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndarray:

@@ -121,8 +121,9 @@ def brute_felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np
     return _relabel_first_occurrence(roots.reshape(h, w))
 
 
-def _connected_components_4(labels: np.ndarray) -> np.ndarray:
-    """4-connected component index per pixel, numbered in scan order."""
+def brute_components(labels: np.ndarray) -> np.ndarray:
+    """4-connected component index per pixel, numbered in scan order: a
+    depth-first flood fill from each unvisited pixel in scan order."""
     h, w = labels.shape
     comp = np.full((h, w), -1, dtype=np.int64)
     n = 0
@@ -149,7 +150,7 @@ def brute_enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np
     label center is nearest to the fragment centroid (ties to the lower
     label), in passes over the fragments in scan order."""
     h, w = labels.shape
-    comp = _connected_components_4(labels)
+    comp = brute_components(labels)
     n_comp = int(comp.max()) + 1
     flatc = comp.ravel()
     comp_label = labels.ravel()[np.unique(flatc, return_index=True)[1]]
@@ -194,6 +195,114 @@ def brute_enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np
             deferred = deferred[1:]
         pending = deferred
     return frag_label[comp]
+
+
+def _slic_grid(h: int, w: int, n_segments: int) -> tuple[int, int]:
+    best = None
+    for nrows in range(1, min(h, n_segments) + 1):
+        ncols = min(w, max(1, round(n_segments / nrows)))
+        score = (abs(nrows * ncols - n_segments), abs(h / nrows - w / ncols), nrows)
+        if best is None or score < best[0]:
+            best = (score, nrows, ncols)
+    return best[1], best[2]
+
+
+def _grid_positions(dim: int, n_axis: int) -> np.ndarray:
+    k = np.arange(n_axis, dtype=np.int64)
+    return ((2 * k + 1) * dim - n_axis) // (2 * n_axis)
+
+
+def brute_lowest_gradient(img: np.ndarray, centers_rc: np.ndarray) -> np.ndarray:
+    """Each center moved to the lowest central-difference gradient of its
+    clipped 3x3 window, visited in row-major order with a strict ``<`` (the
+    original pixel is kept on ties), one center at a time."""
+    h, w = img.shape[:2]
+    grad = np.zeros((h, w))
+    if h > 2:
+        grad[1:-1, :] += ((img[2:, :] - img[:-2, :]) ** 2).sum(-1)
+    if w > 2:
+        grad[:, 1:-1] += ((img[:, 2:] - img[:, :-2]) ** 2).sum(-1)
+    out = centers_rc.copy()
+    for k, (cy, cx) in enumerate(centers_rc):
+        cy, cx = int(cy), int(cx)
+        best = (grad[cy, cx], cy, cx)
+        for r in range(max(0, cy - 1), min(h, cy + 2)):
+            for cc in range(max(0, cx - 1), min(w, cx + 2)):
+                if grad[r, cc] < best[0]:  # strict: keep the original on ties
+                    best = (grad[r, cc], r, cc)
+        out[k] = (best[1], best[2])
+    return out
+
+
+def brute_slic(image: np.ndarray, n_segments: int, compactness: float, iters: int = 10) -> np.ndarray:
+    """SLIC superpixels with every pixel's center picked by a ``lexsort`` of
+    all (pixel, d2, center id) candidate triples (NaN d2 last, ties to the
+    lowest id), ``brute_lowest_gradient`` seeding and the flood-fill
+    connectivity pass; first-occurrence int32 labels."""
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim == 2:
+        image = image[None]
+    c, h, w = image.shape
+
+    step = float(np.sqrt(h * w / n_segments))
+    nrows, ncols = _slic_grid(h, w, n_segments)
+    rows = _grid_positions(h, nrows)
+    cols = _grid_positions(w, ncols)
+    centers_rc = np.array([(r, cc) for r in rows for cc in cols], dtype=np.float64)
+
+    img = np.moveaxis(image, 0, -1)  # (H, W, C)
+    centers_rc = brute_lowest_gradient(img, centers_rc)
+    centers_color = img[centers_rc[:, 0].astype(int), centers_rc[:, 1].astype(int)].copy()
+
+    n_centers = len(centers_rc)
+    ratio2 = (compactness / step) ** 2
+    half = int(np.ceil(step))
+    offs = np.arange(-half, half + 2)  # covers floor..ceil of a fractional center
+    dr = np.repeat(offs, len(offs))
+    dc = np.tile(offs, len(offs))
+    img_flat = img.reshape(h * w, c)
+    center_ids = np.repeat(np.arange(n_centers), len(offs) ** 2)
+    labels = np.full((h, w), -1, dtype=np.int64)
+
+    for _ in range(iters):
+        rows = np.clip(np.floor(centers_rc[:, 0]).astype(np.int64)[:, None] + dr, 0, h - 1)
+        cols = np.clip(np.floor(centers_rc[:, 1]).astype(np.int64)[:, None] + dc, 0, w - 1)
+        pix = (rows * w + cols).ravel()
+        dcol2 = ((img_flat[pix] - np.repeat(centers_color, len(offs) ** 2, axis=0)) ** 2).sum(-1)
+        dxy2 = (rows - centers_rc[:, 0][:, None]) ** 2 + (cols - centers_rc[:, 1][:, None]) ** 2
+        d2 = dcol2 + ratio2 * dxy2.ravel()
+        # per pixel: smallest distance wins, ties to the lowest center id
+        order = np.lexsort((center_ids, d2, pix))
+        sorted_pix = pix[order]
+        first = np.ones(len(sorted_pix), dtype=bool)
+        first[1:] = sorted_pix[1:] != sorted_pix[:-1]
+        labels_flat = labels.ravel()
+        labels_flat.fill(-1)
+        labels_flat[sorted_pix[first]] = center_ids[order][first]
+
+        unassigned = labels_flat < 0
+        if unassigned.any():
+            up = np.nonzero(unassigned)[0]
+            pts = img_flat[up]
+            dcol2 = ((pts[:, None, :] - centers_color[None]) ** 2).sum(-1)
+            d2u = dcol2 + ratio2 * (
+                (up[:, None] // w - centers_rc[None, :, 0]) ** 2
+                + (up[:, None] % w - centers_rc[None, :, 1]) ** 2
+            )
+            labels_flat[up] = np.argmin(d2u, axis=1)
+
+        counts = np.bincount(labels_flat, minlength=n_centers).astype(np.float64)
+        rsum = np.bincount(labels_flat, weights=np.repeat(np.arange(h), w), minlength=n_centers)
+        csum = np.bincount(labels_flat, weights=np.tile(np.arange(w), h), minlength=n_centers)
+        nonzero = counts > 0
+        centers_rc[nonzero, 0] = rsum[nonzero] / counts[nonzero]
+        centers_rc[nonzero, 1] = csum[nonzero] / counts[nonzero]
+        for ch in range(c):
+            s = np.bincount(labels_flat, weights=img_flat[:, ch], minlength=n_centers)
+            centers_color[nonzero, ch] = s[nonzero] / counts[nonzero]
+
+    labels = brute_enforce_connectivity(labels, centers_rc)
+    return _relabel_first_occurrence(labels)
 
 
 def brute_adjacency(labels: np.ndarray) -> dict[tuple[int, int], int]:

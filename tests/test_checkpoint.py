@@ -55,3 +55,13 @@ def test_checkpoint_config_float_field_takes_a_whole_number(model):
         assert load({"config": config, "state": [p.data for p in Forecaster(cfg).parameters()]}).cfg.lr == 0
     else:
         assert load({"config": config, "in_dim": 2, "state": STClassifier(cfg, in_dim=2).state()}).cfg.lr == 0
+
+
+@pytest.mark.parametrize(
+    "key, value", [("slic_iters", 0), ("slic_iters", -3), ("n_segments", 0), ("compactness", 0.0), ("compactness", -0.1)]
+)
+def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
+    config = asdict(ForecastConfig())
+    config[key] = value
+    with pytest.raises(ConfigMismatch, match=key):
+        forecaster_from_checkpoint({"config": config, "state": []})

@@ -158,8 +158,15 @@ FAILURES = {
     "forecaster_checkpoint_value_retyped": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(input_len="x")), {}, 1, "input_len = 'x'",
     ),
+    "forecaster_checkpoint_slic_iters_zero": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(slic_iters=0)), {}, 1, "slic_iters must be >= 1",
+    ),
     "forecaster_checkpoint_one_array_short": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 67:",
+    ),
+    "segment_slic_iters_zero": (
+        lambda tmp: ["segment", "--cube", _cube(tmp), "--algo", "slic", "--segments", "16", "--iters", "0", "--out", str(tmp / "seg")],
+        {}, 1, "iters must be >= 1, got 0",
     ),
     "meta_without_geo": (lambda tmp: _cube_meta(tmp, lambda m: m.pop("geo")), {}, 1, "geo"),
     "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), {}, 1, "'T'"),

@@ -5,10 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_enforce_connectivity, brute_felzenszwalb, cc_equal_values
+from _oracles import (
+    brute_components,
+    brute_enforce_connectivity,
+    brute_felzenszwalb,
+    brute_lowest_gradient,
+    brute_slic,
+    cc_equal_values,
+)
 from sitsgraph.errors import EmptyImage, InvalidSegmentCount, ShapeMismatch
 from sitsgraph.segmentation import (
+    _connected_components,
     _enforce_connectivity,
+    _move_to_lowest_gradient,
     felzenszwalb,
     load_seg,
     save_seg,
@@ -163,6 +172,97 @@ class TestSlic:
             slic(img, n_segments=0, compactness=0.1)
         with pytest.raises(InvalidSegmentCount):
             slic(img, n_segments=17, compactness=0.1)
+
+    @pytest.mark.parametrize("iters", [0, -3])
+    def test_iters_below_one_raise(self, iters):
+        with pytest.raises(InvalidSegmentCount, match="iters"):
+            slic(np.zeros((1, 4, 4)), n_segments=4, compactness=0.1, iters=iters)
+
+    @pytest.mark.parametrize("kind", ["continuous", "quantized", "nan"])
+    def test_matches_sorted_assignment_oracle(self, kind):
+        # quantized values tie many distances; NaN pixels give NaN distances,
+        # and whole windows of them; no +-inf, whose differences warn
+        rng = np.random.default_rng(["continuous", "quantized", "nan"].index(kind))
+        for _ in range(100):
+            c = int(rng.integers(1, 4))
+            h, w = (int(x) for x in rng.integers(1, 31, size=2))
+            if kind == "quantized":
+                img = rng.integers(0, 3, size=(c, h, w)).astype(np.float64)
+            else:
+                img = rng.uniform(size=(c, h, w))
+            if kind == "nan":
+                img[rng.uniform(size=img.shape) < 0.2] = np.nan
+            n = int(rng.integers(1, h * w + 1))
+            iters = int(rng.integers(1, 4))
+            compactness = float(rng.choice([0.05, 1.0, 30.0]))
+            got = slic(img, n, compactness, iters)
+            want = brute_slic(img, n, compactness, iters)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (img, n, compactness, iters)
+
+    def test_matches_oracle_on_an_all_nan_image(self):
+        img = np.full((2, 7, 5), np.nan)
+        for n in (1, 6, 35):
+            assert np.array_equal(slic(img, n, 1.0, 2), brute_slic(img, n, 1.0, 2))
+
+    def test_components_match_flood_fill(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            h, w = (int(x) for x in rng.integers(1, 25, size=2))
+            labels = rng.integers(0, int(rng.integers(1, 5)), size=(h, w))
+            got = _connected_components(labels)
+            want = brute_components(labels)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), labels
+
+    def test_components_of_a_serpentine(self):
+        # one region winding through the whole grid: its pixel ids rise and
+        # fall along the path, row after row
+        h, w = 41, 40
+        labels = np.zeros((h, w), dtype=np.int64)
+        labels[::2, :] = 1
+        labels[1::4, -1] = 1
+        labels[3::4, 0] = 1
+        labels[0, 0] = 2
+        got = _connected_components(labels)
+        want = brute_components(labels)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert len(np.unique(got[labels == 1])) == 1
+
+    @pytest.mark.parametrize(
+        "img, centers",
+        [
+            # plateau: every gradient is zero, so every center stays put
+            (np.zeros((6, 7, 1)), [[0, 0], [2, 3], [5, 6], [5, 0]]),
+            # centered ridge: the two flanking rows tie, the upper one wins
+            (np.array([[0, 0, 0], [5, 5, 5], [10, 10, 10], [5, 5, 5], [0, 0, 0]], float)[..., None], [[2, 1]]),
+            # single row and single column: only one axis has a gradient
+            (np.array([[3, 1, 4, 1, 5, 9, 2, 6]], float)[..., None], [[0, 0], [0, 3], [0, 7]]),
+            (np.array([[3], [1], [4], [1], [5], [9], [2], [6]], float)[..., None], [[0, 0], [3, 0], [7, 0]]),
+            (np.ones((1, 1, 2)), [[0, 0]]),
+            (np.arange(4.0).reshape(2, 2, 1), [[0, 0], [1, 1]]),
+        ],
+    )
+    def test_lowest_gradient_plateaus_and_borders(self, img, centers):
+        centers = np.asarray(centers, dtype=np.float64)
+        got = _move_to_lowest_gradient(img, centers)
+        want = brute_lowest_gradient(img, centers)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_lowest_gradient_matches_oracle(self):
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            c = int(rng.integers(1, 3))
+            h, w = (int(x) for x in rng.integers(1, 12, size=2))
+            img = rng.integers(0, 3, size=(h, w, c)).astype(np.float64)
+            img[rng.uniform(size=img.shape) < 0.1] = np.nan
+            centers = np.stack([rng.integers(0, h, 8), rng.integers(0, w, 8)], axis=1).astype(np.float64)
+            got = _move_to_lowest_gradient(img, centers)
+            want = brute_lowest_gradient(img, centers)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (img, centers)
 
 
 @settings(max_examples=15, deadline=None)
