@@ -35,23 +35,22 @@ def detect_events(g: StGraph) -> list[EventRecord]:
     t < t_max; split: out-degree >= 2; merge: in-degree >= 2; continuation:
     in = out = 1. A node can carry several events.
     """
-    if not g.nodes:
+    if g.n_nodes == 0:
         return []
-    indeg, outdeg = g.st_degrees()
-    t_min = min(n.t for n in g.nodes)
-    t_max = max(n.t for n in g.nodes)
+    indeg, outdeg = g.degrees(g.st)
+    t_min, t_max = int(g.t.min()), int(g.t.max())
     out = []
-    for n in g.nodes:
-        if indeg[n.id] == 0 and n.t > t_min:
-            out.append(EventRecord(n.id, "appearance", n.t))
-        if outdeg[n.id] == 0 and n.t < t_max:
-            out.append(EventRecord(n.id, "disappearance", n.t))
-        if outdeg[n.id] >= 2:
-            out.append(EventRecord(n.id, "split", n.t))
-        if indeg[n.id] >= 2:
-            out.append(EventRecord(n.id, "merge", n.t))
-        if indeg[n.id] == 1 and outdeg[n.id] == 1:
-            out.append(EventRecord(n.id, "continuation", n.t))
+    for v, t, din, dout in zip(g.ids.tolist(), g.t.tolist(), indeg.tolist(), outdeg.tolist()):
+        if din == 0 and t > t_min:
+            out.append(EventRecord(v, "appearance", t))
+        if dout == 0 and t < t_max:
+            out.append(EventRecord(v, "disappearance", t))
+        if dout >= 2:
+            out.append(EventRecord(v, "split", t))
+        if din >= 2:
+            out.append(EventRecord(v, "merge", t))
+        if din == 1 and dout == 1:
+            out.append(EventRecord(v, "continuation", t))
     return out
 
 
@@ -69,15 +68,16 @@ def temporal_profile(
     samples = [(node.t, float(g.feature_row(node.id)[feature_index]))]
     current = node.id
     visited = {current}
+    st = g.st
     while True:
+        if direction == "out":
+            lo, hi = np.searchsorted(st.src, [current, current + 1])
+            weight, nxt = st.weight[lo:hi], st.dst[lo:hi]
+        else:
+            hit = st.dst == current
+            weight, nxt = st.weight[hit], st.src[hit]
         best = None
-        for e in g.edges_st:
-            if direction == "out" and e.src == current:
-                cand = (-e.weight, e.dst)
-            elif direction == "in" and e.dst == current:
-                cand = (-e.weight, e.src)
-            else:
-                continue
+        for cand in zip((-weight).tolist(), nxt.tolist()):
             if best is None or cand < best:
                 best = cand
         if best is None or best[1] in visited:
@@ -96,10 +96,10 @@ def coverage_indicator(g: StGraph, node_subset: dict[int, list[int]], frame_pixe
     for t, ids in sorted(node_subset.items()):
         total = 0
         for nid in ids:
-            n = g.node(nid)
-            if n.t != t:
-                raise UnknownNode(f"node {nid} is at date {n.t}, not {t}")
-            total += n.pixel_count
+            i = g.index_of(nid)
+            if g.t[i] != t:
+                raise UnknownNode(f"node {nid} is at date {g.t[i]}, not {t}")
+            total += int(g.pixel_count[i])
         out[int(t)] = total / frame_pixels
     return out
 
@@ -146,18 +146,21 @@ def mine_frequent(
     symbols = np.asarray(symbols)
     if symbols.shape[0] != g.n_nodes:
         raise ShapeMismatch(f"{symbols.shape[0]} symbols for {g.n_nodes} nodes")
-    sym = {n.id: int(symbols[i]) for i, n in enumerate(g.nodes)}
-    succ: dict[int, list[int]] = {n.id: [] for n in g.nodes}
-    for e in g.edges_st:
-        succ[e.src].append(e.dst)
-    for v in succ:
-        succ[v].sort()
+    ids = g.ids.tolist()
+    sym = dict(zip(ids, map(int, symbols.tolist())))
+    # temporal edges are sorted by (src, dst): each node's successors are one
+    # ascending run of dst
+    src, dst = g.st.src, g.st.dst.tolist()
+    lo = np.searchsorted(src, g.ids, side="left").tolist()
+    hi = np.searchsorted(src, g.ids, side="right").tolist()
+    succ = {v: dst[a:b] for v, a, b in zip(ids, lo, hi)}
 
     alphabet = sorted(set(sym.values()))
     results: list[Pattern] = []
 
-    # occurrence state: start node -> set of path end nodes; witness path kept
-    # for the lowest start node, following lowest-id successors
+    # occurrence state: start node -> set of path end nodes. The keys are the
+    # start nodes where the pattern occurs, so the witness path starts at the
+    # lowest of them and follows lowest-id successors
     def seed(symbol: int) -> dict[int, set[int]]:
         return {v: {v} for v in sorted(sym) if sym[v] == symbol}
 
@@ -169,21 +172,13 @@ def mine_frequent(
                 out[start] = new_ends
         return out
 
-    def witness(pattern: tuple[int, ...]) -> tuple[int, ...]:
-        # depth-first over lowest ids; pattern is known to occur somewhere
-        for start in sorted(sym):
-            if sym[start] != pattern[0]:
-                continue
-            path = _find_path(start, pattern, succ, sym)
-            if path:
-                return path
-        return ()
-
     stack = [((s,), seed(s)) for s in reversed(alphabet)]
     stack = [(p, st) for p, st in stack if len(st) >= minsup]
     while stack:
         pattern, state = stack.pop()
-        results.append(Pattern(symbols=pattern, support=len(state), example=witness(pattern)))
+        results.append(
+            Pattern(symbols=pattern, support=len(state), example=_find_path(min(state), pattern, succ, sym))
+        )
         if len(pattern) >= maxlen:
             continue
         for s in reversed(alphabet):

@@ -190,7 +190,7 @@ def cmd_build_graph(args):
     out.mkdir(parents=True, exist_ok=True)
     (out / "graph.json").write_bytes(stgraph.export_graph(g, "json"))
     _write_run_config(args, out)
-    print(f"graph: {g.n_nodes} nodes, {len(g.edges_spatial)} spatial, {len(g.edges_st)} temporal edges")
+    print(f"graph: {g.n_nodes} nodes, {len(g.spatial)} spatial, {len(g.st)} temporal edges")
     return 0
 
 
@@ -268,7 +268,7 @@ def cmd_export(args):
 
 def cmd_train(args):
     g = _load_graph(args.graph)
-    labels = np.array([-1 if n.label is None else n.label for n in g.nodes])
+    labels = g.label_array()
     labeled = np.nonzero(labels >= 0)[0]
     if labeled.size == 0:
         raise SitsGraphError("graph has no labeled nodes")
@@ -317,7 +317,7 @@ def cmd_predict(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "predictions.json").write_text(
-        json.dumps({"node_class": {str(n.id): int(p) for n, p in zip(g.nodes, pred)}}, indent=2) + "\n"
+        json.dumps({"node_class": dict(zip(map(str, g.ids.tolist()), pred.tolist()))}, indent=2) + "\n"
     )
     _write_run_config(args, out)
     print(f"predicted {len(pred)} nodes -> {out}")

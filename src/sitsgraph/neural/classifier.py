@@ -123,14 +123,10 @@ def graph_arrays(g: StGraph, dtype=np.float32):
     training; the relations carry the scatter plans every layer, epoch and
     evaluation on this graph reuses."""
     x = np.asarray(g.features.values, dtype=dtype)
-
-    def plans(edges):
-        src = np.array([e.src for e in edges], dtype=np.int64)
-        dst = np.array([e.dst for e in edges], dtype=np.int64)
-        return relation((src, dst), x.shape[0])
-
-    labels = np.array([-1 if n.label is None else n.label for n in g.nodes], dtype=np.int64)
-    return x, plans(g.edges_spatial), plans(g.edges_st), labels
+    n = x.shape[0]
+    es = relation((g.spatial.src, g.spatial.dst), n)
+    est = relation((g.st.src, g.st.dst), n)
+    return x, es, est, g.label_array()
 
 
 def _logits(model: STClassifier, arrays) -> np.ndarray:

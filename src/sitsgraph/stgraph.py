@@ -4,14 +4,21 @@ Nodes are per-date objects. Edges split into two disjoint sets: spatial edges
 (same date, undirected, stored once with src < dst) and spatio-temporal edges
 (directed past -> future). The canonical serialization is JSON; GraphML and
 DOT are lossy views for external viewers.
+
+A graph is stored as columns: the node ids, dates, pixel counts, an n x 2
+float64 centroid array and the labels, in ascending id order, and one
+``src``/``dst``/``weight`` array triple per relation, sorted by
+``(src, dst)``. Reading, writing and querying work on those columns; the
+``Node`` and ``Edge`` lists are read-only views built on first access. The
+JSON writer spells out the ``json.dumps(..., indent=1)`` layout of the
+document, so the bytes are those of that call.
 """
 
 from __future__ import annotations
 
 import json
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +47,18 @@ class Edge:
     weight: float
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeColumns:
+    """One relation as parallel read-only arrays, sorted by ``(src, dst)``."""
+
+    src: np.ndarray       # int64 node ids
+    dst: np.ndarray       # int64 node ids
+    weight: np.ndarray    # float64
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+
 class StGraph:
     """Immutable-after-build attributed graph over segmentation objects."""
 
@@ -51,119 +70,237 @@ class StGraph:
         features: FeatureMatrix | None = None,
         meta: dict | None = None,
     ):
-        self.nodes = sorted(nodes, key=lambda n: n.id)
-        self._by_id = {n.id: n for n in self.nodes}
-        for e in (*edges_spatial, *edges_st):
-            if e.src not in self._by_id or e.dst not in self._by_id:
-                raise UnknownNode(f"edge {e.src}->{e.dst} names a node that does not exist")
-        self.edges_spatial = _canonical_spatial(edges_spatial)
-        self.edges_st = _canonical_st(edges_st, self._by_id)
+        nodes = list(nodes)
+        self._assemble(
+            np.array([n.id for n in nodes], dtype=np.int64),
+            np.array([n.t for n in nodes], dtype=np.int64),
+            np.array([n.pixel_count for n in nodes], dtype=np.int64),
+            np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2),
+            [None if n.label is None else int(n.label) for n in nodes],
+            _edge_arrays(edges_spatial),
+            _edge_arrays(edges_st),
+            features,
+            meta,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: np.ndarray,
+        t: np.ndarray,
+        pixel_count: np.ndarray,
+        centroid: np.ndarray,
+        labels: list[int | None],
+        spatial: tuple[np.ndarray, np.ndarray, np.ndarray],
+        st: tuple[np.ndarray, np.ndarray, np.ndarray],
+        features: FeatureMatrix | None = None,
+        meta: dict | None = None,
+    ) -> StGraph:
+        """A graph from node columns in any order and ``(src, dst, weight)``
+        edge arrays in input order; canonicalized and validated as the
+        constructor does."""
+        g = cls.__new__(cls)
+        g._assemble(ids, t, pixel_count, centroid, labels, spatial, st, features, meta)
+        return g
+
+    def _assemble(self, ids, t, pixel_count, centroid, labels, spatial, st, features, meta) -> None:
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        dup = np.flatnonzero(ids[1:] == ids[:-1])
+        if dup.size:
+            raise ShapeMismatch(f"duplicate node id {int(ids[dup[0]])}")
+        self.ids = _frozen(ids)
+        self.t = _frozen(t[order])
+        self.pixel_count = _frozen(pixel_count[order])
+        self.centroid = _frozen(centroid[order])
+        self.labels = tuple(labels[i] for i in order.tolist())
         self.features = features
         self.meta = dict(meta or {})
-        self.validate()
+        self._views: dict = {}
 
-    # -- invariants ---------------------------------------------------------
+        n = len(ids)
+        # endpoints as node rows, spatial edges first, in input order
+        src = np.concatenate([spatial[0], st[0]]).astype(np.int64)
+        dst = np.concatenate([spatial[1], st[1]]).astype(np.int64)
+        src_row, dst_row = _rows(ids, src), _rows(ids, dst)
+        unknown = np.flatnonzero((src_row < 0) | (dst_row < 0))
+        if unknown.size:
+            i = unknown[0]
+            raise UnknownNode(f"edge {src[i]}->{dst[i]} names a node that does not exist")
+        k = len(spatial[0])
+        s_src, s_dst, st_src, st_dst = src_row[:k], dst_row[:k], src_row[k:], dst_row[k:]
+        dates = self.t
+        s_src, s_dst, s_w = _canonical(s_src, s_dst, np.asarray(spatial[2], dtype=np.float64), s_src > s_dst, n)
+        st_src, st_dst, st_w = _canonical(
+            st_src, st_dst, np.asarray(st[2], dtype=np.float64), dates[st_src] > dates[st_dst], n
+        )
 
-    def validate(self) -> None:
-        seen = set()
-        for e in self.edges_spatial:
-            if e.src == e.dst:
-                raise ShapeMismatch(f"self-loop on node {e.src}")
-            if self._by_id[e.src].t != self._by_id[e.dst].t:
-                raise ShapeMismatch(f"spatial edge {e.src}->{e.dst} crosses dates")
-            if e.weight < 0:
-                raise ShapeMismatch(f"negative weight on {e.src}->{e.dst}")
-            seen.add((e.src, e.dst))
-            seen.add((e.dst, e.src))
-        for e in self.edges_st:
-            if e.src == e.dst:
-                raise ShapeMismatch(f"self-loop on node {e.src}")
-            if self._by_id[e.src].t >= self._by_id[e.dst].t:
-                raise ShapeMismatch(f"temporal edge {e.src}->{e.dst} not oriented past->future")
-            if e.weight < 0:
-                raise ShapeMismatch(f"negative weight on {e.src}->{e.dst}")
-            if (e.src, e.dst) in seen:
-                raise ShapeMismatch(f"edge ({e.src},{e.dst}) present in both relation sets")
-        if self.features is not None:
-            if self.features.values.shape[0] != len(self.nodes):
-                raise DimMismatch(
-                    f"{self.features.values.shape[0]} feature rows for {len(self.nodes)} nodes"
-                )
+        bad = (s_src == s_dst) | (dates[s_src] != dates[s_dst]) | (s_w < 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(ids[s_src[i]]), int(ids[s_dst[i]])
+            if a == b:
+                raise ShapeMismatch(f"self-loop on node {a}")
+            if dates[s_src[i]] != dates[s_dst[i]]:
+                raise ShapeMismatch(f"spatial edge {a}->{b} crosses dates")
+            raise ShapeMismatch(f"negative weight on {a}->{b}")
+        s_key = s_src * n + s_dst  # ascending
+        both = (_rows(s_key, st_src * n + st_dst) >= 0) | (_rows(s_key, st_dst * n + st_src) >= 0)
+        bad = (st_src == st_dst) | (dates[st_src] >= dates[st_dst]) | (st_w < 0) | both
+        if bad.any():
+            i = int(np.argmax(bad))
+            a, b = int(ids[st_src[i]]), int(ids[st_dst[i]])
+            if a == b:
+                raise ShapeMismatch(f"self-loop on node {a}")
+            if dates[st_src[i]] >= dates[st_dst[i]]:
+                raise ShapeMismatch(f"temporal edge {a}->{b} not oriented past->future")
+            if st_w[i] < 0:
+                raise ShapeMismatch(f"negative weight on {a}->{b}")
+            raise ShapeMismatch(f"edge ({a},{b}) present in both relation sets")
+        self.spatial = EdgeColumns(_frozen(ids[s_src]), _frozen(ids[s_dst]), _frozen(s_w))
+        self.st = EdgeColumns(_frozen(ids[st_src]), _frozen(ids[st_dst]), _frozen(st_w))
+
+        if features is not None:
+            if features.values.shape[0] != n:
+                raise DimMismatch(f"{features.values.shape[0]} feature rows for {n} nodes")
             # feature row i belongs to node id i
-            if any(n.id != i for i, n in enumerate(self.nodes)):
+            if (ids != np.arange(n)).any():
                 raise DimMismatch("feature-carrying graphs need contiguous node ids 0..n-1")
+
+    # -- views ----------------------------------------------------------------
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        if "nodes" not in self._views:
+            self._views["nodes"] = tuple(
+                Node(i, t, px, (r, c), lab)
+                for i, t, px, (r, c), lab in zip(
+                    self.ids.tolist(),
+                    self.t.tolist(),
+                    self.pixel_count.tolist(),
+                    self.centroid.tolist(),
+                    self.labels,
+                )
+            )
+        return self._views["nodes"]
+
+    @property
+    def edges_spatial(self) -> tuple[Edge, ...]:
+        return self._edge_view(SPATIAL, self.spatial)
+
+    @property
+    def edges_st(self) -> tuple[Edge, ...]:
+        return self._edge_view(SPATIOTEMPORAL, self.st)
+
+    def _edge_view(self, kind: str, rel: EdgeColumns) -> tuple[Edge, ...]:
+        if kind not in self._views:
+            self._views[kind] = tuple(
+                Edge(a, b, kind, w)
+                for a, b, w in zip(rel.src.tolist(), rel.dst.tolist(), rel.weight.tolist())
+            )
+        return self._views[kind]
 
     # -- queries ------------------------------------------------------------
 
+    def index_of(self, node_id: int) -> int:
+        """Row of ``node_id`` in the node columns."""
+        if isinstance(node_id, (int, np.integer)):
+            i = int(np.searchsorted(self.ids, node_id))
+            if i < len(self.ids) and self.ids[i] == node_id:
+                return i
+        raise UnknownNode(f"no node with id {node_id}")
+
     def node(self, node_id: int) -> Node:
-        try:
-            return self._by_id[node_id]
-        except KeyError:
-            raise UnknownNode(f"no node with id {node_id}") from None
+        i = self.index_of(node_id)
+        r, c = self.centroid[i].tolist()
+        return Node(int(self.ids[i]), int(self.t[i]), int(self.pixel_count[i]), (r, c), self.labels[i])
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
     def dates(self) -> list[int]:
-        return sorted({n.t for n in self.nodes})
+        return np.unique(self.t).tolist()
 
     def nodes_at(self, t: int) -> list[Node]:
-        return [n for n in self.nodes if n.t == t]
+        return [self.node(i) for i in self.ids[self.t == t].tolist()]
+
+    def label_array(self) -> np.ndarray:
+        """Node labels in id order, -1 where a node has none."""
+        return np.array([-1 if lab is None else lab for lab in self.labels], dtype=np.int64)
 
     def neighborhood(self, node_id: int, kind: str = SPATIAL, direction: str = "both") -> set[int]:
         """Neighbor ids. Spatial neighbors are symmetric; for temporal edges
         ``direction`` selects incoming ("in", from the past), outgoing ("out",
         to the future) or both."""
-        self.node(node_id)
-        out: set[int] = set()
+        self.index_of(node_id)
         if kind == SPATIAL:
-            for e in self.edges_spatial:
-                if e.src == node_id:
-                    out.add(e.dst)
-                elif e.dst == node_id:
-                    out.add(e.src)
-            return out
+            rel = self.spatial
+            return set(rel.dst[rel.src == node_id].tolist()) | set(rel.src[rel.dst == node_id].tolist())
         if kind != SPATIOTEMPORAL:
             raise ShapeMismatch(f"unknown edge kind {kind!r}")
-        for e in self.edges_st:
-            if direction in ("out", "both") and e.src == node_id:
-                out.add(e.dst)
-            if direction in ("in", "both") and e.dst == node_id:
-                out.add(e.src)
+        out: set[int] = set()
+        if direction in ("out", "both"):
+            out.update(self.st.dst[self.st.src == node_id].tolist())
+        if direction in ("in", "both"):
+            out.update(self.st.src[self.st.dst == node_id].tolist())
         return out
 
+    def degrees(self, rel: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
+        """(in-degree, out-degree) of every node under ``rel``, in id order."""
+        n = self.n_nodes
+        return (
+            np.bincount(np.searchsorted(self.ids, rel.dst), minlength=n),
+            np.bincount(np.searchsorted(self.ids, rel.src), minlength=n),
+        )
+
     def st_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
-        indeg = {n.id: 0 for n in self.nodes}
-        outdeg = {n.id: 0 for n in self.nodes}
-        for e in self.edges_st:
-            outdeg[e.src] += 1
-            indeg[e.dst] += 1
-        return indeg, outdeg
+        ids = self.ids.tolist()
+        indeg, outdeg = self.degrees(self.st)
+        return dict(zip(ids, indeg.tolist())), dict(zip(ids, outdeg.tolist()))
 
     def feature_row(self, node_id: int) -> np.ndarray:
         if self.features is None:
             raise DimMismatch("graph carries no feature matrix")
-        self.node(node_id)
+        self.index_of(node_id)
         return self.features.values[node_id]
 
 
-def _canonical_spatial(edges: list[Edge]) -> list[Edge]:
-    dedup: dict[tuple[int, int], Edge] = {}
-    for e in edges:
-        a, b = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
-        dedup[(a, b)] = Edge(a, b, SPATIAL, float(e.weight))
-    return [dedup[k] for k in sorted(dedup)]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
-def _canonical_st(edges: list[Edge], by_id: dict[int, Node]) -> list[Edge]:
-    dedup: dict[tuple[int, int], Edge] = {}
-    for e in edges:
-        a, b = e.src, e.dst
-        if by_id[a].t > by_id[b].t:
-            a, b = b, a
-        dedup[(a, b)] = Edge(a, b, SPATIOTEMPORAL, float(e.weight))
-    return [dedup[k] for k in sorted(dedup)]
+def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    edges = list(edges)
+    return (
+        np.array([e.src for e in edges], dtype=np.int64),
+        np.array([e.dst for e in edges], dtype=np.int64),
+        np.array([e.weight for e in edges], dtype=np.float64),
+    )
+
+
+def _rows(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each entry of ``x`` in the ascending unique array ``ids``,
+    -1 where it does not occur."""
+    if len(ids) == 0:
+        return np.full(len(x), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(ids, x), len(ids) - 1)
+    return np.where(ids[pos] == x, pos, -1)
+
+
+def _canonical(a, b, w, flip, n: int):
+    """Edges ``a -> b`` (node rows) reversed where ``flip``, of each repeated
+    pair the last one, sorted by ``(a, b)``."""
+    a, b = np.where(flip, b, a), np.where(flip, a, b)
+    key = a * n + b
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    keep = order[last]
+    return a[keep], b[keep], w[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -449,31 +586,25 @@ def graph_stats(
     map is stored]).
     """
     t, c, h, w = cube_shape
-    n_edges = len(g.edges_spatial) + len(g.edges_st)
+    n_edges = len(g.spatial) + len(g.st)
     denom = f_v * g.n_nodes + n_edges + f_e * n_edges
     if map_stored:
         denom += t * h * w
     ratio = (c * t * h * w) / denom if denom > 0 else float("inf")
 
-    per_date = {int(d): len(g.nodes_at(d)) for d in g.dates()}
-    sp_deg: dict[int, int] = {n.id: 0 for n in g.nodes}
-    for e in g.edges_spatial:
-        sp_deg[e.src] += 1
-        sp_deg[e.dst] += 1
-    indeg, outdeg = g.st_degrees()
+    dates, per_date = np.unique(g.t, return_counts=True)
+    indeg, outdeg = g.degrees(g.st)
 
-    def hist(d: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in d.values():
-            out[v] = out.get(v, 0) + 1
-        return dict(sorted(out.items()))
+    def hist(deg: np.ndarray) -> dict[int, int]:
+        values, counts = np.unique(deg, return_counts=True)
+        return dict(zip(values.tolist(), counts.tolist()))
 
     return {
         "n_nodes": g.n_nodes,
-        "n_edges_spatial": len(g.edges_spatial),
-        "n_edges_st": len(g.edges_st),
-        "nodes_per_date": per_date,
-        "degree_hist_spatial": hist(sp_deg),
+        "n_edges_spatial": len(g.spatial),
+        "n_edges_st": len(g.st),
+        "nodes_per_date": dict(zip(dates.tolist(), per_date.tolist())),
+        "degree_hist_spatial": hist(sum(g.degrees(g.spatial))),
         "degree_hist_st_in": hist(indeg),
         "degree_hist_st_out": hist(outdeg),
         "f_v": f_v,
@@ -491,103 +622,204 @@ def export_graph(g: StGraph, fmt: str = "json") -> bytes:
     if fmt == "json":
         return _to_json(g).encode()
     if fmt == "graphml":
-        return _to_graphml(g)
+        return _to_graphml(g).encode()
     if fmt == "dot":
         return _to_dot(g).encode()
     raise ShapeMismatch(f"unknown export format {fmt!r}")
 
 
+def _json_floats(values: np.ndarray) -> list[str]:
+    """``values`` spelled as ``json.dumps`` spells floats."""
+    out = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        v = values[i]
+        out[i] = "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    return out
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already-encoded ``items`` in the ``indent=1`` layout,
+    its closing bracket at depth ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def _to_json(g: StGraph) -> str:
-    nodes = []
-    for n in g.nodes:
-        row = None
-        if g.features is not None:
-            row = [float(x) for x in g.features.values[n.id]]
-        nodes.append(
-            {
-                "id": n.id,
-                "t": n.t,
-                "pixel_count": n.pixel_count,
-                "centroid": [n.centroid[0], n.centroid[1]],
-                "features": row,
-                "label": n.label,
-            }
+    # the layout of json.dumps(doc, indent=1) with doc = {"nodes": [...],
+    # "edges": [...], "meta": {...}}: nodes at depth 2, their fields at 3
+    if g.features is None:
+        rows = ["null"] * g.n_nodes
+    else:
+        values = np.asarray(g.features.values, dtype=np.float64)
+        cells = _json_floats(values.ravel())
+        d = values.shape[1]
+        rows = [
+            _json_list(["    " + c for c in cells[i * d : (i + 1) * d]], "   ") for i in range(g.n_nodes)
+        ]
+    centroid = _json_floats(g.centroid.ravel())
+    node = (
+        '  {\n   "id": %d,\n   "t": %d,\n   "pixel_count": %d,\n'
+        '   "centroid": [\n    %s,\n    %s\n   ],\n   "features": %s,\n   "label": %s\n  }'
+    )
+    nodes = [
+        node % (i, t, px, centroid[2 * k], centroid[2 * k + 1], rows[k], "null" if lab is None else lab)
+        for k, (i, t, px, lab) in enumerate(
+            zip(g.ids.tolist(), g.t.tolist(), g.pixel_count.tolist(), g.labels)
         )
-    edges = [
-        {"src": e.src, "dst": e.dst, "kind": e.kind, "w": e.weight}
-        for e in list(g.edges_spatial) + list(g.edges_st)
     ]
+    edges = []
+    for kind, rel in ((SPATIAL, g.spatial), (SPATIOTEMPORAL, g.st)):
+        edge = '  {\n   "src": %d,\n   "dst": %d,\n   "kind": "' + kind + '",\n   "w": %s\n  }'
+        edges += [edge % e for e in zip(rel.src.tolist(), rel.dst.tolist(), _json_floats(rel.weight))]
     meta = dict(g.meta)
     if g.features is not None:
         meta["feature_names"] = list(g.features.names)
-    return json.dumps({"nodes": nodes, "edges": edges, "meta": meta}, indent=1)
+    return (
+        '{\n "nodes": ' + _json_list(nodes, " ")
+        + ',\n "edges": ' + _json_list(edges, " ")
+        + ',\n "meta": ' + json.dumps(meta, indent=1).replace("\n", "\n ")
+        + "\n}"
+    )
 
 
 def import_graph(blob: bytes | str) -> StGraph:
-    doc = json.loads(blob)
-    nodes = [
-        Node(
-            id=int(n["id"]),
-            t=int(n["t"]),
-            pixel_count=int(n["pixel_count"]),
-            centroid=(float(n["centroid"][0]), float(n["centroid"][1])),
-            label=None if n.get("label") is None else int(n["label"]),
-        )
-        for n in doc["nodes"]
-    ]
-    es, est = [], []
-    for e in doc["edges"]:
-        edge = Edge(int(e["src"]), int(e["dst"]), e["kind"], float(e["w"]))
-        (es if e["kind"] == SPATIAL else est).append(edge)
+    """The graph of a canonical JSON document; anything else raises
+    ``ShapeMismatch`` (``UnknownNode`` for an edge to a missing node)."""
+    try:
+        doc = json.loads(blob)
+    except UnicodeDecodeError as e:
+        raise ShapeMismatch(f"graph document is not UTF-8 text: {e}") from None
+    if not isinstance(doc, dict):
+        raise ShapeMismatch(f"graph document must be a JSON object, got {type(doc).__name__}")
+    nodes = _json_array(doc, "nodes")
+    edges = _json_array(doc, "edges")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ShapeMismatch(f"graph 'meta' must be an object, got {type(meta).__name__}")
+    ids, t, px, cent = _json_columns(nodes, ("id", "t", "pixel_count", "centroid"), "node")
+    ids, t, px = (_json_ints(v, f"node {k!r}") for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
+    try:
+        centroid = np.array([(c[0], c[1]) for c in cent], dtype=np.float64).reshape(len(cent), 2)
+        labels = [None if n.get("label") is None else int(n["label"]) for n in nodes]
+    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
+        raise ShapeMismatch(f"graph node centroid or label is malformed: {e}") from None
+
+    src, dst, kind, w = _json_columns(edges, ("src", "dst", "kind", "w"), "edge")
+    src, dst = _json_ints(src, "edge 'src'"), _json_ints(dst, "edge 'dst'")
+    bad = [k for k in kind if k not in (SPATIAL, SPATIOTEMPORAL)]
+    if bad:
+        raise ShapeMismatch(f"edge kind must be 'S' or 'ST', got {bad[0]!r}")
+    if not set(map(type, w)) <= {int, float}:
+        bad = next(v for v in w if type(v) not in (int, float))
+        raise ShapeMismatch(f"edge 'w' must be a number, got {bad!r}")
+    try:
+        w = np.array(w, dtype=np.float64)
+    except OverflowError:
+        raise ShapeMismatch("edge 'w' does not fit a float") from None
+    is_s = np.array([k == SPATIAL for k in kind], dtype=bool)
+
     features = None
-    rows = [n.get("features") for n in doc["nodes"]]
+    rows = [n.get("features") for n in nodes]
     if all(r is not None for r in rows) and rows:
-        names = doc.get("meta", {}).get(
-            "feature_names", [f"f{i}" for i in range(len(rows[0]))]
+        if not (
+            set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}
+            and len(set(map(len, rows))) == 1
+        ):
+            raise ShapeMismatch("graph node features must be equal-length lists of numbers")
+        try:
+            values = np.array(rows, dtype=np.float64)
+        except OverflowError:
+            raise ShapeMismatch("graph node feature does not fit a float") from None
+        names = meta.get("feature_names", [f"f{i}" for i in range(values.shape[1])])
+        if not isinstance(names, list):
+            raise ShapeMismatch("graph 'meta.feature_names' must be a list")
+        order = np.argsort(ids, kind="stable")
+        features = FeatureMatrix(values=values[order], names=list(names))
+    meta = {k: v for k, v in meta.items() if k != "feature_names"}
+    return StGraph.from_columns(
+        ids, t, px, centroid, labels,
+        (src[is_s], dst[is_s], w[is_s]),
+        (src[~is_s], dst[~is_s], w[~is_s]),
+        features=features,
+        meta=meta,
+    )
+
+
+def _json_array(doc: dict, key: str) -> list:
+    if key not in doc:
+        raise ShapeMismatch(f"graph document has no {key!r}")
+    if not isinstance(doc[key], list):
+        raise ShapeMismatch(f"graph {key!r} must be a list, got {type(doc[key]).__name__}")
+    return doc[key]
+
+
+def _json_columns(items: list, keys: tuple[str, ...], what: str) -> list[list]:
+    """``keys`` of every object in ``items``, one list per key."""
+    try:
+        return [[item[k] for item in items] for k in keys]
+    except KeyError as e:
+        raise ShapeMismatch(f"graph {what} without {e}") from None
+    except TypeError:
+        raise ShapeMismatch(f"graph {what}s must be JSON objects") from None
+
+
+def _json_ints(values: list, what: str) -> np.ndarray:
+    """``values`` as int64, each a JSON integer (no bool, no float)."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise ShapeMismatch(f"{what} must be an integer, got {bad!r}")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ShapeMismatch(f"{what} out of the 64-bit range") from None
+
+
+_GRAPHML_HEAD = (
+    "<?xml version='1.0' encoding='utf-8'?>\n"
+    '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">'
+    + "".join(
+        f'<key for="{target}" attr.name="{name}" attr.type="{typ}" id="{kid}" />'
+        for kid, name, target, typ in (
+            ("d0", "t", "node", "int"),
+            ("d1", "pixel_count", "node", "int"),
+            ("d2", "label", "node", "int"),
+            ("d3", "kind", "edge", "string"),
+            ("d4", "weight", "edge", "double"),
         )
-        order = np.argsort([n["id"] for n in doc["nodes"]])
-        features = FeatureMatrix(values=np.asarray(rows, dtype=np.float64)[order], names=list(names))
-    meta = {k: v for k, v in doc.get("meta", {}).items() if k != "feature_names"}
-    return StGraph(nodes, es, est, features=features, meta=meta)
+    )
+)
 
 
-def _to_graphml(g: StGraph) -> bytes:
-    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
-    for kid, name, target, typ in (
-        ("d0", "t", "node", "int"),
-        ("d1", "pixel_count", "node", "int"),
-        ("d2", "label", "node", "int"),
-        ("d3", "kind", "edge", "string"),
-        ("d4", "weight", "edge", "double"),
-    ):
-        ET.SubElement(root, "key", id=kid, attrib={"for": target, "attr.name": name, "attr.type": typ})
-    graph = ET.SubElement(root, "graph", id="G", edgedefault="directed")
-    for n in g.nodes:
-        el = ET.SubElement(graph, "node", id=f"n{n.id}")
-        ET.SubElement(el, "data", key="d0").text = str(n.t)
-        ET.SubElement(el, "data", key="d1").text = str(n.pixel_count)
-        if n.label is not None:
-            ET.SubElement(el, "data", key="d2").text = str(n.label)
-    for e in list(g.edges_spatial) + list(g.edges_st):
-        el = ET.SubElement(graph, "edge", source=f"n{e.src}", target=f"n{e.dst}")
-        ET.SubElement(el, "data", key="d3").text = e.kind
-        ET.SubElement(el, "data", key="d4").text = repr(e.weight)
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+def _to_graphml(g: StGraph) -> str:
+    # ElementTree's serialization: attributes in insertion order, empty
+    # elements as "<tag ... />"; no text here needs escaping
+    body = [
+        f'<node id="n{i}"><data key="d0">{t}</data><data key="d1">{px}</data>'
+        + ("" if lab is None else f'<data key="d2">{lab}</data>')
+        + "</node>"
+        for i, t, px, lab in zip(g.ids.tolist(), g.t.tolist(), g.pixel_count.tolist(), g.labels)
+    ]
+    for kind, rel in ((SPATIAL, g.spatial), (SPATIOTEMPORAL, g.st)):
+        edge = '<edge source="n%d" target="n%d"><data key="d3">' + kind + '</data><data key="d4">%r</data></edge>'
+        body += [edge % e for e in zip(rel.src.tolist(), rel.dst.tolist(), rel.weight.tolist())]
+    graph = '<graph id="G" edgedefault="directed"'
+    graph += ">" + "".join(body) + "</graph>" if body else " />"
+    return _GRAPHML_HEAD + graph + "</graphml>"
 
 
 def _to_dot(g: StGraph) -> str:
     # spatial edges solid, spatio-temporal dashed; node size tracks pixel count
-    max_px = max((n.pixel_count for n in g.nodes), default=1)
+    px = g.pixel_count.tolist()
+    max_px = max(px, default=1)
     lines = ["digraph stgraph {"]
-    for n in g.nodes:
-        size = 0.2 + 0.8 * n.pixel_count / max_px
-        label = f"{n.id} (t={n.t})"
-        lines.append(
-            f'  n{n.id} [label="{escape(label)}", width={size:.3f}, height={size:.3f}, fixedsize=true];'
-        )
-    for e in g.edges_spatial:
-        lines.append(f'  n{e.src} -> n{e.dst} [dir=none, style=solid, weight_attr="{e.weight:g}"];')
-    for e in g.edges_st:
-        lines.append(f'  n{e.src} -> n{e.dst} [style=dashed, weight_attr="{e.weight:g}"];')
+    for i, t, p in zip(g.ids.tolist(), g.t.tolist(), px):
+        size = 0.2 + 0.8 * p / max_px
+        lines.append(f'  n{i} [label="{i} (t={t})", width={size:.3f}, height={size:.3f}, fixedsize=true];')
+    for a, b, w in zip(g.spatial.src.tolist(), g.spatial.dst.tolist(), g.spatial.weight.tolist()):
+        lines.append(f'  n{a} -> n{b} [dir=none, style=solid, weight_attr="{w:g}"];')
+    for a, b, w in zip(g.st.src.tolist(), g.st.dst.tolist(), g.st.weight.tolist()):
+        lines.append(f'  n{a} -> n{b} [style=dashed, weight_attr="{w:g}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

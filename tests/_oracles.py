@@ -7,7 +7,14 @@ the library code paths it checks.
 
 from __future__ import annotations
 
+import json
+import xml.etree.ElementTree as ET
+from typing import NamedTuple
+from xml.sax.saxutils import escape
+
 import numpy as np
+
+from sitsgraph.errors import DimMismatch, ShapeMismatch, UnknownNode
 
 
 def cc_equal_values(image: np.ndarray) -> np.ndarray:
@@ -443,6 +450,220 @@ def enumerate_patterns(
     for v in symbols:
         walk(v, v, (symbols[v],))
     return {p: len(s) for p, s in starts.items() if len(s) >= minsup}
+
+
+# ---------------------------------------------------------------------------
+# graph storage and writers: the per-object implementation that the columnar
+# StGraph replaced, kept as the reference its columns and bytes must match.
+# ``g`` below is anything with ``nodes``, ``edges_spatial``, ``edges_st``,
+# ``features`` and ``meta`` as StGraph exposes them.
+
+
+class OracleEdge(NamedTuple):
+    src: int
+    dst: int
+    kind: str
+    weight: float
+
+
+def _canonical_spatial(edges) -> list[OracleEdge]:
+    dedup: dict[tuple[int, int], OracleEdge] = {}
+    for e in edges:
+        a, b = (e.src, e.dst) if e.src < e.dst else (e.dst, e.src)
+        dedup[(a, b)] = OracleEdge(a, b, "S", float(e.weight))
+    return [dedup[k] for k in sorted(dedup)]
+
+
+def _canonical_st(edges, by_id) -> list[OracleEdge]:
+    dedup: dict[tuple[int, int], OracleEdge] = {}
+    for e in edges:
+        a, b = e.src, e.dst
+        if by_id[a].t > by_id[b].t:
+            a, b = b, a
+        dedup[(a, b)] = OracleEdge(a, b, "ST", float(e.weight))
+    return [dedup[k] for k in sorted(dedup)]
+
+
+def _validate(nodes, by_id, edges_spatial, edges_st, features) -> None:
+    seen = set()
+    for e in edges_spatial:
+        if e.src == e.dst:
+            raise ShapeMismatch(f"self-loop on node {e.src}")
+        if by_id[e.src].t != by_id[e.dst].t:
+            raise ShapeMismatch(f"spatial edge {e.src}->{e.dst} crosses dates")
+        if e.weight < 0:
+            raise ShapeMismatch(f"negative weight on {e.src}->{e.dst}")
+        seen.add((e.src, e.dst))
+        seen.add((e.dst, e.src))
+    for e in edges_st:
+        if e.src == e.dst:
+            raise ShapeMismatch(f"self-loop on node {e.src}")
+        if by_id[e.src].t >= by_id[e.dst].t:
+            raise ShapeMismatch(f"temporal edge {e.src}->{e.dst} not oriented past->future")
+        if e.weight < 0:
+            raise ShapeMismatch(f"negative weight on {e.src}->{e.dst}")
+        if (e.src, e.dst) in seen:
+            raise ShapeMismatch(f"edge ({e.src},{e.dst}) present in both relation sets")
+    if features is not None:
+        if features.values.shape[0] != len(nodes):
+            raise DimMismatch(f"{features.values.shape[0]} feature rows for {len(nodes)} nodes")
+        if any(n.id != i for i, n in enumerate(nodes)):
+            raise DimMismatch("feature-carrying graphs need contiguous node ids 0..n-1")
+
+
+def canonical_graph(nodes, edges_spatial, edges_st, features=None):
+    """(nodes by id, spatial edges, temporal edges) as the per-object
+    constructor stored them, or its error for an invalid graph. Node ids are
+    assumed unique."""
+    nodes = sorted(nodes, key=lambda n: n.id)
+    by_id = {n.id: n for n in nodes}
+    for e in (*edges_spatial, *edges_st):
+        if e.src not in by_id or e.dst not in by_id:
+            raise UnknownNode(f"edge {e.src}->{e.dst} names a node that does not exist")
+    spatial = _canonical_spatial(edges_spatial)
+    st = _canonical_st(edges_st, by_id)
+    _validate(nodes, by_id, spatial, st, features)
+    return nodes, spatial, st
+
+
+def json_oracle(g) -> bytes:
+    nodes = []
+    for n in g.nodes:
+        row = None
+        if g.features is not None:
+            row = [float(x) for x in g.features.values[n.id]]
+        nodes.append(
+            {
+                "id": n.id,
+                "t": n.t,
+                "pixel_count": n.pixel_count,
+                "centroid": [n.centroid[0], n.centroid[1]],
+                "features": row,
+                "label": n.label,
+            }
+        )
+    edges = [
+        {"src": e.src, "dst": e.dst, "kind": e.kind, "w": e.weight}
+        for e in list(g.edges_spatial) + list(g.edges_st)
+    ]
+    meta = dict(g.meta)
+    if g.features is not None:
+        meta["feature_names"] = list(g.features.names)
+    return json.dumps({"nodes": nodes, "edges": edges, "meta": meta}, indent=1).encode()
+
+
+def graphml_oracle(g) -> bytes:
+    root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
+    for kid, name, target, typ in (
+        ("d0", "t", "node", "int"),
+        ("d1", "pixel_count", "node", "int"),
+        ("d2", "label", "node", "int"),
+        ("d3", "kind", "edge", "string"),
+        ("d4", "weight", "edge", "double"),
+    ):
+        ET.SubElement(root, "key", id=kid, attrib={"for": target, "attr.name": name, "attr.type": typ})
+    graph = ET.SubElement(root, "graph", id="G", edgedefault="directed")
+    for n in g.nodes:
+        el = ET.SubElement(graph, "node", id=f"n{n.id}")
+        ET.SubElement(el, "data", key="d0").text = str(n.t)
+        ET.SubElement(el, "data", key="d1").text = str(n.pixel_count)
+        if n.label is not None:
+            ET.SubElement(el, "data", key="d2").text = str(n.label)
+    for e in list(g.edges_spatial) + list(g.edges_st):
+        el = ET.SubElement(graph, "edge", source=f"n{e.src}", target=f"n{e.dst}")
+        ET.SubElement(el, "data", key="d3").text = e.kind
+        ET.SubElement(el, "data", key="d4").text = repr(e.weight)
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True)
+
+
+def dot_oracle(g) -> bytes:
+    max_px = max((n.pixel_count for n in g.nodes), default=1)
+    lines = ["digraph stgraph {"]
+    for n in g.nodes:
+        size = 0.2 + 0.8 * n.pixel_count / max_px
+        label = f"{n.id} (t={n.t})"
+        lines.append(
+            f'  n{n.id} [label="{escape(label)}", width={size:.3f}, height={size:.3f}, fixedsize=true];'
+        )
+    for e in g.edges_spatial:
+        lines.append(f'  n{e.src} -> n{e.dst} [dir=none, style=solid, weight_attr="{e.weight:g}"];')
+    for e in g.edges_st:
+        lines.append(f'  n{e.src} -> n{e.dst} [style=dashed, weight_attr="{e.weight:g}"];')
+    lines.append("}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def neighborhood_oracle(g, node_id: int, kind: str, direction: str = "both") -> set[int]:
+    out: set[int] = set()
+    if kind == "S":
+        for e in g.edges_spatial:
+            if e.src == node_id:
+                out.add(e.dst)
+            elif e.dst == node_id:
+                out.add(e.src)
+        return out
+    for e in g.edges_st:
+        if direction in ("out", "both") and e.src == node_id:
+            out.add(e.dst)
+        if direction in ("in", "both") and e.dst == node_id:
+            out.add(e.src)
+    return out
+
+
+def temporal_profile_oracle(g, seed_node: int, feature_index: int, direction: str) -> list[tuple[int, float]]:
+    by_id = {n.id: n for n in g.nodes}
+    samples = [(by_id[seed_node].t, float(g.features.values[seed_node][feature_index]))]
+    current = seed_node
+    visited = {current}
+    while True:
+        best = None
+        for e in g.edges_st:
+            if direction == "out" and e.src == current:
+                cand = (-e.weight, e.dst)
+            elif direction == "in" and e.dst == current:
+                cand = (-e.weight, e.src)
+            else:
+                continue
+            if best is None or cand < best:
+                best = cand
+        if best is None or best[1] in visited:
+            break
+        current = best[1]
+        visited.add(current)
+        samples.append((by_id[current].t, float(g.features.values[current][feature_index])))
+    if direction == "in":
+        samples.sort(key=lambda s: s[0])
+    return samples
+
+
+def witness_oracle(g, symbols: np.ndarray, pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """The miner's example path for ``pattern``: the first start node in id
+    order with a depth-first path over lowest-id successors."""
+    sym = {n.id: int(symbols[i]) for i, n in enumerate(g.nodes)}
+    succ: dict[int, list[int]] = {n.id: [] for n in g.nodes}
+    for e in g.edges_st:
+        succ[e.src].append(e.dst)
+    for v in succ:
+        succ[v].sort()
+
+    def find_path(start, pattern):
+        if sym[start] != pattern[0]:
+            return ()
+        if len(pattern) == 1:
+            return (start,)
+        for nxt in succ[start]:
+            tail = find_path(nxt, pattern[1:])
+            if tail:
+                return (start,) + tail
+        return ()
+
+    for start in sorted(sym):
+        if sym[start] != pattern[0]:
+            continue
+        path = find_path(start, pattern)
+        if path:
+            return path
+    return ()
 
 
 def modal_label_accuracy(seg_labels: np.ndarray, truth: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_events, enumerate_patterns
+from _oracles import brute_events, enumerate_patterns, witness_oracle
 from sitsgraph.analysis import (
     coverage_indicator,
     detect_events,
@@ -172,6 +172,23 @@ class TestMineFrequent:
             path = p.example
             assert tuple(int(symbols[v]) for v in path) == p.symbols
             assert all(b in succ[a] for a, b in zip(path, path[1:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_examples_match_first_start_scan(self, seed):
+        # ids with gaps, so symbol rows and node ids differ
+        rng = np.random.default_rng(900 + seed)
+        g, _ = _random_st_graph(rng, n_nodes=14, p=0.5)
+        ids = np.sort(rng.choice(100, size=14, replace=False))
+        g = StGraph(
+            [Node(int(ids[n.id]), n.t, 1, n.centroid) for n in g.nodes],
+            [],
+            [Edge(int(ids[e.src]), int(ids[e.dst]), SPATIOTEMPORAL, e.weight) for e in g.edges_st],
+        )
+        symbols = rng.integers(0, 2, size=14)
+        pats = mine_frequent(g, symbols, minsup=1, maxlen=4)
+        assert pats
+        for p in pats:
+            assert p.example == witness_oracle(g, symbols, p.symbols)
 
     def test_output_sorted(self):
         rng = np.random.default_rng(3)

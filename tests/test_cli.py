@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,18 @@ def _dangling_edge(tmp_path: Path) -> list[str]:
     return ["events", "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "ev")]
 
 
+def _graph_doc(tmp_path: Path, edit) -> list[str]:
+    """A stats run on a valid two-node graph document after ``edit(doc)``."""
+    nodes = [
+        {"id": i, "t": i, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.5], "label": None}
+        for i in range(2)
+    ]
+    doc = {"nodes": nodes, "edges": [{"src": 0, "dst": 1, "kind": "ST", "w": 1.0}], "meta": {}}
+    edit(doc)
+    (tmp_path / "graph.json").write_text(json.dumps(doc))
+    return ["stats", "--graph", str(tmp_path / "graph.json")]
+
+
 def _truncated_checkpoint(tmp_path: Path) -> list[str]:
     (tmp_path / "c.bin").write_bytes(b"abc")
     return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
@@ -172,6 +187,23 @@ FAILURES = {
     "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), {}, 1, "'T'"),
     "meta_geo_not_number": (lambda tmp: _cube_meta(tmp, lambda m: m["geo"].update(lat0="north")), {}, 1, "'geo.lat0'"),
     "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
+    "graph_without_nodes": (lambda tmp: _graph_doc(tmp, lambda d: d.pop("nodes")), {}, 1, "no 'nodes'"),
+    "graph_nodes_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(nodes=3)), {}, 1, "'nodes' must be a list"),
+    "graph_edges_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(edges={})), {}, 1, "'edges' must be a list"),
+    "graph_edge_without_w": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].pop("w")), {}, 1, "edge without 'w'"),
+    "graph_node_without_t": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].pop("t")), {}, 1, "node without 't'"),
+    "graph_id_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(id="abc")), {}, 1, "'id' must be an integer, got 'abc'"),
+    "graph_id_fractional": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=1.5)), {}, 1, "got 1.5"),
+    "graph_t_boolean": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(t=True)), {}, 1, "'t' must be an integer, got True"),
+    "graph_pixel_count_not_integer": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(pixel_count=None)), {}, 1, "'pixel_count' must be an integer",
+    ),
+    "graph_src_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(src="0")), {}, 1, "'src' must be an integer, got '0'"),
+    "graph_dst_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(dst=1.0)), {}, 1, "'dst' must be an integer, got 1.0"),
+    "graph_kind_unknown": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(kind="X")), {}, 1, "got 'X'"),
+    "graph_features_ragged": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=[0.5, 1.0])), {}, 1, "features"),
+    "graph_features_not_numbers": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=["x"])), {}, 1, "features"),
+    "graph_duplicate_node_id": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=0)), {}, 1, "duplicate node id 0"),
     "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), {}, 1, "counts"),
     "seg_ids_outside_counts": (
         lambda tmp: _seg_meta(tmp, lambda m: m.update(counts=[1] * len(m["counts"]))), {}, 1, "date 0",
@@ -205,6 +237,16 @@ def test_failure_is_one_error_line(case, tmp_path, monkeypatch, capsys):
     assert got == code
     assert len(errors) == 1 and named in errors[0], err
     assert "Traceback" not in err
+
+
+def test_cli_import_leaves_xml_and_http_unloaded():
+    # every subcommand pays for what importing the CLI loads
+    src = Path(__file__).resolve().parents[1] / "src"
+    heavy = ("xml.etree.ElementTree", "xml.sax.saxutils", "urllib.request", "http.client")
+    code = f"import sys, sitsgraph.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import (
     brute_adjacency,
@@ -8,9 +12,16 @@ from _oracles import (
     brute_overlap,
     brute_modal_labels,
     brute_similarity,
+    canonical_graph,
+    dot_oracle,
+    graphml_oracle,
+    json_oracle,
     modal_label_accuracy,
+    neighborhood_oracle,
+    temporal_profile_oracle,
 )
-from sitsgraph.errors import InvalidLag, NoLabels, TooFewNodes
+from sitsgraph.errors import DimMismatch, InvalidLag, NoLabels, ShapeMismatch, TooFewNodes, UnknownNode
+from sitsgraph.analysis import temporal_profile
 from sitsgraph.features import FeatureMatrix, band_stats
 from sitsgraph.metrics import majority_upper_bound
 from sitsgraph.segmentation import SegStack, segment_cube
@@ -408,3 +419,151 @@ class TestNodesFromSeg:
                 majority_upper_bound(seg, truth)
         else:
             assert majority_upper_bound(seg, truth) == modal_label_accuracy(seg.labels, truth)
+
+
+def _weight(rng) -> float:
+    pick = rng.random()
+    if pick < 0.5:
+        return float(rng.uniform(0, 2))
+    if pick < 0.7:
+        return float(rng.integers(0, 9))
+    return float(rng.choice([0.0, 1e-310, 1e300, 0.1, np.inf, np.nan]))
+
+
+def _random_graph_parts(rng, invalid: bool = False):
+    """Nodes in shuffled order, spatial and temporal edges in random
+    orientation with repeated pairs, features with NaN and +-inf cells, and
+    unicode meta; ``invalid`` adds edges the constructor must reject."""
+    n_dates = int(rng.integers(1, 5))
+    n = int(rng.integers(0, 13))
+    with_features = n > 0 and rng.random() < 0.5
+    ids = np.arange(n) if with_features else np.sort(rng.choice(2000, n, replace=False)) - 1000
+    dates = rng.integers(0, n_dates, n)
+    nodes = [
+        Node(
+            int(ids[i]),
+            int(dates[i]),
+            int(rng.integers(1, 500)),
+            (float(rng.uniform(0, 100)), float(rng.integers(0, 50)) + 0.5 * (rng.random() < 0.5)),
+            None if rng.random() < 0.3 else int(rng.integers(0, 5)),
+        )
+        for i in rng.permutation(n)
+    ]
+    spatial, temporal = [], []
+    for _ in range(int(rng.integers(0, 3 * n + 1))):
+        a, b = (int(v) for v in rng.integers(0, n, 2))
+        if a == b:
+            continue
+        pair = (ids[a], ids[b])
+        same = dates[a] == dates[b]
+        for _ in range(1 + (rng.random() < 0.3)):  # repeats, in either orientation
+            s, d = pair if rng.random() < 0.5 else pair[::-1]
+            (spatial if same else temporal).append(Edge(int(s), int(d), SPATIAL if same else SPATIOTEMPORAL, _weight(rng)))
+    if invalid and n:
+        for _ in range(int(rng.integers(1, 4))):
+            a, b = (int(v) for v in rng.integers(0, n, 2))
+            bad = int(rng.integers(0, 5))
+            w = -1.0 if bad == 0 else _weight(rng)
+            src, dst = int(ids[a]), int(ids[b]) if bad != 1 else 5000
+            target = spatial if (bad == 2) != (dates[a] == dates[b]) else temporal
+            target.insert(int(rng.integers(0, len(target) + 1)), Edge(src, dst, SPATIAL, w))
+    features = None
+    if with_features:
+        d = int(rng.integers(0, 4))
+        values = rng.normal(size=(n, d))
+        values[rng.random((n, d)) < 0.15] = np.nan
+        values[rng.random((n, d)) < 0.1] = np.inf
+        values[rng.random((n, d)) < 0.1] = -np.inf
+        features = FeatureMatrix(values=values, names=[f"bänd{i}" for i in range(d)])
+    meta = {} if rng.random() < 0.3 else {"tag": "ünïcødé ✓", "shape": [n_dates, 1, 8, 8], "nested": {"a": [1, 2.5, None], "e": {}}}
+    return nodes, spatial, temporal, features, meta
+
+
+def _node_key(n):
+    return (n.id, n.t, n.pixel_count, n.centroid, n.label)
+
+
+def _edge_key(e):
+    return (e.src, e.dst, e.kind, float(e.weight).hex())
+
+
+class TestMatchesPerObjectOracles:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_columns_and_bytes(self, seed):
+        nodes, spatial, temporal, features, meta = _random_graph_parts(np.random.default_rng(seed))
+        g = StGraph(nodes, spatial, temporal, features=features, meta=meta)
+        o_nodes, o_spatial, o_st = canonical_graph(nodes, spatial, temporal, features)
+        assert list(map(_node_key, g.nodes)) == list(map(_node_key, o_nodes))
+        assert list(map(_edge_key, g.edges_spatial)) == list(map(_edge_key, o_spatial))
+        assert list(map(_edge_key, g.edges_st)) == list(map(_edge_key, o_st))
+        blob = export_graph(g, "json")
+        assert blob == json_oracle(g)
+        assert export_graph(g, "graphml") == graphml_oracle(g)
+        assert export_graph(g, "dot") == dot_oracle(g)
+        back = import_graph(blob)
+        assert export_graph(back, "json") == blob
+        assert list(map(_edge_key, back.edges_st)) == list(map(_edge_key, o_st))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_errors(self, seed):
+        nodes, spatial, temporal, features, meta = _random_graph_parts(np.random.default_rng(seed), invalid=True)
+
+        def outcome(build):
+            try:
+                build()
+            except (ShapeMismatch, UnknownNode, DimMismatch) as e:
+                return type(e), str(e)
+            return None
+
+        expect = outcome(lambda: canonical_graph(nodes, spatial, temporal, features))
+        assert outcome(lambda: StGraph(nodes, spatial, temporal, features=features)) == expect
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_queries(self, seed):
+        nodes, spatial, temporal, features, _ = _random_graph_parts(np.random.default_rng(seed))
+        g = StGraph(nodes, spatial, temporal, features=features)
+        for n in g.nodes:
+            assert g.node(n.id) == n
+            assert g.nodes_at(n.t) == [m for m in g.nodes if m.t == n.t]
+            assert g.neighborhood(n.id, SPATIAL) == neighborhood_oracle(g, n.id, SPATIAL)
+            for direction in ("in", "out", "both"):
+                got = g.neighborhood(n.id, SPATIOTEMPORAL, direction)
+                assert got == neighborhood_oracle(g, n.id, SPATIOTEMPORAL, direction)
+            if features is not None and features.dim:
+                for direction in ("in", "out"):
+                    got = temporal_profile(g, n.id, 0, direction)
+                    want = temporal_profile_oracle(g, n.id, 0, direction)
+                    assert [(t, float(v).hex()) for t, v in got] == [(t, float(v).hex()) for t, v in want]
+
+    def test_empty_graph(self):
+        g = StGraph([], [], [], meta={"k": "ü"})
+        for fmt, oracle in (("json", json_oracle), ("graphml", graphml_oracle), ("dot", dot_oracle)):
+            assert export_graph(g, fmt) == oracle(g)
+        assert export_graph(import_graph(export_graph(g, "json")), "json") == export_graph(g, "json")
+
+    def test_last_duplicate_wins_and_orientation(self):
+        nodes = [Node(5, 1, 1, (0.0, 0.0)), Node(2, 0, 1, (0.0, 0.0)), Node(9, 1, 1, (1.0, 0.0))]
+        spatial = [Edge(9, 5, SPATIAL, 1.0), Edge(5, 9, SPATIAL, 2.0)]
+        temporal = [Edge(5, 2, SPATIOTEMPORAL, 3.0), Edge(2, 5, SPATIOTEMPORAL, 4.0), Edge(9, 2, SPATIOTEMPORAL, 5.0)]
+        g = StGraph(nodes, spatial, temporal)
+        assert [(e.src, e.dst, e.weight) for e in g.edges_spatial] == [(5, 9, 2.0)]
+        assert [(e.src, e.dst, e.weight) for e in g.edges_st] == [(2, 5, 4.0), (2, 9, 5.0)]
+
+    def test_integer_centroids_are_written_as_floats(self):
+        g = StGraph([Node(0, 0, 1, (0, 3))], [], [])
+        assert b'"centroid": [\n    0.0,\n    3.0\n   ]' in export_graph(g, "json")
+
+
+class TestDuplicateNodeIds:
+    def test_rejected_in_memory(self):
+        with pytest.raises(ShapeMismatch, match="duplicate node id 0"):
+            StGraph([Node(0, 0, 1, (0.0, 0.0)), Node(0, 1, 1, (0.0, 0.0))], [], [])
+
+    def test_rejected_from_json(self):
+        node = {"t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
+        doc = {"nodes": [dict(node, id=3), dict(node, id=3, t=1)], "edges": [], "meta": {}}
+        with pytest.raises(ShapeMismatch, match="duplicate node id 3"):
+            import_graph(json.dumps(doc))
