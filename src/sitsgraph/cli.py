@@ -9,6 +9,7 @@ flags still win). Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -27,6 +28,13 @@ from .neural.classifier import classifier_from_checkpoint, predict_nodes
 
 _ENV_THREADS = "SITSGRAPH_THREADS"
 
+# glibc mallopt parameters and the values set for them: the 64-bit ceiling of
+# glibc's dynamic mmap threshold, and twice it for the trim threshold, which
+# is where glibc's own rule moves them once large blocks have been freed
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
 
 class UsageError(Exception):
     """A bad flag combination or environment value that argparse cannot see; exit code 2."""
@@ -44,6 +52,28 @@ def _threads(args) -> int:
     # serial by default: per-date segmentation is interpreter-bound, so a
     # thread pool adds memory and no speed
     return 1
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process.
+
+    Left to glibc's dynamic rule, every training step frees its
+    activations, glibc returns the freed top of the heap to the OS, and the
+    next step page-faults the same working set in again. With the thresholds
+    fixed, blocks below 32 MiB come from the heap and up to 64 MiB of free
+    heap is kept for reuse. Both are set, since setting either one stops the
+    dynamic rule and would leave the other at its 128 KiB start. A no-op on
+    any C library other than glibc.
+    """
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return
+    if not os.confstr("CS_GNU_LIBC_VERSION"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _write_run_config(args, out_dir: Path) -> None:
@@ -641,6 +671,7 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _pin_malloc_thresholds()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:

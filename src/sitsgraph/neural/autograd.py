@@ -2,8 +2,8 @@
 
 Forward ops append (output, backward closure) records to the active tape in
 execution order; ``Tape.backward`` replays them in exact reverse order, and
-every gradient accumulates with += so parameters reused across ops collect
-contributions from every use. The replay frees each record and each
+every gradient accumulates (``Tensor.accumulate``) so parameters reused across
+ops collect contributions from every use. The replay frees each record and each
 intermediate gradient once consumed, so a tape replays once. Arrays are
 float32 by default; building the graph in float64 (for finite-difference
 checks) just means passing float64 data in.
@@ -36,9 +36,18 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` to ``.grad``, in the dtype and shape of ``.data``.
+
+        The first gradient is stored in one pass as ``grad + 0.0`` into a
+        fresh array, never as an alias of ``grad``. Adding ``+0.0`` turns a
+        ``-0.0`` into ``+0.0``, as ``zeros_like(data) + grad`` does, so the
+        stored bytes are those of a zero-initialized sum. Later gradients
+        are added with ``+=``.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data), casting="same_kind")
+        else:
+            self.grad += grad
 
     def zero_grad(self) -> None:
         self.grad = None

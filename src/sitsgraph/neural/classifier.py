@@ -144,21 +144,28 @@ def node_probabilities(model: STClassifier, g: StGraph) -> np.ndarray:
     return softmax(_logits(model, graph_arrays(g)))
 
 
-def _masked_arrays(graphs: list[StGraph], masks) -> list[tuple]:
-    """``graph_arrays`` per graph, with the labels outside ``masks[i]`` set to -1."""
+def _split(graphs: list[StGraph], masks, arrays: dict[int, tuple]) -> list[tuple[int, np.ndarray]]:
+    """(key of the graph in ``arrays``, its labels with those outside
+    ``masks[i]`` set to -1) per graph. ``arrays`` holds ``graph_arrays`` per
+    distinct graph, keyed by ``id``, and gains the graphs it lacks, so a graph
+    that appears in two splits is converted once."""
     out = []
     for gi, g in enumerate(graphs):
-        x, es, est, labels = graph_arrays(g)
+        if id(g) not in arrays:
+            arrays[id(g)] = graph_arrays(g)
+        labels = arrays[id(g)][3].copy()
         if masks is not None:
             labels[~masks[gi]] = -1
-        out.append((x, es, est, labels))
+        out.append((id(g), labels))
     return out
 
 
-def _miou(model: STClassifier, split: list[tuple]) -> float:
+def _miou(split: list[tuple[int, np.ndarray]], preds: dict[int, np.ndarray], n_classes: int) -> float:
+    """mIoU over the labeled nodes of a split, from the predicted classes
+    per distinct graph."""
     cms = None
-    for arrays in split:
-        cm = confusion(arrays[3], _logits(model, arrays).argmax(axis=1), model.cfg.n_classes)
+    for key, labels in split:
+        cm = confusion(labels, preds[key], n_classes)
         cms = cm.counts if cms is None else cms + cm.counts
     if cms is None or cms.sum() == 0:
         return float("nan")
@@ -177,13 +184,16 @@ def train_classifier(
     Returns the checkpoint of the epoch with the highest validation mIoU and
     the per-epoch metric log. ``*_masks`` optionally restrict which nodes of
     each graph count as labeled for that split (node-level splits on a single
-    graph).
+    graph). A graph passed in both splits, or twice in one, is converted to
+    arrays once, and each epoch's evaluation runs one inference per distinct
+    graph.
     """
     if not train_graphs:
         raise NoLabels("no training graphs")
-    train_split = _masked_arrays(train_graphs, train_masks)
-    val_split = _masked_arrays(val_graphs, val_masks)
-    if not any((labels >= 0).any() for *_, labels in train_split):
+    arrays: dict[int, tuple] = {}
+    train_split = _split(train_graphs, train_masks, arrays)
+    val_split = _split(val_graphs, val_masks, arrays)
+    if not any((labels >= 0).any() for _, labels in train_split):
         raise NoLabels("no labeled node in the training split")
 
     in_dim = train_graphs[0].features.dim
@@ -193,17 +203,19 @@ def train_classifier(
     log: list[dict] = []
     best = (-np.inf, 0, None)
     for epoch in range(cfg.epochs):
-        for x, es, est, labels in train_split:
+        for key, labels in train_split:
             if not (labels >= 0).any():
                 continue
+            x, es, est, _ = arrays[key]
             with Tape() as tape:
                 logits = model.forward(Tensor(x), es, est, train=True)
                 loss = cross_entropy(logits, labels)
                 tape.backward(loss)
             opt.step()
             opt.zero_grad()
-        train_miou = _miou(model, train_split)
-        val_miou = _miou(model, val_split) if val_split else train_miou
+        preds = {key: _logits(model, a).argmax(axis=1) for key, a in arrays.items()}
+        train_miou = _miou(train_split, preds, cfg.n_classes)
+        val_miou = _miou(val_split, preds, cfg.n_classes) if val_split else train_miou
         log.append({"epoch": epoch, "train_miou": train_miou, "val_miou": val_miou})
         if val_miou > best[0]:
             best = (val_miou, epoch, model.state())

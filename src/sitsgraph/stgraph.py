@@ -112,6 +112,10 @@ class StGraph:
         self.ids = _frozen(ids)
         self.t = _frozen(t[order])
         self.pixel_count = _frozen(pixel_count[order])
+        empty = np.flatnonzero(self.pixel_count < 1)
+        if empty.size:
+            i = empty[0]
+            raise ShapeMismatch(f"node {int(ids[i])} has pixel_count {int(self.pixel_count[i])}; need at least 1")
         self.centroid = _frozen(centroid[order])
         self.labels = tuple(labels[i] for i in order.tolist())
         self.features = features
@@ -701,9 +705,10 @@ def import_graph(blob: bytes | str) -> StGraph:
     ids, t, px = (_json_ints(v, f"node {k!r}") for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
     try:
         centroid = np.array([(c[0], c[1]) for c in cent], dtype=np.float64).reshape(len(cent), 2)
-        labels = [None if n.get("label") is None else int(n["label"]) for n in nodes]
     except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
-        raise ShapeMismatch(f"graph node centroid or label is malformed: {e}") from None
+        raise ShapeMismatch(f"graph node centroid is malformed: {e}") from None
+    labels = [n.get("label") for n in nodes]
+    _json_ints([v for v in labels if v is not None], "node 'label'")
 
     src, dst, kind, w = _json_columns(edges, ("src", "dst", "kind", "w"), "edge")
     src, dst = _json_ints(src, "edge 'src'"), _json_ints(dst, "edge 'dst'")

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sitsgraph import cli
 from sitsgraph.checkpoint import save_checkpoint
 from sitsgraph.cli import _threads, build_parser, main
 from sitsgraph.datacube import save_cube, synth_seasonal
@@ -95,8 +97,9 @@ def _dangling_edge(tmp_path: Path) -> list[str]:
     return ["events", "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "ev")]
 
 
-def _graph_doc(tmp_path: Path, edit) -> list[str]:
-    """A stats run on a valid two-node graph document after ``edit(doc)``."""
+def _graph_doc(tmp_path: Path, edit, *command: str) -> list[str]:
+    """A run of ``command`` (stats by default) on a valid two-node graph
+    document after ``edit(doc)``."""
     nodes = [
         {"id": i, "t": i, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.5], "label": None}
         for i in range(2)
@@ -104,7 +107,7 @@ def _graph_doc(tmp_path: Path, edit) -> list[str]:
     doc = {"nodes": nodes, "edges": [{"src": 0, "dst": 1, "kind": "ST", "w": 1.0}], "meta": {}}
     edit(doc)
     (tmp_path / "graph.json").write_text(json.dumps(doc))
-    return ["stats", "--graph", str(tmp_path / "graph.json")]
+    return [*(command or ("stats",)), "--graph", str(tmp_path / "graph.json")]
 
 
 def _truncated_checkpoint(tmp_path: Path) -> list[str]:
@@ -198,6 +201,14 @@ FAILURES = {
     "graph_pixel_count_not_integer": (
         lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(pixel_count=None)), {}, 1, "'pixel_count' must be an integer",
     ),
+    "graph_pixel_count_zero_dot": (
+        lambda tmp: _graph_doc(
+            tmp, lambda d: [n.update(pixel_count=0) for n in d["nodes"]], "export", "--format", "dot", "--out", str(tmp / "g.dot")
+        ),
+        {}, 1, "node 0 has pixel_count 0",
+    ),
+    "graph_label_float": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(label=1.7)), {}, 1, "'label' must be an integer, got 1.7"),
+    "graph_label_string": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(label="2")), {}, 1, "'label' must be an integer, got '2'"),
     "graph_src_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(src="0")), {}, 1, "'src' must be an integer, got '0'"),
     "graph_dst_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(dst=1.0)), {}, 1, "'dst' must be an integer, got 1.0"),
     "graph_kind_unknown": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(kind="X")), {}, 1, "got 'X'"),
@@ -247,6 +258,99 @@ def test_cli_import_leaves_xml_and_http_unloaded():
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_GLIBC = {"CS_GNU_LIBC_VERSION": 2}
+
+
+def _fake_libc(monkeypatch, names=_GLIBC, version="glibc 2.36") -> list:
+    """The calls a stand-in for libc's ``mallopt`` receives, with
+    ``os.confstr_names`` set to ``names`` (absent for None) and
+    ``os.confstr`` answering ``version``."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    if names is None:
+        monkeypatch.delattr(os, "confstr_names", raising=False)
+    else:
+        monkeypatch.setattr(os, "confstr_names", names, raising=False)
+    monkeypatch.setattr(os, "confstr", lambda name: version, raising=False)
+    return calls
+
+
+class TestMallocThresholds:
+    def test_glibc_gets_both_thresholds(self, monkeypatch):
+        calls = _fake_libc(monkeypatch)
+        cli._pin_malloc_thresholds()
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_main_pins_before_dispatch(self, monkeypatch):
+        calls = _fake_libc(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "names, version",
+        [({}, "glibc 2.36"), (None, "glibc 2.36"), (_GLIBC, None), (_GLIBC, "")],
+        ids=["key_absent", "no_confstr_names", "confstr_none", "confstr_empty"],
+    )
+    def test_other_libcs_are_left_alone(self, names, version, monkeypatch):
+        calls = _fake_libc(monkeypatch, names, version)
+        cli._pin_malloc_thresholds()
+        assert calls == []
+
+
+def _grid_graph(path: Path, rows: int = 40, cols: int = 20, dates: int = 2) -> None:
+    """A labeled graph of ``dates`` grids of nodes, row neighbors joined
+    within a date and each cell to itself at the next date."""
+    rng = np.random.default_rng(0)
+    per = rows * cols
+    nodes = [
+        {
+            "id": t * per + i,
+            "t": t,
+            "pixel_count": 1 + i % 7,
+            "centroid": [float(i // cols), float(i % cols)],
+            "features": rng.normal(size=3).tolist(),
+            "label": int(i % cols >= cols // 2),
+        }
+        for t in range(dates)
+        for i in range(per)
+    ]
+    edges = [
+        {"src": t * per + i, "dst": t * per + i + 1, "kind": "S", "w": 1.0}
+        for t in range(dates)
+        for i in range(per)
+        if (i + 1) % cols
+    ]
+    edges += [{"src": i, "dst": i + per, "kind": "ST", "w": 1.0} for i in range((dates - 1) * per)]
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges, "meta": {}}))
+
+
+def test_malloc_thresholds_leave_train_bytes_unchanged(tmp_path):
+    # a process's thresholds cannot be reset once set, so each run gets its own process;
+    # 1,600 nodes x 32 hidden float32 is above glibc's 128 KiB starting mmap threshold
+    _grid_graph(tmp_path / "graph.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, sitsgraph.cli as cli\n"
+        "if sys.argv[1] == 'stub':\n"
+        "    cli._pin_malloc_thresholds = lambda: None\n"
+        "sys.exit(cli.main(sys.argv[2:]))"
+    )
+    for mode in ("pinned", "stub"):
+        argv = ["train", "--graph", str(tmp_path / "graph.json"), "--conv", "sage", "--hidden", "32", "--layers", "2",
+                "--lr", "1e-2", "--epochs", "4", "--seed", "0", "--out", str(tmp_path / mode)]
+        subprocess.run([sys.executable, "-c", code, mode, *argv], env=env, capture_output=True, check=True)
+    for name in ("checkpoint.bin", "metrics.json"):
+        assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes(), name
 
 
 @pytest.mark.parametrize(

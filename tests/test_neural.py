@@ -66,6 +66,28 @@ class TestPrimitives:
         with pytest.raises(SitsGraphError):
             tape.backward(loss)
 
+    @pytest.mark.parametrize(
+        "dtype, grads",
+        [
+            (np.float32, [np.array([[-0.0, 1.5], [-2.0, -0.0]], dtype=np.float32)]),
+            (np.float32, [np.array([[-0.0, 1e-40], [0.1, -3.0]], dtype=np.float64)]),
+            (np.float64, [np.array([[-0.0, 0.1]], dtype=np.float32)]),
+            (np.float32, [np.array([[-0.0, 2.0]], dtype=np.float32), np.array([[-0.0, 0.1]], dtype=np.float64)]),
+            (np.float32, [np.array([[-0.0, -0.0]], dtype=np.float32), np.array([[-0.0, 0.0]], dtype=np.float32)]),
+        ],
+        ids=["negative_zero", "float64_into_float32", "float32_into_float64", "second_gradient", "second_of_zeros"],
+    )
+    def test_accumulate_matches_zero_initialized_sum(self, dtype, grads):
+        t = Tensor(np.ones((grads[0].shape[0], 2), dtype=dtype), requires_grad=True)
+        want = np.zeros_like(t.data)
+        for g in grads:
+            sent = g.copy()
+            t.accumulate(sent)
+            sent[...] = 7.0  # the stored gradient is no view of the argument
+            want += g
+        assert t.grad.dtype == t.data.dtype and t.grad.shape == t.data.shape
+        assert t.grad.tobytes() == want.tobytes()
+
     def test_backward_needs_scalar(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
         with Tape() as tape:
@@ -397,8 +419,33 @@ class TestClassifier:
             cfg = ClassifierConfig(n_classes=2, conv=conv, hidden=8, n_layers=2, lr=1e-2, epochs=epochs, seed=0)
             train_classifier([g], [g], cfg)
             counts.append(len(built))
-        # src and dst plans of both relations, once for the train and once for the val split
-        assert counts == [8, 8]
+        # src and dst plans of both relations, built once for the graph both splits share
+        assert counts == [4, 4]
+
+    @pytest.mark.parametrize("conv", ["sage", "gcn"])
+    def test_one_inference_per_distinct_graph_per_epoch(self, conv, monkeypatch):
+        forward = STClassifier.forward
+        inferences = []
+
+        def counting_forward(model, x, es, est, train):
+            if not train:
+                inferences.append(x.shape[0])
+            return forward(model, x, es, est, train)
+
+        monkeypatch.setattr(STClassifier, "forward", counting_forward)
+        g = _tiny_graph(seed=5)
+        twin = StGraph(g.nodes, g.edges_spatial, g.edges_st, features=g.features)  # same content, another object
+        mask = np.arange(g.n_nodes) % 3 == 0
+        cfg = ClassifierConfig(n_classes=2, conv=conv, hidden=8, n_layers=2, lr=1e-2, epochs=4, seed=0)
+        shared = train_classifier([g], [g], cfg, train_masks=[~mask], val_masks=[mask])
+        assert len(inferences) == cfg.epochs
+        inferences.clear()
+        separate = train_classifier([g], [twin], cfg, train_masks=[~mask], val_masks=[mask])
+        assert len(inferences) == 2 * cfg.epochs
+        # sharing one inference between the splits changes no result
+        assert shared[1] == separate[1]
+        assert {k: v for k, v in shared[0].items() if k != "state"} == {k: v for k, v in separate[0].items() if k != "state"}
+        assert [a.tobytes() for a in shared[0]["state"]] == [a.tobytes() for a in separate[0]["state"]]
 
     def test_checkpoint_roundtrip_preserves_predictions(self, tmp_path):
         from sitsgraph.checkpoint import load_checkpoint, save_checkpoint

@@ -567,3 +567,29 @@ class TestDuplicateNodeIds:
         doc = {"nodes": [dict(node, id=3), dict(node, id=3, t=1)], "edges": [], "meta": {}}
         with pytest.raises(ShapeMismatch, match="duplicate node id 3"):
             import_graph(json.dumps(doc))
+
+
+class TestNodeFieldChecks:
+    @pytest.mark.parametrize("pixel_count", [0, -3])
+    def test_pixel_count_below_one_rejected_in_memory(self, pixel_count):
+        with pytest.raises(ShapeMismatch, match=f"node 4 has pixel_count {pixel_count}"):
+            StGraph([Node(7, 0, 2, (0.0, 0.0)), Node(4, 0, pixel_count, (1.0, 0.0))], [], [])
+
+    def test_pixel_count_below_one_rejected_from_json(self):
+        node = {"t": 0, "centroid": [0.0, 0.0], "features": None, "label": None}
+        doc = {"nodes": [dict(node, id=i, pixel_count=0) for i in range(2)], "edges": [], "meta": {}}
+        with pytest.raises(ShapeMismatch, match="node 0 has pixel_count 0"):
+            import_graph(json.dumps(doc))
+
+    @pytest.mark.parametrize("label", [1.7, 2.0, "2", True, [1], 2**70])
+    def test_label_must_be_a_json_integer(self, label):
+        node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": label}
+        with pytest.raises(ShapeMismatch, match="'label' must be an integer|'label' out of the 64-bit range"):
+            import_graph(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
+
+    @pytest.mark.parametrize("label", [None, 0, 3, -1])
+    def test_integer_and_null_labels_round_trip(self, label):
+        node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": label}
+        g = import_graph(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
+        assert g.labels == (label,)
+        assert export_graph(import_graph(export_graph(g, "json")), "json") == export_graph(g, "json")
