@@ -129,6 +129,22 @@ def _parse_edge_spec(spec: str, which: str):
     raise argparse.ArgumentTypeError(f"unknown --{which} builder {spec!r}")
 
 
+def _edge_specs(entries, which: str) -> list:
+    """Every ``--spatial``/``--st`` entry through the flag parser. A flag gives
+    a parsed spec and ``--config`` its JSON form (``["knn", 6]``); either is
+    spelled back as flag text (``knn:6``) first."""
+    entries = [] if entries is None else entries
+    if not isinstance(entries, list):
+        raise UsageError(f"config {which!r} must be a list of edge specs, got {entries!r}")
+    try:
+        return [
+            _parse_edge_spec(":".join(map(str, e)) if isinstance(e, (list, tuple)) else str(e), which)
+            for e in entries
+        ]
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(str(e)) from None
+
+
 def _spatial_spec(spec: str):
     return _parse_edge_spec(spec, "spatial")
 
@@ -196,6 +212,7 @@ def cmd_features(args):
 
 
 def cmd_build_graph(args):
+    spatial, st = _edge_specs(args.spatial, "spatial"), _edge_specs(args.st, "st")
     cube = datacube.load_cube(args.cube)
     seg = segmentation.load_seg(args.seg)
     fm = features.object_features(cube, seg, geometry=args.geometry)
@@ -203,8 +220,6 @@ def cmd_build_graph(args):
     if datacube.has_labels(args.cube):
         t, _, h, w = cube.shape
         label_maps = datacube.load_labels(args.cube, t, h, w)
-    spatial = [tuple(s) if isinstance(s, list) else s for s in args.spatial or []]
-    st = [tuple(s) if isinstance(s, list) else s for s in args.st or []]
 
     needs_sim = any(isinstance(s, tuple) and s[0] == "sim" for s in spatial + st)
     graph_features = features.standardize(fm) if needs_sim else fm

@@ -206,10 +206,6 @@ class Forecaster:
         out += self.block_m2g.parameters() + self.head.parameters()
         return out
 
-    def zero_(self):
-        for p in self.parameters():
-            p.data[...] = 0
-
     def forward(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> Tensor:
         """Flat (H*W, 1) prediction tensor for one window. Without a tape,
         the row-wise stages run in blocks of rows (``row_wise``)."""

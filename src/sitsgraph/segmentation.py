@@ -549,4 +549,7 @@ def load_seg(path: str | Path) -> SegStack:
                 f"date {k} of {path} holds object ids {lo}..{hi}, outside [{offset}, {offset + n}) from counts"
             )
         offset += n
+    empty = np.flatnonzero(np.bincount(labels.ravel(), minlength=offset) == 0)
+    if empty.size:
+        raise ShapeMismatch(f"{meta_path} counts declare object {int(empty[0])}, which has no pixel")
     return SegStack(labels=labels, counts=counts, provenance=meta.get("provenance", {}))

@@ -76,7 +76,7 @@ class StGraph:
             np.array([n.t for n in nodes], dtype=np.int64),
             np.array([n.pixel_count for n in nodes], dtype=np.int64),
             np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2),
-            [None if n.label is None else int(n.label) for n in nodes],
+            [n.label for n in nodes],
             _edge_arrays(edges_spatial),
             _edge_arrays(edges_st),
             features,
@@ -98,7 +98,8 @@ class StGraph:
     ) -> StGraph:
         """A graph from node columns in any order and ``(src, dst, weight)``
         edge arrays in input order; canonicalized and validated as the
-        constructor does."""
+        constructor does. A label is None or an integer (no bool) within 64
+        bits."""
         g = cls.__new__(cls)
         g._assemble(ids, t, pixel_count, centroid, labels, spatial, st, features, meta)
         return g
@@ -117,7 +118,8 @@ class StGraph:
             i = empty[0]
             raise ShapeMismatch(f"node {int(ids[i])} has pixel_count {int(self.pixel_count[i])}; need at least 1")
         self.centroid = _frozen(centroid[order])
-        self.labels = tuple(labels[i] for i in order.tolist())
+        _ints([v for v in labels if v is not None], "node 'label'")
+        self.labels = tuple(None if labels[i] is None else int(labels[i]) for i in order.tolist())
         self.features = features
         self.meta = dict(meta or {})
         self._views: dict = {}
@@ -285,6 +287,17 @@ def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
+def _edge_columns(src, dst, weight) -> EdgeColumns:
+    """Edges already sorted by ``(src, dst)`` as read-only columns."""
+    return EdgeColumns(_frozen(src.astype(np.int64)), _frozen(dst.astype(np.int64)), _frozen(weight.astype(np.float64)))
+
+
+def _joined(rels: list[EdgeColumns]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of ``rels`` end to end, in list order."""
+    rels = [EdgeColumns(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)), *rels]
+    return tuple(np.concatenate([getattr(r, col) for r in rels]) for col in ("src", "dst", "weight"))
+
+
 def _rows(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Index of each entry of ``x`` in the ascending unique array ``ids``,
     -1 where it does not occur."""
@@ -311,20 +324,20 @@ def _canonical(a, b, w, flip, n: int):
 # edge builders
 
 
-def adjacency_edges(seg: SegStack, t: int) -> list[Edge]:
+def adjacency_edges(seg: SegStack, t: int) -> EdgeColumns:
     """Region adjacency for one date; weight = shared 4-neighbor boundary
     length in pixel-pair units."""
     if not (0 <= t < seg.shape[0]):
         raise ShapeMismatch(f"date {t} out of range for {seg.shape[0]} dates")
     pairs, length = region_adjacency(seg.labels[t])
-    return [Edge(a, b, SPATIAL, float(c)) for (a, b), c in zip(pairs.tolist(), length.tolist())]
+    return _edge_columns(pairs[:, 0], pairs[:, 1], length)
 
 
-def eps_ball_edges(nodes: list[Node], eps: float) -> list[Edge]:
-    """Centroid distance <= eps (inclusive) between same-date nodes."""
+def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
+    """Centroid distance <= eps (inclusive) between same-date nodes of ``g``."""
     if eps <= 0:
         raise ShapeMismatch(f"eps must be > 0, got {eps}")
-    ids, dates, cent = _node_arrays(nodes)
+    ids, dates, cent = g.ids, g.t, g.centroid
     src, dst, dist = [], [], []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
@@ -336,12 +349,12 @@ def eps_ball_edges(nodes: list[Node], eps: float) -> list[Edge]:
             dst.append(members[c])
             dist.append(d[r, c])
     pairs, dist = _unique_pairs(src, dst, dist)
-    return [Edge(a, b, SPATIAL, d) for (a, b), d in zip(ids[pairs].tolist(), dist.tolist())]
+    return _edge_columns(ids[pairs[:, 0]], ids[pairs[:, 1]], dist)
 
 
-def knn_edges(nodes: list[Node], k: int) -> list[Edge]:
-    """Symmetrized k-nearest-neighbor relation over same-date centroids."""
-    ids, dates, cent = _node_arrays(nodes)
+def knn_edges(g: StGraph, k: int) -> EdgeColumns:
+    """Symmetrized k-nearest-neighbor relation over same-date centroids of ``g``."""
+    ids, dates, cent = g.ids, g.t, g.centroid
     src, dst, dist = [], [], []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
@@ -352,7 +365,7 @@ def knn_edges(nodes: list[Node], k: int) -> list[Edge]:
             dst.append(np.maximum(a, b))
             dist.append(d)
     pairs, dist = _unique_pairs(src, dst, dist)
-    return [Edge(a, b, SPATIAL, d) for (a, b), d in zip(ids[pairs].tolist(), dist.tolist())]
+    return _edge_columns(ids[pairs[:, 0]], ids[pairs[:, 1]], dist)
 
 
 def similarity_edges(
@@ -360,11 +373,11 @@ def similarity_edges(
     node_dates: np.ndarray,
     scope: str,
     k: int,
-) -> list[Edge]:
+) -> EdgeColumns:
     """k most feature-similar nodes per node, within or across dates.
 
     Weight = exp(-d^2) with d the Euclidean feature distance. Cross-date edges
-    are oriented past -> future and classified spatio-temporal.
+    are oriented past -> future, for the spatio-temporal relation.
     """
     if scope not in ("within-date", "cross-date"):
         raise ShapeMismatch(f"unknown scope {scope!r}")
@@ -397,8 +410,7 @@ def similarity_edges(
     # d ** 2 on Python floats (libm pow) differs from NumPy's d * d in the
     # last bit for some d; the weights keep the scalar rule
     weights = np.exp(-np.array([d ** 2 for d in dist.tolist()]))
-    kind = SPATIAL if scope == "within-date" else SPATIOTEMPORAL
-    return [Edge(a, b, kind, w) for (a, b), w in zip(pairs.tolist(), weights.tolist())]
+    return _edge_columns(pairs[:, 0], pairs[:, 1], weights)
 
 
 # candidate pairs per distance block: bounds builder memory whatever the
@@ -437,15 +449,6 @@ def _k_nearest(rows: np.ndarray, cands: np.ndarray | None, k: int, distance):
         )
 
 
-def _node_arrays(nodes: list[Node]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ids, dates and (row, col) centroids of ``nodes`` in ascending id order."""
-    nodes = sorted(nodes, key=lambda n: n.id)
-    ids = np.array([n.id for n in nodes], dtype=np.int64)
-    dates = np.array([n.t for n in nodes], dtype=np.int64)
-    cent = np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2)
-    return ids, dates, cent
-
-
 def _centroid_distance(cent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(cent[a, 0] - cent[b, 0], cent[a, 1] - cent[b, 1])
 
@@ -461,7 +464,7 @@ def _unique_pairs(src: list, dst: list, dist: list) -> tuple[np.ndarray, np.ndar
     return pairs, np.concatenate(dist)[first]
 
 
-def overlap_edges(seg: SegStack, min_pixels: int = 1) -> list[Edge]:
+def overlap_edges(seg: SegStack, min_pixels: int = 1) -> EdgeColumns:
     """Directed edges between footprint-overlapping objects at consecutive
     dates; weight = |A & B| / min(|A|, |B|)."""
     if seg.shape[0] < 2:
@@ -469,53 +472,42 @@ def overlap_edges(seg: SegStack, min_pixels: int = 1) -> list[Edge]:
     return _lagged_overlap_edges(seg, 1, min_pixels)
 
 
-def periodic_edges(seg: SegStack, lag: int, min_pixels: int = 1) -> list[Edge]:
+def periodic_edges(seg: SegStack, lag: int, min_pixels: int = 1) -> EdgeColumns:
     """Same overlap rule between dates t and t+lag (lag >= 2)."""
     if lag < 2:
         raise InvalidLag(f"lag must be >= 2, got {lag}")
     return _lagged_overlap_edges(seg, lag, min_pixels)
 
 
-def _lagged_overlap_edges(seg: SegStack, lag: int, min_pixels: int) -> list[Edge]:
+def _lagged_overlap_edges(seg: SegStack, lag: int, min_pixels: int) -> EdgeColumns:
     if min_pixels < 1:
         raise ShapeMismatch(f"min_pixels must be >= 1, got {min_pixels}")
     size = np.bincount(seg.labels.ravel(), minlength=seg.n_objects)
-    out = []
-    for date in range(seg.shape[0] - lag):
-        pairs, inter = label_pairs(seg.labels[date], seg.labels[date + lag])
-        keep = inter >= min_pixels
-        pairs, inter = pairs[keep], inter[keep]
-        weight = inter / np.minimum(size[pairs[:, 0]], size[pairs[:, 1]])
-        out.extend(Edge(a, b, SPATIOTEMPORAL, w) for (a, b), w in zip(pairs.tolist(), weight.tolist()))
-    return out
+    # object ids are unique across dates: one pass pairs every date t with t + lag
+    pairs, inter = label_pairs(seg.labels[:-lag], seg.labels[lag:])
+    keep = inter >= min_pixels
+    pairs, inter = pairs[keep], inter[keep]
+    weight = inter / np.minimum(size[pairs[:, 0]], size[pairs[:, 1]])
+    return _edge_columns(pairs[:, 0], pairs[:, 1], weight)
 
 
 # ---------------------------------------------------------------------------
 # assembly
 
 
-def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> list[Node]:
-    """One node per object with pixel count, centroid and (optionally) the
-    modal class label of its pixels (-1 labels ignored; pure -1 -> None)."""
+def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> StGraph:
+    """An edge-less graph of one node per object with pixel count, centroid and
+    (optionally) the modal class label of its pixels (-1 ignored; pure -1 -> None)."""
     geom = geom_features(seg).values
-    dates = seg.object_dates()
     labels = [None] * seg.n_objects
     if label_maps is not None:
         table = seg.class_counts(label_maps)
         modal = table.argmax(axis=1).tolist()  # ties -> lower class id
         labels = [m if s > 0 else None for m, s in zip(modal, table.sum(axis=1).tolist())]
-    out = []
-    for obj in range(seg.n_objects):
-        out.append(
-            Node(
-                id=obj,
-                t=int(dates[obj]),
-                pixel_count=int(geom[obj, 0]),
-                centroid=(float(geom[obj, 1]), float(geom[obj, 2])),
-                label=labels[obj],
-            )
-        )
-    return out
+    return StGraph.from_columns(
+        np.arange(seg.n_objects, dtype=np.int64), seg.object_dates(), geom[:, 0].astype(np.int64), geom[:, 1:3],
+        labels, _joined([]), _joined([]),
+    )
 
 
 def build_graph(
@@ -532,39 +524,42 @@ def build_graph(
     ``st`` entries: ("overlap", MIN) | ("sim", K) | ("periodic", LAG[, MIN]).
     """
     nodes = nodes_from_seg(seg, label_maps)
-    dates = seg.object_dates()
-    es: list[Edge] = []
-    est: list[Edge] = []
+    dates = nodes.t
+    es: list[EdgeColumns] = []
+    est: list[EdgeColumns] = []
     for item in spatial or []:
         kind, args = _split_spec(item)
         if kind == "adjacency":
             for t in range(seg.shape[0]):
-                es.extend(adjacency_edges(seg, t))
+                es.append(adjacency_edges(seg, t))
         elif kind == "eps":
-            es.extend(eps_ball_edges(nodes, float(args[0])))
+            es.append(eps_ball_edges(nodes, float(args[0])))
         elif kind == "knn":
-            es.extend(knn_edges(nodes, int(args[0])))
+            es.append(knn_edges(nodes, int(args[0])))
         elif kind == "sim":
             if features is None:
                 raise DimMismatch("similarity edges need a feature matrix")
-            es.extend(similarity_edges(features, dates, "within-date", int(args[0])))
+            es.append(similarity_edges(features, dates, "within-date", int(args[0])))
         else:
             raise ShapeMismatch(f"unknown spatial builder {kind!r}")
     for item in st or []:
         kind, args = _split_spec(item)
         if kind == "overlap":
-            est.extend(overlap_edges(seg, int(args[0]) if args else 1))
+            est.append(overlap_edges(seg, int(args[0]) if args else 1))
         elif kind == "sim":
             if features is None:
                 raise DimMismatch("similarity edges need a feature matrix")
-            est.extend(similarity_edges(features, dates, "cross-date", int(args[0])))
+            est.append(similarity_edges(features, dates, "cross-date", int(args[0])))
         elif kind == "periodic":
             lag = int(args[0])
             minpx = int(args[1]) if len(args) > 1 else 1
-            est.extend(periodic_edges(seg, lag, minpx))
+            est.append(periodic_edges(seg, lag, minpx))
         else:
             raise ShapeMismatch(f"unknown spatio-temporal builder {kind!r}")
-    return StGraph(nodes, es, est, features=features, meta=meta)
+    return StGraph.from_columns(
+        nodes.ids, nodes.t, nodes.pixel_count, nodes.centroid, nodes.labels,
+        _joined(es), _joined(est), features=features, meta=meta,
+    )
 
 
 def _split_spec(item) -> tuple[str, tuple]:
@@ -702,16 +697,15 @@ def import_graph(blob: bytes | str) -> StGraph:
     if not isinstance(meta, dict):
         raise ShapeMismatch(f"graph 'meta' must be an object, got {type(meta).__name__}")
     ids, t, px, cent = _json_columns(nodes, ("id", "t", "pixel_count", "centroid"), "node")
-    ids, t, px = (_json_ints(v, f"node {k!r}") for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
+    ids, t, px = (_ints(v, f"node {k!r}") for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
     try:
         centroid = np.array([(c[0], c[1]) for c in cent], dtype=np.float64).reshape(len(cent), 2)
     except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
         raise ShapeMismatch(f"graph node centroid is malformed: {e}") from None
     labels = [n.get("label") for n in nodes]
-    _json_ints([v for v in labels if v is not None], "node 'label'")
 
     src, dst, kind, w = _json_columns(edges, ("src", "dst", "kind", "w"), "edge")
-    src, dst = _json_ints(src, "edge 'src'"), _json_ints(dst, "edge 'dst'")
+    src, dst = _ints(src, "edge 'src'"), _ints(dst, "edge 'dst'")
     bad = [k for k in kind if k not in (SPATIAL, SPATIOTEMPORAL)]
     if bad:
         raise ShapeMismatch(f"edge kind must be 'S' or 'ST', got {bad[0]!r}")
@@ -770,10 +764,11 @@ def _json_columns(items: list, keys: tuple[str, ...], what: str) -> list[list]:
         raise ShapeMismatch(f"graph {what}s must be JSON objects") from None
 
 
-def _json_ints(values: list, what: str) -> np.ndarray:
-    """``values`` as int64, each a JSON integer (no bool, no float)."""
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
+def _ints(values: list, what: str) -> np.ndarray:
+    """``values`` as int64, each a Python or NumPy integer (no bool)."""
+    types = set(map(type, values))
+    if bool in types or not all(issubclass(t, (int, np.integer)) for t in types):
+        bad = next(v for v in values if type(v) is bool or not isinstance(v, (int, np.integer)))
         raise ShapeMismatch(f"{what} must be an integer, got {bad!r}")
     try:
         return np.array(values, dtype=np.int64)

@@ -108,6 +108,11 @@ def _random_partition(rng, h, w, k):
     return lab.reshape(h, w)
 
 
+def _edge_map(cols) -> dict[tuple[int, int], float]:
+    """``{(src, dst): weight}`` of a builder's ``EdgeColumns``."""
+    return dict(zip(zip(cols.src.tolist(), cols.dst.tolist()), cols.weight.tolist()))
+
+
 def test_criterion_02_graph_builder_oracles():
     rng = np.random.default_rng(77)
     ok = True
@@ -119,27 +124,27 @@ def test_criterion_02_graph_builder_oracles():
         seg = SegStack(labels=np.stack([a, b]).astype(np.int32), counts=[int(a.max()) + 1, int(b.max() - a.max())])
         nodes = nodes_from_seg(seg)
 
-        adj = {(e.src, e.dst): e.weight for e in adjacency_edges(seg, 0)}
+        adj = _edge_map(adjacency_edges(seg, 0))
         ok &= adj == {k: float(v) for k, v in brute_adjacency(a).items()}
 
-        ov = {(e.src, e.dst): e.weight for e in overlap_edges(seg, min_pixels=2)}
+        ov = _edge_map(overlap_edges(seg, min_pixels=2))
         oracle_ov = brute_overlap(a, b, 2)
         ok &= set(ov) == set(oracle_ov) and all(abs(ov[k] - oracle_ov[k]) < 1e-12 for k in ov)
 
-        cents = {n.id: n.centroid for n in nodes}
-        node_dates = {n.id: n.t for n in nodes}
+        cents = {n.id: n.centroid for n in nodes.nodes}
+        node_dates = {n.id: n.t for n in nodes.nodes}
         eps = float(rng.uniform(1.5, 5.0))
-        got = {(e.src, e.dst): e.weight for e in eps_ball_edges(nodes, eps)}
+        got = _edge_map(eps_ball_edges(nodes, eps))
         ok &= got == brute_eps_ball(cents, eps, node_dates)
         k = int(rng.integers(1, min(seg.counts)))
-        got = {(e.src, e.dst): e.weight for e in knn_edges(nodes, k)}
+        got = _edge_map(knn_edges(nodes, k))
         ok &= got == brute_knn(cents, k, node_dates)
 
         feats = rng.normal(size=(seg.n_objects, 3))
         fm = standardize(FeatureMatrix(values=feats, names=list("abc")))
         dates = seg.object_dates()
         for scope in ("within-date", "cross-date"):
-            got = {(e.src, e.dst): e.weight for e in similarity_edges(fm, dates, scope, k=2)}
+            got = _edge_map(similarity_edges(fm, dates, scope, k=2))
             ok &= got == brute_similarity(fm.values, dates, scope, 2)
 
         g = build_graph(seg, features=fm, spatial=["adjacency"], st=[("overlap", 1)])

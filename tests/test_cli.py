@@ -90,6 +90,13 @@ def _seg_meta(tmp_path: Path, edit) -> list[str]:
     return ["features", "--cube", cube, "--seg", str(seg), "--out", str(tmp_path / "feat")]
 
 
+def _graph_config(tmp_path: Path, spatial) -> list[str]:
+    """A build-graph run whose ``--config`` gives ``spatial``; the spec is
+    rejected before the cube or segmentation is read."""
+    (tmp_path / "cfg.json").write_text(json.dumps({"spatial": spatial}))
+    return ["build-graph", "--config", str(tmp_path / "cfg.json"), "--cube", "c", "--seg", "s", "--out", str(tmp_path / "g")]
+
+
 def _dangling_edge(tmp_path: Path) -> list[str]:
     node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
     doc = {"nodes": [node], "edges": [{"src": 0, "dst": 99999, "kind": "ST", "w": 1.0}], "meta": {}}
@@ -158,6 +165,10 @@ FAILURES = {
     "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], {}, 1, "absent.json"),
     "config_malformed_json": (lambda tmp: _config(tmp, "{not json"), {}, 1, "line 1"),
     "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
+    "config_spatial_knn_without_k": (lambda tmp: _graph_config(tmp, [["knn"]]), {}, 2, "bad --spatial spec 'knn'"),
+    "config_spatial_knn_not_integer": (lambda tmp: _graph_config(tmp, [["knn", "abc"]]), {}, 2, "bad --spatial spec 'knn:abc'"),
+    "config_spatial_knn_fractional": (lambda tmp: _graph_config(tmp, [["knn", 1.7]]), {}, 2, "bad --spatial spec 'knn:1.7'"),
+    "config_spatial_not_a_list": (lambda tmp: _graph_config(tmp, 5), {}, 2, "config 'spatial' must be a list"),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
     "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), {}, 1, "parameter 0 has shape 3"),
@@ -218,6 +229,9 @@ FAILURES = {
     "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), {}, 1, "counts"),
     "seg_ids_outside_counts": (
         lambda tmp: _seg_meta(tmp, lambda m: m.update(counts=[1] * len(m["counts"]))), {}, 1, "date 0",
+    ),
+    "seg_counts_declare_empty_object": (
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 1)), {}, 1, "which has no pixel",
     ),
     "eval_classify_without_graph": (
         lambda tmp: ["eval", "--task", "classify", "--checkpoint", "c.bin", "--seg", "s", "--cube", "c", "--out", str(tmp / "r")],
@@ -378,6 +392,20 @@ class TestConfigReplay:
         main(["synth", "--config", str(rc), "--seed", "6", "--out", str(tmp_path / "c")])
         cfg = json.loads((tmp_path / "c" / "run_config.json").read_text())
         assert cfg["seed"] == 6
+
+    def test_build_graph_replays_to_same_bytes(self, tmp_path):
+        cube = _cube(tmp_path)
+        assert main(["segment", "--cube", cube, "--scale", "0.5", "--out", str(tmp_path / "seg")]) == 0
+        specs = ["--spatial", "adjacency", "--spatial", "eps:3.5", "--spatial", "knn:1", "--spatial", "sim:1",
+                 "--st", "overlap:1", "--st", "sim:1", "--st", "periodic:2"]
+        assert main(["build-graph", "--cube", cube, "--seg", str(tmp_path / "seg"), *specs, "--out", str(tmp_path / "a")]) == 0
+        rc = tmp_path / "a" / "run_config.json"
+        cfg = json.loads(rc.read_text())
+        assert cfg["spatial"] == ["adjacency", ["eps", 3.5], ["knn", 1], ["sim", 1]]
+        assert cfg["st"] == [["overlap", 1], ["sim", 1], ["periodic", 2]]
+        assert main(["build-graph", "--config", str(rc), "--out", str(tmp_path / "b")]) == 0
+        graph = (tmp_path / "a" / "graph.json").read_bytes()
+        assert b'"kind": "ST"' in graph and (tmp_path / "b" / "graph.json").read_bytes() == graph
 
 
 class TestPipeline:

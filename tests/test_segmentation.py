@@ -316,6 +316,7 @@ class TestSegmentCube:
             (lambda m: m.update(counts=5), "must be integers"),
             (lambda m: m["counts"].append(1), "3 counts for T=2"),
             (lambda m: m.update(counts=[m["counts"][0] + 1, m["counts"][1] - 1]), "date 1"),
+            (lambda m: m["counts"].append(m["counts"].pop() + 1), r"seg_meta.json counts declare object 4, which has no pixel"),
         ],
     )
     def test_load_rejects_malformed_meta(self, tmp_path, fix_a, edit, named):

@@ -51,6 +51,15 @@ def _seg(labels: np.ndarray) -> SegStack:
     return SegStack(labels=labels, counts=counts)
 
 
+def edge_map(cols) -> dict[tuple[int, int], float]:
+    """``{(src, dst): weight}`` of a builder's ``EdgeColumns``."""
+    return dict(zip(zip(cols.src.tolist(), cols.dst.tolist()), cols.weight.tolist()))
+
+
+def _pairs(cols) -> list[tuple[int, int]]:
+    return list(zip(cols.src.tolist(), cols.dst.tolist()))
+
+
 def _random_seg_frame(rng, h, w, k):
     """Random k-region partition with consecutive ids (Voronoi of k seeds)."""
     seeds = rng.choice(h * w, size=k, replace=False)
@@ -68,16 +77,16 @@ class TestAdjacency:
         lab[0, :, 2:] = 1
         edges = adjacency_edges(_seg(lab), 0)
         assert len(edges) == 1
-        assert edges[0].src == 0 and edges[0].dst == 1 and edges[0].weight == 4.0
+        assert edge_map(edges) == {(0, 1): 4.0}
 
     def test_single_object_empty(self):
         edges = adjacency_edges(_seg(np.zeros((1, 3, 3), dtype=np.int32)), 0)
-        assert edges == []
+        assert len(edges) == 0
 
     def test_checkerboard_no_diagonals(self):
         lab = np.array([[[0, 1], [2, 3]]], dtype=np.int32)
         edges = adjacency_edges(_seg(lab), 0)
-        got = {(e.src, e.dst) for e in edges}
+        got = set(edge_map(edges))
         assert got == {(0, 1), (0, 2), (1, 3), (2, 3)}
 
     @pytest.mark.parametrize("seed", range(5))
@@ -86,25 +95,25 @@ class TestAdjacency:
         lab = _random_seg_frame(rng, 12, 16, 6)
         edges = adjacency_edges(_seg(lab[None]), 0)
         oracle = brute_adjacency(lab)
-        assert {(e.src, e.dst): e.weight for e in edges} == {
+        assert edge_map(edges) == {
             k: float(v) for k, v in oracle.items()
         }
         # weight sum equals the count of 4-neighbor pairs with differing labels
-        assert sum(e.weight for e in edges) == sum(oracle.values())
+        assert sum(edges.weight.tolist()) == sum(oracle.values())
 
 
 def _nodes_at(centroids: dict[int, tuple[float, float]], t: int = 0):
-    return [
-        Node(id=i, t=t, pixel_count=1, centroid=c) for i, c in sorted(centroids.items())
-    ]
+    return StGraph(
+        [Node(id=i, t=t, pixel_count=1, centroid=c) for i, c in sorted(centroids.items())], [], []
+    )
 
 
 class TestProximity:
     def test_eps_boundary_inclusive(self):
         nodes = _nodes_at({0: (0.0, 0.0), 1: (0.0, 5.0)})
-        assert eps_ball_edges(nodes, eps=4.0) == []
+        assert len(eps_ball_edges(nodes, eps=4.0)) == 0
         edges = eps_ball_edges(nodes, eps=5.0)
-        assert [(e.src, e.dst) for e in edges] == [(0, 1)]
+        assert _pairs(edges) == [(0, 1)]
 
     def test_knn_complete_graph(self):
         cents = {i: (0.0, float(i)) for i in range(4)}
@@ -120,14 +129,14 @@ class TestProximity:
         rng = np.random.default_rng(100 + seed)
         cents = {i: tuple(rng.uniform(0, 10, size=2)) for i in range(5)}
         edges = knn_edges(_nodes_at(cents), k=2)
-        assert {(e.src, e.dst): e.weight for e in edges} == brute_knn(cents, 2)
+        assert edge_map(edges) == brute_knn(cents, 2)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_eps_matches_bruteforce(self, seed):
         rng = np.random.default_rng(200 + seed)
         cents = {i: tuple(rng.uniform(0, 8, size=2)) for i in range(7)}
         edges = eps_ball_edges(_nodes_at(cents), eps=3.0)
-        assert {(e.src, e.dst): e.weight for e in edges} == brute_eps_ball(cents, 3.0)
+        assert edge_map(edges) == brute_eps_ball(cents, 3.0)
 
     @pytest.mark.parametrize("grid", [False, True])
     @pytest.mark.parametrize("seed", range(4))
@@ -138,26 +147,26 @@ class TestProximity:
         dates = {i: int(t) for i, t in enumerate(rng.integers(0, 3, size=n))}
         pos = rng.integers(0, 5, size=(n, 2)) if grid else rng.uniform(0, 10, size=(n, 2))
         cents = {i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)}
-        nodes = [Node(id=i, t=dates[i], pixel_count=1, centroid=cents[i]) for i in range(n)]
+        nodes = StGraph([Node(id=i, t=dates[i], pixel_count=1, centroid=cents[i]) for i in range(n)], [], [])
         k = min(4, min(list(dates.values()).count(t) for t in set(dates.values())) - 1)
         edges = knn_edges(nodes, k=k)
-        assert [(e.src, e.dst) for e in edges] == sorted(brute_knn(cents, k, dates))
-        assert {(e.src, e.dst): e.weight for e in edges} == brute_knn(cents, k, dates)
+        assert _pairs(edges) == sorted(brute_knn(cents, k, dates))
+        assert edge_map(edges) == brute_knn(cents, k, dates)
         edges = eps_ball_edges(nodes, eps=2.0)
-        assert [(e.src, e.dst) for e in edges] == sorted(brute_eps_ball(cents, 2.0, dates))
-        assert {(e.src, e.dst): e.weight for e in edges} == brute_eps_ball(cents, 2.0, dates)
+        assert _pairs(edges) == sorted(brute_eps_ball(cents, 2.0, dates))
+        assert edge_map(edges) == brute_eps_ball(cents, 2.0, dates)
 
 
 class TestSimilarity:
     def test_identical_features_weight_one(self):
         fm = FeatureMatrix(values=np.zeros((2, 3)), names=list("abc"))
         edges = similarity_edges(fm, np.array([0, 0]), "within-date", k=1)
-        assert len(edges) == 1 and edges[0].weight == 1.0
+        assert len(edges) == 1 and edge_map(edges) == {(0, 1): 1.0}
 
     def test_nearest_pair_mutually_selected(self):
         fm = FeatureMatrix(values=np.array([[0.0], [0.1], [9.0]]), names=["x"])
         edges = similarity_edges(fm, np.zeros(3, dtype=int), "within-date", k=1)
-        pairs = {(e.src, e.dst) for e in edges}
+        pairs = set(edge_map(edges))
         assert (0, 1) in pairs
 
     def test_cross_date_orientation(self):
@@ -165,8 +174,8 @@ class TestSimilarity:
         fm = FeatureMatrix(values=rng.normal(size=(6, 2)), names=["a", "b"])
         dates = np.array([0, 0, 1, 1, 2, 2])
         edges = similarity_edges(fm, dates, "cross-date", k=2)
-        assert all(e.kind == SPATIOTEMPORAL for e in edges)
-        assert all(dates[e.src] < dates[e.dst] for e in edges)
+        assert len(edges) > 0
+        assert all(dates[a] < dates[b] for a, b in edge_map(edges))
 
     @pytest.mark.parametrize("scope", ["within-date", "cross-date"])
     def test_matches_bruteforce(self, scope):
@@ -176,7 +185,7 @@ class TestSimilarity:
         edges = similarity_edges(
             FeatureMatrix(values=feats, names=list("abc")), dates, scope, k=2
         )
-        assert {(e.src, e.dst): e.weight for e in edges} == brute_similarity(feats, dates, scope, 2)
+        assert edge_map(edges) == brute_similarity(feats, dates, scope, 2)
 
     @pytest.mark.parametrize("scope", ["within-date", "cross-date"])
     @pytest.mark.parametrize("grid", [False, True])
@@ -191,8 +200,8 @@ class TestSimilarity:
         k = int(rng.integers(1, 6))
         edges = similarity_edges(FeatureMatrix(values=feats, names=list("abcdefghij")), dates, scope, k)
         oracle = brute_similarity(feats, dates, scope, k)
-        assert [(e.src, e.dst) for e in edges] == sorted(oracle)
-        assert {(e.src, e.dst): e.weight for e in edges} == oracle
+        assert _pairs(edges) == sorted(oracle)
+        assert edge_map(edges) == oracle
 
 
 class TestOverlap:
@@ -201,21 +210,22 @@ class TestOverlap:
         lab[1] = 1
         edges = overlap_edges(_seg(lab))
         assert len(edges) == 1
-        assert edges[0].weight == 1.0 and edges[0].kind == SPATIOTEMPORAL
+        assert edge_map(edges) == {(0, 1): 1.0}
 
     def test_disjoint_footprints_no_edge(self):
         lab = np.zeros((2, 2, 2), dtype=np.int32)
         lab[0] = [[0, 0], [1, 1]]
         lab[1] = [[2, 2], [3, 3]]
         edges = overlap_edges(_seg(lab), min_pixels=3)
-        assert edges == []
+        assert len(edges) == 0
 
     def test_split_two_full_weight_edges(self):
         lab = np.zeros((2, 2, 4), dtype=np.int32)
         lab[1, :, :2] = 1
         lab[1, :, 2:] = 2
         edges = overlap_edges(_seg(lab))
-        assert [(e.src, e.dst, e.weight) for e in edges] == [(0, 1, 1.0), (0, 2, 1.0)]
+        assert _pairs(edges) == [(0, 1), (0, 2)]
+        assert edge_map(edges) == {(0, 1): 1.0, (0, 2): 1.0}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_bruteforce(self, seed):
@@ -225,25 +235,25 @@ class TestOverlap:
         seg = _seg(np.stack([a, b]))
         edges = overlap_edges(seg, min_pixels=2)
         oracle = brute_overlap(a, b, 2)
-        assert {(e.src, e.dst): e.weight for e in edges} == pytest.approx(oracle)
+        assert edge_map(edges) == pytest.approx(oracle)
 
 
 class TestPeriodic:
     def test_lag_equal_t_empty(self):
         lab = np.stack([np.zeros((3, 3), dtype=np.int32) + i for i in range(3)])
-        assert periodic_edges(_seg(lab), lag=3) == []
+        assert len(periodic_edges(_seg(lab), lag=3)) == 0
 
     def test_static_scene(self):
         lab = np.stack([np.zeros((2, 2), dtype=np.int32) + i for i in range(3)])
         edges = periodic_edges(_seg(lab), lag=2)
-        assert [(e.src, e.dst) for e in edges] == [(0, 2)]
+        assert _pairs(edges) == [(0, 2)]
 
     def test_oscillating_scene_links_same_phase(self):
         a = np.array([[0, 0], [1, 1]], dtype=np.int32)
         b = np.array([[2, 2], [2, 2]], dtype=np.int32)
         lab = np.stack([a, b, a + 3, b + 3])  # phase 0 at t=0,2; phase 1 at t=1,3
         edges = periodic_edges(_seg(lab), lag=2)
-        pairs = {(e.src, e.dst) for e in edges}
+        pairs = set(edge_map(edges))
         assert pairs == {(0, 3), (1, 4), (2, 5)}
 
     def test_invalid_lag(self):
@@ -252,6 +262,57 @@ class TestPeriodic:
         lab[2] = 2
         with pytest.raises(InvalidLag):
             periodic_edges(_seg(lab), lag=1)
+
+
+def _three_date_seg(rng):
+    """Random partitions of a 9x11 frame at three dates, ids consecutive
+    across dates."""
+    frames, offset = [], 0
+    for _ in range(3):
+        frame = _random_seg_frame(rng, 9, 11, int(rng.integers(4, 8)))
+        frames.append(frame + offset)
+        offset += int(frame.max()) + 1
+    return _seg(np.stack(frames))
+
+
+_BUILDERS = {
+    "adjacency": lambda seg, nodes, fm: adjacency_edges(seg, 1),
+    "eps": lambda seg, nodes, fm: eps_ball_edges(nodes, eps=3.0),
+    "knn": lambda seg, nodes, fm: knn_edges(nodes, k=2),
+    "sim_within": lambda seg, nodes, fm: similarity_edges(fm, nodes.t, "within-date", k=2),
+    "sim_cross": lambda seg, nodes, fm: similarity_edges(fm, nodes.t, "cross-date", k=2),
+    "overlap": lambda seg, nodes, fm: overlap_edges(seg),
+    "periodic": lambda seg, nodes, fm: periodic_edges(seg, lag=2),
+    "periodic_beyond_dates": lambda seg, nodes, fm: periodic_edges(seg, lag=3),
+}
+
+
+class TestBuilderColumns:
+    @pytest.mark.parametrize("builder", sorted(_BUILDERS))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ascending_unique_and_typed(self, builder, seed):
+        rng = np.random.default_rng(900 + seed)
+        seg = _three_date_seg(rng)
+        fm = FeatureMatrix(values=rng.integers(0, 3, size=(seg.n_objects, 2)).astype(float), names=["a", "b"])
+        cols = _BUILDERS[builder](seg, nodes_from_seg(seg), fm)
+        assert (cols.src.dtype, cols.dst.dtype, cols.weight.dtype) == (np.int64, np.int64, np.float64)
+        assert len(cols.src) == len(cols.dst) == len(cols.weight) == len(cols)
+        pairs = _pairs(cols)
+        assert all(a < b for a, b in zip(pairs, pairs[1:]))
+        assert (len(cols) == 0) == (builder == "periodic_beyond_dates")
+
+    def test_overlap_and_cross_date_similarity_land_in_st(self):
+        lab = np.zeros((3, 2, 2), dtype=np.int32)
+        for t in range(3):
+            lab[t, :, 0], lab[t, :, 1] = 2 * t, 2 * t + 1
+        seg = _seg(lab)
+        fm = FeatureMatrix(values=np.random.default_rng(0).normal(size=(6, 2)), names=["a", "b"])
+        cross = similarity_edges(fm, seg.object_dates(), "cross-date", k=2)
+        for spec, built in ((("overlap", 1), overlap_edges(seg)), (("sim", 2), cross)):
+            g = build_graph(seg, features=fm, st=[spec])
+            assert len(built) > 0 and len(g.spatial) == 0
+            assert edge_map(g.st) == edge_map(built)
+            assert all(e.kind == SPATIOTEMPORAL for e in g.edges_st)
 
 
 class TestGraphInvariants:
@@ -386,16 +447,23 @@ class TestNodesFromSeg:
         maps = np.zeros((2, 4, 4), dtype=np.int32)
         maps[:, :, 2:] = 2
         maps[0, 0, 0] = -1  # ignored pixel
-        nodes = nodes_from_seg(seg, maps)
+        nodes = nodes_from_seg(seg, maps).nodes
         assert nodes[0].label == 0 and nodes[1].label == 2
 
     def test_unlabeled_object_none(self, fix_a):
         seg = segment_cube(fix_a, "felzenszwalb", {"scale": 0.01, "min_size": 1})
         maps = np.full((2, 4, 4), -1, dtype=np.int32)
         maps[0, 0, 0] = 1
-        nodes = nodes_from_seg(seg, maps)
+        nodes = nodes_from_seg(seg, maps).nodes
         assert nodes[0].label == 1
         assert nodes[1].label is None
+
+    def test_edge_less_graph(self, fix_a):
+        seg = segment_cube(fix_a, "felzenszwalb", {"scale": 0.01, "min_size": 1})
+        g = nodes_from_seg(seg)
+        assert isinstance(g, StGraph) and len(g.spatial) == len(g.st) == 0
+        assert g.ids.tolist() == list(range(seg.n_objects))
+        assert g.t.tolist() == seg.object_dates().tolist()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_modal_labels_and_majority_bound_match_bruteforce(self, seed):
@@ -411,7 +479,7 @@ class TestNodesFromSeg:
         seg = _seg(np.stack(frames))
         low = -1 if seed else -2
         truth = rng.integers(low, 3 if seed else 0, size=(t, h, w)).astype(np.int32)
-        labels = [n.label for n in nodes_from_seg(seg, truth)]
+        labels = [n.label for n in nodes_from_seg(seg, truth).nodes]
         assert labels == brute_modal_labels(seg.labels, truth, seg.n_objects)
         if seed == 0:
             assert labels == [None] * seg.n_objects
@@ -586,6 +654,15 @@ class TestNodeFieldChecks:
         node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": label}
         with pytest.raises(ShapeMismatch, match="'label' must be an integer|'label' out of the 64-bit range"):
             import_graph(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
+
+    @pytest.mark.parametrize("label", [1.7, True, "2", 2**70])
+    def test_label_must_be_an_integer_in_memory(self, label):
+        with pytest.raises(ShapeMismatch, match="'label' must be an integer|'label' out of the 64-bit range"):
+            StGraph([Node(0, 0, 1, (0.0, 0.0), label=label)], [], [])
+
+    def test_numpy_integer_label_stored_as_int(self):
+        g = StGraph([Node(0, 0, 1, (0.0, 0.0), label=np.int32(3)), Node(1, 0, 1, (0.0, 0.0))], [], [])
+        assert g.labels == (3, None) and type(g.labels[0]) is int
 
     @pytest.mark.parametrize("label", [None, 0, 3, -1])
     def test_integer_and_null_labels_round_trip(self, label):
