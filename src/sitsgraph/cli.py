@@ -657,6 +657,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, registry
 
 
+def _config_value(action: argparse.Action, value):
+    """A ``--config`` value as its flag would parse it: the value's text
+    through the flag's ``type``, as argparse applies it to a command line,
+    then checked against the flag's ``choices``. ``null`` stays the unset
+    default. ``--spatial``/``--st`` go through ``_edge_specs`` instead."""
+    if value is None:
+        return None
+    parsed = value
+    if action.type is not None:
+        try:
+            parsed = action.type(str(value))
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            kind = getattr(action.type, "__name__", "valid")
+            raise UsageError(f"config {action.dest!r} must be {kind}, got {value!r}") from None
+    if action.choices is not None and parsed not in action.choices:
+        raise UsageError(f"config {action.dest!r} must be one of {list(action.choices)}, got {value!r}")
+    return parsed
+
+
 def _preload_config(parser, registry, argv: list[str]) -> None:
     """Read --config and install its values as defaults on the target
     subparser; flags given on the command line keep priority."""
@@ -673,12 +692,18 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
     sp = registry.get(key)
     if sp is None:
         return
-    known = {a.dest for a in sp._actions}  # noqa: SLF001 - argparse has no public dest listing
+    actions = {a.dest: a for a in sp._actions}  # noqa: SLF001 - argparse has no public dest listing
     meta = {"subcommand", "forecast_cmd", "version"}
-    unknown = set(cfg) - known - meta
+    unknown = set(cfg) - set(actions) - meta
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    sp.set_defaults(**{k: v for k, v in cfg.items() if k not in meta})
+    sp.set_defaults(
+        **{
+            k: v if k in ("spatial", "st") else _config_value(actions[k], v)
+            for k, v in cfg.items()
+            if k not in meta
+        }
+    )
     # defaults satisfy 'required' only if argparse sees them; drop the flag
     for action in sp._actions:  # noqa: SLF001
         if action.dest in cfg and action.required:

@@ -7,6 +7,26 @@ ops collect contributions from every use. The replay frees each record and each
 intermediate gradient once consumed, so a tape replays once. Arrays are
 float32 by default; building the graph in float64 (for finite-difference
 checks) just means passing float64 data in.
+
+Gradient arrays have one owner at a time, so the replay copies none it need
+not:
+
+- a backward closure owns the ``g`` it receives (``Tape.backward`` detaches
+  it from the output's ``.grad`` first) and may overwrite it, as the ReLU
+  and clamp masks do;
+- an array passed to ``accumulate`` becomes the receiver's, and the caller
+  neither reads nor writes it afterwards. An op output (a tensor that
+  ``_emit`` recorded) stores its first gradient as is; a leaf (a parameter
+  or input) stores a ``+ 0.0`` copy, so leaf gradients never alias one
+  another or a tape temporary;
+- ``add`` is the one op that hands one array to two inputs, so its second
+  input gets a copy when the first stored the array as its ``.grad``, or the
+  row sum for a broadcast row.
+
+An intermediate gradient may therefore hold ``-0.0`` where a
+zero-initialized sum holds ``+0.0``. No nonzero value downstream depends on
+the sign of a zero, and leaf gradients pass through ``+ 0.0``, so the leaf
+gradients are the same bytes as with a copy on every first gradient.
 """
 
 from __future__ import annotations
@@ -19,17 +39,18 @@ from ..errors import AllIgnored, ShapeMismatch, TapeReplayed
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "recorded")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensors are 2-D, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
+        self.recorded = False  # an op output on a tape, set by _emit
 
     @property
     def shape(self):
@@ -38,16 +59,21 @@ class Tensor:
     def accumulate(self, grad: np.ndarray) -> None:
         """Add ``grad`` to ``.grad``, in the dtype and shape of ``.data``.
 
-        The first gradient is stored in one pass as ``grad + 0.0`` into a
-        fresh array, never as an alias of ``grad``. Adding ``+0.0`` turns a
-        ``-0.0`` into ``+0.0``, as ``zeros_like(data) + grad`` does, so the
-        stored bytes are those of a zero-initialized sum. Later gradients
-        are added with ``+=``.
+        ``grad`` becomes this tensor's: the caller neither reads nor writes
+        it afterwards. An op output stores its first gradient as is when
+        the dtype and shape match. Any other first gradient, and every
+        first gradient of a leaf, is stored in one pass as ``grad + 0.0``
+        into a fresh array, never as an alias of ``grad``; adding ``+0.0``
+        turns a ``-0.0`` into ``+0.0``, as ``zeros_like(data) + grad`` does,
+        so the stored bytes are those of a zero-initialized sum. Later
+        gradients are added with ``+=``.
         """
-        if self.grad is None:
-            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data), casting="same_kind")
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif self.recorded and grad.dtype == self.data.dtype and grad.shape == self.data.shape:
+            self.grad = grad
+        else:
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data), casting="same_kind")
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -121,6 +147,7 @@ def recording() -> bool:
 
 def _emit(out: Tensor, fn) -> Tensor:
     if out.requires_grad and _ACTIVE_TAPE is not None:
+        out.recorded = True
         _ACTIVE_TAPE._records.append((out, fn))
     return out
 
@@ -133,18 +160,38 @@ def _needs(*tensors: Tensor) -> bool:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatch(f"matmul {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_needs(a, b))
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
+    """``x @ w + b``, then a ReLU when ``relu``, as one tape record. The bias
+    and the ReLU are applied in place on the matmul's output, and backward
+    masks its ``g`` in place, so the layer makes one activation and one
+    gradient array where separate ops make up to three of each."""
+    if x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
+    if b is not None and b.data.shape != (1, w.data.shape[1]):
+        raise ShapeMismatch(f"add {(x.data.shape[0], w.data.shape[1])} + {b.shape}")
+    y = x.data @ w.data
+    if b is not None:
+        y += b.data
+    if relu:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y, requires_grad=_needs(x, w) or (b is not None and b.requires_grad))
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b.accumulate(a.data.T @ g)
+        if relu:
+            np.multiply(g, out.data > 0, out=g)
+        if b is not None and b.requires_grad:
+            b.accumulate(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            x.accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate(x.data.T @ g)
 
     return _emit(out, backward)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b``: ``linear`` with no bias and no ReLU."""
+    return linear(a, b)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -157,7 +204,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate(g)
         if b.requires_grad:
-            b.accumulate(g if b.data.shape == g.shape else g.sum(axis=0, keepdims=True))
+            if b.data.shape != g.shape:
+                b.accumulate(g.sum(axis=0, keepdims=True))
+            else:
+                b.accumulate(g.copy() if a.grad is g else g)
 
     return _emit(out, backward)
 
@@ -182,7 +232,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g * mask)
+            x.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 
@@ -354,7 +404,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate(g * mask)
+            x.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 

@@ -42,11 +42,9 @@ class Linear:
         self.weight = Tensor(w, requires_grad=True)
         self.bias = Tensor(np.zeros((1, fan_out), dtype=dtype), requires_grad=True) if bias else None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        out = ag.matmul(x, self.weight)
-        if self.bias is not None:
-            out = ag.add(out, self.bias)
-        return out
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        """``x @ weight + bias``, then a ReLU when ``relu``: one tape record."""
+        return ag.linear(x, self.weight, self.bias, relu)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight] + ([self.bias] if self.bias is not None else [])
@@ -70,10 +68,9 @@ class MLP:
         ]
 
     def __call__(self, x: Tensor) -> Tensor:
+        last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < len(self.layers) - 1:
-                x = ag.relu(x)
+            x = layer(x, relu=i < last)
         return x
 
     def parameters(self) -> list[Tensor]:

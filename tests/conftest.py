@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from sitsgraph import cli
 from sitsgraph.datacube import GeoBounds, SitsCube
+
+
+@pytest.fixture(scope="session", autouse=True)
+def cli_malloc_policy():
+    """Pin glibc's malloc thresholds as ``cli.main`` does, so every test
+    that trains in-process runs under the CLI's allocator policy whatever
+    the test order."""
+    cli._pin_malloc_thresholds()
 
 
 @pytest.fixture

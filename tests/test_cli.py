@@ -72,6 +72,13 @@ def _config(tmp_path: Path, text: str) -> list[str]:
     return ["synth", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
 
 
+def _flag_config(tmp_path: Path, argv: str, cfg: dict) -> list[str]:
+    """``argv`` with a ``--config`` that holds ``cfg``; a bad value is
+    rejected before any input is read."""
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return argv.split() + ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+
+
 def _cube_meta(tmp_path: Path, edit) -> list[str]:
     cube = Path(_cube(tmp_path))
     meta = json.loads((cube / "meta.json").read_text())
@@ -169,6 +176,10 @@ FAILURES = {
     "config_spatial_knn_not_integer": (lambda tmp: _graph_config(tmp, [["knn", "abc"]]), {}, 2, "bad --spatial spec 'knn:abc'"),
     "config_spatial_knn_fractional": (lambda tmp: _graph_config(tmp, [["knn", 1.7]]), {}, 2, "bad --spatial spec 'knn:1.7'"),
     "config_spatial_not_a_list": (lambda tmp: _graph_config(tmp, 5), {}, 2, "config 'spatial' must be a list"),
+    "config_float_flag_given_a_list": (lambda tmp: _flag_config(tmp, "segment --cube c", {"scale": [1]}), {}, 2, "config 'scale' must be float"),
+    "config_int_flag_given_a_fraction": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": 2.5}), {}, 2, "config 'epochs' must be int"),
+    "config_int_flag_given_a_bool": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": True}), {}, 2, "config 'epochs' must be int"),
+    "config_choice_not_listed": (lambda tmp: _flag_config(tmp, "segment --cube c", {"algo": "watershed"}), {}, 2, "config 'algo' must be one of"),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
     "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), {}, 1, "parameter 0 has shape 3"),
@@ -406,6 +417,16 @@ class TestConfigReplay:
         assert main(["build-graph", "--config", str(rc), "--out", str(tmp_path / "b")]) == 0
         graph = (tmp_path / "a" / "graph.json").read_bytes()
         assert b'"kind": "ST"' in graph and (tmp_path / "b" / "graph.json").read_bytes() == graph
+
+    def test_config_value_parsed_as_its_flag(self):
+        p = cli.argparse.ArgumentParser()
+        typed = p.add_argument("--x", type=float)
+        chosen = p.add_argument("--n", type=int, choices=[1, 2, 3])
+        assert cli._config_value(typed, 2) == 2.0 and cli._config_value(typed, None) is None
+        assert cli._config_value(chosen, "2") == 2
+        for action, value in ((typed, "abc"), (typed, {}), (chosen, 4), (chosen, 1.5)):
+            with pytest.raises(cli.UsageError, match="config '(n|x)'"):
+                cli._config_value(action, value)
 
 
 class TestPipeline:

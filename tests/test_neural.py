@@ -16,6 +16,7 @@ from sitsgraph.neural.classifier import (
     train_classifier,
 )
 from sitsgraph.neural.nn import (
+    MLP,
     Adam,
     BatchNorm,
     Linear,
@@ -87,6 +88,16 @@ class TestPrimitives:
             want += g
         assert t.grad.dtype == t.data.dtype and t.grad.shape == t.data.shape
         assert t.grad.tobytes() == want.tobytes()
+
+    def test_mlp_records_one_entry_per_layer(self):
+        mlp = MLP(np.random.default_rng(0), [3, 5, 2])
+        x = Tensor(np.ones((4, 3), dtype=np.float32))
+        with Tape() as tape:
+            out = mlp(x)
+        assert len(tape) == 2
+        with no_grad():
+            want = mlp.layers[1](relu(mlp.layers[0](x)))
+        assert out.data.tobytes() == want.data.tobytes()
 
     def test_backward_needs_scalar(self):
         t = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -260,6 +271,34 @@ class TestGradients:
 
         assert check_gradients(loss, [w, b]) < 1e-6
 
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("with_relu", [True, False])
+    def test_fused_linear(self, bias, with_relu):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 4)), requires_grad=True) if bias else None
+        probe = rng.normal(size=(5, 4))
+
+        def loss():
+            return weighted_sum(ag.linear(x, w, b, relu=with_relu), probe)
+
+        assert check_gradients(loss, [x, w] + ([b] if bias else [])) < 1e-6
+
+    def test_tensor_read_by_relu_and_linear(self):
+        # each use adds its own share; a mask on one share must not reach the other
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w0, w1 = (Tensor(rng.normal(size=(3, 3)), requires_grad=True) for _ in range(2))
+        b1 = Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        probe = rng.normal(size=(5, 6))
+
+        def loss():
+            p = ag.linear(x, w0)
+            return weighted_sum(ag.concat_cols([relu(p), ag.linear(p, w1, b1, relu=True)]), probe)
+
+        assert check_gradients(loss, [x, w0, w1, b1]) < 1e-6
+
     def test_batchnorm_train_mode(self):
         rng = np.random.default_rng(1)
         bn = BatchNorm(3, dtype=np.float64)
@@ -280,6 +319,91 @@ class TestGradients:
             return cross_entropy(logits, labels)
 
         assert check_gradients(loss, [logits]) < 1e-6
+
+
+def _always_copy(self, grad):
+    """``Tensor.accumulate`` that stores every first gradient as a fresh
+    ``grad + 0.0``, op outputs included: the reference the adopting body
+    must match byte for byte."""
+    if self.grad is None:
+        self.grad = np.add(grad, 0.0, out=np.empty_like(self.data), casting="same_kind")
+    else:
+        self.grad += grad
+
+
+_LEAF_SHAPES = {"x": (6, 4), "x2": (6, 4), "w0": (4, 4), "b0": (1, 4), "w1": (4, 4), "b1": (1, 4), "w2": (8, 4)}
+
+
+def _branch(t, L):
+    return ag.linear(t, L["w1"], L["b1"], relu=True)
+
+
+# each case hands one gradient array, or views of it, to several receivers;
+# h is an op output whose own backward masks its gradient in place, p one
+# with no mask of its own (an op that feeds nothing receives no gradient)
+_ALIASING = {
+    "add_same_tensor": lambda L, h, p: ag.add(h, h),
+    "add_same_leaf": lambda L, h, p: ag.add(L["x"], L["x"]),
+    "add_broadcast_row": lambda L, h, p: _branch(ag.add(p, L["b1"]), L),
+    "concat_cols_same_tensor": lambda L, h, p: ag.linear(ag.concat_cols([h, h]), L["w2"], relu=True),
+    "concat_cols_leaves": lambda L, h, p: ag.linear(ag.concat_cols([L["x"], L["x2"]]), L["w2"], relu=True),
+    "concat_rows_same_tensor": lambda L, h, p: _branch(ag.concat_rows([h, h]), L),
+    "read_by_two_ops": lambda L, h, p: ag.concat_cols([relu(p), _branch(p, L)]),
+    "residual_add": lambda L, h, p: ag.add(p, _branch(p, L)),
+    "residual_add_branch_first": lambda L, h, p: ag.add(_branch(p, L), p),
+    "residual_add_clamped": lambda L, h, p: ag.clamp(ag.add(p, _branch(p, L)), -0.5, 0.5),
+    "slice_rows_twice": lambda L, h, p: ag.concat_rows([_branch(ag.slice_rows(h, 0, 4), L), ag.slice_rows(h, 2, 6)]),
+    "relu_of_leaf": lambda L, h, p: relu(L["x"]),
+    "linear": lambda L, h, p: ag.linear(L["x"], L["w0"]),
+    "linear_bias": lambda L, h, p: ag.linear(L["x"], L["w0"], L["b0"]),
+    "linear_relu": lambda L, h, p: ag.linear(L["x"], L["w0"], relu=True),
+    "linear_bias_relu": lambda L, h, p: ag.linear(L["x"], L["w0"], L["b0"], relu=True),
+}
+
+
+def _leaf_grads(case: str) -> dict:
+    rng = np.random.default_rng(7)
+    leaves = {k: Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True) for k, s in _LEAF_SHAPES.items()}
+    with Tape() as tape:
+        h = ag.linear(leaves["x"], leaves["w0"], leaves["b0"], relu=True)
+        p = ag.linear(leaves["x"], leaves["w0"], leaves["b0"])
+        out = _ALIASING[case](leaves, h, p)
+        tape.backward(weighted_sum(out, rng.normal(size=out.shape).astype(np.float32)))
+    return {k: t.grad for k, t in leaves.items()}
+
+
+class TestGradientOwnership:
+    """Op outputs adopt their first gradient; leaves copy theirs."""
+
+    @pytest.mark.parametrize("case", sorted(_ALIASING))
+    def test_leaf_gradients_match_always_copy(self, case, monkeypatch):
+        got = _leaf_grads(case)
+        monkeypatch.setattr(Tensor, "accumulate", _always_copy)
+        want = _leaf_grads(case)
+        assert [k for k, g in got.items() if g is not None] == [k for k, g in want.items() if g is not None]
+        for k, g in want.items():
+            if g is not None:
+                assert got[k].dtype == g.dtype and got[k].tobytes() == g.tobytes(), k
+
+    @pytest.mark.parametrize("case", sorted(_ALIASING))
+    def test_leaf_gradients_own_their_memory(self, case):
+        grads = [g for g in _leaf_grads(case).values() if g is not None]
+        assert grads
+        for g in grads:
+            assert g.base is None and g.flags.owndata
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_op_output_adopts_its_first_gradient(self):
+        leaf = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
+        with Tape():
+            out = ag.add(leaf, leaf)
+        g = np.full((2, 2), -0.0, dtype=np.float32)
+        out.accumulate(g)
+        assert out.grad is g
+        leaf.accumulate(g)
+        assert leaf.grad is not g and not np.signbit(leaf.grad).any()
 
 
 def _tiny_graph(seed=0, n_per_date=4, n_dates=2, n_feats=3, n_classes=2):
