@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeature, ShapeMismatch, UnknownNode
+from .errors import DegenerateFeature, DimMismatch, ShapeMismatch, UnknownNode
 from .features import FeatureMatrix
 from .stgraph import StGraph
 
@@ -112,6 +112,8 @@ def symbolize(fm: FeatureMatrix, feature_index: int, n_bins: int) -> tuple[np.nd
     """
     if n_bins < 2:
         raise ShapeMismatch(f"n_bins must be >= 2, got {n_bins}")
+    if not 0 <= feature_index < fm.dim:
+        raise DimMismatch(f"feature index {feature_index} out of range for dim {fm.dim}")
     values = fm.values[:, feature_index]
     if np.all(values == values[0]):
         warnings.warn("feature is constant; all nodes share symbol 0", DegenerateFeature, stacklevel=2)

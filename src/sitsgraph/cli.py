@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis, datacube, features, metrics, segmentation, stgraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import SitsGraphError
+from .errors import InvalidSpec, ShapeMismatch, SitsGraphError
 from .forecast import ForecastConfig, make_site_splits, train_forecaster
 from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_next_frame
 from .neural import ClassifierConfig, train_classifier
@@ -49,8 +49,9 @@ def _threads(args) -> int:
             return max(1, int(env))
         except ValueError:
             raise UsageError(f"{_ENV_THREADS} must be an integer, got {env!r}") from None
-    # serial by default: per-date segmentation is interpreter-bound, so a
-    # thread pool adds memory and no speed
+    # serial by default: per-date felzenszwalb, the default algorithm, is
+    # interpreter-bound and gains nothing from threads; slic spends its time
+    # in NumPy and does gain from them
     return 1
 
 
@@ -92,65 +93,17 @@ def _load_graph(path: str) -> stgraph.StGraph:
     return stgraph.import_graph(Path(path).read_bytes())
 
 
-def _parse_edge_spec(spec: str, which: str):
-    name, _, arg = spec.partition(":")
-    try:
-        if which == "spatial":
-            if name == "adjacency":
-                return "adjacency"
-            if name == "eps":
-                r = float(arg)
-                if r <= 0:
-                    raise ValueError("eps must be > 0")
-                return ("eps", r)
-            if name in ("knn", "sim"):
-                k = int(arg)
-                if k < 1:
-                    raise ValueError(f"{name} needs k >= 1")
-                return (name, k)
-        else:
-            if name == "overlap":
-                m = int(arg) if arg else 1
-                if m < 1:
-                    raise ValueError("overlap min pixels must be >= 1")
-                return ("overlap", m)
-            if name == "sim":
-                k = int(arg)
-                if k < 1:
-                    raise ValueError("sim needs k >= 1")
-                return ("sim", k)
-            if name == "periodic":
-                lag = int(arg)
-                if lag < 2:
-                    raise ValueError("periodic lag must be >= 2")
-                return ("periodic", lag)
-    except ValueError as e:
-        raise argparse.ArgumentTypeError(f"bad --{which} spec {spec!r}: {e}") from None
-    raise argparse.ArgumentTypeError(f"unknown --{which} builder {spec!r}")
+def _edge_spec(relation: str):
+    """The ``type`` of ``--spatial``/``--st``: ``stgraph.parse_edge_spec``,
+    with a bad spec a usage error."""
 
+    def parse(spec):
+        try:
+            return stgraph.parse_edge_spec(spec, relation)
+        except InvalidSpec as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
 
-def _edge_specs(entries, which: str) -> list:
-    """Every ``--spatial``/``--st`` entry through the flag parser. A flag gives
-    a parsed spec and ``--config`` its JSON form (``["knn", 6]``); either is
-    spelled back as flag text (``knn:6``) first."""
-    entries = [] if entries is None else entries
-    if not isinstance(entries, list):
-        raise UsageError(f"config {which!r} must be a list of edge specs, got {entries!r}")
-    try:
-        return [
-            _parse_edge_spec(":".join(map(str, e)) if isinstance(e, (list, tuple)) else str(e), which)
-            for e in entries
-        ]
-    except argparse.ArgumentTypeError as e:
-        raise UsageError(str(e)) from None
-
-
-def _spatial_spec(spec: str):
-    return _parse_edge_spec(spec, "spatial")
-
-
-def _st_spec(spec: str):
-    return _parse_edge_spec(spec, "st")
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +165,6 @@ def cmd_features(args):
 
 
 def cmd_build_graph(args):
-    spatial, st = _edge_specs(args.spatial, "spatial"), _edge_specs(args.st, "st")
     cube = datacube.load_cube(args.cube)
     seg = segmentation.load_seg(args.seg)
     fm = features.object_features(cube, seg, geometry=args.geometry)
@@ -221,6 +173,7 @@ def cmd_build_graph(args):
         t, _, h, w = cube.shape
         label_maps = datacube.load_labels(args.cube, t, h, w)
 
+    spatial, st = args.spatial or [], args.st or []
     needs_sim = any(isinstance(s, tuple) and s[0] == "sim" for s in spatial + st)
     graph_features = features.standardize(fm) if needs_sim else fm
     g = stgraph.build_graph(
@@ -397,12 +350,10 @@ def cmd_eval(args):
     else:
         pred = np.fromfile(args.pred, dtype="<f4")
         target = np.fromfile(args.target, dtype="<f4")
-        if args.height:
-            shape = (args.height, pred.size // args.height)
-        else:
-            side = int(np.sqrt(pred.size))
-            shape = (side, pred.size // side)
-        report = metrics.rmse_psnr_ssim(pred.reshape(shape), target.reshape(shape))
+        rows = args.height or int(np.sqrt(pred.size))
+        if rows < 1 or pred.size % rows or target.size != pred.size:
+            raise ShapeMismatch(f"cannot form frames of {rows} rows from {pred.size} --pred and {target.size} --target floats")
+        report = metrics.rmse_psnr_ssim(pred.reshape(rows, -1), target.reshape(rows, -1))
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     _write_run_config(args, out)
     print(json.dumps({k: v for k, v in report.items() if k != "confusion"}, indent=2))
@@ -545,13 +496,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument(
         "--spatial",
         action="append",
-        type=_spatial_spec,
+        type=_edge_spec("spatial"),
         metavar="adjacency|eps:R|knn:K|sim:K",
     )
     p.add_argument(
         "--st",
         action="append",
-        type=_st_spec,
+        type=_edge_spec("st"),
         metavar="overlap[:MIN]|sim:K|periodic:LAG",
     )
     p.add_argument("--geometry", action="store_true")
@@ -657,18 +608,38 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, registry
 
 
+_BOOLEAN_ACTIONS = (argparse._StoreTrueAction, argparse._StoreFalseAction, argparse.BooleanOptionalAction)  # noqa: SLF001
+
+
 def _config_value(action: argparse.Action, value):
-    """A ``--config`` value as its flag would parse it: the value's text
-    through the flag's ``type``, as argparse applies it to a command line,
-    then checked against the flag's ``choices``. ``null`` stays the unset
-    default. ``--spatial``/``--st`` go through ``_edge_specs`` instead."""
+    """A ``--config`` value as its flag would parse it. A switch takes only
+    JSON ``true``/``false``. A repeatable (``append``) flag takes a list, and
+    each element is parsed like a single value. A single value's text goes
+    through the flag's ``type``, as argparse applies it to a command line;
+    a JSON list is passed as it is (the edge-spec grammar reads ``["knn",
+    6]``). Then the result is checked against the flag's ``choices``.
+    ``null`` stays the unset default."""
     if value is None:
         return None
+    if isinstance(action, _BOOLEAN_ACTIONS):
+        if not isinstance(value, bool):
+            raise UsageError(f"config {action.dest!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(action, argparse._AppendAction):  # noqa: SLF001
+        if not isinstance(value, list):
+            raise UsageError(f"config {action.dest!r} must be a list, got {value!r}")
+        return [_config_item(action, v) for v in value]
+    return _config_item(action, value)
+
+
+def _config_item(action: argparse.Action, value):
     parsed = value
     if action.type is not None:
         try:
-            parsed = action.type(str(value))
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            parsed = action.type(value if isinstance(value, list) else str(value))
+        except argparse.ArgumentTypeError as e:
+            raise UsageError(str(e)) from None
+        except (TypeError, ValueError):
             kind = getattr(action.type, "__name__", "valid")
             raise UsageError(f"config {action.dest!r} must be {kind}, got {value!r}") from None
     if action.choices is not None and parsed not in action.choices:
@@ -697,13 +668,7 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
     unknown = set(cfg) - set(actions) - meta
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    sp.set_defaults(
-        **{
-            k: v if k in ("spatial", "st") else _config_value(actions[k], v)
-            for k, v in cfg.items()
-            if k not in meta
-        }
-    )
+    sp.set_defaults(**{k: _config_value(actions[k], v) for k, v in cfg.items() if k not in meta})
     # defaults satisfy 'required' only if argparse sees them; drop the flag
     for action in sp._actions:  # noqa: SLF001
         if action.dest in cfg and action.required:

@@ -163,6 +163,8 @@ def load_cube(path: str | Path) -> SitsCube:
     if not bin_path.is_file():
         raise MissingFile(f"missing {bin_path}")
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise InvalidCube(f"{meta_path} must hold a JSON object")
     missing = [k for k in _META_KEYS if k not in meta]
     geo_meta = meta["geo"] if isinstance(meta.get("geo"), dict) else {}
     missing += [f"geo.{k}" for k in _GEO_KEYS if k not in geo_meta]
@@ -176,6 +178,9 @@ def load_cube(path: str | Path) -> SitsCube:
             raise InvalidCube(f"{meta_path} key {key!r} is not a number: {value!r}") from None
 
     t, c, h, w = (number(k, meta[k], int) for k in ("T", "C", "H", "W"))
+    for key in ("timestamps", "bands"):
+        if not isinstance(meta[key], list) or not all(isinstance(v, str) for v in meta[key]):
+            raise InvalidCube(f"{meta_path} key {key!r} must be a list of strings")
     if meta.get("dtype", "f32") != "f32":
         raise ShapeMismatch(f"unsupported dtype {meta.get('dtype')!r}")
     blob = bin_path.read_bytes()

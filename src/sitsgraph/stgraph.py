@@ -22,7 +22,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidLag, ShapeMismatch, TooFewNodes, UnknownNode
+from .errors import DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
 from .features import FeatureMatrix, geom_features
 from .segmentation import SegStack, label_pairs, region_adjacency, smallest_k
 
@@ -510,6 +510,56 @@ def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> StGra
     )
 
 
+# The edge-spec grammar of build_graph and of build-graph's --spatial/--st
+# flags: per relation, name -> (argument type, None for no argument; the value
+# the argument must exceed; the argument when none is given; the spec's edge
+# columns). The lambdas call each builder by its module name, so a wrapper
+# installed on the module (a profiler's span) sees every call.
+EDGE_SPECS = {
+    "spatial": {
+        "adjacency": (None, None, None, lambda seg, g, fm, _: [adjacency_edges(seg, t) for t in range(seg.shape[0])]),
+        "eps": (float, 0, None, lambda seg, g, fm, r: [eps_ball_edges(g, r)]),
+        "knn": (int, 0, None, lambda seg, g, fm, k: [knn_edges(g, k)]),
+        "sim": (int, 0, None, lambda seg, g, fm, k: [similarity_edges(fm, g.t, "within-date", k)]),
+    },
+    "st": {
+        "overlap": (int, 0, 1, lambda seg, g, fm, m: [overlap_edges(seg, m)]),
+        "sim": (int, 0, None, lambda seg, g, fm, k: [similarity_edges(fm, g.t, "cross-date", k)]),
+        "periodic": (int, 1, None, lambda seg, g, fm, lag: [periodic_edges(seg, lag)]),
+    },
+}
+
+
+def parse_edge_spec(spec, relation: str):
+    """One ``relation`` ("spatial" or "st") edge spec in its parsed form:
+    ``"adjacency"`` or ``(name, value)``.
+
+    ``spec`` is flag text (``"knn:6"``), the JSON form that
+    ``run_config.json`` stores (``["knn", 6]``) or an already-parsed spec.
+    An unknown name, a missing or malformed argument, an argument to
+    ``adjacency`` and a value not above the builder's floor (NaN included)
+    raise ``InvalidSpec``; its message names the build-graph flag.
+    """
+    text = ":".join(map(str, spec)) if isinstance(spec, (list, tuple)) else str(spec)
+    name, colon, arg = text.partition(":")
+    if name not in EDGE_SPECS[relation]:
+        raise InvalidSpec(f"unknown --{relation} builder {text!r}")
+    kind, floor, default, _ = EDGE_SPECS[relation][name]
+    if kind is None:
+        if colon:
+            raise InvalidSpec(f"bad --{relation} spec {text!r}: {name} takes no argument")
+        return name
+    if not arg and default is not None:
+        return (name, default)
+    try:
+        value = kind(arg)
+    except ValueError:
+        raise InvalidSpec(f"bad --{relation} spec {text!r}: {name} needs {'an integer' if kind is int else 'a number'}") from None
+    if not value > floor:
+        raise InvalidSpec(f"bad --{relation} spec {text!r}: {name} must be > {floor}")
+    return (name, value)
+
+
 def build_graph(
     seg: SegStack,
     features: FeatureMatrix | None = None,
@@ -518,54 +568,27 @@ def build_graph(
     st: list | None = None,
     meta: dict | None = None,
 ) -> StGraph:
-    """Assemble a graph from builder specs.
+    """Assemble a graph from edge specs in any form ``parse_edge_spec`` reads.
 
-    ``spatial`` entries: "adjacency" | ("eps", R) | ("knn", K) | ("sim", K).
-    ``st`` entries: ("overlap", MIN) | ("sim", K) | ("periodic", LAG[, MIN]).
+    ``spatial`` entries: adjacency | eps:R | knn:K | sim:K.
+    ``st`` entries: overlap[:MIN] | sim:K | periodic:LAG.
+    Every spec is parsed before any edge is built.
     """
+    parsed = {rel: [parse_edge_spec(e, rel) for e in entries or []] for rel, entries in (("spatial", spatial), ("st", st))}
     nodes = nodes_from_seg(seg, label_maps)
-    dates = nodes.t
-    es: list[EdgeColumns] = []
-    est: list[EdgeColumns] = []
-    for item in spatial or []:
-        kind, args = _split_spec(item)
-        if kind == "adjacency":
-            for t in range(seg.shape[0]):
-                es.append(adjacency_edges(seg, t))
-        elif kind == "eps":
-            es.append(eps_ball_edges(nodes, float(args[0])))
-        elif kind == "knn":
-            es.append(knn_edges(nodes, int(args[0])))
-        elif kind == "sim":
-            if features is None:
+    rels = []
+    for relation, specs in parsed.items():
+        cols: list[EdgeColumns] = []
+        for spec in specs:
+            name, value = (spec, None) if isinstance(spec, str) else spec
+            if name == "sim" and features is None:
                 raise DimMismatch("similarity edges need a feature matrix")
-            es.append(similarity_edges(features, dates, "within-date", int(args[0])))
-        else:
-            raise ShapeMismatch(f"unknown spatial builder {kind!r}")
-    for item in st or []:
-        kind, args = _split_spec(item)
-        if kind == "overlap":
-            est.append(overlap_edges(seg, int(args[0]) if args else 1))
-        elif kind == "sim":
-            if features is None:
-                raise DimMismatch("similarity edges need a feature matrix")
-            est.append(similarity_edges(features, dates, "cross-date", int(args[0])))
-        elif kind == "periodic":
-            lag = int(args[0])
-            minpx = int(args[1]) if len(args) > 1 else 1
-            est.append(periodic_edges(seg, lag, minpx))
-        else:
-            raise ShapeMismatch(f"unknown spatio-temporal builder {kind!r}")
+            cols += EDGE_SPECS[relation][name][3](seg, nodes, features, value)
+        rels.append(_joined(cols))
     return StGraph.from_columns(
         nodes.ids, nodes.t, nodes.pixel_count, nodes.centroid, nodes.labels,
-        _joined(es), _joined(est), features=features, meta=meta,
+        *rels, features=features, meta=meta,
     )
-
-
-def _split_spec(item) -> tuple[str, tuple]:
-    if isinstance(item, str):
-        return item, ()
-    return item[0], tuple(item[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from sitsgraph.analysis import (
     symbolize,
     temporal_profile,
 )
-from sitsgraph.errors import DegenerateFeature, UnknownNode
+from sitsgraph.errors import DegenerateFeature, DimMismatch, UnknownNode
 from sitsgraph.features import FeatureMatrix
 from sitsgraph.stgraph import SPATIOTEMPORAL, Edge, Node, StGraph
 
@@ -122,6 +122,12 @@ class TestSymbolize:
         _, edges = symbolize(fm, 0, 4)
         expect = np.quantile(vals, [0.25, 0.5, 0.75])
         assert edges == pytest.approx(expect)
+
+    @pytest.mark.parametrize("index", [-1, 2, 99])
+    def test_feature_index_outside_dim(self, index):
+        fm = FeatureMatrix(values=np.arange(8.0).reshape(4, 2), names=["a", "b"])
+        with pytest.raises(DimMismatch, match=f"feature index {index} out of range for dim 2"):
+            symbolize(fm, index, 2)
 
 
 class TestMineFrequent:

@@ -104,6 +104,27 @@ def _graph_config(tmp_path: Path, spatial) -> list[str]:
     return ["build-graph", "--config", str(tmp_path / "cfg.json"), "--cube", "c", "--seg", "s", "--out", str(tmp_path / "g")]
 
 
+def _cube_meta_not_an_object(tmp_path: Path) -> list[str]:
+    argv = _cube_meta(tmp_path, lambda m: None)
+    (tmp_path / "cube" / "meta.json").write_text("[4, 1, 8, 8]")
+    return argv
+
+
+def _mine_feature(tmp_path: Path, index: int) -> list[str]:
+    """A mine run on a valid two-node graph with one feature, for feature
+    ``index``."""
+    return [*_graph_doc(tmp_path, lambda d: None, "mine"), "--feature", str(index), "--bins", "2", "--minsup", "1",
+            "--maxlen", "2", "--out", str(tmp_path / "mine")]
+
+
+def _eval_forecast(tmp_path: Path, n_pred: int, n_target: int, *flags: str) -> list[str]:
+    """An eval --task forecast run on blobs of ``n_pred`` and ``n_target`` floats."""
+    for name, n in (("pred", n_pred), ("target", n_target)):
+        np.zeros(n, dtype="<f4").tofile(tmp_path / f"{name}.bin")
+    return ["eval", "--task", "forecast", "--pred", str(tmp_path / "pred.bin"), "--target", str(tmp_path / "target.bin"),
+            *flags, "--out", str(tmp_path / "r")]
+
+
 def _dangling_edge(tmp_path: Path) -> list[str]:
     node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
     doc = {"nodes": [node], "edges": [{"src": 0, "dst": 99999, "kind": "ST", "w": 1.0}], "meta": {}}
@@ -180,6 +201,20 @@ FAILURES = {
     "config_int_flag_given_a_fraction": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": 2.5}), {}, 2, "config 'epochs' must be int"),
     "config_int_flag_given_a_bool": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": True}), {}, 2, "config 'epochs' must be int"),
     "config_choice_not_listed": (lambda tmp: _flag_config(tmp, "segment --cube c", {"algo": "watershed"}), {}, 2, "config 'algo' must be one of"),
+    "config_switch_given_a_string": (
+        lambda tmp: _flag_config(tmp, "features --cube c --seg s", {"geometry": "no"}), {}, 2, "config 'geometry' must be true or false",
+    ),
+    "config_negatable_switch_given_a_string": (
+        lambda tmp: _flag_config(tmp, "stats --graph g", {"map_stored": "false"}), {}, 2, "config 'map_stored' must be true or false",
+    ),
+    "spatial_adjacency_with_argument": (
+        lambda tmp: ["build-graph", "--cube", "c", "--seg", "s", "--spatial", "adjacency:5", "--out", str(tmp / "g")],
+        {}, 2, "bad --spatial spec 'adjacency:5'",
+    ),
+    "spatial_eps_nan": (
+        lambda tmp: ["build-graph", "--cube", "c", "--seg", "s", "--spatial", "eps:nan", "--out", str(tmp / "g")],
+        {}, 2, "bad --spatial spec 'eps:nan'",
+    ),
     "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
     "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
     "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), {}, 1, "parameter 0 has shape 3"),
@@ -211,6 +246,13 @@ FAILURES = {
     "meta_without_geo": (lambda tmp: _cube_meta(tmp, lambda m: m.pop("geo")), {}, 1, "geo"),
     "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), {}, 1, "'T'"),
     "meta_geo_not_number": (lambda tmp: _cube_meta(tmp, lambda m: m["geo"].update(lat0="north")), {}, 1, "'geo.lat0'"),
+    "meta_not_an_object": (_cube_meta_not_an_object, {}, 1, "must hold a JSON object"),
+    "meta_bands_not_a_list": (lambda tmp: _cube_meta(tmp, lambda m: m.update(bands=5)), {}, 1, "'bands' must be a list of strings"),
+    "meta_timestamps_not_a_list": (
+        lambda tmp: _cube_meta(tmp, lambda m: m.update(timestamps=5)), {}, 1, "'timestamps' must be a list of strings",
+    ),
+    "mine_feature_beyond_dim": (lambda tmp: _mine_feature(tmp, 99), {}, 1, "feature index 99 out of range for dim 1"),
+    "mine_feature_negative": (lambda tmp: _mine_feature(tmp, -1), {}, 1, "feature index -1 out of range for dim 1"),
     "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
     "graph_without_nodes": (lambda tmp: _graph_doc(tmp, lambda d: d.pop("nodes")), {}, 1, "no 'nodes'"),
     "graph_nodes_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(nodes=3)), {}, 1, "'nodes' must be a list"),
@@ -248,6 +290,11 @@ FAILURES = {
         lambda tmp: ["eval", "--task", "classify", "--checkpoint", "c.bin", "--seg", "s", "--cube", "c", "--out", str(tmp / "r")],
         {}, 2, "--graph",
     ),
+    "eval_forecast_rows_do_not_divide": (
+        lambda tmp: _eval_forecast(tmp, 10, 10, "--height", "3"), {}, 1, "cannot form frames of 3 rows from 10 --pred",
+    ),
+    "eval_forecast_empty_pred": (lambda tmp: _eval_forecast(tmp, 0, 9), {}, 1, "from 0 --pred and 9 --target floats"),
+    "eval_forecast_target_size_differs": (lambda tmp: _eval_forecast(tmp, 9, 16), {}, 1, "from 9 --pred and 16 --target floats"),
     "eval_forecast_without_pred": (
         lambda tmp: ["eval", "--task", "forecast", "--target", "t.bin", "--out", str(tmp / "r")], {}, 2, "--pred",
     ),

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,12 +21,14 @@ from _oracles import (
     neighborhood_oracle,
     temporal_profile_oracle,
 )
-from sitsgraph.errors import DimMismatch, InvalidLag, NoLabels, ShapeMismatch, TooFewNodes, UnknownNode
+from sitsgraph.cli import build_parser
+from sitsgraph.errors import DimMismatch, InvalidLag, InvalidSpec, NoLabels, ShapeMismatch, TooFewNodes, UnknownNode
 from sitsgraph.analysis import temporal_profile
 from sitsgraph.features import FeatureMatrix, band_stats
 from sitsgraph.metrics import majority_upper_bound
 from sitsgraph.segmentation import SegStack, segment_cube
 from sitsgraph.stgraph import (
+    EDGE_SPECS,
     SPATIAL,
     SPATIOTEMPORAL,
     Edge,
@@ -40,6 +43,7 @@ from sitsgraph.stgraph import (
     knn_edges,
     nodes_from_seg,
     overlap_edges,
+    parse_edge_spec,
     periodic_edges,
     similarity_edges,
 )
@@ -313,6 +317,85 @@ class TestBuilderColumns:
             assert len(built) > 0 and len(g.spatial) == 0
             assert edge_map(g.st) == edge_map(built)
             assert all(e.kind == SPATIOTEMPORAL for e in g.edges_st)
+
+
+# (relation, flag text, JSON form, parsed spec)
+_SPEC_FORMS = [
+    ("spatial", "adjacency", "adjacency", "adjacency"),
+    ("spatial", "eps:3.5", ["eps", 3.5], ("eps", 3.5)),
+    ("spatial", "eps:2", ["eps", 2], ("eps", 2.0)),
+    ("spatial", "knn:6", ["knn", 6], ("knn", 6)),
+    ("spatial", "sim:4", ["sim", 4], ("sim", 4)),
+    ("st", "overlap", ["overlap"], ("overlap", 1)),
+    ("st", "overlap:4", ["overlap", 4], ("overlap", 4)),
+    ("st", "sim:2", ["sim", 2], ("sim", 2)),
+    ("st", "periodic:3", ["periodic", 3], ("periodic", 3)),
+]
+
+
+class TestEdgeSpecGrammar:
+    @pytest.mark.parametrize("relation, text, doc, spec", _SPEC_FORMS)
+    def test_text_json_and_tuple_forms_agree(self, relation, text, doc, spec):
+        got = [parse_edge_spec(form, relation) for form in (text, doc, spec)]
+        assert [repr(g) for g in got] == [repr(spec)] * 3  # repr tells 2 from 2.0
+
+    @pytest.mark.parametrize(
+        "relation, spec",
+        [
+            ("spatial", "adjacency:5"),
+            ("spatial", "eps:nan"),
+            ("spatial", "eps:0"),
+            ("spatial", "eps:-1"),
+            ("spatial", "knn"),
+            ("spatial", "knn:1.7"),
+            ("spatial", ["knn", 1.7]),
+            ("spatial", ["knn", True]),
+            ("spatial", "knn:0"),
+            ("spatial", "overlap:1"),
+            ("st", "periodic:1"),
+            ("st", ("periodic", 3, 2)),
+            ("st", "overlap:0"),
+            ("st", "knn:2"),
+            ("st", "voronoi"),
+        ],
+    )
+    def test_rejected(self, relation, spec):
+        with pytest.raises(InvalidSpec, match=f"--{relation} "):
+            parse_edge_spec(spec, relation)
+
+    @pytest.mark.parametrize(
+        "relation, spec",
+        [("st", "periodic:1"), ("st", ("periodic", 1)), ("st", ("periodic", 3, 2)), ("spatial", ("eps", float("nan")))],
+        ids=["periodic_text", "periodic_tuple", "periodic_three_parts", "eps_nan_tuple"],
+    )
+    def test_build_graph_parses_every_form(self, relation, spec):
+        seg = _three_date_seg(np.random.default_rng(0))
+        with pytest.raises(InvalidSpec, match=f"--{relation} "):
+            build_graph(seg, **{relation: ["adjacency" if relation == "spatial" else "overlap", spec]})
+
+    def test_text_specs_build_the_same_bytes_as_tuples(self):
+        rng = np.random.default_rng(3)
+        seg = _three_date_seg(rng)
+        fm = FeatureMatrix(values=rng.normal(size=(seg.n_objects, 2)), names=["a", "b"])
+        text = build_graph(
+            seg, features=fm, spatial=["adjacency", "eps:3.5", "knn:2", "sim:2"],
+            st=["overlap", "overlap:2", "sim:2", "periodic:2"],
+        )
+        parsed = build_graph(
+            seg, features=fm, spatial=["adjacency", ("eps", 3.5), ("knn", 2), ("sim", 2)],
+            st=[("overlap", 1), ("overlap", 2), ("sim", 2), ("periodic", 2)],
+        )
+        blob = export_graph(text, "json")
+        assert len(text.spatial) > 0 and len(text.st) > 0
+        assert blob == export_graph(parsed, "json")
+
+    def test_every_builder_name_is_in_its_flag_metavar(self):
+        _, registry = build_parser()
+        metavars = {a.dest: a.metavar for a in registry[("build-graph",)]._actions if a.dest in EDGE_SPECS}
+        assert set(metavars) == set(EDGE_SPECS)
+        for relation, names in EDGE_SPECS.items():
+            shown = set(re.split(r"[|:\[\]]", metavars[relation]))
+            assert set(names) <= shown, relation
 
 
 class TestGraphInvariants:
