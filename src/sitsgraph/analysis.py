@@ -62,11 +62,14 @@ def temporal_profile(
 ) -> list[tuple[int, float]]:
     """Walk temporal edges from a seed, always following the heaviest edge
     (ties -> lower id); returns (date, feature value) samples."""
-    node = g.node(seed_node)
+    row = g.index_of(seed_node)
     if direction not in ("out", "in"):
         raise ShapeMismatch(f"direction must be 'out' or 'in', got {direction!r}")
-    samples = [(node.t, float(g.feature_row(node.id)[feature_index]))]
-    current = node.id
+    if g.features is None:
+        raise DimMismatch("graph carries no feature matrix")
+    values = g.features.values
+    samples = [(int(g.t[row]), float(values[row][feature_index]))]
+    current = int(g.ids[row])
     visited = {current}
     st = g.st
     while True:
@@ -84,7 +87,8 @@ def temporal_profile(
             break
         current = best[1]
         visited.add(current)
-        samples.append((g.node(current).t, float(g.feature_row(current)[feature_index])))
+        row = g.index_of(current)
+        samples.append((int(g.t[row]), float(values[row][feature_index])))
     if direction == "in":
         samples.sort(key=lambda s: s[0])
     return samples

@@ -647,14 +647,17 @@ def _config_item(action: argparse.Action, value):
     return parsed
 
 
-def _preload_config(parser, registry, argv: list[str]) -> None:
+def _preload_config(parser, registry, argv: list[str]) -> dict:
     """Read --config and install its values as defaults on the target
-    subparser; flags given on the command line keep priority."""
+    subparser; flags given on the command line keep priority. argparse
+    appends command-line values to a copy of an ``append`` flag's default,
+    so the lists of those flags are returned instead, for ``main`` to fill
+    in where the command line left the flag unset."""
     if "--config" not in argv:
-        return
+        return {}
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
-        return  # argparse reports the missing value
+        return {}  # argparse reports the missing value
     cfg = json.loads(Path(argv[idx + 1]).read_text())
     if not isinstance(cfg, dict):
         parser.error(f"--config {argv[idx + 1]} must hold a JSON object")
@@ -662,17 +665,20 @@ def _preload_config(parser, registry, argv: list[str]) -> None:
     key = tuple(positionals[:2]) if positionals[:1] == ["forecast"] else tuple(positionals[:1])
     sp = registry.get(key)
     if sp is None:
-        return
+        return {}
     actions = {a.dest: a for a in sp._actions}  # noqa: SLF001 - argparse has no public dest listing
     meta = {"subcommand", "forecast_cmd", "version"}
     unknown = set(cfg) - set(actions) - meta
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    sp.set_defaults(**{k: _config_value(actions[k], v) for k, v in cfg.items() if k not in meta})
+    values = {k: _config_value(actions[k], v) for k, v in cfg.items() if k not in meta}
+    lists = {k: values.pop(k) for k in list(values) if isinstance(actions[k], argparse._AppendAction)}  # noqa: SLF001
+    sp.set_defaults(**values)
     # defaults satisfy 'required' only if argparse sees them; drop the flag
     for action in sp._actions:  # noqa: SLF001
         if action.dest in cfg and action.required:
             action.required = False
+    return lists
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -680,8 +686,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
-        _preload_config(parser, registry, argv)
+        lists = _preload_config(parser, registry, argv)
         args = parser.parse_args(argv)
+        for dest, value in lists.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
         return args.func(args)
     except UsageError as e:
         parser.error(str(e))

@@ -3,8 +3,8 @@ adjacency as the processor graph, plus the pixel<->mesh transfer edges.
 
 Every pixel sends exactly one encoder edge to its owning region and receives
 decoder edges from its 3 nearest region centroids (fewer only when the
-partition has fewer regions). Edge features are the relative displacement
-(d_row, d_col) / max(H, W) from source to destination.
+partition has fewer regions). The edge features are the relative
+displacement (d_row, d_col) / max(H, W) from source to destination.
 
 The decoder search runs over fixed tiles of ``DECODER_TILE`` pixels: each
 tile's squared pixel-to-centroid distances are computed and its 3 nearest

@@ -112,7 +112,8 @@ def gn_block(
     x: Tensor, e: Tensor, src, dst, mlp_e: MLP, mlp_v: MLP, enc: Linear | None = None
 ) -> tuple[Tensor, Tensor]:
     """Residual relational block: e' = e + MLP_e([e, x_src, x_dst]);
-    x' = x + MLP_v([x, sum of incoming e']). Edge-less nodes aggregate zero.
+    x' = x + MLP_v([x, sum of incoming e']). Nodes without incoming edges
+    aggregate zero.
     ``src``/``dst`` are index arrays or their ``ScatterPlan``s over x's rows.
     ``enc``, when given, first encodes the raw edge features ``e`` inside the
     edge stage, so that a run without a tape never holds every encoded edge.

@@ -78,9 +78,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
 
 _ACTIVE_TAPE: "Tape | None" = None
 
@@ -277,10 +274,15 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[start:stop].copy(), requires_grad=x.requires_grad)
 
     def backward(g):
-        if x.requires_grad:
+        if not x.requires_grad:
+            return
+        if x.grad is None:
             acc = np.zeros_like(x.data)
             acc[start:stop] = g
             x.accumulate(acc)
+        else:
+            # a later gradient touches only the sliced rows
+            x.grad[start:stop] += g
 
     return _emit(out, backward)
 

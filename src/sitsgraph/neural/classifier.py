@@ -1,4 +1,4 @@
-"""Node classifier over the two edge relations: first half of the encoder
+"""A node classifier over the two edge relations: first half of the encoder
 layers aggregates spatial neighbors only, the second half temporal neighbors
 (symmetrized for propagation), each followed by batch norm + ReLU, then a
 linear head."""
@@ -91,10 +91,10 @@ class STClassifier:
         out.extend(self.head.parameters())
         return out
 
-    def forward(self, x: Tensor, edges_spatial, edges_st, train: bool) -> Tensor:
+    def forward(self, x: Tensor, es, est, train: bool) -> Tensor:
         half = len(self.convs) // 2
         for i, (conv, norm) in enumerate(zip(self.convs, self.norms)):
-            edges = edges_spatial if i < half else edges_st
+            edges = es if i < half else est
             x = conv(x, edges)
             x = norm(x, train=train)
             x = ag.relu(x)

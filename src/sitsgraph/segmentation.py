@@ -48,17 +48,6 @@ class SegStack:
     def n_objects(self) -> int:
         return int(sum(self.counts))
 
-    def date_offset(self, t: int) -> int:
-        return int(sum(self.counts[:t]))
-
-    def date_of_object(self, obj: int) -> int:
-        off = 0
-        for t, c in enumerate(self.counts):
-            if obj < off + c:
-                return t
-            off += c
-        raise ShapeMismatch(f"object id {obj} out of range ({self.n_objects} objects)")
-
     def object_dates(self) -> np.ndarray:
         """Date index per object id, shape (n_objects,)."""
         return np.repeat(np.arange(len(self.counts)), self.counts).astype(np.int64)

@@ -8,10 +8,11 @@ DOT are lossy views for external viewers.
 A graph is stored as columns: the node ids, dates, pixel counts, an n x 2
 float64 centroid array and the labels, in ascending id order, and one
 ``src``/``dst``/``weight`` array triple per relation, sorted by
-``(src, dst)``. Reading, writing and querying work on those columns; the
-``Node`` and ``Edge`` lists are read-only views built on first access. The
-JSON writer spells out the ``json.dumps(..., indent=1)`` layout of the
-document, so the bytes are those of that call.
+``(src, dst)``. The constructor takes those columns, and building, reading,
+writing and querying work on them alone; no object is built per node or per
+edge. ``index_of`` maps a node id to its row. The JSON writer spells out the
+``json.dumps(..., indent=1)`` layout of the document, so the bytes are those
+of that call.
 """
 
 from __future__ import annotations
@@ -28,23 +29,6 @@ from .segmentation import SegStack, label_pairs, region_adjacency, smallest_k
 
 SPATIAL = "S"
 SPATIOTEMPORAL = "ST"
-
-
-@dataclass(frozen=True)
-class Node:
-    id: int
-    t: int
-    pixel_count: int
-    centroid: tuple[float, float]   # (row, col)
-    label: int | None = None
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    kind: str                       # SPATIAL | SPATIOTEMPORAL
-    weight: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,28 +48,6 @@ class StGraph:
 
     def __init__(
         self,
-        nodes: list[Node],
-        edges_spatial: list[Edge],
-        edges_st: list[Edge],
-        features: FeatureMatrix | None = None,
-        meta: dict | None = None,
-    ):
-        nodes = list(nodes)
-        self._assemble(
-            np.array([n.id for n in nodes], dtype=np.int64),
-            np.array([n.t for n in nodes], dtype=np.int64),
-            np.array([n.pixel_count for n in nodes], dtype=np.int64),
-            np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2),
-            [n.label for n in nodes],
-            _edge_arrays(edges_spatial),
-            _edge_arrays(edges_st),
-            features,
-            meta,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
         ids: np.ndarray,
         t: np.ndarray,
         pixel_count: np.ndarray,
@@ -95,16 +57,12 @@ class StGraph:
         st: tuple[np.ndarray, np.ndarray, np.ndarray],
         features: FeatureMatrix | None = None,
         meta: dict | None = None,
-    ) -> StGraph:
+    ):
         """A graph from node columns in any order and ``(src, dst, weight)``
-        edge arrays in input order; canonicalized and validated as the
-        constructor does. A label is None or an integer (no bool) within 64
-        bits."""
-        g = cls.__new__(cls)
-        g._assemble(ids, t, pixel_count, centroid, labels, spatial, st, features, meta)
-        return g
-
-    def _assemble(self, ids, t, pixel_count, centroid, labels, spatial, st, features, meta) -> None:
+        edge arrays in input order: nodes sorted by id, each edge oriented
+        (spatial ``src < dst``, temporal past -> future), of each repeated
+        pair the last one kept, and everything validated. A label is None or
+        an integer (no bool) within 64 bits."""
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         dup = np.flatnonzero(ids[1:] == ids[:-1])
@@ -122,7 +80,6 @@ class StGraph:
         self.labels = tuple(None if labels[i] is None else int(labels[i]) for i in order.tolist())
         self.features = features
         self.meta = dict(meta or {})
-        self._views: dict = {}
 
         n = len(ids)
         # endpoints as node rows, spatial edges first, in input order
@@ -173,39 +130,6 @@ class StGraph:
             if (ids != np.arange(n)).any():
                 raise DimMismatch("feature-carrying graphs need contiguous node ids 0..n-1")
 
-    # -- views ----------------------------------------------------------------
-
-    @property
-    def nodes(self) -> tuple[Node, ...]:
-        if "nodes" not in self._views:
-            self._views["nodes"] = tuple(
-                Node(i, t, px, (r, c), lab)
-                for i, t, px, (r, c), lab in zip(
-                    self.ids.tolist(),
-                    self.t.tolist(),
-                    self.pixel_count.tolist(),
-                    self.centroid.tolist(),
-                    self.labels,
-                )
-            )
-        return self._views["nodes"]
-
-    @property
-    def edges_spatial(self) -> tuple[Edge, ...]:
-        return self._edge_view(SPATIAL, self.spatial)
-
-    @property
-    def edges_st(self) -> tuple[Edge, ...]:
-        return self._edge_view(SPATIOTEMPORAL, self.st)
-
-    def _edge_view(self, kind: str, rel: EdgeColumns) -> tuple[Edge, ...]:
-        if kind not in self._views:
-            self._views[kind] = tuple(
-                Edge(a, b, kind, w)
-                for a, b, w in zip(rel.src.tolist(), rel.dst.tolist(), rel.weight.tolist())
-            )
-        return self._views[kind]
-
     # -- queries ------------------------------------------------------------
 
     def index_of(self, node_id: int) -> int:
@@ -216,11 +140,6 @@ class StGraph:
                 return i
         raise UnknownNode(f"no node with id {node_id}")
 
-    def node(self, node_id: int) -> Node:
-        i = self.index_of(node_id)
-        r, c = self.centroid[i].tolist()
-        return Node(int(self.ids[i]), int(self.t[i]), int(self.pixel_count[i]), (r, c), self.labels[i])
-
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
@@ -228,29 +147,9 @@ class StGraph:
     def dates(self) -> list[int]:
         return np.unique(self.t).tolist()
 
-    def nodes_at(self, t: int) -> list[Node]:
-        return [self.node(i) for i in self.ids[self.t == t].tolist()]
-
     def label_array(self) -> np.ndarray:
-        """Node labels in id order, -1 where a node has none."""
+        """The labels in id order, -1 where a node has none."""
         return np.array([-1 if lab is None else lab for lab in self.labels], dtype=np.int64)
-
-    def neighborhood(self, node_id: int, kind: str = SPATIAL, direction: str = "both") -> set[int]:
-        """Neighbor ids. Spatial neighbors are symmetric; for temporal edges
-        ``direction`` selects incoming ("in", from the past), outgoing ("out",
-        to the future) or both."""
-        self.index_of(node_id)
-        if kind == SPATIAL:
-            rel = self.spatial
-            return set(rel.dst[rel.src == node_id].tolist()) | set(rel.src[rel.dst == node_id].tolist())
-        if kind != SPATIOTEMPORAL:
-            raise ShapeMismatch(f"unknown edge kind {kind!r}")
-        out: set[int] = set()
-        if direction in ("out", "both"):
-            out.update(self.st.dst[self.st.src == node_id].tolist())
-        if direction in ("in", "both"):
-            out.update(self.st.src[self.st.dst == node_id].tolist())
-        return out
 
     def degrees(self, rel: EdgeColumns) -> tuple[np.ndarray, np.ndarray]:
         """(in-degree, out-degree) of every node under ``rel``, in id order."""
@@ -260,31 +159,11 @@ class StGraph:
             np.bincount(np.searchsorted(self.ids, rel.src), minlength=n),
         )
 
-    def st_degrees(self) -> tuple[dict[int, int], dict[int, int]]:
-        ids = self.ids.tolist()
-        indeg, outdeg = self.degrees(self.st)
-        return dict(zip(ids, indeg.tolist())), dict(zip(ids, outdeg.tolist()))
-
-    def feature_row(self, node_id: int) -> np.ndarray:
-        if self.features is None:
-            raise DimMismatch("graph carries no feature matrix")
-        self.index_of(node_id)
-        return self.features.values[node_id]
-
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
-
-
-def _edge_arrays(edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    edges = list(edges)
-    return (
-        np.array([e.src for e in edges], dtype=np.int64),
-        np.array([e.dst for e in edges], dtype=np.int64),
-        np.array([e.weight for e in edges], dtype=np.float64),
-    )
 
 
 def _edge_columns(src, dst, weight) -> EdgeColumns:
@@ -504,7 +383,7 @@ def nodes_from_seg(seg: SegStack, label_maps: np.ndarray | None = None) -> StGra
         table = seg.class_counts(label_maps)
         modal = table.argmax(axis=1).tolist()  # ties -> lower class id
         labels = [m if s > 0 else None for m, s in zip(modal, table.sum(axis=1).tolist())]
-    return StGraph.from_columns(
+    return StGraph(
         np.arange(seg.n_objects, dtype=np.int64), seg.object_dates(), geom[:, 0].astype(np.int64), geom[:, 1:3],
         labels, _joined([]), _joined([]),
     )
@@ -585,7 +464,7 @@ def build_graph(
                 raise DimMismatch("similarity edges need a feature matrix")
             cols += EDGE_SPECS[relation][name][3](seg, nodes, features, value)
         rels.append(_joined(cols))
-    return StGraph.from_columns(
+    return StGraph(
         nodes.ids, nodes.t, nodes.pixel_count, nodes.centroid, nodes.labels,
         *rels, features=features, meta=meta,
     )
@@ -760,7 +639,7 @@ def import_graph(blob: bytes | str) -> StGraph:
         order = np.argsort(ids, kind="stable")
         features = FeatureMatrix(values=values[order], names=list(names))
     meta = {k: v for k, v in meta.items() if k != "feature_names"}
-    return StGraph.from_columns(
+    return StGraph(
         ids, t, px, centroid, labels,
         (src[is_s], dst[is_s], w[is_s]),
         (src[~is_s], dst[~is_s], w[~is_s]),

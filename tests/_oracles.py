@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 from typing import NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from sitsgraph.errors import DimMismatch, ShapeMismatch, UnknownNode
+from sitsgraph.stgraph import StGraph
 
 
 def cc_equal_values(image: np.ndarray) -> np.ndarray:
@@ -455,8 +457,17 @@ def enumerate_patterns(
 # ---------------------------------------------------------------------------
 # graph storage and writers: the per-object implementation that the columnar
 # StGraph replaced, kept as the reference its columns and bytes must match.
-# ``g`` below is anything with ``nodes``, ``edges_spatial``, ``edges_st``,
-# ``features`` and ``meta`` as StGraph exposes them.
+# Graphs are written as ``OracleNode`` and ``OracleEdge`` lists;
+# ``graph_from_objects`` turns them into a StGraph and ``graph_objects`` turns
+# a StGraph back into them.
+
+
+class OracleNode(NamedTuple):
+    id: int
+    t: int
+    pixel_count: int
+    centroid: tuple[float, float]   # (row, col)
+    label: int | None = None
 
 
 class OracleEdge(NamedTuple):
@@ -464,6 +475,49 @@ class OracleEdge(NamedTuple):
     dst: int
     kind: str
     weight: float
+
+
+def graph_from_objects(nodes, spatial, st, features=None, meta=None):
+    """The StGraph of node and edge objects (anything with the fields of
+    ``OracleNode`` and ``OracleEdge``), built from their columns."""
+    nodes = list(nodes)
+
+    def edge_columns(edges):
+        edges = list(edges)
+        return (
+            np.array([e.src for e in edges], dtype=np.int64),
+            np.array([e.dst for e in edges], dtype=np.int64),
+            np.array([e.weight for e in edges], dtype=np.float64),
+        )
+
+    return StGraph(
+        np.array([n.id for n in nodes], dtype=np.int64),
+        np.array([n.t for n in nodes], dtype=np.int64),
+        np.array([n.pixel_count for n in nodes], dtype=np.int64),
+        np.array([n.centroid for n in nodes], dtype=np.float64).reshape(len(nodes), 2),
+        [n.label for n in nodes],
+        edge_columns(spatial),
+        edge_columns(st),
+        features=features,
+        meta=meta,
+    )
+
+
+def graph_objects(g) -> SimpleNamespace:
+    """The columns of StGraph ``g`` as objects, in stored order: ``nodes``
+    (``OracleNode``), ``edges_spatial`` and ``edges_st`` (``OracleEdge``),
+    plus its ``features`` and ``meta``."""
+
+    def edges(kind, rel):
+        return tuple(OracleEdge(a, b, kind, w) for a, b, w in zip(rel.src.tolist(), rel.dst.tolist(), rel.weight.tolist()))
+
+    nodes = tuple(
+        OracleNode(i, t, px, (r, c), lab)
+        for i, t, px, (r, c), lab in zip(g.ids.tolist(), g.t.tolist(), g.pixel_count.tolist(), g.centroid.tolist(), g.labels)
+    )
+    return SimpleNamespace(
+        nodes=nodes, edges_spatial=edges("S", g.spatial), edges_st=edges("ST", g.st), features=g.features, meta=g.meta
+    )
 
 
 def _canonical_spatial(edges) -> list[OracleEdge]:
@@ -527,6 +581,7 @@ def canonical_graph(nodes, edges_spatial, edges_st, features=None):
 
 
 def json_oracle(g) -> bytes:
+    g = graph_objects(g)
     nodes = []
     for n in g.nodes:
         row = None
@@ -553,6 +608,7 @@ def json_oracle(g) -> bytes:
 
 
 def graphml_oracle(g) -> bytes:
+    g = graph_objects(g)
     root = ET.Element("graphml", xmlns="http://graphml.graphdrawing.org/xmlns")
     for kid, name, target, typ in (
         ("d0", "t", "node", "int"),
@@ -577,6 +633,7 @@ def graphml_oracle(g) -> bytes:
 
 
 def dot_oracle(g) -> bytes:
+    g = graph_objects(g)
     max_px = max((n.pixel_count for n in g.nodes), default=1)
     lines = ["digraph stgraph {"]
     for n in g.nodes:
@@ -593,24 +650,8 @@ def dot_oracle(g) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def neighborhood_oracle(g, node_id: int, kind: str, direction: str = "both") -> set[int]:
-    out: set[int] = set()
-    if kind == "S":
-        for e in g.edges_spatial:
-            if e.src == node_id:
-                out.add(e.dst)
-            elif e.dst == node_id:
-                out.add(e.src)
-        return out
-    for e in g.edges_st:
-        if direction in ("out", "both") and e.src == node_id:
-            out.add(e.dst)
-        if direction in ("in", "both") and e.dst == node_id:
-            out.add(e.src)
-    return out
-
-
 def temporal_profile_oracle(g, seed_node: int, feature_index: int, direction: str) -> list[tuple[int, float]]:
+    g = graph_objects(g)
     by_id = {n.id: n for n in g.nodes}
     samples = [(by_id[seed_node].t, float(g.features.values[seed_node][feature_index]))]
     current = seed_node
@@ -639,6 +680,7 @@ def temporal_profile_oracle(g, seed_node: int, feature_index: int, direction: st
 def witness_oracle(g, symbols: np.ndarray, pattern: tuple[int, ...]) -> tuple[int, ...]:
     """The miner's example path for ``pattern``: the first start node in id
     order with a depth-first path over lowest-id successors."""
+    g = graph_objects(g)
     sym = {n.id: int(symbols[i]) for i, n in enumerate(g.nodes)}
     succ: dict[int, list[int]] = {n.id: [] for n in g.nodes}
     for e in g.edges_st:

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_gradients, randomize_biases, weighted_sum
+from _oracles import OracleEdge as Edge
+from _oracles import OracleNode as Node
 from _oracles import (
     brute_adjacency,
     brute_eps_ball,
@@ -20,6 +22,8 @@ from _oracles import (
     brute_overlap,
     brute_similarity,
     enumerate_patterns,
+    graph_from_objects,
+    graph_objects,
     modal_label_accuracy,
 )
 import sitsgraph as sg
@@ -46,8 +50,6 @@ from sitsgraph.neural.nn import MLP, BatchNorm, cross_entropy, gcn_conv, relu, s
 from sitsgraph.segmentation import SegStack, felzenszwalb, segment_cube, slic
 from sitsgraph.stgraph import (
     SPATIOTEMPORAL,
-    Edge,
-    Node,
     StGraph,
     adjacency_edges,
     build_graph,
@@ -131,8 +133,8 @@ def test_criterion_02_graph_builder_oracles():
         oracle_ov = brute_overlap(a, b, 2)
         ok &= set(ov) == set(oracle_ov) and all(abs(ov[k] - oracle_ov[k]) < 1e-12 for k in ov)
 
-        cents = {n.id: n.centroid for n in nodes.nodes}
-        node_dates = {n.id: n.t for n in nodes.nodes}
+        cents = {n.id: n.centroid for n in graph_objects(nodes).nodes}
+        node_dates = {n.id: n.t for n in graph_objects(nodes).nodes}
         eps = float(rng.uniform(1.5, 5.0))
         got = _edge_map(eps_ball_edges(nodes, eps))
         ok &= got == brute_eps_ball(cents, eps, node_dates)
@@ -148,7 +150,9 @@ def test_criterion_02_graph_builder_oracles():
             ok &= got == brute_similarity(fm.values, dates, scope, 2)
 
         g = build_graph(seg, features=fm, spatial=["adjacency"], st=[("overlap", 1)])
-        ok &= all(g.node(e.src).t < g.node(e.dst).t for e in g.edges_st)
+        v = graph_objects(g)
+        date_of = {n.id: n.t for n in v.nodes}
+        ok &= all(date_of[e.src] < date_of[e.dst] for e in v.edges_st)
     _report(2, ok, "adjacency/overlap/eps/knn/similarity match brute force; ST edges oriented past->future")
     assert ok
 
@@ -167,7 +171,7 @@ def _random_st_graph(rng, max_nodes=12):
         for j in range(n)
         if dates[i] < dates[j] and rng.uniform() < 0.35
     ]
-    return StGraph(nodes, [], edges), dates
+    return graph_from_objects(nodes, [], edges), dates
 
 
 def test_criterion_03_miner_oracle():
@@ -177,8 +181,9 @@ def test_criterion_03_miner_oracle():
     for trial in range(100):
         g, _ = _random_st_graph(rng)
         symbols = rng.integers(0, 3, size=g.n_nodes)
-        sym_map = {n.id: int(symbols[i]) for i, n in enumerate(g.nodes)}
-        st_edges = [(e.src, e.dst) for e in g.edges_st]
+        v = graph_objects(g)
+        sym_map = {n.id: int(symbols[i]) for i, n in enumerate(v.nodes)}
+        st_edges = [(e.src, e.dst) for e in v.edges_st]
         for minsup in (1, 2, 3):
             got = {p.symbols: p.support for p in mine_frequent(g, symbols, minsup=minsup, maxlen=4)}
             ok &= got == enumerate_patterns(sym_map, st_edges, minsup, 4)
@@ -201,12 +206,13 @@ def test_criterion_04_event_operators():
     for _ in range(100):
         g, dates = _random_st_graph(rng)
         got = {(r.node, r.event) for r in detect_events(g)}
+        v = graph_objects(g)
         oracle = brute_events(
-            {n.id: n.t for n in g.nodes}, [(e.src, e.dst) for e in g.edges_st]
+            {n.id: n.t for n in v.nodes}, [(e.src, e.dst) for e in v.edges_st]
         )
         ok &= got == oracle
-        indeg, outdeg = g.st_degrees()
-        ok &= sum(indeg.values()) == sum(outdeg.values()) == len(g.edges_st)
+        indeg, outdeg = g.degrees(g.st)
+        ok &= indeg.sum() == outdeg.sum() == len(v.edges_st)
     _report(4, ok, "100 random fixtures match the brute-force degree scan; degree sums equal |E_ST|")
     assert ok
 
@@ -571,7 +577,7 @@ def test_criterion_12_compression_ratio(tmp_path):
         + [Edge(i, i + 2, "S", 1.0) for i in range(8)]
         + [Edge(i, i + 3, "S", 1.0) for i in range(3)]
     )
-    g0 = StGraph(nodes, edges, [])
+    g0 = graph_from_objects(nodes, edges, [])
     r = graph_stats(g0, (2, 4, 64, 64), f_v=4, f_e=1, map_stored=False)["compression_ratio"]
     ok = abs(r - 409.6) < 1e-9
 
@@ -593,10 +599,11 @@ def test_criterion_12_compression_ratio(tmp_path):
     sg.segmentation.save_seg(seg, tmp_path / "seg")
     seg_bytes = sum(f.stat().st_size for f in (tmp_path / "seg").glob("seg_t*.bin"))
     feat_bytes = len(np.ascontiguousarray(fm.values, dtype="<f4").tobytes())
-    n_edges = len(g.edges_spatial) + len(g.edges_st)
+    v = graph_objects(g)
+    n_edges = len(v.edges_spatial) + len(v.edges_st)
     edge_bytes = len(
         np.asarray(
-            [[e.src, e.dst] for e in list(g.edges_spatial) + list(g.edges_st)], dtype="<i4"
+            [[e.src, e.dst] for e in list(v.edges_spatial) + list(v.edges_st)], dtype="<i4"
         ).tobytes()
     )
     measured = cube_bytes / (seg_bytes + feat_bytes + edge_bytes)

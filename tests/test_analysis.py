@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_events, enumerate_patterns, witness_oracle
+from _oracles import OracleEdge as Edge
+from _oracles import OracleNode as Node
+from _oracles import brute_events, enumerate_patterns, graph_from_objects, graph_objects, witness_oracle
 from sitsgraph.analysis import (
     coverage_indicator,
     detect_events,
@@ -9,16 +11,16 @@ from sitsgraph.analysis import (
     symbolize,
     temporal_profile,
 )
-from sitsgraph.errors import DegenerateFeature, DimMismatch, UnknownNode
+from sitsgraph.errors import DegenerateFeature, DimMismatch, ShapeMismatch, UnknownNode
 from sitsgraph.features import FeatureMatrix
-from sitsgraph.stgraph import SPATIOTEMPORAL, Edge, Node, StGraph
+from sitsgraph.stgraph import SPATIOTEMPORAL
 
 
 def _chain_graph(n=3, weights=None):
     nodes = [Node(i, i, 1, (0.0, 0.0)) for i in range(n)]
     weights = weights or [1.0] * (n - 1)
     edges = [Edge(i, i + 1, SPATIOTEMPORAL, w) for i, w in enumerate(weights)]
-    return StGraph(nodes, [], edges)
+    return graph_from_objects(nodes, [], edges)
 
 
 def _random_st_graph(rng, n_nodes=12, n_dates=4, p=0.4):
@@ -29,7 +31,7 @@ def _random_st_graph(rng, n_nodes=12, n_dates=4, p=0.4):
         for j in range(n_nodes):
             if dates[i] < dates[j] and rng.uniform() < p:
                 edges.append(Edge(i, j, SPATIOTEMPORAL, float(rng.uniform(0.1, 1))))
-    return StGraph(nodes, [], edges), {i: int(dates[i]) for i in range(n_nodes)}
+    return graph_from_objects(nodes, [], edges), {i: int(dates[i]) for i in range(n_nodes)}
 
 
 class TestDetectEvents:
@@ -42,7 +44,7 @@ class TestDetectEvents:
 
     def test_merge(self):
         nodes = [Node(0, 0, 1, (0, 0)), Node(1, 0, 1, (0, 1)), Node(2, 1, 1, (0, 0))]
-        g = StGraph(nodes, [], [Edge(0, 2, SPATIOTEMPORAL, 1.0), Edge(1, 2, SPATIOTEMPORAL, 1.0)])
+        g = graph_from_objects(nodes, [], [Edge(0, 2, SPATIOTEMPORAL, 1.0), Edge(1, 2, SPATIOTEMPORAL, 1.0)])
         assert (2, "merge") in {(r.node, r.event) for r in detect_events(g)}
 
     @pytest.mark.parametrize("seed", range(8))
@@ -50,20 +52,21 @@ class TestDetectEvents:
         rng = np.random.default_rng(seed)
         g, dates = _random_st_graph(rng)
         got = {(r.node, r.event) for r in detect_events(g)}
-        oracle = brute_events(dates, [(e.src, e.dst) for e in g.edges_st])
+        oracle = brute_events(dates, [(e.src, e.dst) for e in graph_objects(g).edges_st])
         assert got == oracle
 
     def test_degree_sums_equal_edge_count(self):
         rng = np.random.default_rng(42)
         g, _ = _random_st_graph(rng)
-        indeg, outdeg = g.st_degrees()
-        assert sum(indeg.values()) == sum(outdeg.values()) == len(g.edges_st)
+        indeg, outdeg = g.degrees(g.st)
+        assert indeg.sum() == outdeg.sum() == len(g.st)
 
 
 class TestTemporalProfile:
     def _with_features(self, g, values):
         fm = FeatureMatrix(values=np.asarray(values, dtype=float), names=["f"])
-        return StGraph(g.nodes, g.edges_spatial, g.edges_st, features=fm)
+        v = graph_objects(g)
+        return graph_from_objects(v.nodes, v.edges_spatial, v.edges_st, features=fm)
 
     def test_static_three_dates(self):
         g = self._with_features(_chain_graph(3), [[0.5], [0.5], [0.5]])
@@ -78,29 +81,56 @@ class TestTemporalProfile:
         nodes = [Node(0, 0, 1, (0, 0)), Node(1, 1, 1, (0, 0)), Node(2, 1, 1, (0, 1))]
         edges = [Edge(0, 1, SPATIOTEMPORAL, 1.0), Edge(0, 2, SPATIOTEMPORAL, 0.6)]
         fm = FeatureMatrix(values=np.array([[0.0], [1.0], [2.0]]), names=["f"])
-        g = StGraph(nodes, [], edges, features=fm)
+        g = graph_from_objects(nodes, [], edges, features=fm)
         assert temporal_profile(g, 0, 0, "out") == [(0, 0.0), (1, 1.0)]
+
+    def test_in_walk_follows_heaviest_predecessor(self):
+        # 3 <- 2 (1.0); 2 <- 1 (0.9) beats 2 <- 0 (0.4); samples come back in date order
+        nodes = [Node(0, 0, 1, (0, 0)), Node(1, 0, 1, (0, 1)), Node(2, 1, 1, (0, 0)), Node(3, 2, 1, (0, 0))]
+        edges = [Edge(0, 2, SPATIOTEMPORAL, 0.4), Edge(1, 2, SPATIOTEMPORAL, 0.9), Edge(2, 3, SPATIOTEMPORAL, 1.0)]
+        fm = FeatureMatrix(values=np.array([[0.0], [1.0], [2.0], [3.0]]), names=["f"])
+        g = graph_from_objects(nodes, [], edges, features=fm)
+        assert temporal_profile(g, 3, 0, "in") == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
     def test_unknown_node(self):
         g = self._with_features(_chain_graph(2), [[0.0], [0.0]])
         with pytest.raises(UnknownNode):
             temporal_profile(g, 99, 0, "out")
 
+    def test_graph_without_features(self):
+        with pytest.raises(DimMismatch, match="graph carries no feature matrix"):
+            temporal_profile(_chain_graph(2), 0, 0, "out")
+
+    def test_unknown_direction(self):
+        g = self._with_features(_chain_graph(2), [[0.0], [0.0]])
+        with pytest.raises(ShapeMismatch, match="direction must be 'out' or 'in', got 'sideways'"):
+            temporal_profile(g, 0, 0, "sideways")
+
 
 class TestCoverage:
     def test_full_partition_is_one(self):
         nodes = [Node(0, 0, 10, (0, 0)), Node(1, 0, 6, (0, 1))]
-        g = StGraph(nodes, [], [])
+        g = graph_from_objects(nodes, [], [])
         cov = coverage_indicator(g, {0: [0, 1]}, frame_pixels=16)
         assert cov == {0: 1.0}
 
     def test_empty_subset(self):
-        g = StGraph([Node(0, 0, 4, (0, 0))], [], [])
+        g = graph_from_objects([Node(0, 0, 4, (0, 0))], [], [])
         assert coverage_indicator(g, {0: []}, 16) == {0: 0.0}
 
     def test_half_frame(self):
-        g = StGraph([Node(0, 0, 8, (0, 0)), Node(1, 0, 8, (0, 1))], [], [])
+        g = graph_from_objects([Node(0, 0, 8, (0, 0)), Node(1, 0, 8, (0, 1))], [], [])
         assert coverage_indicator(g, {0: [0]}, 16) == {0: 0.5}
+
+    def test_node_at_another_date(self):
+        g = graph_from_objects([Node(0, 0, 8, (0, 0)), Node(1, 1, 8, (0, 0))], [], [])
+        with pytest.raises(UnknownNode, match="node 1 is at date 1, not 0"):
+            coverage_indicator(g, {0: [0, 1]}, 16)
+
+    def test_unknown_node(self):
+        g = graph_from_objects([Node(0, 0, 8, (0, 0))], [], [])
+        with pytest.raises(UnknownNode, match="no node with id 7"):
+            coverage_indicator(g, {0: [7]}, 16)
 
 
 class TestSymbolize:
@@ -134,7 +164,7 @@ class TestMineFrequent:
     def test_two_disjoint_chains(self):
         nodes = [Node(i, i % 2, 1, (0.0, float(i))) for i in range(4)]
         edges = [Edge(0, 1, SPATIOTEMPORAL, 1.0), Edge(2, 3, SPATIOTEMPORAL, 1.0)]
-        g = StGraph(nodes, [], edges)
+        g = graph_from_objects(nodes, [], edges)
         symbols = np.array([0, 1, 0, 1])  # both chains read A -> B
         pats = {p.symbols: p.support for p in mine_frequent(g, symbols, minsup=2, maxlen=2)}
         assert pats[(0, 1)] == 2
@@ -152,7 +182,7 @@ class TestMineFrequent:
         got = {p.symbols: p.support for p in mine_frequent(g, symbols, minsup=minsup, maxlen=4)}
         oracle = enumerate_patterns(
             {i: int(symbols[i]) for i in range(10)},
-            [(e.src, e.dst) for e in g.edges_st],
+            [(e.src, e.dst) for e in graph_objects(g).edges_st],
             minsup,
             4,
         )
@@ -171,8 +201,9 @@ class TestMineFrequent:
         rng = np.random.default_rng(13)
         g, _ = _random_st_graph(rng, n_nodes=10)
         symbols = rng.integers(0, 2, size=10)
-        succ = {n.id: set() for n in g.nodes}
-        for e in g.edges_st:
+        v = graph_objects(g)
+        succ = {n.id: set() for n in v.nodes}
+        for e in v.edges_st:
             succ[e.src].add(e.dst)
         for p in mine_frequent(g, symbols, minsup=1, maxlen=3):
             path = p.example
@@ -185,10 +216,11 @@ class TestMineFrequent:
         rng = np.random.default_rng(900 + seed)
         g, _ = _random_st_graph(rng, n_nodes=14, p=0.5)
         ids = np.sort(rng.choice(100, size=14, replace=False))
-        g = StGraph(
-            [Node(int(ids[n.id]), n.t, 1, n.centroid) for n in g.nodes],
+        v = graph_objects(g)
+        g = graph_from_objects(
+            [Node(int(ids[n.id]), n.t, 1, n.centroid) for n in v.nodes],
             [],
-            [Edge(int(ids[e.src]), int(ids[e.dst]), SPATIOTEMPORAL, e.weight) for e in g.edges_st],
+            [Edge(int(ids[e.src]), int(ids[e.dst]), SPATIOTEMPORAL, e.weight) for e in v.edges_st],
         )
         symbols = rng.integers(0, 2, size=14)
         pats = mine_frequent(g, symbols, minsup=1, maxlen=4)

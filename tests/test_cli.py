@@ -465,6 +465,18 @@ class TestConfigReplay:
         graph = (tmp_path / "a" / "graph.json").read_bytes()
         assert b'"kind": "ST"' in graph and (tmp_path / "b" / "graph.json").read_bytes() == graph
 
+    def test_explicit_append_flag_replaces_config_list(self, tmp_path):
+        cube = _cube(tmp_path)
+        seg = str(tmp_path / "seg")
+        assert main(["segment", "--cube", cube, "--scale", "0.5", "--out", seg]) == 0
+        graph = ["build-graph", "--cube", cube, "--seg", seg]
+        assert main([*graph, "--spatial", "knn:1", "--st", "overlap:1", "--out", str(tmp_path / "a")]) == 0
+        rc = str(tmp_path / "a" / "run_config.json")
+        assert main(["build-graph", "--config", rc, "--spatial", "adjacency", "--out", str(tmp_path / "b")]) == 0
+        assert main([*graph, "--spatial", "adjacency", "--st", "overlap:1", "--out", str(tmp_path / "c")]) == 0
+        assert json.loads((tmp_path / "b" / "run_config.json").read_text())["spatial"] == ["adjacency"]
+        assert (tmp_path / "b" / "graph.json").read_bytes() == (tmp_path / "c" / "graph.json").read_bytes()
+
     def test_config_value_parsed_as_its_flag(self):
         p = cli.argparse.ArgumentParser()
         typed = p.add_argument("--x", type=float)

@@ -36,7 +36,7 @@ class TestBandStats:
         fm = band_stats(fix_a, seg)
         # naive recomputation per object
         for obj in range(seg.n_objects):
-            t = seg.date_of_object(obj)
+            t = int(seg.object_dates()[obj])
             pix = fix_a.values[t, 0][seg.labels[t] == obj]
             expect = [pix.mean(), pix.std(), pix.min(), pix.max()]
             assert fm.values[obj] == pytest.approx(expect, abs=1e-7)

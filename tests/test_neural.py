@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from _gradcheck import check_gradients, weighted_sum
+from _oracles import OracleEdge as Edge
+from _oracles import OracleNode as Node
+from _oracles import graph_from_objects, graph_objects
 from sitsgraph.errors import AllIgnored, ConfigMismatch, NoLabels, ShapeMismatch, SitsGraphError
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tape, Tensor, no_grad
@@ -28,7 +31,7 @@ from sitsgraph.neural.nn import (
     sage_conv,
     softmax,
 )
-from sitsgraph.stgraph import SPATIOTEMPORAL, Edge, Node, StGraph
+from sitsgraph.stgraph import SPATIOTEMPORAL
 from sitsgraph.features import FeatureMatrix
 
 
@@ -271,6 +274,19 @@ class TestGradients:
 
         assert check_gradients(loss, [w, b]) < 1e-6
 
+    def test_slices_of_one_tensor(self):
+        # the tape replays the slices last to first: rows 1:5 first, then
+        # 0:2 and 4:6 add into the stored gradient
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        probe = rng.normal(size=(8, 3))
+
+        def loss():
+            parts = [ag.slice_rows(x, 4, 6), ag.slice_rows(x, 0, 2), ag.slice_rows(x, 1, 5)]
+            return weighted_sum(ag.concat_rows(parts), probe)
+
+        assert check_gradients(loss, [x]) < 1e-6
+
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("with_relu", [True, False])
     def test_fused_linear(self, bias, with_relu):
@@ -353,6 +369,7 @@ _ALIASING = {
     "residual_add_branch_first": lambda L, h, p: ag.add(_branch(p, L), p),
     "residual_add_clamped": lambda L, h, p: ag.clamp(ag.add(p, _branch(p, L)), -0.5, 0.5),
     "slice_rows_twice": lambda L, h, p: ag.concat_rows([_branch(ag.slice_rows(h, 0, 4), L), ag.slice_rows(h, 2, 6)]),
+    "slice_rows_disjoint": lambda L, h, p: ag.concat_rows([_branch(ag.slice_rows(h, 3, 6), L), ag.slice_rows(h, 0, 3)]),
     "relu_of_leaf": lambda L, h, p: relu(L["x"]),
     "linear": lambda L, h, p: ag.linear(L["x"], L["w0"]),
     "linear_bias": lambda L, h, p: ag.linear(L["x"], L["w0"], L["b0"]),
@@ -424,7 +441,7 @@ def _tiny_graph(seed=0, n_per_date=4, n_dates=2, n_feats=3, n_classes=2):
         for i in range((n_dates - 1) * n_per_date)
     ]
     fm = FeatureMatrix(values=rng.normal(size=(len(nodes), n_feats)), names=[f"f{i}" for i in range(n_feats)])
-    return StGraph(nodes, es, est, features=fm)
+    return graph_from_objects(nodes, es, est, features=fm)
 
 
 class TestClassifier:
@@ -440,7 +457,7 @@ class TestClassifier:
 
     def test_mlp_is_edge_invariant(self):
         g = _tiny_graph()
-        bare = StGraph(g.nodes, [], [], features=g.features)
+        bare = graph_from_objects(graph_objects(g).nodes, [], [], features=g.features)
         cfg = ClassifierConfig(n_classes=2, conv="mlp", hidden=8, n_layers=2, seed=3)
         model = STClassifier(cfg, in_dim=g.features.dim)
         a = predict_nodes(model, g)
@@ -456,7 +473,7 @@ class TestClassifier:
 
     def test_single_node_graph_runs_all_convs(self):
         fm = FeatureMatrix(values=np.array([[0.3, -0.2]]), names=["a", "b"])
-        g = StGraph([Node(0, 0, 1, (0, 0), label=0)], [], [], features=fm)
+        g = graph_from_objects([Node(0, 0, 1, (0, 0), label=0)], [], [], features=fm)
         for conv in ("gcn", "sage", "mlp"):
             cfg = ClassifierConfig(n_classes=2, conv=conv, hidden=4, n_layers=2, seed=0)
             model = STClassifier(cfg, in_dim=2)
@@ -495,10 +512,11 @@ class TestClassifier:
 
     def test_no_labels_raises(self):
         g = _tiny_graph()
-        unlabeled = StGraph(
-            [Node(n.id, n.t, n.pixel_count, n.centroid, label=None) for n in g.nodes],
-            g.edges_spatial,
-            g.edges_st,
+        v = graph_objects(g)
+        unlabeled = graph_from_objects(
+            [Node(n.id, n.t, n.pixel_count, n.centroid, label=None) for n in v.nodes],
+            v.edges_spatial,
+            v.edges_st,
             features=g.features,
         )
         with pytest.raises(NoLabels):
@@ -512,7 +530,7 @@ class TestClassifier:
         feats += 0.02 * rng.normal(size=feats.shape)
         nodes = [Node(i, 0, 1, (0.0, float(i)), label=int(labels[i])) for i in range(n)]
         fm = FeatureMatrix(values=feats, names=["a", "b"])
-        g = StGraph(nodes, [], [], features=fm)
+        g = graph_from_objects(nodes, [], [], features=fm)
         cfg = ClassifierConfig(n_classes=2, conv="mlp", hidden=16, n_layers=2, lr=1e-2, epochs=100, seed=0)
         ckpt, _ = train_classifier([g], [g], cfg)
         model = classifier_from_checkpoint(ckpt)
@@ -558,7 +576,8 @@ class TestClassifier:
 
         monkeypatch.setattr(STClassifier, "forward", counting_forward)
         g = _tiny_graph(seed=5)
-        twin = StGraph(g.nodes, g.edges_spatial, g.edges_st, features=g.features)  # same content, another object
+        v = graph_objects(g)
+        twin = graph_from_objects(v.nodes, v.edges_spatial, v.edges_st, features=g.features)  # same content, another object
         mask = np.arange(g.n_nodes) % 3 == 0
         cfg = ClassifierConfig(n_classes=2, conv=conv, hidden=8, n_layers=2, lr=1e-2, epochs=4, seed=0)
         shared = train_classifier([g], [g], cfg, train_masks=[~mask], val_masks=[mask])

@@ -298,7 +298,7 @@ class TestSegmentCube:
     def test_partition_pixel_sum(self, fix_a):
         seg = segment_cube(fix_a, "slic", {"n_segments": 4, "compactness": 0.5})
         for t in range(2):
-            areas = np.bincount(seg.labels[t].ravel() - seg.date_offset(t))
+            areas = np.bincount(seg.labels[t].ravel() - sum(seg.counts[:t]))
             assert areas.sum() == 16
 
     def test_serialization_roundtrip(self, tmp_path, fix_a):

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import OracleEdge as Edge
+from _oracles import OracleNode as Node
 from _oracles import (
     brute_adjacency,
     brute_eps_ball,
@@ -15,14 +18,24 @@ from _oracles import (
     brute_similarity,
     canonical_graph,
     dot_oracle,
+    graph_from_objects,
+    graph_objects,
     graphml_oracle,
     json_oracle,
     modal_label_accuracy,
-    neighborhood_oracle,
     temporal_profile_oracle,
 )
 from sitsgraph.cli import build_parser
-from sitsgraph.errors import DimMismatch, InvalidLag, InvalidSpec, NoLabels, ShapeMismatch, TooFewNodes, UnknownNode
+from sitsgraph.errors import (
+    DimMismatch,
+    InvalidLag,
+    InvalidSpec,
+    NoLabels,
+    ShapeMismatch,
+    SitsGraphError,
+    TooFewNodes,
+    UnknownNode,
+)
 from sitsgraph.analysis import temporal_profile
 from sitsgraph.features import FeatureMatrix, band_stats
 from sitsgraph.metrics import majority_upper_bound
@@ -31,8 +44,6 @@ from sitsgraph.stgraph import (
     EDGE_SPECS,
     SPATIAL,
     SPATIOTEMPORAL,
-    Edge,
-    Node,
     StGraph,
     adjacency_edges,
     build_graph,
@@ -107,7 +118,7 @@ class TestAdjacency:
 
 
 def _nodes_at(centroids: dict[int, tuple[float, float]], t: int = 0):
-    return StGraph(
+    return graph_from_objects(
         [Node(id=i, t=t, pixel_count=1, centroid=c) for i, c in sorted(centroids.items())], [], []
     )
 
@@ -151,7 +162,7 @@ class TestProximity:
         dates = {i: int(t) for i, t in enumerate(rng.integers(0, 3, size=n))}
         pos = rng.integers(0, 5, size=(n, 2)) if grid else rng.uniform(0, 10, size=(n, 2))
         cents = {i: (float(pos[i, 0]), float(pos[i, 1])) for i in range(n)}
-        nodes = StGraph([Node(id=i, t=dates[i], pixel_count=1, centroid=cents[i]) for i in range(n)], [], [])
+        nodes = graph_from_objects([Node(id=i, t=dates[i], pixel_count=1, centroid=cents[i]) for i in range(n)], [], [])
         k = min(4, min(list(dates.values()).count(t) for t in set(dates.values())) - 1)
         edges = knn_edges(nodes, k=k)
         assert _pairs(edges) == sorted(brute_knn(cents, k, dates))
@@ -316,7 +327,7 @@ class TestBuilderColumns:
             g = build_graph(seg, features=fm, st=[spec])
             assert len(built) > 0 and len(g.spatial) == 0
             assert edge_map(g.st) == edge_map(built)
-            assert all(e.kind == SPATIOTEMPORAL for e in g.edges_st)
+            assert all(e.kind == SPATIOTEMPORAL for e in graph_objects(g).edges_st)
 
 
 # (relation, flag text, JSON form, parsed spec)
@@ -406,57 +417,46 @@ class TestGraphInvariants:
 
     def test_disjoint_relations_and_orientation(self, fix_a):
         g = self._graph(fix_a)
-        spatial = {(e.src, e.dst) for e in g.edges_spatial}
-        st = {(e.src, e.dst) for e in g.edges_st}
+        v = graph_objects(g)
+        spatial = {(e.src, e.dst) for e in v.edges_spatial}
+        st = {(e.src, e.dst) for e in v.edges_st}
         assert not (spatial & st)
-        for e in g.edges_st:
-            assert g.node(e.src).t < g.node(e.dst).t
-        for e in g.edges_spatial:
+        for e in v.edges_st:
+            assert g.t[g.index_of(e.src)] < g.t[g.index_of(e.dst)]
+        for e in v.edges_spatial:
             assert e.src < e.dst
 
     def test_insertion_order_independent(self, fix_a):
         g = self._graph(fix_a)
         rng = np.random.default_rng(0)
-        nodes = list(g.nodes)
+        v = graph_objects(g)
+        nodes = list(v.nodes)
         order = rng.permutation(len(nodes))
-        shuffled = StGraph(
+        shuffled = graph_from_objects(
             [nodes[i] for i in order],
-            list(reversed(g.edges_spatial)),
-            list(reversed(g.edges_st)),
+            list(reversed(v.edges_spatial)),
+            list(reversed(v.edges_st)),
             features=g.features,
         )
-        assert shuffled.nodes == g.nodes
-        assert shuffled.edges_spatial == g.edges_spatial
-        assert shuffled.edges_st == g.edges_st
-
-    def test_neighborhood_symmetry_and_direction(self, fix_a):
-        g = self._graph(fix_a)
-        e = g.edges_spatial[0]
-        assert e.dst in g.neighborhood(e.src, SPATIAL)
-        assert e.src in g.neighborhood(e.dst, SPATIAL)
-        est = g.edges_st[0]
-        assert est.dst in g.neighborhood(est.src, SPATIOTEMPORAL, "out")
-        assert est.src in g.neighborhood(est.dst, SPATIOTEMPORAL, "in")
-
-    def test_isolated_node_empty_neighborhood(self):
-        g = StGraph([Node(0, 0, 1, (0.0, 0.0))], [], [])
-        assert g.neighborhood(0, SPATIAL) == set()
-        assert g.neighborhood(0, SPATIOTEMPORAL) == set()
+        shuffled = graph_objects(shuffled)
+        assert shuffled.nodes == v.nodes
+        assert shuffled.edges_spatial == v.edges_spatial
+        assert shuffled.edges_st == v.edges_st
 
     def test_merge_node_in_degree(self):
         nodes = [Node(0, 0, 1, (0, 0)), Node(1, 0, 1, (1, 1)), Node(2, 1, 1, (0, 0))]
-        g = StGraph(
+        g = graph_from_objects(
             nodes,
             [],
             [Edge(0, 2, SPATIOTEMPORAL, 1.0), Edge(1, 2, SPATIOTEMPORAL, 1.0)],
         )
-        indeg, _ = g.st_degrees()
+        indeg, _ = g.degrees(g.st)
         assert indeg[2] == 2
 
 
 class TestGraphStats:
     def test_empty_graph_unit_ratio(self):
-        g = StGraph([], [], [])
+        g = graph_from_objects([], [], [])
         report = graph_stats(g, (1, 1, 4, 4), f_v=0, f_e=0, map_stored=True)
         assert report["compression_ratio"] == 1.0
 
@@ -465,16 +465,16 @@ class TestGraphStats:
         edges = [Edge(i, i + 1, SPATIAL, 1.0) for i in range(9)]
         extra = [Edge(i, i + 2, SPATIAL, 1.0) for i in range(8)]
         more = [Edge(i, i + 3, SPATIAL, 1.0) for i in range(3)]
-        g = StGraph(nodes, edges + extra + more, [])
-        assert len(g.edges_spatial) == 20
+        g = graph_from_objects(nodes, edges + extra + more, [])
+        assert len(g.spatial) == 20
         report = graph_stats(g, (2, 4, 64, 64), f_v=4, f_e=1, map_stored=False)
         assert report["compression_ratio"] == pytest.approx(32768 / 80)
         assert report["compression_ratio"] == pytest.approx(409.6)
 
     def test_adding_edges_decreases_ratio(self):
         nodes = [Node(i, 0, 1, (0.0, float(i))) for i in range(5)]
-        g1 = StGraph(nodes, [Edge(0, 1, SPATIAL, 1.0)], [])
-        g2 = StGraph(nodes, [Edge(0, 1, SPATIAL, 1.0), Edge(1, 2, SPATIAL, 1.0)], [])
+        g1 = graph_from_objects(nodes, [Edge(0, 1, SPATIAL, 1.0)], [])
+        g2 = graph_from_objects(nodes, [Edge(0, 1, SPATIAL, 1.0), Edge(1, 2, SPATIAL, 1.0)], [])
         shape = (1, 1, 8, 8)
         r1 = graph_stats(g1, shape, f_v=2, map_stored=False)["compression_ratio"]
         r2 = graph_stats(g2, shape, f_v=2, map_stored=False)["compression_ratio"]
@@ -492,21 +492,22 @@ class TestExport:
     def test_json_roundtrip(self, fix_a):
         g = self._graph(fix_a)
         back = import_graph(export_graph(g, "json"))
-        assert back.nodes == g.nodes
-        assert back.edges_spatial == g.edges_spatial
-        assert back.edges_st == g.edges_st
+        got, want = graph_objects(back), graph_objects(g)
+        assert got.nodes == want.nodes
+        assert got.edges_spatial == want.edges_spatial
+        assert got.edges_st == want.edges_st
         assert np.allclose(back.features.values, g.features.values)
         assert back.meta["tag"] == "x"
 
     def test_empty_graph_all_formats(self):
-        g = StGraph([], [], [])
+        g = graph_from_objects([], [], [])
         assert import_graph(export_graph(g, "json")).n_nodes == 0
         assert b"graphml" in export_graph(g, "graphml")
         assert export_graph(g, "dot").decode().startswith("digraph")
 
     def test_dot_dashed_st_edges(self):
         nodes = [Node(0, 0, 2, (0, 0)), Node(1, 1, 1, (0, 0)), Node(2, 2, 1, (0, 0))]
-        g = StGraph(
+        g = graph_from_objects(
             nodes, [], [Edge(0, 1, SPATIOTEMPORAL, 1.0), Edge(1, 2, SPATIOTEMPORAL, 0.5)]
         )
         dot = export_graph(g, "dot").decode()
@@ -521,7 +522,7 @@ class TestExport:
         ns = "{http://graphml.graphdrawing.org/xmlns}"
         graph = root.find(f"{ns}graph")
         assert len(graph.findall(f"{ns}node")) == g.n_nodes
-        assert len(graph.findall(f"{ns}edge")) == len(g.edges_spatial) + len(g.edges_st)
+        assert len(graph.findall(f"{ns}edge")) == len(g.spatial) + len(g.st)
 
 
 class TestNodesFromSeg:
@@ -530,14 +531,14 @@ class TestNodesFromSeg:
         maps = np.zeros((2, 4, 4), dtype=np.int32)
         maps[:, :, 2:] = 2
         maps[0, 0, 0] = -1  # ignored pixel
-        nodes = nodes_from_seg(seg, maps).nodes
+        nodes = graph_objects(nodes_from_seg(seg, maps)).nodes
         assert nodes[0].label == 0 and nodes[1].label == 2
 
     def test_unlabeled_object_none(self, fix_a):
         seg = segment_cube(fix_a, "felzenszwalb", {"scale": 0.01, "min_size": 1})
         maps = np.full((2, 4, 4), -1, dtype=np.int32)
         maps[0, 0, 0] = 1
-        nodes = nodes_from_seg(seg, maps).nodes
+        nodes = graph_objects(nodes_from_seg(seg, maps)).nodes
         assert nodes[0].label == 1
         assert nodes[1].label is None
 
@@ -562,7 +563,7 @@ class TestNodesFromSeg:
         seg = _seg(np.stack(frames))
         low = -1 if seed else -2
         truth = rng.integers(low, 3 if seed else 0, size=(t, h, w)).astype(np.int32)
-        labels = [n.label for n in nodes_from_seg(seg, truth).nodes]
+        labels = [n.label for n in graph_objects(nodes_from_seg(seg, truth)).nodes]
         assert labels == brute_modal_labels(seg.labels, truth, seg.n_objects)
         if seed == 0:
             assert labels == [None] * seg.n_objects
@@ -643,18 +644,19 @@ class TestMatchesPerObjectOracles:
     @settings(max_examples=150, deadline=None)
     def test_columns_and_bytes(self, seed):
         nodes, spatial, temporal, features, meta = _random_graph_parts(np.random.default_rng(seed))
-        g = StGraph(nodes, spatial, temporal, features=features, meta=meta)
+        g = graph_from_objects(nodes, spatial, temporal, features=features, meta=meta)
         o_nodes, o_spatial, o_st = canonical_graph(nodes, spatial, temporal, features)
-        assert list(map(_node_key, g.nodes)) == list(map(_node_key, o_nodes))
-        assert list(map(_edge_key, g.edges_spatial)) == list(map(_edge_key, o_spatial))
-        assert list(map(_edge_key, g.edges_st)) == list(map(_edge_key, o_st))
+        v = graph_objects(g)
+        assert list(map(_node_key, v.nodes)) == list(map(_node_key, o_nodes))
+        assert list(map(_edge_key, v.edges_spatial)) == list(map(_edge_key, o_spatial))
+        assert list(map(_edge_key, v.edges_st)) == list(map(_edge_key, o_st))
         blob = export_graph(g, "json")
         assert blob == json_oracle(g)
         assert export_graph(g, "graphml") == graphml_oracle(g)
         assert export_graph(g, "dot") == dot_oracle(g)
         back = import_graph(blob)
         assert export_graph(back, "json") == blob
-        assert list(map(_edge_key, back.edges_st)) == list(map(_edge_key, o_st))
+        assert list(map(_edge_key, graph_objects(back).edges_st)) == list(map(_edge_key, o_st))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -669,20 +671,14 @@ class TestMatchesPerObjectOracles:
             return None
 
         expect = outcome(lambda: canonical_graph(nodes, spatial, temporal, features))
-        assert outcome(lambda: StGraph(nodes, spatial, temporal, features=features)) == expect
+        assert outcome(lambda: graph_from_objects(nodes, spatial, temporal, features=features)) == expect
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_queries(self, seed):
         nodes, spatial, temporal, features, _ = _random_graph_parts(np.random.default_rng(seed))
-        g = StGraph(nodes, spatial, temporal, features=features)
-        for n in g.nodes:
-            assert g.node(n.id) == n
-            assert g.nodes_at(n.t) == [m for m in g.nodes if m.t == n.t]
-            assert g.neighborhood(n.id, SPATIAL) == neighborhood_oracle(g, n.id, SPATIAL)
-            for direction in ("in", "out", "both"):
-                got = g.neighborhood(n.id, SPATIOTEMPORAL, direction)
-                assert got == neighborhood_oracle(g, n.id, SPATIOTEMPORAL, direction)
+        g = graph_from_objects(nodes, spatial, temporal, features=features)
+        for n in graph_objects(g).nodes:
             if features is not None and features.dim:
                 for direction in ("in", "out"):
                     got = temporal_profile(g, n.id, 0, direction)
@@ -690,7 +686,7 @@ class TestMatchesPerObjectOracles:
                     assert [(t, float(v).hex()) for t, v in got] == [(t, float(v).hex()) for t, v in want]
 
     def test_empty_graph(self):
-        g = StGraph([], [], [], meta={"k": "ü"})
+        g = graph_from_objects([], [], [], meta={"k": "ü"})
         for fmt, oracle in (("json", json_oracle), ("graphml", graphml_oracle), ("dot", dot_oracle)):
             assert export_graph(g, fmt) == oracle(g)
         assert export_graph(import_graph(export_graph(g, "json")), "json") == export_graph(g, "json")
@@ -699,19 +695,19 @@ class TestMatchesPerObjectOracles:
         nodes = [Node(5, 1, 1, (0.0, 0.0)), Node(2, 0, 1, (0.0, 0.0)), Node(9, 1, 1, (1.0, 0.0))]
         spatial = [Edge(9, 5, SPATIAL, 1.0), Edge(5, 9, SPATIAL, 2.0)]
         temporal = [Edge(5, 2, SPATIOTEMPORAL, 3.0), Edge(2, 5, SPATIOTEMPORAL, 4.0), Edge(9, 2, SPATIOTEMPORAL, 5.0)]
-        g = StGraph(nodes, spatial, temporal)
+        g = graph_objects(graph_from_objects(nodes, spatial, temporal))
         assert [(e.src, e.dst, e.weight) for e in g.edges_spatial] == [(5, 9, 2.0)]
         assert [(e.src, e.dst, e.weight) for e in g.edges_st] == [(2, 5, 4.0), (2, 9, 5.0)]
 
     def test_integer_centroids_are_written_as_floats(self):
-        g = StGraph([Node(0, 0, 1, (0, 3))], [], [])
+        g = graph_from_objects([Node(0, 0, 1, (0, 3))], [], [])
         assert b'"centroid": [\n    0.0,\n    3.0\n   ]' in export_graph(g, "json")
 
 
 class TestDuplicateNodeIds:
     def test_rejected_in_memory(self):
         with pytest.raises(ShapeMismatch, match="duplicate node id 0"):
-            StGraph([Node(0, 0, 1, (0.0, 0.0)), Node(0, 1, 1, (0.0, 0.0))], [], [])
+            graph_from_objects([Node(0, 0, 1, (0.0, 0.0)), Node(0, 1, 1, (0.0, 0.0))], [], [])
 
     def test_rejected_from_json(self):
         node = {"t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": None, "label": None}
@@ -724,7 +720,7 @@ class TestNodeFieldChecks:
     @pytest.mark.parametrize("pixel_count", [0, -3])
     def test_pixel_count_below_one_rejected_in_memory(self, pixel_count):
         with pytest.raises(ShapeMismatch, match=f"node 4 has pixel_count {pixel_count}"):
-            StGraph([Node(7, 0, 2, (0.0, 0.0)), Node(4, 0, pixel_count, (1.0, 0.0))], [], [])
+            graph_from_objects([Node(7, 0, 2, (0.0, 0.0)), Node(4, 0, pixel_count, (1.0, 0.0))], [], [])
 
     def test_pixel_count_below_one_rejected_from_json(self):
         node = {"t": 0, "centroid": [0.0, 0.0], "features": None, "label": None}
@@ -741,10 +737,10 @@ class TestNodeFieldChecks:
     @pytest.mark.parametrize("label", [1.7, True, "2", 2**70])
     def test_label_must_be_an_integer_in_memory(self, label):
         with pytest.raises(ShapeMismatch, match="'label' must be an integer|'label' out of the 64-bit range"):
-            StGraph([Node(0, 0, 1, (0.0, 0.0), label=label)], [], [])
+            graph_from_objects([Node(0, 0, 1, (0.0, 0.0), label=label)], [], [])
 
     def test_numpy_integer_label_stored_as_int(self):
-        g = StGraph([Node(0, 0, 1, (0.0, 0.0), label=np.int32(3)), Node(1, 0, 1, (0.0, 0.0))], [], [])
+        g = graph_from_objects([Node(0, 0, 1, (0.0, 0.0), label=np.int32(3)), Node(1, 0, 1, (0.0, 0.0))], [], [])
         assert g.labels == (3, None) and type(g.labels[0]) is int
 
     @pytest.mark.parametrize("label", [None, 0, 3, -1])
@@ -753,3 +749,68 @@ class TestNodeFieldChecks:
         g = import_graph(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
         assert g.labels == (label,)
         assert export_graph(import_graph(export_graph(g, "json")), "json") == export_graph(g, "json")
+
+
+def _fuzz_doc() -> dict:
+    """A small valid graph document: three nodes at two dates with features,
+    one edge per relation and unicode meta."""
+    node = {"pixel_count": 3, "centroid": [1.0, 2.5], "label": 1}
+    return {
+        "nodes": [
+            dict(node, id=0, t=0, features=[0.5, -1.0]),
+            dict(node, id=1, t=0, features=[2.0, 0.0], label=None),
+            dict(node, id=2, t=1, features=[1.5, 3.25]),
+        ],
+        "edges": [
+            {"src": 0, "dst": 1, "kind": "S", "w": 2.0},
+            {"src": 1, "dst": 2, "kind": "ST", "w": 0.5},
+        ],
+        "meta": {"tag": "ünï", "feature_names": ["a", "b"]},
+    }
+
+
+def _fuzz_paths(doc, prefix=()):
+    """The path of every value below ``doc``, as keys and list indices."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _fuzz_paths(v, prefix + (k,))
+
+
+# a retyped field: strings, bools, lists, null, objects, integers outside 64
+# bits, non-finite numbers and centroids of the wrong length
+_FUZZ_VALUES = ["x", "", True, False, None, {}, [], [1], [1.0], [1.0, 2.0, 3.0], ["a", "b"], 2**63, -(2**63) - 1, 2**64,
+                1.5, -1, 0, float("nan"), float("inf"), -float("inf")]
+
+
+class TestImportGraphFuzz:
+    @given(data=st.data())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_only_typed_errors_escape(self, data):
+        doc = _fuzz_doc()
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from([(), *_fuzz_paths(doc)]))
+            value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for k in path[:-1]:
+                parent = parent[k]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        blob = json.dumps(doc).encode()
+        if data.draw(st.booleans()):
+            blob = blob[: data.draw(st.integers(0, len(blob)))]
+        try:
+            g = import_graph(blob)
+        except (SitsGraphError, json.JSONDecodeError):
+            return
+        again = export_graph(g, "json")
+        assert export_graph(import_graph(again), "json") == again
+
+    def test_valid_document_loads(self):
+        g = import_graph(json.dumps(_fuzz_doc()))
+        assert (g.n_nodes, len(g.spatial), len(g.st), g.features.names) == (3, 1, 1, ["a", "b"])
