@@ -39,7 +39,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
     (hlen,) = struct.unpack("<I", raw[:4])
     if 4 + hlen > len(raw):
         raise ShapeMismatch(f"checkpoint {path} declares a {hlen}-byte header but holds {len(raw) - 4} bytes after it")
-    header = json.loads(raw[4 : 4 + hlen])
+    try:
+        header = json.loads(raw[4 : 4 + hlen])
+    except UnicodeDecodeError as e:
+        raise ShapeMismatch(f"checkpoint {path} header is not UTF-8 text: {e}") from None
     if not isinstance(header, dict) or not isinstance(header.get("shapes"), list):
         raise ShapeMismatch(f"checkpoint {path} header carries no parameter shapes")
     shapes = []

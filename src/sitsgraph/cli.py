@@ -26,8 +26,6 @@ from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_
 from .neural import ClassifierConfig, train_classifier
 from .neural.classifier import classifier_from_checkpoint, predict_nodes
 
-_ENV_THREADS = "SITSGRAPH_THREADS"
-
 # glibc mallopt parameters and the values set for them: the 64-bit ceiling of
 # glibc's dynamic mmap threshold, and twice it for the trim threshold, which
 # is where glibc's own rule moves them once large blocks have been freed
@@ -37,22 +35,14 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 class UsageError(Exception):
-    """A bad flag combination or environment value that argparse cannot see; exit code 2."""
+    """A bad flag combination or config value that argparse cannot see; exit code 2."""
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"{_ENV_THREADS} must be an integer, got {env!r}") from None
     # serial by default: per-date felzenszwalb, the default algorithm, is
     # interpreter-bound and gains nothing from threads; slic spends its time
     # in NumPy and does gain from them
-    return 1
+    return max(1, args.threads or 1)
 
 
 def _pin_malloc_thresholds() -> None:
@@ -424,17 +414,14 @@ def cmd_forecast_predict(args):
     window = values[end - n : end].astype(np.float32)
     pred = predict_next_frame(model, window, cube.geo, cube.timestamps[end - 1])
     out = Path(args.out)
-    if out.suffix == ".bin":  # --out frame.bin writes siblings next to it
-        frame_path, base = out, out.parent
-    else:
-        frame_path, base = out / "frame.bin", out
-    base.mkdir(parents=True, exist_ok=True)
+    frame_path = out / "frame.bin"
+    out.mkdir(parents=True, exist_ok=True)
     frame_path.write_bytes(np.ascontiguousarray(pred, dtype="<f4").tobytes())
     report = {}
     if end < t:
         report = metrics.rmse_psnr_ssim(pred, values[end])
-        (base / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_run_config(args, base)
+        (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_run_config(args, out)
     print(json.dumps({"frame": str(frame_path), **report}, indent=2))
     return 0
 
@@ -451,7 +438,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults (unknown keys rejected)")
-        p.add_argument("--threads", type=int, default=None, help=f"per-date worker threads for segment (env {_ENV_THREADS}; default 1, serial)")
+        p.add_argument("--threads", type=int, default=None, help="per-date worker threads for segment (default 1, serial)")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")
@@ -653,14 +640,19 @@ def _preload_config(parser, registry, argv: list[str]) -> dict:
     appends command-line values to a copy of an ``append`` flag's default,
     so the lists of those flags are returned instead, for ``main`` to fill
     in where the command line left the flag unset."""
-    if "--config" not in argv:
-        return {}
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    # the path as argparse reads it: ``--config FILE``, ``--config=FILE`` or
+    # an unambiguous prefix of the flag
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        path = pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
         return {}  # argparse reports the missing value
-    cfg = json.loads(Path(argv[idx + 1]).read_text())
+    if path is None:
+        return {}
+    cfg = json.loads(Path(path).read_text())
     if not isinstance(cfg, dict):
-        parser.error(f"--config {argv[idx + 1]} must hold a JSON object")
+        parser.error(f"--config {path} must hold a JSON object")
     positionals = [tok for tok in argv if not tok.startswith("-")]
     key = tuple(positionals[:2]) if positionals[:1] == ["forecast"] else tuple(positionals[:1])
     sp = registry.get(key)

@@ -162,7 +162,10 @@ def load_cube(path: str | Path) -> SitsCube:
         raise MissingFile(f"missing {meta_path}")
     if not bin_path.is_file():
         raise MissingFile(f"missing {bin_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except UnicodeDecodeError as e:
+        raise InvalidCube(f"{meta_path} is not UTF-8 text: {e}") from None
     if not isinstance(meta, dict):
         raise InvalidCube(f"{meta_path} must hold a JSON object")
     missing = [k for k in _META_KEYS if k not in meta]
@@ -174,10 +177,12 @@ def load_cube(path: str | Path) -> SitsCube:
     def number(key: str, value, kind):
         try:
             return kind(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidCube(f"{meta_path} key {key!r} is not a number: {value!r}") from None
 
     t, c, h, w = (number(k, meta[k], int) for k in ("T", "C", "H", "W"))
+    if min(t, c, h, w) < 1:
+        raise InvalidCube(f"{meta_path} declares a cube of shape {(t, c, h, w)}; every dimension must be >= 1")
     for key in ("timestamps", "bands"):
         if not isinstance(meta[key], list) or not all(isinstance(v, str) for v in meta[key]):
             raise InvalidCube(f"{meta_path} key {key!r} must be a list of strings")
@@ -233,8 +238,10 @@ def save_labels(labels: np.ndarray, path: str | Path, stem: str = "labels") -> N
 
 
 def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") -> np.ndarray:
+    """The ``t`` maps ``{stem}_t{k}.bin`` as an int32 ``(t, h, w)`` array;
+    sizes from a damaged file allocate nothing before each file is checked."""
     path = Path(path)
-    out = np.empty((t, h, w), dtype=np.int32)
+    frames = []
     for k in range(t):
         f = path / f"{stem}_t{k}.bin"
         if not f.is_file():
@@ -242,8 +249,8 @@ def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") 
         blob = f.read_bytes()
         if len(blob) != 4 * h * w:
             raise ShapeMismatch(f"{f} holds {len(blob)} bytes, expected {4 * h * w}")
-        out[k] = np.frombuffer(blob, dtype="<i4").reshape(h, w)
-    return out
+        frames.append(np.frombuffer(blob, dtype="<i4").reshape(h, w))
+    return np.array(frames, dtype=np.int32).reshape(t, h, w)
 
 
 def has_labels(path: str | Path) -> bool:
@@ -253,15 +260,19 @@ def has_labels(path: str | Path) -> bool:
 # ---------------------------------------------------------------------------
 # spectral index
 
+# the Sentinel-2 green and near-infrared bands that NDWI is computed from
+NDWI_GREEN, NDWI_NIR = "B03", "B08"
 
-def ndwi(cube: SitsCube, green_band: str = "B03", nir_band: str = "B08") -> SitsCube:
-    """(green - nir) / (green + nir) as a single-band cube named NDWI.
+
+def ndwi(cube: SitsCube) -> SitsCube:
+    """(green - nir) / (green + nir) over ``NDWI_GREEN`` and ``NDWI_NIR`` as
+    a single-band cube named NDWI.
 
     Near-zero denominators (|g+n| < 1e-12) map to 0; missing inputs propagate
     as NaN; output is clipped to the physical [-1, 1] range.
     """
-    gi = cube.band_index(green_band)
-    ni = cube.band_index(nir_band)
+    gi = cube.band_index(NDWI_GREEN)
+    ni = cube.band_index(NDWI_NIR)
     g = cube.values[:, gi].astype(np.float64)
     n = cube.values[:, ni].astype(np.float64)
     invalid = cube.invalid_mask()
@@ -283,12 +294,12 @@ def ndwi(cube: SitsCube, green_band: str = "B03", nir_band: str = "B08") -> Sits
 
 def ndwi_values(cube: SitsCube) -> np.ndarray:
     """(T, H, W) NDWI frames: the cube's own NDWI band when it has one,
-    otherwise ``ndwi`` computed from B03/B08."""
+    otherwise ``ndwi`` computed from ``NDWI_GREEN``/``NDWI_NIR``."""
     if "NDWI" in cube.bands:
         return cube.values[:, cube.bands.index("NDWI")]
-    if "B03" in cube.bands and "B08" in cube.bands:
+    if NDWI_GREEN in cube.bands and NDWI_NIR in cube.bands:
         return ndwi(cube).values[:, 0]
-    raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor B03/B08")
+    raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor {NDWI_GREEN}/{NDWI_NIR}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +341,9 @@ def synth_seasonal(
     period_dates: int,
     sigma: float = 0.02,
     band: str = "NDWI",
-    geo: GeoBounds = _DEFAULT_GEO,
 ) -> tuple[SitsCube, np.ndarray]:
-    """Deterministic desk-scale stand-in cube.
+    """Deterministic desk-scale stand-in cube, georeferenced to
+    ``_DEFAULT_GEO``.
 
     The frame is split into ``n_blobs`` Voronoi regions; every region carries a
     land-cover class whose value follows a class-specific sinusoid with the
@@ -377,7 +388,7 @@ def synth_seasonal(
         values=values[:, None].astype(np.float32),
         timestamps=_month_sequence(t),
         bands=[band],
-        geo=geo,
+        geo=_DEFAULT_GEO,
         nodata=None,
     )
     labels = np.broadcast_to(blob_class[blob_map], (t, h, w)).astype(np.int32).copy()
@@ -389,10 +400,10 @@ def synth_context(
     cells: int = 6,
     cell_px: int = 4,
     t: int = 3,
-    geo: GeoBounds = _DEFAULT_GEO,
 ) -> tuple[SitsCube, np.ndarray]:
     """Context-coded fixture: a cell's class is the majority signal of its
     4-neighbor cells, while its own band values are uninformative for it.
+    The cube is georeferenced to ``_DEFAULT_GEO``.
 
     Band 0 carries the binary signal (0.25 / 0.75); band 1 carries a distinct
     per-cell identity value so any boundary survives low-threshold
@@ -431,7 +442,7 @@ def synth_context(
         values=values,
         timestamps=_month_sequence(t),
         bands=["SIG", "IDT"],
-        geo=geo,
+        geo=_DEFAULT_GEO,
         nodata=None,
     )
     labels = np.broadcast_to(

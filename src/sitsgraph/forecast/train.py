@@ -9,7 +9,7 @@ import numpy as np
 from ..checkpoint import check_state, config_from_dict
 from ..datacube import GeoBounds
 from ..errors import LengthMismatch, NoData, SiteLeakage
-from ..neural.autograd import Tape
+from ..neural.autograd import Tape, Tensor
 from ..neural.nn import Adam, PlateauScheduler
 from . import model as fm
 from .mesh import MeshGraph, build_mesh
@@ -35,21 +35,23 @@ def check_site_disjoint(**splits: list[ForecastSample]) -> None:
                 raise SiteLeakage(f"sites {sorted(shared)} appear in both {a!r} and {b!r}")
 
 
+# the share of sites held out for testing, then of the rest for validation
+TEST_FRAC = 0.15
+VAL_FRAC = 0.15
+
+
 def make_site_splits(
-    samples: list[ForecastSample],
-    seed: int,
-    test_frac: float = 0.15,
-    val_frac: float = 0.15,
+    samples: list[ForecastSample], seed: int
 ) -> tuple[list[ForecastSample], list[ForecastSample], list[ForecastSample]]:
-    """Split by site id (train/val/test all site-disjoint); the test share of
-    sites comes off first, then the validation share of the remainder."""
+    """Split by site id (train/val/test all site-disjoint); ``TEST_FRAC`` of
+    the sites comes off first, then ``VAL_FRAC`` of the remainder."""
     sites = sorted({s.site for s in samples})
     if len(sites) < 3:
         raise NoData(f"need at least 3 distinct sites to split, got {len(sites)}")
     rng = np.random.default_rng(seed)
     order = [sites[i] for i in rng.permutation(len(sites))]
-    n_test = max(1, round(test_frac * len(sites)))
-    n_val = max(1, round(val_frac * (len(sites) - n_test)))
+    n_test = max(1, round(TEST_FRAC * len(sites)))
+    n_val = max(1, round(VAL_FRAC * (len(sites) - n_test)))
     test_sites = set(order[:n_test])
     val_sites = set(order[n_test : n_test + n_val])
     train = [s for s in samples if s.site not in test_sites and s.site not in val_sites]
@@ -80,15 +82,13 @@ def _prepare(samples: list[ForecastSample], cfg: ForecastConfig):
 
 
 def _eval(model: Forecaster, prepared, delta: float) -> tuple[float, float]:
-    """(mean huber loss, rmse over all pixels)."""
+    """(mean huber loss, rmse over all pixels), both in float64."""
     losses = []
     sq = []
     for s, mesh, pos in prepared:
-        pred = model.predict(s.window, mesh, pos)
-        r = pred.astype(np.float64) - s.target
-        absr = np.abs(r)
-        quad = absr <= delta
-        losses.append(np.where(quad, 0.5 * r * r, delta * (absr - 0.5 * delta)).mean())
+        pred = Tensor(model.predict(s.window, mesh, pos).astype(np.float64))
+        losses.append(fm.huber(pred, s.target, delta).data[0, 0])
+        r = pred.data - s.target
         sq.append((r * r).mean())
     return float(np.mean(losses)), float(np.sqrt(np.mean(sq)))
 
@@ -109,7 +109,7 @@ def train_forecaster(
 
     model = Forecaster(cfg)
     opt = Adam(model.parameters(), lr=cfg.lr)
-    sched = PlateauScheduler(opt, factor=0.1, patience=5)
+    sched = PlateauScheduler(opt)
     rng = np.random.default_rng(cfg.seed)
 
     log: list[dict] = []

@@ -14,6 +14,11 @@ from .segmentation import SegStack
 DATA_RANGE = 2.0
 PSNR_CAP_DB = 100.0
 
+# SSIM's window side in pixels and its stabilizing constants
+SSIM_WINDOW = 7
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+
 
 @dataclass
 class ConfusionMatrix:
@@ -32,12 +37,12 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def confusion(truth: np.ndarray, pred: np.ndarray, n_classes: int, ignore_index: int = -1) -> ConfusionMatrix:
+def confusion(truth: np.ndarray, pred: np.ndarray, n_classes: int) -> ConfusionMatrix:
     truth = np.asarray(truth).ravel()
     pred = np.asarray(pred).ravel()
     if truth.shape != pred.shape:
         raise ShapeMismatch(f"truth {truth.shape} vs pred {pred.shape}")
-    ok = truth != ignore_index
+    ok = truth != -1  # unlabeled
     truth, pred = truth[ok], pred[ok]
     for name, v in (("truth", truth), ("pred", pred)):
         if v.size and (v.min() < 0 or v.max() >= n_classes):
@@ -92,17 +97,18 @@ def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:
     return {"rmse": rmse, "psnr": psnr, "ssim": ssim(pred, target)}
 
 
-def ssim(x: np.ndarray, y: np.ndarray, window: int = 7, k1: float = 0.01, k2: float = 0.03) -> float:
-    """Mean structural similarity with a uniform window over fully interior
-    positions. Moments are population moments."""
+def ssim(x: np.ndarray, y: np.ndarray) -> float:
+    """Mean structural similarity with a uniform ``SSIM_WINDOW`` window,
+    shrunk to fit a smaller image, over fully interior positions. Moments are
+    population moments."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2:
         raise ShapeMismatch(f"x {x.shape} vs y {y.shape}")
     h, w = x.shape
-    win = min(window, h, w)
-    c1 = (k1 * DATA_RANGE) ** 2
-    c2 = (k2 * DATA_RANGE) ** 2
+    win = min(SSIM_WINDOW, h, w)
+    c1 = (SSIM_K1 * DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * DATA_RANGE) ** 2
 
     def win_mean(a: np.ndarray) -> np.ndarray:
         v = np.lib.stride_tricks.sliding_window_view(a, (win, win))

@@ -4,7 +4,6 @@ from .nn import (
     BatchNorm,
     Linear,
     PlateauScheduler,
-    adam_step,
     cross_entropy,
     gcn_conv,
     glorot,
@@ -23,7 +22,6 @@ __all__ = [
     "STClassifier",
     "Tape",
     "Tensor",
-    "adam_step",
     "cross_entropy",
     "gcn_conv",
     "glorot",

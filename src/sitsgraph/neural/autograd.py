@@ -414,6 +414,10 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # fused losses and normalization
 
+# batch norm's running-statistics momentum and its variance guard
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 def batchnorm(
     x: Tensor,
@@ -422,27 +426,26 @@ def batchnorm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Column-wise batch normalization over the row (node) batch.
 
     Train mode normalizes with batch moments (population variance) and updates
-    the running stats in place; eval mode uses the running stats.
+    the running stats in place with momentum ``BN_MOMENTUM``; eval mode uses
+    the running stats. ``BN_EPS`` guards the variance.
     """
     if gamma.data.shape != (1, x.data.shape[1]) or beta.data.shape != (1, x.data.shape[1]):
         raise ShapeMismatch("gamma/beta must be (1, dim) rows")
     if train:
         mean = x.data.mean(axis=0, keepdims=True)
         var = x.data.var(axis=0, keepdims=True)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean[0]
-        running_var *= 1.0 - momentum
-        running_var += momentum * var[0]
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean[0]
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var[0]
     else:
         mean = running_mean[None, :]
         var = running_var[None, :]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) * inv
     out = Tensor(xhat * gamma.data + beta.data, requires_grad=_needs(x, gamma, beta))
     n = x.data.shape[0]
@@ -464,12 +467,13 @@ def batchnorm(
     return _emit(out, backward)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = -1) -> Tensor:
-    """Mean negative log-likelihood over non-ignored rows, max-stabilized."""
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood over the labeled rows, max-stabilized;
+    a row labeled -1 is unlabeled and ignored."""
     labels = np.asarray(labels, dtype=np.int64).ravel()
     if labels.shape[0] != logits.data.shape[0]:
         raise ShapeMismatch(f"{labels.shape[0]} labels for {logits.data.shape[0]} rows")
-    keep = labels != ignore_index
+    keep = labels != -1
     n_valid = int(keep.sum())
     if n_valid == 0:
         raise AllIgnored("every row is ignored")

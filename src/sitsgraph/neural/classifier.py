@@ -71,7 +71,8 @@ class _ConvLayer:
 
 
 class STClassifier:
-    def __init__(self, cfg: ClassifierConfig, in_dim: int, dtype=np.float32):
+    def __init__(self, cfg: ClassifierConfig, in_dim: int):
+        dtype = np.float32
         self.cfg = cfg
         self.in_dim = in_dim
         rng = np.random.default_rng(cfg.seed)
@@ -118,11 +119,11 @@ class STClassifier:
             norm.running_var = np.asarray(rest[2 * i + 1], dtype=norm.running_var.dtype).ravel()
 
 
-def graph_arrays(g: StGraph, dtype=np.float32):
-    """(features, spatial ``Relation``, temporal ``Relation``, labels) for
-    training; the relations carry the scatter plans every layer, epoch and
-    evaluation on this graph reuses."""
-    x = np.asarray(g.features.values, dtype=dtype)
+def graph_arrays(g: StGraph):
+    """(float32 features, spatial ``Relation``, temporal ``Relation``,
+    labels) for training; the relations carry the scatter plans every layer,
+    epoch and evaluation on this graph reuses."""
+    x = np.asarray(g.features.values, dtype=np.float32)
     n = x.shape[0]
     es = relation((g.spatial.src, g.spatial.dst), n)
     est = relation((g.st.src, g.st.dst), n)

@@ -31,7 +31,6 @@ class Linear:
         rng: np.random.Generator | None,
         fan_in: int,
         fan_out: int,
-        bias: bool = True,
         dtype=np.float32,
         zero: bool = False,
     ):
@@ -40,14 +39,14 @@ class Linear:
         else:
             w = glorot(rng, fan_in, fan_out, dtype)
         self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros((1, fan_out), dtype=dtype), requires_grad=True) if bias else None
+        self.bias = Tensor(np.zeros((1, fan_out), dtype=dtype), requires_grad=True)
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         """``x @ weight + bias``, then a ReLU when ``relu``: one tape record."""
         return ag.linear(x, self.weight, self.bias, relu)
 
     def parameters(self) -> list[Tensor]:
-        return [self.weight] + ([self.bias] if self.bias is not None else [])
+        return [self.weight, self.bias]
 
 
 class MLP:
@@ -78,25 +77,14 @@ class MLP:
 
 
 class BatchNorm:
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5, dtype=np.float32):
+    def __init__(self, dim: int, dtype=np.float32):
         self.gamma = Tensor(np.ones((1, dim), dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros((1, dim), dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return ag.batchnorm(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            train=train,
-            momentum=self.momentum,
-            eps=self.eps,
-        )
+        return ag.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, train=train)
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -161,71 +149,51 @@ def sage_conv(x: Tensor, edges, w_self: Tensor, w_neigh: Tensor) -> Tensor:
 # optimizer
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: dict,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> list[np.ndarray]:
-    """Bias-corrected Adam update, in place on ``params``.
-
-    ``state`` starts empty and carries the step counter plus first/second
-    moment buffers between calls.
-    """
-    if not state:
-        state["step"] = 0
-        state["m"] = [np.zeros_like(p) for p in params]
-        state["v"] = [np.zeros_like(p) for p in params]
-    state["step"] += 1
-    t = state["step"]
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state["m"], state["v"]):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return params
+# Adam's moment decay rates and the denominator's guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    """Bias-corrected Adam, updating the parameters' arrays in place."""
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.state: dict = {}
+        self.steps = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self) -> None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
-        adam_step(
-            [p.data for p in self.params],
-            grads,
-            self.state,
-            lr=self.lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
+        self.steps += 1
+        bc1 = 1.0 - ADAM_BETA1**self.steps
+        bc2 = 1.0 - ADAM_BETA2**self.steps
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
 
-class PlateauScheduler:
-    """Multiplies the learning rate by ``factor`` when the monitored value
-    fails to improve for ``patience`` consecutive epochs."""
+# the plateau schedule multiplies the learning rate by this factor after
+# this many epochs without improvement
+PLATEAU_FACTOR = 0.1
+PLATEAU_PATIENCE = 5
 
-    def __init__(self, optimizer: Adam, factor: float = 0.1, patience: int = 5):
+
+class PlateauScheduler:
+    """Multiplies the learning rate by ``PLATEAU_FACTOR`` when the monitored
+    value fails to improve for ``PLATEAU_PATIENCE`` consecutive epochs."""
+
+    def __init__(self, optimizer: Adam):
         self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
         self.best = np.inf
         self.stale = 0
 
@@ -235,8 +203,8 @@ class PlateauScheduler:
             self.stale = 0
             return False
         self.stale += 1
-        if self.stale >= self.patience:
-            self.optimizer.lr *= self.factor
+        if self.stale >= PLATEAU_PATIENCE:
+            self.optimizer.lr *= PLATEAU_FACTOR
             self.stale = 0
             return True
         return False

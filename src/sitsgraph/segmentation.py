@@ -518,20 +518,29 @@ def load_seg(path: str | Path) -> SegStack:
     meta_path = path / "seg_meta.json"
     if not meta_path.is_file():
         raise MissingFile(f"missing {meta_path}")
-    meta = json.loads(meta_path.read_text())
+    try:
+        meta = json.loads(meta_path.read_bytes())
+    except UnicodeDecodeError as e:
+        raise ShapeMismatch(f"{meta_path} is not UTF-8 text: {e}") from None
+    if not isinstance(meta, dict):
+        raise ShapeMismatch(f"{meta_path} must hold a JSON object")
     missing = [k for k in ("T", "H", "W", "counts") if k not in meta]
     if missing:
         raise ShapeMismatch(f"{meta_path} lacks required key(s) {missing}")
     try:
         t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
         counts = [int(x) for x in meta["counts"]]
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ShapeMismatch(f"{meta_path}: T, H, W and counts must be integers ({e})") from None
+    if min(t, h, w) < 1:
+        raise ShapeMismatch(f"{meta_path} declares T={t}, H={h}, W={w}; each must be >= 1")
     if len(counts) != t:
         raise ShapeMismatch(f"{meta_path} holds {len(counts)} counts for T={t} dates")
     labels = load_labels(path, t, h, w, stem="seg")
     offset = 0
     for k, n in enumerate(counts):
+        if n > h * w:  # every object has a pixel; this also bounds the bincount below
+            raise ShapeMismatch(f"{meta_path} declares {n} objects at date {k}, which has {h * w} pixels")
         lo, hi = int(labels[k].min()), int(labels[k].max())
         if lo < offset or hi >= offset + n:
             raise ShapeMismatch(

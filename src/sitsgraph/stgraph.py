@@ -351,11 +351,12 @@ def overlap_edges(seg: SegStack, min_pixels: int = 1) -> EdgeColumns:
     return _lagged_overlap_edges(seg, 1, min_pixels)
 
 
-def periodic_edges(seg: SegStack, lag: int, min_pixels: int = 1) -> EdgeColumns:
-    """Same overlap rule between dates t and t+lag (lag >= 2)."""
+def periodic_edges(seg: SegStack, lag: int) -> EdgeColumns:
+    """Same overlap rule between dates t and t+lag (lag >= 2); one shared
+    pixel makes an edge."""
     if lag < 2:
         raise InvalidLag(f"lag must be >= 2, got {lag}")
-    return _lagged_overlap_edges(seg, lag, min_pixels)
+    return _lagged_overlap_edges(seg, lag, 1)
 
 
 def _lagged_overlap_edges(seg: SegStack, lag: int, min_pixels: int) -> EdgeColumns:

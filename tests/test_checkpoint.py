@@ -1,7 +1,17 @@
+import copy
+import json
+import struct
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _fuzz import CLI_ERRORS, damage, mutate
+from sitsgraph.checkpoint import load_checkpoint
 from sitsgraph.errors import ConfigMismatch
 from sitsgraph.forecast import ForecastConfig, Forecaster
 from sitsgraph.forecast.train import forecaster_from_checkpoint
@@ -65,3 +75,36 @@ def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
     config[key] = value
     with pytest.raises(ConfigMismatch, match=key):
         forecaster_from_checkpoint({"config": config, "state": []})
+
+
+def _fuzz_checkpoint(header: dict) -> bytes:
+    """A checkpoint file with ``header`` (a valid one lists shapes (2, 3) and
+    (1, 3)) and the floats 0..8 as its parameters."""
+    head = json.dumps(header).encode()
+    return struct.pack("<I", len(head)) + head + np.arange(9, dtype="<f4").tobytes()
+
+
+_FUZZ_HEADER = {"kind": "forecaster", "config": {"hidden": 2, "lr": 0.5}, "best_epoch": 3, "shapes": [[2, 3], [1, 3]]}
+
+
+class TestLoadCheckpointFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_only_typed_errors_escape(self, data):
+        header = copy.deepcopy(_FUZZ_HEADER)
+        raw = damage(data, _fuzz_checkpoint(mutate(data, header) if data.draw(st.booleans()) else header))
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "c.bin").write_bytes(raw)
+            try:
+                header, params = load_checkpoint(Path(d) / "c.bin")
+            except CLI_ERRORS:
+                return
+        # what loads is what the header declares, read from the file's tail
+        assert [list(p.shape) for p in params] == header["shapes"]
+        n = sum(p.nbytes for p in params)
+        assert b"".join(p.tobytes() for p in params) == raw[len(raw) - n :]
+
+    def test_valid_checkpoint_loads(self, tmp_path):
+        (tmp_path / "c.bin").write_bytes(_fuzz_checkpoint(_FUZZ_HEADER))
+        header, params = load_checkpoint(tmp_path / "c.bin")
+        assert header == _FUZZ_HEADER and params[1].tolist() == [[6.0, 7.0, 8.0]]

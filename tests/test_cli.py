@@ -110,6 +110,18 @@ def _cube_meta_not_an_object(tmp_path: Path) -> list[str]:
     return argv
 
 
+def _seg_meta_not_an_object(tmp_path: Path) -> list[str]:
+    argv = _seg_meta(tmp_path, lambda m: None)
+    (tmp_path / "seg" / "seg_meta.json").write_text("true")
+    return argv
+
+
+def _not_utf8(argv: list[str], path: Path) -> list[str]:
+    """``argv``, after a byte that is not UTF-8 is appended to ``path``."""
+    path.write_bytes(path.read_bytes() + b"\x80")
+    return argv
+
+
 def _mine_feature(tmp_path: Path, index: int) -> list[str]:
     """A mine run on a valid two-node graph with one feature, for feature
     ``index``."""
@@ -188,128 +200,141 @@ def _forecaster_checkpoint(tmp_path: Path, edit) -> list[str]:
     return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
 
 
-# (argv builder, environment, exit code, text the error line must name)
+def _checkpoint_header_not_utf8(tmp_path: Path) -> list[str]:
+    argv = _forecaster_checkpoint(tmp_path, lambda c, s: None)
+    raw = (tmp_path / "c.bin").read_bytes()
+    (tmp_path / "c.bin").write_bytes(raw.replace(b'"kind"', b'"kin\x80"', 1))
+    return argv
+
+
+# (argv builder, exit code, text the error line must name)
 FAILURES = {
-    "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], {}, 1, "absent.json"),
-    "config_malformed_json": (lambda tmp: _config(tmp, "{not json"), {}, 1, "line 1"),
-    "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), {}, 2, "bogus_key"),
-    "config_spatial_knn_without_k": (lambda tmp: _graph_config(tmp, [["knn"]]), {}, 2, "bad --spatial spec 'knn'"),
-    "config_spatial_knn_not_integer": (lambda tmp: _graph_config(tmp, [["knn", "abc"]]), {}, 2, "bad --spatial spec 'knn:abc'"),
-    "config_spatial_knn_fractional": (lambda tmp: _graph_config(tmp, [["knn", 1.7]]), {}, 2, "bad --spatial spec 'knn:1.7'"),
-    "config_spatial_not_a_list": (lambda tmp: _graph_config(tmp, 5), {}, 2, "config 'spatial' must be a list"),
-    "config_float_flag_given_a_list": (lambda tmp: _flag_config(tmp, "segment --cube c", {"scale": [1]}), {}, 2, "config 'scale' must be float"),
-    "config_int_flag_given_a_fraction": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": 2.5}), {}, 2, "config 'epochs' must be int"),
-    "config_int_flag_given_a_bool": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": True}), {}, 2, "config 'epochs' must be int"),
-    "config_choice_not_listed": (lambda tmp: _flag_config(tmp, "segment --cube c", {"algo": "watershed"}), {}, 2, "config 'algo' must be one of"),
+    "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], 1, "absent.json"),
+    "config_malformed_json": (lambda tmp: _config(tmp, "{not json"), 1, "line 1"),
+    "config_unknown_key": (lambda tmp: _config(tmp, json.dumps({"seed": 3, "bogus_key": 1})), 2, "bogus_key"),
+    "config_spatial_knn_without_k": (lambda tmp: _graph_config(tmp, [["knn"]]), 2, "bad --spatial spec 'knn'"),
+    "config_spatial_knn_not_integer": (lambda tmp: _graph_config(tmp, [["knn", "abc"]]), 2, "bad --spatial spec 'knn:abc'"),
+    "config_spatial_knn_fractional": (lambda tmp: _graph_config(tmp, [["knn", 1.7]]), 2, "bad --spatial spec 'knn:1.7'"),
+    "config_spatial_not_a_list": (lambda tmp: _graph_config(tmp, 5), 2, "config 'spatial' must be a list"),
+    "config_float_flag_given_a_list": (lambda tmp: _flag_config(tmp, "segment --cube c", {"scale": [1]}), 2, "config 'scale' must be float"),
+    "config_int_flag_given_a_fraction": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": 2.5}), 2, "config 'epochs' must be int"),
+    "config_int_flag_given_a_bool": (lambda tmp: _flag_config(tmp, "train --graph g", {"epochs": True}), 2, "config 'epochs' must be int"),
+    "config_choice_not_listed": (lambda tmp: _flag_config(tmp, "segment --cube c", {"algo": "watershed"}), 2, "config 'algo' must be one of"),
     "config_switch_given_a_string": (
-        lambda tmp: _flag_config(tmp, "features --cube c --seg s", {"geometry": "no"}), {}, 2, "config 'geometry' must be true or false",
+        lambda tmp: _flag_config(tmp, "features --cube c --seg s", {"geometry": "no"}), 2, "config 'geometry' must be true or false",
     ),
     "config_negatable_switch_given_a_string": (
-        lambda tmp: _flag_config(tmp, "stats --graph g", {"map_stored": "false"}), {}, 2, "config 'map_stored' must be true or false",
+        lambda tmp: _flag_config(tmp, "stats --graph g", {"map_stored": "false"}), 2, "config 'map_stored' must be true or false",
     ),
     "spatial_adjacency_with_argument": (
         lambda tmp: ["build-graph", "--cube", "c", "--seg", "s", "--spatial", "adjacency:5", "--out", str(tmp / "g")],
-        {}, 2, "bad --spatial spec 'adjacency:5'",
+        2, "bad --spatial spec 'adjacency:5'",
     ),
     "spatial_eps_nan": (
         lambda tmp: ["build-graph", "--cube", "c", "--seg", "s", "--spatial", "eps:nan", "--out", str(tmp / "g")],
-        {}, 2, "bad --spatial spec 'eps:nan'",
+        2, "bad --spatial spec 'eps:nan'",
     ),
-    "checkpoint_truncated": (_truncated_checkpoint, {}, 1, "3 bytes"),
-    "checkpoint_without_in_dim": (_checkpoint_without_in_dim, {}, 1, "in_dim"),
-    "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), {}, 1, "parameter 0 has shape 3"),
-    "checkpoint_shape_not_integer": (lambda tmp: _checkpoint_shapes(tmp, [["a"]]), {}, 1, "parameter 0 has shape ['a']"),
-    "checkpoint_shape_negative": (lambda tmp: _checkpoint_shapes(tmp, [[2], [-1]]), {}, 1, "parameter 1 has shape [-1]"),
-    "checkpoint_shape_beyond_numpy": (lambda tmp: _checkpoint_shapes(tmp, [[0, 10**30]]), {}, 1, "parameter 0 has shape"),
+    "checkpoint_truncated": (_truncated_checkpoint, 1, "3 bytes"),
+    "checkpoint_without_in_dim": (_checkpoint_without_in_dim, 1, "in_dim"),
+    "checkpoint_shape_not_a_list": (lambda tmp: _checkpoint_shapes(tmp, [3]), 1, "parameter 0 has shape 3"),
+    "checkpoint_shape_not_integer": (lambda tmp: _checkpoint_shapes(tmp, [["a"]]), 1, "parameter 0 has shape ['a']"),
+    "checkpoint_shape_negative": (lambda tmp: _checkpoint_shapes(tmp, [[2], [-1]]), 1, "parameter 1 has shape [-1]"),
+    "checkpoint_shape_beyond_numpy": (lambda tmp: _checkpoint_shapes(tmp, [[0, 10**30]]), 1, "parameter 0 has shape"),
     "classifier_checkpoint_hidden_edited": (
-        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=32)), {}, 1, "array 0:",
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=32)), 1, "array 0:",
     ),
     "classifier_checkpoint_one_array_short": (
-        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 25:",
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: s.pop()), 1, "array 25:",
     ),
     "forecaster_checkpoint_rounds_edited": (
-        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=5)), {}, 1, "array 66:",
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=5)), 1, "array 66:",
     ),
     "forecaster_checkpoint_value_retyped": (
-        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(input_len="x")), {}, 1, "input_len = 'x'",
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(input_len="x")), 1, "input_len = 'x'",
     ),
     "forecaster_checkpoint_slic_iters_zero": (
-        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(slic_iters=0)), {}, 1, "slic_iters must be >= 1",
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(slic_iters=0)), 1, "slic_iters must be >= 1",
     ),
     "forecaster_checkpoint_one_array_short": (
-        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), {}, 1, "array 67:",
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), 1, "array 67:",
     ),
     "segment_slic_iters_zero": (
         lambda tmp: ["segment", "--cube", _cube(tmp), "--algo", "slic", "--segments", "16", "--iters", "0", "--out", str(tmp / "seg")],
-        {}, 1, "iters must be >= 1, got 0",
+        1, "iters must be >= 1, got 0",
     ),
-    "meta_without_geo": (lambda tmp: _cube_meta(tmp, lambda m: m.pop("geo")), {}, 1, "geo"),
-    "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), {}, 1, "'T'"),
-    "meta_geo_not_number": (lambda tmp: _cube_meta(tmp, lambda m: m["geo"].update(lat0="north")), {}, 1, "'geo.lat0'"),
-    "meta_not_an_object": (_cube_meta_not_an_object, {}, 1, "must hold a JSON object"),
-    "meta_bands_not_a_list": (lambda tmp: _cube_meta(tmp, lambda m: m.update(bands=5)), {}, 1, "'bands' must be a list of strings"),
+    "meta_without_geo": (lambda tmp: _cube_meta(tmp, lambda m: m.pop("geo")), 1, "geo"),
+    "meta_count_not_integer": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T="abc")), 1, "'T'"),
+    "meta_geo_not_number": (lambda tmp: _cube_meta(tmp, lambda m: m["geo"].update(lat0="north")), 1, "'geo.lat0'"),
+    "meta_not_an_object": (_cube_meta_not_an_object, 1, "must hold a JSON object"),
+    "meta_bands_not_a_list": (lambda tmp: _cube_meta(tmp, lambda m: m.update(bands=5)), 1, "'bands' must be a list of strings"),
     "meta_timestamps_not_a_list": (
-        lambda tmp: _cube_meta(tmp, lambda m: m.update(timestamps=5)), {}, 1, "'timestamps' must be a list of strings",
+        lambda tmp: _cube_meta(tmp, lambda m: m.update(timestamps=5)), 1, "'timestamps' must be a list of strings",
     ),
-    "mine_feature_beyond_dim": (lambda tmp: _mine_feature(tmp, 99), {}, 1, "feature index 99 out of range for dim 1"),
-    "mine_feature_negative": (lambda tmp: _mine_feature(tmp, -1), {}, 1, "feature index -1 out of range for dim 1"),
-    "graph_dangling_edge": (_dangling_edge, {}, 1, "99999"),
-    "graph_without_nodes": (lambda tmp: _graph_doc(tmp, lambda d: d.pop("nodes")), {}, 1, "no 'nodes'"),
-    "graph_nodes_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(nodes=3)), {}, 1, "'nodes' must be a list"),
-    "graph_edges_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(edges={})), {}, 1, "'edges' must be a list"),
-    "graph_edge_without_w": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].pop("w")), {}, 1, "edge without 'w'"),
-    "graph_node_without_t": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].pop("t")), {}, 1, "node without 't'"),
-    "graph_id_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(id="abc")), {}, 1, "'id' must be an integer, got 'abc'"),
-    "graph_id_fractional": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=1.5)), {}, 1, "got 1.5"),
-    "graph_t_boolean": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(t=True)), {}, 1, "'t' must be an integer, got True"),
+    "mine_feature_beyond_dim": (lambda tmp: _mine_feature(tmp, 99), 1, "feature index 99 out of range for dim 1"),
+    "mine_feature_negative": (lambda tmp: _mine_feature(tmp, -1), 1, "feature index -1 out of range for dim 1"),
+    "graph_dangling_edge": (_dangling_edge, 1, "99999"),
+    "graph_without_nodes": (lambda tmp: _graph_doc(tmp, lambda d: d.pop("nodes")), 1, "no 'nodes'"),
+    "graph_nodes_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(nodes=3)), 1, "'nodes' must be a list"),
+    "graph_edges_not_a_list": (lambda tmp: _graph_doc(tmp, lambda d: d.update(edges={})), 1, "'edges' must be a list"),
+    "graph_edge_without_w": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].pop("w")), 1, "edge without 'w'"),
+    "graph_node_without_t": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].pop("t")), 1, "node without 't'"),
+    "graph_id_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(id="abc")), 1, "'id' must be an integer, got 'abc'"),
+    "graph_id_fractional": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=1.5)), 1, "got 1.5"),
+    "graph_t_boolean": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(t=True)), 1, "'t' must be an integer, got True"),
     "graph_pixel_count_not_integer": (
-        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(pixel_count=None)), {}, 1, "'pixel_count' must be an integer",
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(pixel_count=None)), 1, "'pixel_count' must be an integer",
     ),
     "graph_pixel_count_zero_dot": (
         lambda tmp: _graph_doc(
             tmp, lambda d: [n.update(pixel_count=0) for n in d["nodes"]], "export", "--format", "dot", "--out", str(tmp / "g.dot")
         ),
-        {}, 1, "node 0 has pixel_count 0",
+        1, "node 0 has pixel_count 0",
     ),
-    "graph_label_float": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(label=1.7)), {}, 1, "'label' must be an integer, got 1.7"),
-    "graph_label_string": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(label="2")), {}, 1, "'label' must be an integer, got '2'"),
-    "graph_src_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(src="0")), {}, 1, "'src' must be an integer, got '0'"),
-    "graph_dst_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(dst=1.0)), {}, 1, "'dst' must be an integer, got 1.0"),
-    "graph_kind_unknown": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(kind="X")), {}, 1, "got 'X'"),
-    "graph_features_ragged": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=[0.5, 1.0])), {}, 1, "features"),
-    "graph_features_not_numbers": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=["x"])), {}, 1, "features"),
-    "graph_duplicate_node_id": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=0)), {}, 1, "duplicate node id 0"),
-    "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), {}, 1, "counts"),
+    "graph_label_float": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(label=1.7)), 1, "'label' must be an integer, got 1.7"),
+    "graph_label_string": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(label="2")), 1, "'label' must be an integer, got '2'"),
+    "graph_src_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(src="0")), 1, "'src' must be an integer, got '0'"),
+    "graph_dst_not_integer": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(dst=1.0)), 1, "'dst' must be an integer, got 1.0"),
+    "graph_kind_unknown": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(kind="X")), 1, "got 'X'"),
+    "graph_features_ragged": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=[0.5, 1.0])), 1, "features"),
+    "graph_features_not_numbers": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=["x"])), 1, "features"),
+    "graph_duplicate_node_id": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=0)), 1, "duplicate node id 0"),
+    "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), 1, "counts"),
     "seg_ids_outside_counts": (
-        lambda tmp: _seg_meta(tmp, lambda m: m.update(counts=[1] * len(m["counts"]))), {}, 1, "date 0",
+        lambda tmp: _seg_meta(tmp, lambda m: m.update(counts=[1] * len(m["counts"]))), 1, "date 0",
     ),
     "seg_counts_declare_empty_object": (
-        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 1)), {}, 1, "which has no pixel",
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 1)), 1, "which has no pixel",
     ),
     "eval_classify_without_graph": (
         lambda tmp: ["eval", "--task", "classify", "--checkpoint", "c.bin", "--seg", "s", "--cube", "c", "--out", str(tmp / "r")],
-        {}, 2, "--graph",
+        2, "--graph",
     ),
     "eval_forecast_rows_do_not_divide": (
-        lambda tmp: _eval_forecast(tmp, 10, 10, "--height", "3"), {}, 1, "cannot form frames of 3 rows from 10 --pred",
+        lambda tmp: _eval_forecast(tmp, 10, 10, "--height", "3"), 1, "cannot form frames of 3 rows from 10 --pred",
     ),
-    "eval_forecast_empty_pred": (lambda tmp: _eval_forecast(tmp, 0, 9), {}, 1, "from 0 --pred and 9 --target floats"),
-    "eval_forecast_target_size_differs": (lambda tmp: _eval_forecast(tmp, 9, 16), {}, 1, "from 9 --pred and 16 --target floats"),
+    "eval_forecast_empty_pred": (lambda tmp: _eval_forecast(tmp, 0, 9), 1, "from 0 --pred and 9 --target floats"),
+    "eval_forecast_target_size_differs": (lambda tmp: _eval_forecast(tmp, 9, 16), 1, "from 9 --pred and 16 --target floats"),
     "eval_forecast_without_pred": (
-        lambda tmp: ["eval", "--task", "forecast", "--target", "t.bin", "--out", str(tmp / "r")], {}, 2, "--pred",
+        lambda tmp: ["eval", "--task", "forecast", "--target", "t.bin", "--out", str(tmp / "r")], 2, "--pred",
     ),
-    "threads_env_not_integer": (
-        lambda tmp: ["segment", "--cube", _cube(tmp), "--out", str(tmp / "seg")], {"SITSGRAPH_THREADS": "abc"}, 2, "SITSGRAPH_THREADS",
+    "meta_not_utf8": (lambda tmp: _not_utf8(_cube_meta(tmp, lambda m: None), tmp / "cube" / "meta.json"), 1, "is not UTF-8 text"),
+    "meta_dims_negative": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=-4, C=-1)), 1, "every dimension must be >= 1"),
+    "meta_count_infinite": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "'T' is not a number"),
+    "seg_meta_not_utf8": (lambda tmp: _not_utf8(_seg_meta(tmp, lambda m: None), tmp / "seg" / "seg_meta.json"), 1, "is not UTF-8 text"),
+    "seg_meta_not_an_object": (_seg_meta_not_an_object, 1, "must hold a JSON object"),
+    "seg_meta_count_infinite": (lambda tmp: _seg_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "must be integers"),
+    "seg_meta_size_negative": (lambda tmp: _seg_meta(tmp, lambda m: m.update(H=-8, W=-8)), 1, "each must be >= 1"),
+    "seg_count_beyond_pixels": (
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 2**63)), 1, "objects at date 3, which has 64 pixels",
     ),
+    "checkpoint_header_not_utf8": (_checkpoint_header_not_utf8, 1, "header is not UTF-8 text"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FAILURES))
-def test_failure_is_one_error_line(case, tmp_path, monkeypatch, capsys):
-    build, env, code, named = FAILURES[case]
+def test_failure_is_one_error_line(case, tmp_path, capsys):
+    build, code, named = FAILURES[case]
     argv = build(tmp_path)
-    for k, v in env.items():
-        monkeypatch.setenv(k, v)
     capsys.readouterr()
     try:
         got = main(argv)
@@ -425,13 +450,8 @@ def test_malloc_thresholds_leave_train_bytes_unchanged(tmp_path):
         assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize(
-    "flag, env, want", [([], None, 1), (["--threads", "3"], None, 3), ([], "3", 3)]
-)
-def test_threads_default_serial(flag, env, want, monkeypatch):
-    monkeypatch.delenv("SITSGRAPH_THREADS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("SITSGRAPH_THREADS", env)
+@pytest.mark.parametrize("flag, want", [([], 1), (["--threads", "3"], 3)])
+def test_threads_default_serial(flag, want):
     parser, _ = build_parser()
     args = parser.parse_args(["segment", "--cube", "c", "--out", "o", *flag])
     assert _threads(args) == want
@@ -443,6 +463,15 @@ class TestConfigReplay:
         rc = tmp_path / "a" / "run_config.json"
         assert main(["synth", "--config", str(rc), "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "cube.bin").read_bytes() == (tmp_path / "b" / "cube.bin").read_bytes()
+
+    @pytest.mark.parametrize("spelling", [["--config", "{rc}"], ["--config={rc}"]], ids=["space", "equals"])
+    def test_config_read_in_either_spelling(self, spelling, tmp_path):
+        main(["synth", "--seed", "5", "--t", "4", "--height", "8", "--width", "8", "--blobs", "2", "--period", "2", "--out", str(tmp_path / "a")])
+        rc = str(tmp_path / "a" / "run_config.json")
+        assert main(["synth", *(tok.format(rc=rc) for tok in spelling), "--seed", "5", "--out", str(tmp_path / "c")]) == 0
+        cfg = json.loads((tmp_path / "c" / "run_config.json").read_text())
+        assert (cfg["t"], cfg["height"], cfg["blobs"], cfg["period"]) == (4, 8, 2, 2)
+        assert (tmp_path / "a" / "cube.bin").read_bytes() == (tmp_path / "c" / "cube.bin").read_bytes()
 
     def test_explicit_flag_overrides_config(self, tmp_path):
         main(["synth", "--seed", "5", "--t", "4", "--height", "8", "--width", "8", "--blobs", "2", "--period", "2", "--out", str(tmp_path / "a")])

@@ -1,10 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fuzz import CLI_ERRORS, damage, mutate
 from sitsgraph import datacube
 from sitsgraph.datacube import GeoBounds, SitsCube, load_cube, ndwi, save_cube, synth_seasonal
 from sitsgraph.errors import (
@@ -87,7 +90,7 @@ class TestNdwi:
 
     def test_unknown_band(self, geo):
         with pytest.raises(UnknownBand):
-            ndwi(self._cube(0.1, 0.2, geo), green_band="B99")
+            ndwi(SitsCube(self._cube(0.1, 0.2, geo).values, ["2020-01-01"], ["B99", "B08"], geo))
 
     def test_nan_propagates(self, geo):
         out = ndwi(self._cube(np.nan, 0.5, geo))
@@ -167,3 +170,34 @@ class TestSynthContext:
                         neigh.append(1 if sig[i + di, j + dj] > 0.5 else 0)
                 expect = 1 if sum(neigh) * 2 > len(neigh) else 0
                 assert lab[i, j] == expect
+
+
+def _fuzz_cube(path: Path) -> None:
+    """A valid 2x1x2x3 cube directory at ``path``."""
+    values = np.arange(12, dtype=np.float32).reshape(2, 1, 2, 3) / 20
+    save_cube(SitsCube(values, ["2020-01-01", "2020-02-01"], ["NDWI"], GeoBounds(43.0, 44.0, 1.0, 2.0)), path)
+
+
+class TestLoadCubeFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_only_typed_errors_escape(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            _fuzz_cube(d)
+            meta = json.loads((d / "meta.json").read_text())
+            if data.draw(st.booleans()):
+                meta = mutate(data, meta)
+            (d / "meta.json").write_bytes(damage(data, json.dumps(meta).encode()))
+            (d / "cube.bin").write_bytes(damage(data, (d / "cube.bin").read_bytes()))
+            try:
+                cube = load_cube(d)
+            except CLI_ERRORS:
+                return
+            # what loads is what the file holds, in the declared shape
+            assert cube.shape == tuple(int(meta[k]) for k in ("T", "C", "H", "W"))
+            assert cube.values.astype("<f4").tobytes() == (d / "cube.bin").read_bytes()
+
+    def test_valid_cube_loads(self, tmp_path):
+        _fuzz_cube(tmp_path)
+        assert load_cube(tmp_path).shape == (2, 1, 2, 3)

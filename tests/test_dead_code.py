@@ -1,11 +1,17 @@
-"""Every public function and method of the package is used by the program:
-its name appears in src/ or perfbench/ somewhere other than a ``def`` of that
-name, an import or ``__all__`` (a re-export is not a use). A name that only
-library users and tests call sits in ``LIBRARY_ONLY`` with the reason it
-stays."""
+"""Every public function and method of the package is used by the program,
+and every optional parameter of one is set by the program.
+
+A name is used when src/ or perfbench/ code names it: as a name or an
+attribute, not in a string, a comment, a ``def``, an import or ``__all__``
+(a re-export is not a use). A name that only library users and tests call
+sits in ``LIBRARY_ONLY`` with the reason it stays.
+
+An optional parameter is set when a call in src/ or perfbench/ passes it by
+keyword, by position or through a ``*``/``**`` expansion; an option that no
+program call sets is a constant in disguise. One that stays sits in
+``OPTIONS_KEPT`` with the reason."""
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -23,13 +29,31 @@ LIBRARY_ONLY = {
     "mul": "elementwise product op; the gradient checks' weighted loss (tests/_gradcheck.py) is built on it",
 }
 
+# "callee(parameter)": the callee is a function's name, ``Class`` for its
+# constructor and ``Class.method`` for a method
+OPTIONS_KEPT = {
+    "temporal_profile(direction)": "both walk directions are paper operators, and tests walk each",
+    "synth_seasonal(band)": "acceptance criterion 12 stacks seasonal cubes of several bands into one",
+    "standardize(stats)": "reapplies training statistics to held-out rows (README)",
+    "Forecaster(dtype)": "the float64 gradient checks build the forecaster in float64",
+    "Forecaster(zero)": "the all-zero forecaster is the persistence baseline of acceptance criterion 08",
+}
+
+
+def _modules() -> list[tuple[Path, ast.Module]]:
+    return [(p, ast.parse(p.read_text())) for p in sorted(PACKAGE.rglob("*.py"))]
+
+
+def _program_trees() -> list[ast.Module]:
+    return [ast.parse(p.read_text()) for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+
 
 def _public_defs() -> list[tuple[str, str]]:
     """(file, name) of every public module-level function and public method
     of a module-level class under the package."""
     out = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for path, tree in _modules():
+        for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else [node]
             out += [
                 (str(path.relative_to(ROOT)), m.name)
@@ -39,22 +63,68 @@ def _public_defs() -> list[tuple[str, str]]:
     return out
 
 
-def _program_text(path: Path) -> str:
-    """The source of ``path`` with its imports and ``__all__`` blanked out."""
-    lines = path.read_text().splitlines()
-    for node in ast.walk(ast.parse("\n".join(lines))):
-        exports = isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or exports:
-            lines[node.lineno - 1 : node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
-
-
 def _program_uses() -> Counter:
-    """Uses of each word in src/ and perfbench/, not counting its ``def``s."""
-    texts = [_program_text(p) for d in ("src", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
-    words = Counter(w for t in texts for w in re.findall(r"\w+", t))
-    words.subtract(w for t in texts for w in re.findall(r"\bdef\s+(\w+)", t))
-    return words
+    """Uses of each name in src/ and perfbench/ code."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in _program_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _callables(tree: ast.Module):
+    """(callee name, label, def, whether bound) of the module's public
+    functions, and of the public methods and constructors of its public
+    classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and m.name == "__init__":
+                    yield node.name, node.name, m, True
+                elif isinstance(m, ast.FunctionDef) and not m.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in m.decorator_list)
+                    yield m.name, f"{node.name}.{m.name}", m, not static
+
+
+def _options() -> list[tuple[str, str, str, int | None]]:
+    """(label, callee name, parameter, position or None if keyword-only) of
+    every parameter with a default of a public function, public method or
+    public class constructor under the package."""
+    out = []
+    for _, tree in _modules():
+        for callee, label, fn, bound in _callables(tree):
+            a = fn.args
+            pos = (a.posonlyargs + a.args)[int(bound) :]
+            first = len(pos) - len(a.defaults)
+            out += [(f"{label}({p.arg})", callee, p.arg, i) for i, p in enumerate(pos) if i >= first]
+            out += [(f"{label}({p.arg})", callee, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args[: index + 1])
+    return starred or len(call.args) > index
+
+
+def _unset_options() -> list[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [
+        label
+        for label, callee, param, index in _options()
+        if not any(_sets(c, param, index) for c in calls.get(callee, []))
+    ]
 
 
 def test_every_public_function_is_used():
@@ -67,3 +137,9 @@ def test_library_only_names_exist():
     defined = {name for _, name in _public_defs()}
     assert sorted(set(LIBRARY_ONLY) - defined) == []
     assert all(reason.strip() for reason in LIBRARY_ONLY.values())
+
+
+def test_every_option_is_set():
+    # both ways: an entry whose option is gone or now set is stale
+    assert sorted(set(_unset_options()) ^ set(OPTIONS_KEPT)) == []
+    assert all(reason.strip() for reason in OPTIONS_KEPT.values())

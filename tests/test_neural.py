@@ -24,7 +24,6 @@ from sitsgraph.neural.nn import (
     BatchNorm,
     Linear,
     PlateauScheduler,
-    adam_step,
     cross_entropy,
     gcn_conv,
     relu,
@@ -227,33 +226,37 @@ class TestCrossEntropy:
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)
 
 
+def _adam_step(opt: Adam, *grads) -> None:
+    for p, g in zip(opt.params, grads):
+        p.grad = None if g is None else np.array(g, dtype=np.float64).reshape(p.data.shape)
+    opt.step()
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
-        p = np.array([1.0, -2.0, 0.5])
-        g = np.array([0.3, -0.01, 2.0])
-        state = {}
-        adam_step([p], [g], state, lr=0.1)
-        assert p == pytest.approx([1.0 - 0.1, -2.0 + 0.1, 0.5 - 0.1], abs=1e-4)
+        p = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+        _adam_step(Adam([p], lr=0.1), [0.3, -0.01, 2.0])
+        assert p.data[0] == pytest.approx([1.0 - 0.1, -2.0 + 0.1, 0.5 - 0.1], abs=1e-4)
 
     def test_zero_grad_keeps_params(self):
-        p = np.array([1.0, 2.0])
-        state = {}
-        adam_step([p], [np.zeros(2)], state, lr=0.1)
-        assert p == pytest.approx([1.0, 2.0])
-        assert state["step"] == 1
+        p, q = Tensor(np.array([[1.0, 2.0]]), requires_grad=True), Tensor(np.array([[3.0]]), requires_grad=True)
+        opt = Adam([p, q], lr=0.1)
+        _adam_step(opt, [0.0, 0.0], None)
+        assert p.data[0] == pytest.approx([1.0, 2.0]) and q.data[0] == pytest.approx([3.0])
+        assert opt.steps == 1
 
     def test_quadratic_descent(self):
-        w = np.array([1.0])
-        state = {}
-        seen = [abs(w[0])]
+        w = Tensor(np.array([[1.0]]), requires_grad=True)
+        opt = Adam([w], lr=0.1)
+        seen = [abs(w.data[0, 0])]
         for _ in range(10):
-            adam_step([w], [2.0 * w], state, lr=0.1)
-            seen.append(abs(w[0]))
+            _adam_step(opt, 2.0 * w.data)
+            seen.append(abs(w.data[0, 0]))
         assert all(a > b for a, b in zip(seen, seen[1:]))
 
     def test_plateau_scheduler(self):
         opt = Adam([Tensor(np.zeros((1, 1)), requires_grad=True)], lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.1, patience=5)
+        sched = PlateauScheduler(opt)
         sched.step(1.0)
         for _ in range(4):
             assert not sched.step(2.0)

@@ -1,10 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fuzz import CLI_ERRORS, damage, mutate
 from _oracles import (
     brute_components,
     brute_enforce_connectivity,
@@ -15,6 +18,7 @@ from _oracles import (
 )
 from sitsgraph.errors import EmptyImage, InvalidSegmentCount, ShapeMismatch
 from sitsgraph.segmentation import (
+    SegStack,
     _connected_components,
     _enforce_connectivity,
     _move_to_lowest_gradient,
@@ -326,3 +330,37 @@ class TestSegmentCube:
         (tmp_path / "seg_meta.json").write_text(json.dumps(meta))
         with pytest.raises(ShapeMismatch, match=named):
             load_seg(tmp_path)
+
+
+def _fuzz_seg(path: Path) -> None:
+    """A valid two-date segmentation of 2x3 frames with two objects a date."""
+    labels = np.array([[[0, 0, 1], [0, 1, 1]], [[2, 3, 3], [2, 2, 3]]], dtype=np.int32)
+    save_seg(SegStack(labels=labels, counts=[2, 2], provenance={"algorithm": "felzenszwalb"}), path)
+
+
+class TestLoadSegFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_only_typed_errors_escape(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            d = Path(d)
+            _fuzz_seg(d)
+            meta = json.loads((d / "seg_meta.json").read_text())
+            if data.draw(st.booleans()):
+                meta = mutate(data, meta)
+            (d / "seg_meta.json").write_bytes(damage(data, json.dumps(meta).encode()))
+            frame = d / data.draw(st.sampled_from(["seg_t0.bin", "seg_t1.bin"]))
+            frame.write_bytes(damage(data, frame.read_bytes()))
+            try:
+                seg = load_seg(d)
+            except CLI_ERRORS:
+                return
+        # what loads keeps the format's promise: date k holds the ids its
+        # count gives, and every declared object has a pixel
+        offsets = np.cumsum([0, *seg.counts])
+        for k in range(len(seg.counts)):
+            assert np.array_equal(np.unique(seg.labels[k]), np.arange(offsets[k], offsets[k + 1]))
+
+    def test_valid_segmentation_loads(self, tmp_path):
+        _fuzz_seg(tmp_path)
+        assert load_seg(tmp_path).counts == [2, 2]

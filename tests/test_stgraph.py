@@ -1,4 +1,3 @@
-import copy
 import json
 import re
 
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _fuzz import mutate, truncate
 from _oracles import OracleEdge as Edge
 from _oracles import OracleNode as Node
 from _oracles import (
@@ -769,41 +769,11 @@ def _fuzz_doc() -> dict:
     }
 
 
-def _fuzz_paths(doc, prefix=()):
-    """The path of every value below ``doc``, as keys and list indices."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
-    for k, v in items:
-        yield prefix + (k,)
-        yield from _fuzz_paths(v, prefix + (k,))
-
-
-# a retyped field: strings, bools, lists, null, objects, integers outside 64
-# bits, non-finite numbers and centroids of the wrong length
-_FUZZ_VALUES = ["x", "", True, False, None, {}, [], [1], [1.0], [1.0, 2.0, 3.0], ["a", "b"], 2**63, -(2**63) - 1, 2**64,
-                1.5, -1, 0, float("nan"), float("inf"), -float("inf")]
-
-
 class TestImportGraphFuzz:
     @given(data=st.data())
     @settings(max_examples=400, derandomize=True, deadline=None)
     def test_only_typed_errors_escape(self, data):
-        doc = _fuzz_doc()
-        for _ in range(data.draw(st.integers(1, 3))):
-            path = data.draw(st.sampled_from([(), *_fuzz_paths(doc)]))
-            value = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_VALUES)))
-            if not path:
-                doc = value
-                continue
-            parent = doc
-            for k in path[:-1]:
-                parent = parent[k]
-            if data.draw(st.booleans()):
-                del parent[path[-1]]
-            else:
-                parent[path[-1]] = value
-        blob = json.dumps(doc).encode()
-        if data.draw(st.booleans()):
-            blob = blob[: data.draw(st.integers(0, len(blob)))]
+        blob = truncate(data, json.dumps(mutate(data, _fuzz_doc())).encode())
         try:
             g = import_graph(blob)
         except (SitsGraphError, json.JSONDecodeError):
