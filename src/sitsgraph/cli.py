@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis, datacube, features, metrics, segmentation, stgraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import InvalidSpec, ShapeMismatch, SitsGraphError
+from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError
 from .forecast import ForecastConfig, make_site_splits, train_forecaster
 from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_next_frame
 from .neural import ClassifierConfig, train_classifier
@@ -67,20 +67,59 @@ def _pin_malloc_thresholds() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _write_run_config(args, out_dir: Path) -> None:
-    skip = {"func", "config"}
-    params = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k not in skip and not k.startswith("_")
-    }
-    params["version"] = __version__
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "run_config.json").write_text(json.dumps(params, indent=2, sort_keys=True) + "\n")
+def _run_config(args) -> str:
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    return json.dumps({**params, "version": __version__}, indent=2, sort_keys=True) + "\n"
+
+
+def _write(out: Path, files: dict) -> None:
+    """Make the directory ``out`` and write each named file into it: bytes
+    and text as they are, anything else in the ``indent=2`` JSON layout."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, bytes):
+            (out / name).write_bytes(body)
+        elif isinstance(body, str):
+            (out / name).write_text(body)
+        else:
+            (out / name).write_text(json.dumps(body, indent=2) + "\n")
 
 
 def _load_graph(path: str) -> stgraph.StGraph:
     return stgraph.import_graph(Path(path).read_bytes())
+
+
+def _load_labels(cube_dir: str, cube: datacube.SitsCube) -> np.ndarray:
+    t, _, h, w = cube.shape
+    return datacube.load_labels(cube_dir, t, h, w)
+
+
+def _save_model(out: str, ckpt: dict) -> Path:
+    """Write ``ckpt`` to ``out/checkpoint.bin``; returns that path."""
+    path = Path(out) / "checkpoint.bin"
+    save_checkpoint(path, {k: v for k, v in ckpt.items() if k != "state"}, ckpt["state"])
+    return path
+
+
+def _load_model(path: str, kind: str):
+    """The model of the checkpoint at ``path``, whose header must name
+    ``kind``: "classifier" or "forecaster"."""
+    header, state = load_checkpoint(path)
+    if header.get("kind") != kind:
+        raise ConfigMismatch(f"checkpoint {path} holds a {header.get('kind')!r} model, not a {kind}")
+    from_checkpoint = classifier_from_checkpoint if kind == "classifier" else forecaster_from_checkpoint
+    return from_checkpoint({**header, "state": state})
+
+
+def _seed(text: str) -> int:
+    """The ``type`` of ``--seed``: NumPy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+_seed.__name__ = "non-negative int"  # argparse and --config name the type by it
 
 
 def _edge_spec(relation: str):
@@ -97,11 +136,12 @@ def _edge_spec(relation: str):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns what ``main`` prints (text, or else JSON) and the
+# files ``main`` writes into ``--out`` with ``run_config.json``, or None when
+# the run has no ``--out`` directory
 
 
 def cmd_synth(args):
-    out = Path(args.out)
     if args.kind == "seasonal":
         cube, labels = datacube.synth_seasonal(
             seed=args.seed,
@@ -116,11 +156,9 @@ def cmd_synth(args):
         cube, labels = datacube.synth_context(
             seed=args.seed, cells=args.cells, cell_px=args.cell_px, t=args.t
         )
-    datacube.save_cube(cube, out)
-    datacube.save_labels(labels, out)
-    _write_run_config(args, out)
-    print(f"wrote cube {cube.shape} + labels to {out}")
-    return 0
+    datacube.save_cube(cube, args.out)
+    datacube.save_labels(labels, args.out)
+    return f"wrote cube {cube.shape} + labels to {Path(args.out)}", {}
 
 
 def cmd_segment(args):
@@ -131,11 +169,8 @@ def cmd_segment(args):
         params = {"n_segments": args.segments, "compactness": args.compactness, "iters": args.iters}
     bands = args.bands.split(",") if args.bands else None
     seg = segmentation.segment_cube(cube, args.algo, params, band_subset=bands, threads=_threads(args))
-    out = Path(args.out)
-    segmentation.save_seg(seg, out)
-    _write_run_config(args, out)
-    print(f"segmented {seg.shape[0]} dates; objects per date: {seg.counts}")
-    return 0
+    segmentation.save_seg(seg, args.out)
+    return f"segmented {seg.shape[0]} dates; objects per date: {seg.counts}", {}
 
 
 def cmd_features(args):
@@ -144,24 +179,18 @@ def cmd_features(args):
     fm = features.object_features(cube, seg, geometry=args.geometry)
     if args.standardize:
         fm = features.standardize(fm)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "features.csv").write_text(fm.to_csv())
-    meta = {"names": fm.names, "standardization": fm.standardization}
-    (out / "features_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    _write_run_config(args, out)
-    print(f"wrote {fm.values.shape[0]} x {fm.dim} features to {out}")
-    return 0
+    files = {
+        "features.csv": fm.to_csv(),
+        "features_meta.json": {"names": fm.names, "standardization": fm.standardization},
+    }
+    return f"wrote {fm.values.shape[0]} x {fm.dim} features to {Path(args.out)}", files
 
 
 def cmd_build_graph(args):
     cube = datacube.load_cube(args.cube)
     seg = segmentation.load_seg(args.seg)
     fm = features.object_features(cube, seg, geometry=args.geometry)
-    label_maps = None
-    if datacube.has_labels(args.cube):
-        t, _, h, w = cube.shape
-        label_maps = datacube.load_labels(args.cube, t, h, w)
+    label_maps = _load_labels(args.cube, cube) if datacube.has_labels(args.cube) else None
 
     spatial, st = args.spatial or [], args.st or []
     needs_sim = any(isinstance(s, tuple) and s[0] == "sim" for s in spatial + st)
@@ -174,12 +203,8 @@ def cmd_build_graph(args):
         st=st,
         meta={"cube_shape": list(cube.shape), "seg": seg.provenance},
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "graph.json").write_bytes(stgraph.export_graph(g, "json"))
-    _write_run_config(args, out)
-    print(f"graph: {g.n_nodes} nodes, {len(g.spatial)} spatial, {len(g.st)} temporal edges")
-    return 0
+    line = f"graph: {g.n_nodes} nodes, {len(g.spatial)} spatial, {len(g.st)} temporal edges"
+    return line, {"graph.json": stgraph.export_graph(g, "json")}
 
 
 def cmd_stats(args):
@@ -195,27 +220,16 @@ def cmd_stats(args):
     for r in analysis.detect_events(g):
         summary[r.event] = summary.get(r.event, 0) + 1
     report["event_summary"] = summary
-    print(json.dumps(report, indent=2))
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "stats.json").write_text(json.dumps(report, indent=2) + "\n")
-        _write_run_config(args, out)
-    return 0
+    return report, ({"stats.json": report} if args.out else None)
 
 
 def cmd_events(args):
-    g = _load_graph(args.graph)
-    records = analysis.detect_events(g)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "events.csv").write_text(analysis.events_csv(records))
-    (out / "events.json").write_text(
-        json.dumps([dataclasses.asdict(r) for r in records], indent=2) + "\n"
-    )
-    _write_run_config(args, out)
-    print(f"{len(records)} events -> {out}")
-    return 0
+    records = analysis.detect_events(_load_graph(args.graph))
+    files = {
+        "events.csv": analysis.events_csv(records),
+        "events.json": [dataclasses.asdict(r) for r in records],
+    }
+    return f"{len(records)} events -> {Path(args.out)}", files
 
 
 def cmd_mine(args):
@@ -224,34 +238,24 @@ def cmd_mine(args):
         raise SitsGraphError("graph carries no features to symbolize")
     symbols, edges = analysis.symbolize(g.features, args.feature, args.bins)
     patterns = analysis.mine_frequent(g, symbols, minsup=args.minsup, maxlen=args.maxlen)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "patterns.csv").write_text(analysis.patterns_csv(patterns))
-    (out / "patterns.json").write_text(
-        json.dumps(
-            {
-                "bin_edges": [float(e) for e in np.atleast_1d(edges)],
-                "patterns": [
-                    {"symbols": list(p.symbols), "support": p.support, "example": list(p.example)}
-                    for p in patterns
-                ],
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    _write_run_config(args, out)
-    print(f"{len(patterns)} frequent patterns -> {out}")
-    return 0
+    files = {
+        "patterns.csv": analysis.patterns_csv(patterns),
+        "patterns.json": {
+            "bin_edges": [float(e) for e in np.atleast_1d(edges)],
+            "patterns": [
+                {"symbols": list(p.symbols), "support": p.support, "example": list(p.example)}
+                for p in patterns
+            ],
+        },
+    }
+    return f"{len(patterns)} frequent patterns -> {Path(args.out)}", files
 
 
 def cmd_export(args):
-    g = _load_graph(args.graph)
-    blob = stgraph.export_graph(g, args.format)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_bytes(blob)
-    print(f"wrote {args.format} ({len(blob)} bytes) -> {args.out}")
-    return 0
+    blob = stgraph.export_graph(_load_graph(args.graph), args.format)
+    out = Path(args.out)  # a file, not a run directory
+    _write(out.parent, {out.name: blob})
+    return f"wrote {args.format} ({len(blob)} bytes) -> {args.out}", None
 
 
 def cmd_train(args):
@@ -279,37 +283,15 @@ def cmd_train(args):
         seed=args.seed,
     )
     ckpt, log = train_classifier([g], [g], cfg, train_masks=[train_mask], val_masks=[val_mask])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = {k: v for k, v in ckpt.items() if k != "state"}
-    save_checkpoint(out / "checkpoint.bin", header, ckpt["state"])
-    (out / "metrics.json").write_text(json.dumps(log, indent=2) + "\n")
-    _write_run_config(args, out)
-    print(
-        f"best epoch {ckpt['best_epoch']} val mIoU {ckpt['best_val_miou']:.4f} -> {out / 'checkpoint.bin'}"
-    )
-    return 0
-
-
-def _load_classifier(path: str):
-    header, params = load_checkpoint(path)
-    return classifier_from_checkpoint(
-        {"config": header.get("config"), "in_dim": header.get("in_dim"), "state": params}
-    )
+    path = _save_model(args.out, ckpt)
+    return f"best epoch {ckpt['best_epoch']} val mIoU {ckpt['best_val_miou']:.4f} -> {path}", {"metrics.json": log}
 
 
 def cmd_predict(args):
     g = _load_graph(args.graph)
-    model = _load_classifier(args.checkpoint)
-    pred = predict_nodes(model, g)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "predictions.json").write_text(
-        json.dumps({"node_class": dict(zip(map(str, g.ids.tolist()), pred.tolist()))}, indent=2) + "\n"
-    )
-    _write_run_config(args, out)
-    print(f"predicted {len(pred)} nodes -> {out}")
-    return 0
+    pred = predict_nodes(_load_model(args.checkpoint, "classifier"), g)
+    files = {"predictions.json": {"node_class": dict(zip(map(str, g.ids.tolist()), pred.tolist()))}}
+    return f"predicted {len(pred)} nodes -> {Path(args.out)}", files
 
 
 def cmd_eval(args):
@@ -317,16 +299,15 @@ def cmd_eval(args):
     missing = [f"--{k}" for k in needs if getattr(args, k) is None]
     if missing:
         raise UsageError(f"eval --task {args.task} needs {' '.join(missing)}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    files = {}
     if args.task == "classify":
         g = _load_graph(args.graph)
         seg = segmentation.load_seg(args.seg)
+        if g.n_nodes != seg.n_objects:
+            raise ShapeMismatch(f"--graph holds {g.n_nodes} nodes for the {seg.n_objects} objects of --seg")
         cube = datacube.load_cube(args.cube)
-        t, _, h, w = cube.shape
-        truth = datacube.load_labels(args.cube, t, h, w)
-        model = _load_classifier(args.checkpoint)
-        node_pred = predict_nodes(model, g)
+        truth = _load_labels(args.cube, cube)
+        node_pred = predict_nodes(_load_model(args.checkpoint, "classifier"), g)
         pixel_pred = node_pred[seg.labels]  # object id -> class, mapped back to pixels
         n_classes = max(int(truth.max()), int(node_pred.max())) + 1
         cm = metrics.confusion(truth, pixel_pred, n_classes)
@@ -336,7 +317,7 @@ def cmd_eval(args):
         header = [f"class_{c}_iou" for c in range(n_classes)] + ["miou", "oa"]
         row = ["" if v is None else f"{v:.6f}" for v in report["per_class_iou"]]
         row += [f"{report['miou']:.6f}", f"{report['oa']:.6f}"]
-        (out / "per_class_iou.csv").write_text(",".join(header) + "\n" + ",".join(row) + "\n")
+        files["per_class_iou.csv"] = ",".join(header) + "\n" + ",".join(row) + "\n"
     else:
         pred = np.fromfile(args.pred, dtype="<f4")
         target = np.fromfile(args.target, dtype="<f4")
@@ -344,10 +325,8 @@ def cmd_eval(args):
         if rows < 1 or pred.size % rows or target.size != pred.size:
             raise ShapeMismatch(f"cannot form frames of {rows} rows from {pred.size} --pred and {target.size} --target floats")
         report = metrics.rmse_psnr_ssim(pred.reshape(rows, -1), target.reshape(rows, -1))
-    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_run_config(args, out)
-    print(json.dumps({k: v for k, v in report.items() if k != "confusion"}, indent=2))
-    return 0
+    files["report.json"] = report
+    return {k: v for k, v in report.items() if k != "confusion"}, files
 
 
 def _cube_to_samples(cube_dir: str, input_len: int) -> list[ForecastSample]:
@@ -388,22 +367,16 @@ def cmd_forecast_train(args):
         mesh_from=args.mesh_from,
     )
     ckpt, log = train_forecaster(train, val, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = {k: v for k, v in ckpt.items() if k != "state"}
-    save_checkpoint(out / "checkpoint.bin", header, ckpt["state"])
-    (out / "metrics.json").write_text(json.dumps(log, indent=2) + "\n")
-    _write_run_config(args, out)
-    print(
+    path = _save_model(args.out, ckpt)
+    line = (
         f"best epoch {ckpt['best_epoch']} val RMSE {ckpt['best_val_rmse']:.4f}"
-        f" ({len(train)}/{len(val)}/{len(test)} train/val/test samples) -> {out / 'checkpoint.bin'}"
+        f" ({len(train)}/{len(val)}/{len(test)} train/val/test samples) -> {path}"
     )
-    return 0
+    return line, {"metrics.json": log}
 
 
 def cmd_forecast_predict(args):
-    header, params = load_checkpoint(args.checkpoint)
-    model = forecaster_from_checkpoint({"config": header.get("config"), "state": params})
+    model = _load_model(args.checkpoint, "forecaster")
     n = model.cfg.input_len
     cube = datacube.load_cube(args.cube)
     values = datacube.ndwi_values(cube)
@@ -413,17 +386,12 @@ def cmd_forecast_predict(args):
         raise SitsGraphError(f"window end {end} out of range [{n}, {t}]")
     window = values[end - n : end].astype(np.float32)
     pred = predict_next_frame(model, window, cube.geo, cube.timestamps[end - 1])
-    out = Path(args.out)
-    frame_path = out / "frame.bin"
-    out.mkdir(parents=True, exist_ok=True)
-    frame_path.write_bytes(np.ascontiguousarray(pred, dtype="<f4").tobytes())
+    files = {"frame.bin": np.ascontiguousarray(pred, dtype="<f4").tobytes()}
     report = {}
     if end < t:
         report = metrics.rmse_psnr_ssim(pred, values[end])
-        (out / "metrics.json").write_text(json.dumps(report, indent=2) + "\n")
-    _write_run_config(args, out)
-    print(json.dumps({"frame": str(frame_path), **report}, indent=2))
-    return 0
+        files["metrics.json"] = report
+    return {"frame": str(Path(args.out) / "frame.bin"), **report}, files
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +410,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--height", type=int, default=32)
@@ -536,7 +504,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-frac", type=float, default=0.25)
     p.add_argument("--out", required=True)
     common(p)
@@ -574,7 +542,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     pt.add_argument("--rounds", type=int, default=4)
     pt.add_argument("--lr", type=float, default=1e-4)
     pt.add_argument("--epochs", type=int, default=50)
-    pt.add_argument("--seed", type=int, default=0)
+    pt.add_argument("--seed", type=_seed, default=0)
     pt.add_argument("--mesh-from", choices=["last", "stack"], default="last")
     pt.add_argument("--out", required=True)
     common(pt)
@@ -650,7 +618,11 @@ def _preload_config(parser, registry, argv: list[str]) -> dict:
         return {}  # argparse reports the missing value
     if path is None:
         return {}
-    cfg = json.loads(Path(path).read_text())
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise InvalidSpec(f"--config {path} is not UTF-8 text: {e}") from None
+    cfg = json.loads(text)
     if not isinstance(cfg, dict):
         parser.error(f"--config {path} must hold a JSON object")
     positionals = [tok for tok in argv if not tok.startswith("-")]
@@ -683,7 +655,11 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in lists.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-        return args.func(args)
+        shown, files = args.func(args)
+        if files is not None:
+            _write(Path(args.out), {**files, "run_config.json": _run_config(args)})
+        print(shown if isinstance(shown, str) else json.dumps(shown, indent=2))
+        return 0
     except UsageError as e:
         parser.error(str(e))
     except (SitsGraphError, OSError, json.JSONDecodeError) as e:

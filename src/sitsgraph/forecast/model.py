@@ -10,6 +10,7 @@ parameters zero the network is exactly the persistence baseline.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,3 +255,28 @@ class Forecaster:
             out = self.forward(window, mesh, pos)
         h, w = mesh.shape
         return out.data.reshape(h, w).astype(np.float32)
+
+
+def _mlp_shapes(dims: list[int]) -> Iterator[tuple[int, int]]:
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        yield (fan_in, fan_out)
+        yield (1, fan_out)
+
+
+def state_shapes(cfg: ForecastConfig) -> Iterator[tuple[int, int]]:
+    """The shapes of ``Forecaster(cfg).parameters()``, one at a time and
+    without building the model: ``state_count(cfg)`` of them."""
+    h, half = cfg.hidden, cfg.hidden // 2
+    yield from _mlp_shapes([cfg.input_len, half, half])
+    yield from _mlp_shapes([4, half, half])
+    yield from _mlp_shapes([h, h, h])
+    for _ in range(3):  # the grid-to-mesh, processor and mesh-to-grid edge encoders
+        yield from _mlp_shapes([2, h])
+    for _ in range(cfg.processor_rounds + 2):  # the processor's blocks between g2m's and m2g's
+        yield from _mlp_shapes([3 * h, h, h])
+        yield from _mlp_shapes([2 * h, h, h])
+    yield from _mlp_shapes([h, 1])
+
+
+def state_count(cfg: ForecastConfig) -> int:
+    return 8 * cfg.processor_rounds + 36

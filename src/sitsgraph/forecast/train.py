@@ -144,11 +144,11 @@ def train_forecaster(
 
 
 def forecaster_from_checkpoint(checkpoint: dict) -> Forecaster:
-    cfg = config_from_dict(ForecastConfig, checkpoint["config"])
+    cfg = config_from_dict(ForecastConfig, checkpoint.get("config"))
+    # checked before the model is built, which could be of any size
+    check_state(checkpoint["state"], fm.state_shapes(cfg), fm.state_count(cfg), "forecaster")
     model = Forecaster(cfg)
-    params = model.parameters()
-    check_state(checkpoint["state"], [p.data.shape for p in params], "forecaster")
-    for p, a in zip(params, checkpoint["state"]):
+    for p, a in zip(model.parameters(), checkpoint["state"]):
         p.data = np.asarray(a, dtype=p.data.dtype)
     return model
 

@@ -5,12 +5,13 @@ linear head."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ..checkpoint import check_state, config_from_dict
-from ..errors import ConfigMismatch, NoLabels
+from ..errors import ConfigMismatch, DimMismatch, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
@@ -109,7 +110,8 @@ class STClassifier:
         return arrays
 
     def load_state(self, arrays: list[np.ndarray]) -> None:
-        check_state(arrays, [a.shape for a in self.state()], "classifier")
+        shapes = [a.shape for a in self.state()]
+        check_state(arrays, shapes, len(shapes), "classifier")
         params = self.parameters()
         for p, a in zip(params, arrays):
             p.data = np.asarray(a, dtype=p.data.dtype)
@@ -119,10 +121,32 @@ class STClassifier:
             norm.running_var = np.asarray(rest[2 * i + 1], dtype=norm.running_var.dtype).ravel()
 
 
+def state_shapes(cfg: ClassifierConfig, in_dim: int) -> Iterator[tuple[int, int]]:
+    """The shapes of ``STClassifier(cfg, in_dim).state()``, one at a time and
+    without building the model: ``state_count(cfg)`` of them."""
+    h = cfg.hidden
+    for i in range(cfg.n_layers):
+        fan_in = in_dim if i == 0 else h
+        yield (fan_in, h)
+        yield (fan_in, h) if cfg.conv == "sage" else (1, h)
+    for _ in range(2 * cfg.n_layers):  # batch-norm scales and shifts
+        yield (1, h)
+    yield (h, cfg.n_classes)
+    yield (1, cfg.n_classes)
+    for _ in range(2 * cfg.n_layers):  # batch-norm running means and variances
+        yield (1, h)
+
+
+def state_count(cfg: ClassifierConfig) -> int:
+    return 6 * cfg.n_layers + 2
+
+
 def graph_arrays(g: StGraph):
     """(float32 features, spatial ``Relation``, temporal ``Relation``,
     labels) for training; the relations carry the scatter plans every layer,
     epoch and evaluation on this graph reuses."""
+    if g.features is None:
+        raise DimMismatch("graph carries no node features for the classifier")
     x = np.asarray(g.features.values, dtype=np.float32)
     n = x.shape[0]
     es = relation((g.spatial.src, g.spatial.dst), n)
@@ -238,6 +262,8 @@ def classifier_from_checkpoint(checkpoint: dict) -> STClassifier:
     in_dim = checkpoint.get("in_dim")
     if not isinstance(in_dim, int) or in_dim < 1:
         raise ConfigMismatch(f"classifier checkpoint needs a positive integer in_dim, got {in_dim!r}")
+    # checked before the model is built, which could be of any size
+    check_state(checkpoint["state"], state_shapes(cfg, in_dim), state_count(cfg), "classifier")
     model = STClassifier(cfg, in_dim)
     model.load_state(checkpoint["state"])
     return model

@@ -14,8 +14,9 @@ from _fuzz import CLI_ERRORS, damage, mutate
 from sitsgraph.checkpoint import load_checkpoint
 from sitsgraph.errors import ConfigMismatch
 from sitsgraph.forecast import ForecastConfig, Forecaster
+from sitsgraph.forecast import model as fm
 from sitsgraph.forecast.train import forecaster_from_checkpoint
-from sitsgraph.neural import ClassifierConfig, STClassifier
+from sitsgraph.neural import ClassifierConfig, STClassifier, classifier
 from sitsgraph.neural.classifier import classifier_from_checkpoint
 
 LOADERS = {
@@ -75,6 +76,27 @@ def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
     config[key] = value
     with pytest.raises(ConfigMismatch, match=key):
         forecaster_from_checkpoint({"config": config, "state": []})
+
+
+@pytest.mark.parametrize(
+    "cfg, in_dim",
+    [
+        (ClassifierConfig(n_classes=2), 1),
+        (ClassifierConfig(n_classes=5, conv="gcn", hidden=8, n_layers=6), 7),
+        (ClassifierConfig(n_classes=3, conv="mlp", hidden=4, n_layers=3), 2),
+        (ForecastConfig(), None),
+        (ForecastConfig(input_len=3, hidden=6, processor_rounds=1), None),
+    ],
+    ids=["classifier_sage", "classifier_gcn", "classifier_mlp", "forecaster", "forecaster_small"],
+)
+def test_state_shapes_are_those_of_the_built_model(cfg, in_dim):
+    # the checkpoint loaders check a state against these before building the model
+    if in_dim is None:
+        want, got, count = [p.data.shape for p in Forecaster(cfg).parameters()], fm.state_shapes(cfg), fm.state_count(cfg)
+    else:
+        want = [a.shape for a in STClassifier(cfg, in_dim).state()]
+        got, count = classifier.state_shapes(cfg, in_dim), classifier.state_count(cfg)
+    assert list(got) == want and count == len(want)
 
 
 def _fuzz_checkpoint(header: dict) -> bytes:

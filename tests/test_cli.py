@@ -12,7 +12,7 @@ import pytest
 from sitsgraph import cli
 from sitsgraph.checkpoint import save_checkpoint
 from sitsgraph.cli import _threads, build_parser, main
-from sitsgraph.datacube import save_cube, synth_seasonal
+from sitsgraph.datacube import save_cube, save_labels, synth_seasonal
 from sitsgraph.forecast import ForecastConfig, Forecaster
 from sitsgraph.neural import ClassifierConfig, STClassifier
 
@@ -207,6 +207,37 @@ def _checkpoint_header_not_utf8(tmp_path: Path) -> list[str]:
     return argv
 
 
+def _featureless_graph(tmp_path: Path) -> str:
+    """A graph of two labeled nodes, classes 0 and 1, that carry no features."""
+    nodes = [
+        {"id": i, "t": 0, "pixel_count": 1, "centroid": [0.0, float(i)], "features": None, "label": i} for i in range(2)
+    ]
+    (tmp_path / "graph.json").write_text(json.dumps({"nodes": nodes, "edges": [], "meta": {}}))
+    return str(tmp_path / "graph.json")
+
+
+def _predict_featureless(tmp_path: Path) -> list[str]:
+    argv = _classifier_checkpoint(tmp_path, lambda c, s: None)
+    _featureless_graph(tmp_path)
+    return argv
+
+
+def _eval_graph_of_other_seg(tmp_path: Path) -> list[str]:
+    """An eval --task classify run whose --graph holds one node and whose
+    --seg holds more objects, with a checkpoint and labels that load."""
+    _classifier_checkpoint(tmp_path, lambda c, s: None)
+    _seg_meta(tmp_path, lambda m: None)
+    save_labels(synth_seasonal(seed=0, t=4, h=8, w=8, n_blobs=2, period_dates=2)[1], tmp_path / "cube")
+    return ["eval", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"),
+            "--seg", str(tmp_path / "seg"), "--cube", str(tmp_path / "cube"), "--out", str(tmp_path / "r")]
+
+
+def _wrong_kind(tmp_path: Path) -> list[str]:
+    """A forecast predict run on a classifier checkpoint."""
+    _classifier_checkpoint(tmp_path, lambda c, s: None)
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
+
+
 # (argv builder, exit code, text the error line must name)
 FAILURES = {
     "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], 1, "absent.json"),
@@ -328,6 +359,28 @@ FAILURES = {
         lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 2**63)), 1, "objects at date 3, which has 64 pixels",
     ),
     "checkpoint_header_not_utf8": (_checkpoint_header_not_utf8, 1, "header is not UTF-8 text"),
+    "config_not_utf8": (lambda tmp: _not_utf8(_config(tmp, "{}"), tmp / "cfg.json"), 1, "cfg.json is not UTF-8 text"),
+    "seed_negative": (lambda tmp: ["synth", "--seed", "-1", "--out", str(tmp / "o")], 2, "invalid non-negative int value: '-1'"),
+    "forecast_train_seed_negative": (
+        lambda tmp: ["forecast", "train", "--cubes", "a", "b", "c", "--seed", "-1", "--out", str(tmp / "o")],
+        2, "invalid non-negative int value: '-1'",
+    ),
+    "config_seed_negative": (
+        lambda tmp: _flag_config(tmp, "train --graph g", {"seed": -1}), 2, "config 'seed' must be non-negative int, got -1",
+    ),
+    "train_graph_without_features": (
+        lambda tmp: ["train", "--graph", _featureless_graph(tmp), "--epochs", "1", "--out", str(tmp / "m")],
+        1, "graph carries no node features",
+    ),
+    "predict_graph_without_features": (_predict_featureless, 1, "graph carries no node features"),
+    "eval_graph_of_other_seg": (_eval_graph_of_other_seg, 1, "--graph holds 1 nodes for the"),
+    "classifier_checkpoint_layers_huge": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(n_layers=2**40)), 1, "array 8:",
+    ),
+    "forecaster_checkpoint_rounds_huge": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=2**40)), 1, "array 66:",
+    ),
+    "forecaster_checkpoint_of_a_classifier": (_wrong_kind, 1, "holds a 'classifier' model, not a forecaster"),
 }
 
 
@@ -457,7 +510,60 @@ def test_threads_default_serial(flag, want):
     assert _threads(args) == want
 
 
+@pytest.fixture(scope="module")
+def replay_inputs(tmp_path_factory) -> Path:
+    """Inputs for a run of every subcommand that writes a directory."""
+    d = tmp_path_factory.mktemp("inputs")
+    steps = [
+        f"synth --kind context --seed 9 --cells 4 --cell-px 3 --t 2 --out {d}/cube",
+        f"segment --cube {d}/cube --scale 1e-6 --min-size 1 --out {d}/seg",
+        f"build-graph --cube {d}/cube --seg {d}/seg --spatial adjacency --st overlap:1 --out {d}/graph",
+        f"train --graph {d}/graph/graph.json --hidden 8 --layers 2 --lr 1e-2 --epochs 2 --out {d}/model",
+        *(f"synth --seed {s} --t 8 --height 12 --width 12 --blobs 3 --period 6 --out {d}/site{s}" for s in range(3)),
+        f"forecast train --cubes {d}/site0 {d}/site1 {d}/site2 --segments 4 --hidden 8 --rounds 1 --epochs 1 --out {d}/fc",
+    ]
+    for step in steps:
+        assert main(step.split()) == 0, step
+    rng = np.random.default_rng(0)
+    for name in ("pred", "target"):
+        rng.random(36, dtype=np.float32).astype("<f4").tofile(d / f"{name}.bin")
+    return d
+
+
+# subcommand runs, without --out, over the inputs in {d}
+REPLAYS = {
+    "synth": "synth --seed 5 --t 4 --height 8 --width 8 --blobs 2 --period 2",
+    "segment_felzenszwalb": "segment --cube {d}/cube --scale 0.5 --min-size 2",
+    "segment_slic": "segment --cube {d}/cube --algo slic --segments 9 --compactness 0.5 --iters 3 --bands SIG",
+    "features": "features --cube {d}/cube --seg {d}/seg --geometry --standardize",
+    "build_graph": "build-graph --cube {d}/cube --seg {d}/seg --spatial knn:2 --spatial sim:1 --st overlap --st periodic:2",
+    "stats": "stats --graph {d}/graph/graph.json --fe 1 --no-map-stored",
+    "events": "events --graph {d}/graph/graph.json",
+    "mine": "mine --graph {d}/graph/graph.json --feature 0 --bins 2 --minsup 2 --maxlen 2",
+    "train": "train --graph {d}/graph/graph.json --conv gcn --hidden 8 --layers 2 --lr 1e-2 --epochs 2 --seed 1",
+    "predict": "predict --checkpoint {d}/model/checkpoint.bin --graph {d}/graph/graph.json",
+    "eval_classify": "eval --checkpoint {d}/model/checkpoint.bin --graph {d}/graph/graph.json --seg {d}/seg --cube {d}/cube",
+    "eval_forecast": "eval --task forecast --pred {d}/pred.bin --target {d}/target.bin",
+    "forecast_train": "forecast train --cubes {d}/site0 {d}/site1 {d}/site2 --segments 4 --hidden 8 --rounds 1 --epochs 1 --seed 2",
+    "forecast_predict": "forecast predict --checkpoint {d}/fc/checkpoint.bin --cube {d}/site1",
+}
+
+
 class TestConfigReplay:
+    @pytest.mark.parametrize("case", sorted(REPLAYS))
+    def test_replay_writes_same_bytes(self, case, replay_inputs, tmp_path):
+        argv = REPLAYS[case].format(d=replay_inputs).split()
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([*argv, "--out", str(first)]) == 0
+        command = argv[:2] if argv[0] == "forecast" else argv[:1]
+        assert main([*command, "--config", str(first / "run_config.json"), "--out", str(again)]) == 0
+        a, b = _dir_bytes(first), _dir_bytes(again)
+        assert set(a) == set(b) and "run_config.json" in a and len(a) > 1
+        a["run_config.json"] = a["run_config.json"].replace(str(first).encode(), b"OUT")
+        b["run_config.json"] = b["run_config.json"].replace(str(again).encode(), b"OUT")
+        for name in a:
+            assert a[name] == b[name], name
+
     def test_rerun_from_run_config(self, tmp_path):
         main(["synth", "--seed", "5", "--t", "4", "--height", "8", "--width", "8", "--blobs", "2", "--period", "2", "--out", str(tmp_path / "a")])
         rc = tmp_path / "a" / "run_config.json"
