@@ -26,6 +26,7 @@ from .errors import (
     ShapeMismatch,
     UnknownBand,
 )
+from .nearest import k_nearest
 
 # Index bands whose finite values must stay inside [-1, 1].
 RANGE_BOUND_BANDS = ("NDWI", "NDVI")
@@ -363,10 +364,10 @@ def synth_seasonal(
     seed_flat = rng.choice(h * w, size=n_blobs, replace=False)
     seeds = np.stack([seed_flat // w, seed_flat % w], axis=1).astype(np.float64)
 
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    # nearest seed, ties resolved to the lower blob index by argmin
-    d2 = (rr[..., None] - seeds[:, 0]) ** 2 + (cc[..., None] - seeds[:, 1]) ** 2
-    blob_map = np.argmin(d2, axis=-1)
+    # nearest seed, ties resolved to the lower blob index
+    blob_map = k_nearest(
+        np.arange(h * w), np.arange(n_blobs), 1, lambda a, b: (a // w - seeds[b, 0]) ** 2 + (a % w - seeds[b, 1]) ** 2
+    )[1].reshape(h, w)
 
     blob_class = (np.arange(n_blobs) % len(CLASS_NAMES)).astype(np.int32)
     profile = np.array(_CLASS_PROFILE)

@@ -6,12 +6,10 @@ decoder edges from its 3 nearest region centroids (fewer only when the
 partition has fewer regions). The edge features are the relative
 displacement (d_row, d_col) / max(H, W) from source to destination.
 
-The decoder search runs over fixed tiles of ``DECODER_TILE`` pixels: each
-tile's squared pixel-to-centroid distances are computed and its 3 nearest
-centroids picked by ``segmentation.smallest_k`` (equal distances go to the
-lower region id) before the next tile starts. Its working set is one tile
-times the region count, so the mesh's memory grows with pixels x 3 decoder
-edges, never with pixels x regions.
+The decoder picks each pixel's 3 nearest centroids through
+``nearest.k_nearest`` (equal distances go to the lower region id), which
+works in blocks of a bounded number of pixel-centroid pairs: the mesh's
+memory grows with pixels x 3 decoder edges, never with pixels x regions.
 """
 
 from __future__ import annotations
@@ -22,10 +20,8 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 from ..neural.autograd import ScatterPlan
-from ..segmentation import region_adjacency, region_moments, slic, smallest_k
-
-# pixels per decoder-search tile
-DECODER_TILE = 4096
+from ..nearest import k_nearest
+from ..segmentation import region_adjacency, region_moments, slic
 
 
 @dataclass
@@ -104,17 +100,11 @@ def build_mesh(
     g2m_dst = flat
     g2m_feat = (centroids[g2m_dst] - pix_pos) / scale
 
-    # decoder: 3 nearest centroids -> pixel (ties by lower region id)
-    k = min(3, m)
-    nearest = np.empty((h * w, k), dtype=np.int64)
-    for lo in range(0, h * w, DECODER_TILE):
-        tile = pix_pos[lo : lo + DECODER_TILE]
-        # the same two-term sum as squaring (d_row, d_col) and summing it
-        # over its last axis, without the (tile, M, 2) intermediate
-        d2 = (tile[:, :1] - centroids[:, 0]) ** 2 + (tile[:, 1:] - centroids[:, 1]) ** 2
-        nearest[lo : lo + DECODER_TILE] = smallest_k(d2, k)
-    m2g_dst = np.repeat(np.arange(h * w, dtype=np.int64), k)
-    m2g_src = nearest.ravel()
+    # decoder: 3 nearest centroids -> pixel (ties by lower region id), by the
+    # squared (d_row, d_col) summed as two terms, without a (pixels, M, 2) array
+    m2g_dst, m2g_src, _ = k_nearest(
+        g2m_src, np.arange(m), 3, lambda a, b: (pix_pos[a, 0] - centroids[b, 0]) ** 2 + (pix_pos[a, 1] - centroids[b, 1]) ** 2
+    )
     m2g_feat = (pix_pos[m2g_dst] - centroids[m2g_src]) / scale
 
     return MeshGraph(

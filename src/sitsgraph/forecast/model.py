@@ -48,6 +48,9 @@ class ForecastConfig:
             raise ConfigMismatch(f"compactness must be > 0, got {self.compactness}")
         if self.slic_iters < 1:
             raise ConfigMismatch(f"slic_iters must be >= 1, got {self.slic_iters}")
+        # checkpoint headers come from outside: the ceiling bars an endless SLIC run
+        if self.slic_iters > 100:
+            raise ConfigMismatch(f"slic_iters must be <= 100, got {self.slic_iters}")
         if self.processor_rounds < 1:
             raise ConfigMismatch(f"processor_rounds must be >= 1, got {self.processor_rounds}")
         if self.hidden < 2 or self.hidden % 2:

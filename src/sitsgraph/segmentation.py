@@ -23,6 +23,7 @@ import numpy as np
 
 from .datacube import SitsCube, load_labels, save_labels
 from .errors import EmptyImage, InvalidSegmentCount, MissingFile, ShapeMismatch
+from .nearest import k_nearest
 
 
 @dataclass
@@ -79,23 +80,6 @@ def label_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     base = int(b.max(initial=0)) + 1
     keys, counts = np.unique(a * base + b, return_counts=True)
     return np.stack([keys // base, keys % base], axis=1), counts
-
-
-def smallest_k(d: np.ndarray, k: int) -> np.ndarray:
-    """Column positions of each row's ``k`` smallest entries of a 2-D array,
-    ordered by value and then by position (NaN last), as a stable argsort
-    would give them; all columns when ``k`` reaches the column count. The one
-    k-smallest rule of the package: nearest-neighbour edges and the mesh
-    decoder both pick through it."""
-    if k >= d.shape[1]:
-        return np.argsort(d, axis=1, kind="stable")
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-    # every entry tied with the k-th value stays a candidate
-    r, c = np.nonzero((d <= kth) | np.isnan(kth))
-    order = np.lexsort((c, d[r, c], r))
-    r, c = r[order], c[order]
-    rank = np.arange(len(r)) - np.searchsorted(r, r)
-    return c[rank < k].reshape(d.shape[0], k)
 
 
 def region_adjacency(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,7 +247,7 @@ def slic(
     ``dcol2 + ratio2 * dxy2``, the centers whose window covers the pixel.
     A NaN distance counts above every number, so a pixel whose candidates
     are all NaN goes to its lowest candidate id. A pixel no window covers
-    takes the ``argmin`` of its distances to all centers. Centers then
+    takes the nearest of all centers by the same rule. Centers then
     move to their members' means, and a final pass makes every segment
     4-connected."""
     image = np.asarray(image, dtype=np.float64)
@@ -303,6 +287,11 @@ def slic(
     labels_flat = labels.ravel()
     no_center = n_centers  # above every id: marks a pixel no window covers
 
+    def d2u(a, b):
+        # d2 of pixels a to centers b, for the pixels no window covers
+        dcol2 = ((img_flat[a] - centers_color[b]) ** 2).sum(-1)
+        return dcol2 + ratio2 * ((a // w - centers_rc[b, 0]) ** 2 + (a % w - centers_rc[b, 1]) ** 2)
+
     for _ in range(iters):
         # all candidate (center, pixel) pairs in one batch; border windows
         # clamp onto edge pixels, which only duplicates in-window entries
@@ -326,13 +315,7 @@ def slic(
         unassigned = labels_flat == no_center
         if unassigned.any():
             up = np.nonzero(unassigned)[0]
-            pts = img_flat[up]
-            dcol2 = ((pts[:, None, :] - centers_color[None]) ** 2).sum(-1)
-            d2u = dcol2 + ratio2 * (
-                (up[:, None] // w - centers_rc[None, :, 0]) ** 2
-                + (up[:, None] % w - centers_rc[None, :, 1]) ** 2
-            )
-            labels_flat[up] = np.argmin(d2u, axis=1)
+            labels_flat[up] = k_nearest(up, np.arange(n_centers), 1, d2u)[1]
 
         counts, rsum, csum = region_moments(labels, n_centers)
         nonzero = counts > 0

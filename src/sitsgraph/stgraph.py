@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
 from .features import FeatureMatrix, geom_features
-from .segmentation import SegStack, label_pairs, region_adjacency, smallest_k
+from .nearest import k_nearest, row_blocks
+from .segmentation import SegStack, label_pairs, region_adjacency
 
 SPATIAL = "S"
 SPATIOTEMPORAL = "ST"
@@ -220,7 +221,7 @@ def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
     src, dst, dist = [], [], []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
-        for rows in _row_blocks(members, len(members)):
+        for rows in row_blocks(members, len(members)):
             d = _centroid_distance(cent, rows[:, None], members[None, :])
             hit = (d <= eps) & (members[None, :] > rows[:, None])
             r, c = np.nonzero(hit)
@@ -239,10 +240,10 @@ def knn_edges(g: StGraph, k: int) -> EdgeColumns:
         members = np.nonzero(dates == t)[0]
         if k < 1 or k >= len(members):
             raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(members)}")
-        for a, b, d in _k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b)):
-            src.append(np.minimum(a, b))
-            dst.append(np.maximum(a, b))
-            dist.append(d)
+        a, b, d = k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b))
+        src.append(np.minimum(a, b))
+        dst.append(np.maximum(a, b))
+        dist.append(d)
     pairs, dist = _unique_pairs(src, dst, dist)
     return _edge_columns(ids[pairs[:, 0]], ids[pairs[:, 1]], dist)
 
@@ -268,64 +269,27 @@ def similarity_edges(
         raise DimMismatch(f"{node_dates.shape[0]} dates for {v.shape[0]} feature rows")
 
     def feature_distance(a, b):
-        diff = v[b]
-        diff -= v[a]
+        diff = v[b] - v[a]
         return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
     src, dst, dist = [], [], []
     for t in np.unique(node_dates):
         members = np.nonzero(node_dates == t)[0]
         cands = None if scope == "within-date" else np.nonzero(node_dates != t)[0]
-        for a, b, d in _k_nearest(members, cands, k, feature_distance):
-            if scope == "within-date":
-                a, b = np.minimum(a, b), np.maximum(a, b)
-            else:
-                past = node_dates[a] < node_dates[b]
-                a, b = np.where(past, a, b), np.where(past, b, a)
-            src.append(a)
-            dst.append(b)
-            dist.append(d)
+        a, b, d = k_nearest(members, cands, k, feature_distance)
+        if scope == "within-date":
+            a, b = np.minimum(a, b), np.maximum(a, b)
+        else:
+            past = node_dates[a] < node_dates[b]
+            a, b = np.where(past, a, b), np.where(past, b, a)
+        src.append(a)
+        dst.append(b)
+        dist.append(d)
     pairs, dist = _unique_pairs(src, dst, dist)
     # d ** 2 on Python floats (libm pow) differs from NumPy's d * d in the
     # last bit for some d; the weights keep the scalar rule
     weights = np.exp(-np.array([d ** 2 for d in dist.tolist()]))
     return _edge_columns(pairs[:, 0], pairs[:, 1], weights)
-
-
-# candidate pairs per distance block: bounds builder memory whatever the
-# number of nodes per date
-_BLOCK_PAIRS = 1 << 16
-
-
-def _row_blocks(rows: np.ndarray, n_cols: int):
-    step = max(1, _BLOCK_PAIRS // max(1, n_cols))
-    for lo in range(0, len(rows), step):
-        yield rows[lo : lo + step]
-
-
-def _k_nearest(rows: np.ndarray, cands: np.ndarray | None, k: int, distance):
-    """Each row's ``k`` nearest candidates, in bounded blocks of
-    ``(row, neighbor, distance)`` arrays. ``rows`` and ``cands`` hold ascending
-    indices; ``cands=None`` makes every row's candidates the other rows.
-    Equal distances resolve to the lower index."""
-    m = len(rows) - 1 if cands is None else len(cands)
-    if m == 0:
-        return
-    for block in _row_blocks(rows, m):
-        if cands is None:
-            # row i's candidates skip column i: 0..i-1, i+1..n-1
-            pos = np.searchsorted(rows, block)[:, None]
-            j = np.arange(m)[None, :]
-            cols = rows[j + (j >= pos)]
-        else:
-            cols = np.broadcast_to(cands, (len(block), m))
-        d = distance(block[:, None], cols)
-        pick = smallest_k(d, k)
-        yield (
-            np.repeat(block, pick.shape[1]),
-            np.take_along_axis(cols, pick, axis=1).ravel(),
-            np.take_along_axis(d, pick, axis=1).ravel(),
-        )
 
 
 def _centroid_distance(cent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

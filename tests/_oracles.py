@@ -298,7 +298,8 @@ def brute_slic(image: np.ndarray, n_segments: int, compactness: float, iters: in
                 (up[:, None] // w - centers_rc[None, :, 0]) ** 2
                 + (up[:, None] % w - centers_rc[None, :, 1]) ** 2
             )
-            labels_flat[up] = np.argmin(d2u, axis=1)
+            # nearest center, NaN last and ties to the lower id
+            labels_flat[up] = np.argsort(d2u, axis=1, kind="stable")[:, 0]
 
         counts = np.bincount(labels_flat, minlength=n_centers).astype(np.float64)
         rsum = np.bincount(labels_flat, weights=np.repeat(np.arange(h), w), minlength=n_centers)
@@ -791,3 +792,19 @@ def brute_decoder(centroids: np.ndarray, h: int, w: int, k: int) -> np.ndarray:
     )
     d2 = ((pix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return np.argsort(d2, axis=1, kind="stable")[:, :k].ravel().astype(np.int64)
+
+
+def brute_k_nearest(rows, cands, k: int, points: np.ndarray):
+    """Each row's ``k`` nearest candidates by Euclidean distance between
+    ``points``, one row at a time: a stable argsort of the row's distances
+    (NaN last, ties to the earlier candidate). ``cands=None`` makes a row's
+    candidates the other rows. Returns ``(row, neighbor, distance)`` lists."""
+    out_r, out_n, out_d = [], [], []
+    for r in rows:
+        c = np.array([x for x in rows if x != r] if cands is None else list(cands), dtype=np.int64)
+        d = np.sqrt(((points[c] - points[r]) ** 2).sum(axis=1))
+        order = np.argsort(d, kind="stable")[:k]
+        out_r += [r] * len(order)
+        out_n += c[order].tolist()
+        out_d += d[order].tolist()
+    return out_r, out_n, out_d

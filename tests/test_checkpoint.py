@@ -69,7 +69,16 @@ def test_checkpoint_config_float_field_takes_a_whole_number(model):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("slic_iters", 0), ("slic_iters", -3), ("n_segments", 0), ("compactness", 0.0), ("compactness", -0.1)]
+    "key, value",
+    [
+        ("slic_iters", 0),
+        ("slic_iters", -3),
+        ("slic_iters", 101),
+        ("slic_iters", 2**40),
+        ("n_segments", 0),
+        ("compactness", 0.0),
+        ("compactness", -0.1),
+    ],
 )
 def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
     config = asdict(ForecastConfig())

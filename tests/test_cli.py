@@ -286,6 +286,9 @@ FAILURES = {
     "forecaster_checkpoint_slic_iters_zero": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(slic_iters=0)), 1, "slic_iters must be >= 1",
     ),
+    "forecaster_checkpoint_slic_iters_above_ceiling": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(slic_iters=101)), 1, "slic_iters must be <= 100",
+    ),
     "forecaster_checkpoint_one_array_short": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.pop()), 1, "array 67:",
     ),

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestSynthSeasonal:
         _, lab = synth_seasonal(seed=2, t=4, h=10, w=12, n_blobs=5, period_dates=4)
         assert lab.min() >= 0
         assert lab.shape == (4, 10, 12)
+
+    def test_memory_grows_with_the_output(self):
+        # the dense pixel-to-seed distances took 96 * 96 * 600 * 8 bytes =
+        # 44 MB per term; the blocked search peaks near 3 MB
+        tracemalloc.start()
+        try:
+            synth_seasonal(seed=0, t=4, h=96, w=96, n_blobs=600, period_dates=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_invalid_spec(self):
         with pytest.raises(InvalidSpec):

@@ -5,6 +5,7 @@ import pytest
 
 from _gradcheck import check_gradients, randomize_biases, weighted_sum
 from _oracles import brute_adjacency, brute_decoder
+from sitsgraph import nearest
 from sitsgraph.datacube import synth_seasonal
 from sitsgraph.errors import LengthMismatch, MeshMismatch, NoData, SiteLeakage
 from sitsgraph.forecast import (
@@ -20,7 +21,6 @@ from sitsgraph.forecast import (
     pixel_embedding,
     train_forecaster,
 )
-from sitsgraph.forecast import mesh as forecast_mesh
 from sitsgraph.forecast import model as forecast_model
 from sitsgraph.forecast.model import pixel_pos_encoding
 from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
@@ -101,7 +101,7 @@ class TestDecoderSearch:
     def test_tiled_search_matches_dense_argsort(self, tile, grid, monkeypatch):
         # 3x3 regions have integer centroids and 2x3 ones half-integer rows:
         # many pixels sit at equal distance from several centroids
-        monkeypatch.setattr(forecast_mesh, "DECODER_TILE", tile)
+        monkeypatch.setattr(nearest, "BLOCK_PAIRS", tile)
         img = np.random.default_rng(tile).uniform(size=(1, 12, 15))
         labels = None if grid is None else _grid_labels(12, 15, *grid)
         mesh = build_mesh(img, n_segments=9, compactness=0.3, labels=labels)

@@ -182,23 +182,29 @@ class TestSlic:
         with pytest.raises(InvalidSegmentCount, match="iters"):
             slic(np.zeros((1, 4, 4)), n_segments=4, compactness=0.1, iters=iters)
 
-    @pytest.mark.parametrize("kind", ["continuous", "quantized", "nan"])
+    @pytest.mark.parametrize("kind", ["continuous", "quantized", "nan", "nan_uncovered"])
     def test_matches_sorted_assignment_oracle(self, kind):
         # quantized values tie many distances; NaN pixels give NaN distances,
-        # and whole windows of them; no +-inf, whose differences warn
-        rng = np.random.default_rng(["continuous", "quantized", "nan"].index(kind))
+        # and whole windows of them; no +-inf, whose differences warn. The
+        # uncovered case's setting leaves pixels that no window covers, to be
+        # matched against all centers, some of them of NaN colour
+        rng = np.random.default_rng(["continuous", "quantized", "nan", "nan_uncovered"].index(kind))
         for _ in range(100):
             c = int(rng.integers(1, 4))
             h, w = (int(x) for x in rng.integers(1, 31, size=2))
+            if kind == "nan_uncovered":
+                h, w = 9, 11
             if kind == "quantized":
                 img = rng.integers(0, 3, size=(c, h, w)).astype(np.float64)
             else:
                 img = rng.uniform(size=(c, h, w))
-            if kind == "nan":
+            if kind.startswith("nan"):
                 img[rng.uniform(size=img.shape) < 0.2] = np.nan
             n = int(rng.integers(1, h * w + 1))
             iters = int(rng.integers(1, 4))
             compactness = float(rng.choice([0.05, 1.0, 30.0]))
+            if kind == "nan_uncovered":
+                n, compactness, iters = 11, 10.0, 2
             got = slic(img, n, compactness, iters)
             want = brute_slic(img, n, compactness, iters)
             assert got.dtype == want.dtype
