@@ -132,7 +132,7 @@ def mine_frequent(
     g: StGraph,
     symbols: np.ndarray,
     minsup: int,
-    maxlen: int | None = None,
+    maxlen: int,
 ) -> list[Pattern]:
     """All symbol sequences realized by directed temporal paths.
 
@@ -143,9 +143,6 @@ def mine_frequent(
     """
     if minsup < 1:
         raise ShapeMismatch(f"minsup must be >= 1, got {minsup}")
-    n_dates = len(g.dates())
-    if maxlen is None:
-        maxlen = max(1, n_dates)
     if maxlen < 1:
         raise ShapeMismatch(f"maxlen must be >= 1, got {maxlen}")
 

@@ -122,6 +122,17 @@ def _seed(text: str) -> int:
 _seed.__name__ = "non-negative int"  # argparse and --config name the type by it
 
 
+def _fraction(text: str) -> float:
+    """The ``type`` of ``--val-frac``: a share of the labeled nodes, in [0, 1]."""
+    value = float(text)
+    if not 0 <= value <= 1:
+        raise ValueError(text)
+    return value
+
+
+_fraction.__name__ = "fraction in [0, 1]"
+
+
 def _edge_spec(relation: str):
     """The ``type`` of ``--spatial``/``--st``: ``stgraph.parse_edge_spec``,
     with a bad spec a usage error."""
@@ -505,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--val-frac", type=float, default=0.25)
+    p.add_argument("--val-frac", type=_fraction, default=0.25)
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_train)

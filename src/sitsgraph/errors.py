@@ -98,6 +98,10 @@ class TapeReplayed(SitsGraphError):
     pass
 
 
+class Diverged(SitsGraphError):
+    """No training epoch gave a finite validation metric."""
+
+
 # -- metrics ----------------------------------------------------------------
 
 class EmptyMatrix(SitsGraphError):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..neural.autograd import ScatterPlan
+from ..neural.autograd import Relation, ScatterPlan
 from ..nearest import k_nearest
 from ..segmentation import region_adjacency, region_moments, slic
 
@@ -38,17 +38,17 @@ class MeshGraph:
     m2g_src: np.ndarray         # region id
     m2g_dst: np.ndarray         # flat pixel index
     m2g_feat: np.ndarray
-    # (src, dst) scatter plans of each block over its stacked node rows:
-    # pixels then regions (g2m), regions (processor), regions then pixels (m2g)
-    g2m_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
-    proc_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
-    m2g_plans: tuple[ScatterPlan, ScatterPlan] = field(init=False, repr=False, compare=False)
+    # the planned edge set of each block over its stacked node rows: pixels
+    # then regions (g2m), regions (processor), regions then pixels (m2g)
+    g2m: Relation = field(init=False, repr=False, compare=False)
+    proc: Relation = field(init=False, repr=False, compare=False)
+    m2g: Relation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, m = self.labels.size, self.n_regions
-        self.g2m_plans = (ScatterPlan(self.g2m_src, p + m), ScatterPlan(self.g2m_dst + p, p + m))
-        self.proc_plans = (ScatterPlan(self.proc_src, m), ScatterPlan(self.proc_dst, m))
-        self.m2g_plans = (ScatterPlan(self.m2g_src, m + p), ScatterPlan(self.m2g_dst + m, m + p))
+        self.g2m = Relation(ScatterPlan(self.g2m_src, p + m), ScatterPlan(self.g2m_dst + p, p + m))
+        self.proc = Relation(ScatterPlan(self.proc_src, m), ScatterPlan(self.proc_dst, m))
+        self.m2g = Relation(ScatterPlan(self.m2g_src, m + p), ScatterPlan(self.m2g_dst + m, m + p))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,9 +63,10 @@ def build_mesh(
     labels: np.ndarray | None = None,
 ) -> MeshGraph:
     """Partition (C, H, W) ``last_image`` with the superpixel segmenter and
-    assemble the transfer graphs. A precomputed partition can be passed via
-    ``labels`` (used by the multi-date variant that segments the stacked
-    window)."""
+    assemble the transfer graphs. The multi-date variant passes the stacked
+    window as the image. ``labels`` gives a precomputed partition instead,
+    so the assembly can be run and timed without SLIC; the program never
+    passes it."""
     img = np.asarray(last_image)
     if img.ndim == 2:
         img = img[None]

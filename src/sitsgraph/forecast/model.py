@@ -44,7 +44,7 @@ class ForecastConfig:
             raise ConfigMismatch(f"input_len must be >= 1, got {self.input_len}")
         if self.n_segments < 1:
             raise ConfigMismatch(f"n_segments must be >= 1, got {self.n_segments}")
-        if self.compactness <= 0:
+        if not self.compactness > 0:
             raise ConfigMismatch(f"compactness must be > 0, got {self.compactness}")
         if self.slic_iters < 1:
             raise ConfigMismatch(f"slic_iters must be >= 1, got {self.slic_iters}")
@@ -57,6 +57,10 @@ class ForecastConfig:
             raise ConfigMismatch(f"hidden must be even and >= 2, got {self.hidden}")
         if self.mesh_from not in ("last", "stack"):
             raise ConfigMismatch(f"mesh_from must be 'last' or 'stack', got {self.mesh_from!r}")
+        if self.epochs < 1:
+            raise ConfigMismatch(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigMismatch(f"lr must be finite and >= 0, got {self.lr}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +117,26 @@ def row_wise(stage, n: int) -> Tensor:
 
 
 def gn_block(
-    x: Tensor, e: Tensor, src, dst, mlp_e: MLP, mlp_v: MLP, enc: Linear | None = None
+    x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc: Linear | None = None
 ) -> tuple[Tensor, Tensor]:
-    """Residual relational block: e' = e + MLP_e([e, x_src, x_dst]);
-    x' = x + MLP_v([x, sum of incoming e']). Nodes without incoming edges
-    aggregate zero.
-    ``src``/``dst`` are index arrays or their ``ScatterPlan``s over x's rows.
+    """Residual relational block over the edges of ``rel`` on x's rows:
+    e' = e + MLP_e([e, x_src, x_dst]); x' = x + MLP_v([x, sum of incoming e']).
+    Nodes without incoming edges aggregate zero.
     ``enc``, when given, first encodes the raw edge features ``e`` inside the
     edge stage, so that a run without a tape never holds every encoded edge.
     The edge and node updates run through ``row_wise``; the sum stays whole."""
     n = x.data.shape[0]
-    src = ag.scatter_plan(src, n)
-    dst = ag.scatter_plan(dst, n)
-    if e.data.shape[0] != src.size or src.size != dst.size:
-        raise ShapeMismatch(f"{e.data.shape[0]} edge features for {src.size} src / {dst.size} dst")
+    if rel.dst.n != n:
+        raise ShapeMismatch(f"relation over {rel.dst.n} nodes used for {n}")
+    if e.data.shape[0] != rel.src.size:
+        raise ShapeMismatch(f"{e.data.shape[0]} edge features for {rel.src.size} edges")
 
     def edge_update(rows):
         e_rows = rows(e) if enc is None else enc(rows(e))
-        return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, rows.gather(x, src), rows.gather(x, dst)])))
+        return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, rows.gather(x, rel.src), rows.gather(x, rel.dst)])))
 
-    e2 = row_wise(edge_update, src.size)
-    agg = ag.scatter_add_rows(e2, dst, n)
+    e2 = row_wise(edge_update, rel.src.size)
+    agg = ag.scatter_add_rows(e2, rel.dst)
     x2 = row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), n)
     return x2, e2
 
@@ -171,8 +174,8 @@ class _Block:
         self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
         self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
 
-    def __call__(self, x, e, src, dst, enc=None):
-        return gn_block(x, e, src, dst, self.mlp_e, self.mlp_v, enc)
+    def __call__(self, x, e, rel, enc=None):
+        return gn_block(x, e, rel, self.mlp_e, self.mlp_v, enc)
 
     def parameters(self):
         return self.mlp_e.parameters() + self.mlp_v.parameters()
@@ -234,20 +237,20 @@ class Forecaster:
         # encoder: pixels push messages onto zero-initialized mesh nodes
         nodes = ag.concat_rows([row_wise(embed, p), Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         g2m_feat = Tensor(mesh.g2m_feat.astype(self.dtype))
-        nodes = self.block_g2m(nodes, g2m_feat, *mesh.g2m_plans, enc=self.enc_g2m)[0]
+        nodes = self.block_g2m(nodes, g2m_feat, mesh.g2m, enc=self.enc_g2m)[0]
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
 
         # processor on the region adjacency graph
         e_proc = self.enc_proc(Tensor(mesh.proc_feat.astype(self.dtype)))
         for block in self.blocks_proc:
-            mesh_latent, e_proc = block(mesh_latent, e_proc, *mesh.proc_plans)
+            mesh_latent, e_proc = block(mesh_latent, e_proc, mesh.proc)
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
         del px_latent  # without a tape, nothing else holds these pixel rows
         m2g_feat = Tensor(mesh.m2g_feat.astype(self.dtype))
-        nodes = self.block_m2g(nodes, m2g_feat, *mesh.m2g_plans, enc=self.enc_m2g)[0]
+        nodes = self.block_m2g(nodes, m2g_feat, mesh.m2g, enc=self.enc_m2g)[0]
         px_out = ag.slice_rows(nodes, m, m + p)
 
         last = Tensor(window[-1].reshape(p, 1))

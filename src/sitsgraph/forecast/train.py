@@ -8,7 +8,7 @@ import numpy as np
 
 from ..checkpoint import check_state, config_from_dict
 from ..datacube import GeoBounds
-from ..errors import LengthMismatch, NoData, SiteLeakage
+from ..errors import Diverged, LengthMismatch, NoData, SiteLeakage
 from ..neural.autograd import Tape, Tensor
 from ..neural.nn import Adam, PlateauScheduler
 from . import model as fm
@@ -75,6 +75,9 @@ def _prepare(samples: list[ForecastSample], cfg: ForecastConfig):
             raise LengthMismatch(
                 f"sample window holds {s.window.shape[0]} frames, config says {cfg.input_len}"
             )
+        for part, what in ((s.window, "window ending"), (s.target, "target after")):
+            if not np.isfinite(part).all():
+                raise NoData(f"site {s.site!r}: the {what} {s.timestamp} holds a non-finite pixel")
         h, w = s.target.shape
         pos = fm.pixel_pos_encoding(s.geo, h, w, s.timestamp)
         out.append((s, _window_mesh(s.window, cfg), pos))
@@ -131,6 +134,8 @@ def train_forecaster(
         if val_rmse < best[0]:
             best = (val_rmse, epoch, [p.data.copy() for p in model.parameters()])
 
+    if best[2] is None:
+        raise Diverged(f"no epoch of {cfg.epochs} gave a finite validation RMSE")
     for p, a in zip(model.parameters(), best[2]):
         p.data = a
     checkpoint = {

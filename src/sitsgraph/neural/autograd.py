@@ -186,11 +186,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) ->
     return _emit(out, backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b``: ``linear`` with no bias and no ReLU."""
-    return linear(a, b)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; b may be a (1, k) row broadcast over a's rows."""
     if a.data.shape != b.data.shape and not (b.data.shape == (1, a.data.shape[1])):
@@ -340,19 +335,24 @@ def _run(a: np.ndarray):
     return a
 
 
-def scatter_plan(idx, n: int) -> ScatterPlan:
-    """``idx`` as a plan over ``n`` rows: a plan passes through, an index array
-    is planned here."""
-    if isinstance(idx, ScatterPlan):
-        if idx.n != n:
-            raise ShapeMismatch(f"plan over {idx.n} rows used for {n}")
-        return idx
-    return ScatterPlan(idx, n)
+class Relation:
+    """A directed edge set over one node set, planned once: ``src`` gathers
+    each edge's source row, ``dst`` scatters its message onto the target row.
+    Both plans cover the same ``n`` rows and the same edges."""
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: ScatterPlan, dst: ScatterPlan):
+        if src.n != dst.n or src.size != dst.size:
+            raise ShapeMismatch(f"src plan of {src.size} edges over {src.n} rows, dst plan of {dst.size} over {dst.n}")
+        self.src = src
+        self.dst = dst
 
 
-def gather_rows(x: Tensor, idx) -> Tensor:
-    """out[i] = x[idx[i]]; ``idx`` is an index array or its ``ScatterPlan``."""
-    plan = scatter_plan(idx, x.data.shape[0])
+def gather_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
+    """out[i] = x[plan.idx[i]]."""
+    if plan.n != x.data.shape[0]:
+        raise ShapeMismatch(f"plan over {plan.n} rows used for {x.data.shape[0]}")
     out = Tensor(x.data[plan.idx], requires_grad=x.requires_grad)
 
     def backward(g):
@@ -362,10 +362,9 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return _emit(out, backward)
 
 
-def scatter_add_rows(x: Tensor, idx, n_rows: int) -> Tensor:
-    """out[j] = sum of x rows whose idx equals j (zero rows if none); ``idx``
-    is an index array or its ``ScatterPlan``."""
-    plan = scatter_plan(idx, n_rows)
+def scatter_add_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
+    """out[j] = sum of x rows whose plan index equals j (zero rows if none),
+    over ``plan.n`` rows."""
     out = Tensor(plan.sum(x.data), requires_grad=x.requires_grad)
 
     def backward(g):

@@ -15,7 +15,7 @@ from ..errors import ConfigMismatch, DimMismatch, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
-from .autograd import Tape, Tensor, no_grad
+from .autograd import Relation, Tape, Tensor, no_grad
 from .nn import Adam, BatchNorm, Linear, cross_entropy, gcn_conv, glorot, relation, sage_conv, softmax
 
 _SUPPORTED = ("gcn", "sage", "mlp")
@@ -42,6 +42,10 @@ class ClassifierConfig:
             raise ConfigMismatch("edge-typed encoders need an even layer count")
         if self.n_classes < 2:
             raise ConfigMismatch(f"need at least 2 classes, got {self.n_classes}")
+        if self.epochs < 1:
+            raise ConfigMismatch(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigMismatch(f"lr must be finite and >= 0, got {self.lr}")
 
 
 class _ConvLayer:
@@ -56,11 +60,11 @@ class _ConvLayer:
         else:  # mlp: edge-free
             self.lin = Linear(rng, fan_in, fan_out, dtype=dtype)
 
-    def __call__(self, x: Tensor, edges) -> Tensor:
+    def __call__(self, x: Tensor, rel: Relation) -> Tensor:
         if self.kind == "gcn":
-            return gcn_conv(x, edges, self.w, self.b)
+            return gcn_conv(x, rel, self.w, self.b)
         if self.kind == "sage":
-            return sage_conv(x, edges, self.w_self, self.w_neigh)
+            return sage_conv(x, rel, self.w_self, self.w_neigh)
         return self.lin(x)
 
     def parameters(self):
@@ -93,11 +97,10 @@ class STClassifier:
         out.extend(self.head.parameters())
         return out
 
-    def forward(self, x: Tensor, es, est, train: bool) -> Tensor:
+    def forward(self, x: Tensor, es: Relation, est: Relation, train: bool) -> Tensor:
         half = len(self.convs) // 2
         for i, (conv, norm) in enumerate(zip(self.convs, self.norms)):
-            edges = es if i < half else est
-            x = conv(x, edges)
+            x = conv(x, es if i < half else est)
             x = norm(x, train=train)
             x = ag.relu(x)
         return self.head(x)
@@ -143,8 +146,8 @@ def state_count(cfg: ClassifierConfig) -> int:
 
 def graph_arrays(g: StGraph):
     """(float32 features, spatial ``Relation``, temporal ``Relation``,
-    labels) for training; the relations carry the scatter plans every layer,
-    epoch and evaluation on this graph reuses."""
+    labels) for training. Each relation is planned here, once per graph, and
+    every layer, epoch and evaluation on the graph passes messages over it."""
     if g.features is None:
         raise DimMismatch("graph carries no node features for the classifier")
     x = np.asarray(g.features.values, dtype=np.float32)
@@ -220,6 +223,8 @@ def train_classifier(
     val_split = _split(val_graphs, val_masks, arrays)
     if not any((labels >= 0).any() for _, labels in train_split):
         raise NoLabels("no labeled node in the training split")
+    if val_split and not any((labels >= 0).any() for _, labels in val_split):
+        raise NoLabels("no labeled node in the validation split")
 
     in_dim = train_graphs[0].features.dim
     model = STClassifier(cfg, in_dim)

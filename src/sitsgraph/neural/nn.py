@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import ShapeMismatch
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import Relation, Tensor
 
 relu = ag.relu
 cross_entropy = ag.cross_entropy
@@ -91,25 +89,14 @@ class BatchNorm:
 
 
 # ---------------------------------------------------------------------------
-# graph convolutions; edges are (src, dst) index arrays of an undirected
-# relation listed once per pair, or that relation's ``Relation`` plans
-
-
-@dataclass(frozen=True)
-class Relation:
-    """Scatter plans of an undirected relation, symmetrized: messages flow
-    src -> dst along both orientations of every pair."""
-
-    src: ag.ScatterPlan
-    dst: ag.ScatterPlan
+# graph convolutions; messages pass over a ``Relation`` planned once per
+# edge set, which ``relation`` builds from an undirected edge list
 
 
 def relation(edges, n: int) -> Relation:
-    """The plans of ``edges`` over ``n`` nodes; a ``Relation`` passes through."""
-    if isinstance(edges, Relation):
-        if edges.dst.n != n:
-            raise ShapeMismatch(f"relation over {edges.dst.n} nodes used for {n}")
-        return edges
+    """The ``Relation`` of the undirected (src, dst) pairs ``edges`` over
+    ``n`` nodes, listed once per pair and symmetrized: messages flow src ->
+    dst along both orientations of every pair."""
     src, dst = (np.asarray(e, dtype=np.int64) for e in edges)
     if src.shape != dst.shape:
         raise ShapeMismatch(f"{src.shape[0]} sources for {dst.shape[0]} targets")
@@ -118,31 +105,27 @@ def relation(edges, n: int) -> Relation:
     )
 
 
-def gcn_conv(x: Tensor, edges, w: Tensor, bias: Tensor | None = None) -> Tensor:
+def gcn_conv(x: Tensor, rel: Relation, w: Tensor, bias: Tensor | None = None) -> Tensor:
     """Symmetric-normalized propagation with self-loops: D^-1/2 (A+I) D^-1/2 X W.
 
     Each row adds its neighbour terms in edge order and its self-loop last."""
-    n = x.data.shape[0]
-    rel = relation(edges, n)
     s, d = rel.src.idx, rel.dst.idx
     deg = (rel.dst.counts + 1).astype(x.data.dtype)
-    h = ag.matmul(x, w)
+    h = ag.linear(x, w)
     msg = ag.scale_rows(ag.gather_rows(h, rel.src), 1.0 / np.sqrt(deg[s] * deg[d]))
-    out = ag.add(ag.scatter_add_rows(msg, rel.dst, n), ag.scale_rows(h, 1.0 / np.sqrt(deg * deg)))
+    out = ag.add(ag.scatter_add_rows(msg, rel.dst), ag.scale_rows(h, 1.0 / np.sqrt(deg * deg)))
     if bias is not None:
         out = ag.add(out, bias)
     return out
 
 
-def sage_conv(x: Tensor, edges, w_self: Tensor, w_neigh: Tensor) -> Tensor:
+def sage_conv(x: Tensor, rel: Relation, w_self: Tensor, w_neigh: Tensor) -> Tensor:
     """out_i = x_i W_self + mean_{j in N(i)} x_j W_neigh; empty neighborhoods
     contribute a zero mean."""
-    n = x.data.shape[0]
-    rel = relation(edges, n)
     deg = rel.dst.counts.astype(x.data.dtype)
-    neigh_sum = ag.scatter_add_rows(ag.gather_rows(x, rel.src), rel.dst, n)
+    neigh_sum = ag.scatter_add_rows(ag.gather_rows(x, rel.src), rel.dst)
     neigh_mean = ag.scale_rows(neigh_sum, 1.0 / np.maximum(deg, 1.0))
-    return ag.add(ag.matmul(x, w_self), ag.matmul(neigh_mean, w_neigh))
+    return ag.add(ag.linear(x, w_self), ag.linear(neigh_mean, w_neigh))
 
 
 # ---------------------------------------------------------------------------

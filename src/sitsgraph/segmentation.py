@@ -140,7 +140,7 @@ def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarr
     c, h, w = image.shape
     if h * w == 0:
         raise EmptyImage("cannot segment an empty image")
-    if scale <= 0:
+    if not scale > 0:
         raise ShapeMismatch(f"scale must be > 0, got {scale}")
     if min_size < 1:
         raise ShapeMismatch(f"min_size must be >= 1, got {min_size}")
@@ -248,8 +248,8 @@ def slic(
     A NaN distance counts above every number, so a pixel whose candidates
     are all NaN goes to its lowest candidate id. A pixel no window covers
     takes the nearest of all centers by the same rule. Centers then
-    move to their members' means, and a final pass makes every segment
-    4-connected."""
+    move to their members' means, each color channel averaged over its
+    finite members only, and a final pass makes every segment 4-connected."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim == 2:
         image = image[None]
@@ -260,7 +260,7 @@ def slic(
         raise EmptyImage("cannot segment an empty image")
     if not (1 <= n_segments <= h * w):
         raise InvalidSegmentCount(f"n_segments must be in [1, {h * w}], got {n_segments}")
-    if compactness <= 0:
+    if not compactness > 0:
         raise InvalidSegmentCount(f"compactness must be > 0, got {compactness}")
     if iters < 1:
         raise InvalidSegmentCount(f"iters must be >= 1, got {iters}")
@@ -282,6 +282,7 @@ def slic(
     dr = np.repeat(offs, len(offs))
     dc = np.tile(offs, len(offs))
     img_flat = img.reshape(h * w, c)
+    finite = np.isfinite(img_flat)
     center_ids = np.repeat(np.arange(n_centers), len(offs) ** 2)
     labels = np.empty((h, w), dtype=np.int64)
     labels_flat = labels.ravel()
@@ -322,8 +323,13 @@ def slic(
         centers_rc[nonzero, 0] = rsum[nonzero] / counts[nonzero]
         centers_rc[nonzero, 1] = csum[nonzero] / counts[nonzero]
         for ch in range(c):
-            s = np.bincount(labels_flat, weights=img_flat[:, ch], minlength=n_centers)
-            centers_color[nonzero, ch] = s[nonzero] / counts[nonzero]
+            # the mean of the finite members; a center with none keeps its color
+            ok = finite[:, ch]
+            members = labels_flat[ok]
+            n_ok = np.bincount(members, minlength=n_centers)
+            s = np.bincount(members, weights=img_flat[ok, ch], minlength=n_centers)
+            has = n_ok > 0
+            centers_color[has, ch] = s[has] / n_ok[has]
 
     labels = _enforce_connectivity(labels, centers_rc)
     return _relabel_first_occurrence(labels)

@@ -145,9 +145,6 @@ class StGraph:
     def n_nodes(self) -> int:
         return len(self.ids)
 
-    def dates(self) -> list[int]:
-        return np.unique(self.t).tolist()
-
     def label_array(self) -> np.ndarray:
         """The labels in id order, -1 where a node has none."""
         return np.array([-1 if lab is None else lab for lab in self.labels], dtype=np.int64)
@@ -215,7 +212,7 @@ def adjacency_edges(seg: SegStack, t: int) -> EdgeColumns:
 
 def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
     """Centroid distance <= eps (inclusive) between same-date nodes of ``g``."""
-    if eps <= 0:
+    if not eps > 0:
         raise ShapeMismatch(f"eps must be > 0, got {eps}")
     ids, dates, cent = g.ids, g.t, g.centroid
     src, dst, dist = [], [], []

@@ -308,8 +308,13 @@ def brute_slic(image: np.ndarray, n_segments: int, compactness: float, iters: in
         centers_rc[nonzero, 0] = rsum[nonzero] / counts[nonzero]
         centers_rc[nonzero, 1] = csum[nonzero] / counts[nonzero]
         for ch in range(c):
-            s = np.bincount(labels_flat, weights=img_flat[:, ch], minlength=n_centers)
-            centers_color[nonzero, ch] = s[nonzero] / counts[nonzero]
+            # the mean of the finite members; a center with none keeps its color
+            v = img_flat[:, ch]
+            ok = np.isfinite(v)
+            n_ok = np.bincount(labels_flat[ok], minlength=n_centers)
+            s = np.bincount(labels_flat[ok], weights=v[ok], minlength=n_centers)
+            has = n_ok > 0
+            centers_color[has, ch] = s[has] / n_ok[has]
 
     labels = brute_enforce_connectivity(labels, centers_rc)
     return _relabel_first_occurrence(labels)

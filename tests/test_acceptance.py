@@ -44,9 +44,9 @@ from sitsgraph.forecast.train import forecaster_from_checkpoint, predict_next_fr
 from sitsgraph.metrics import confusion, iou_oa, majority_upper_bound, rmse_psnr_ssim
 from sitsgraph.neural import ClassifierConfig, train_classifier
 from sitsgraph.neural import autograd as ag
-from sitsgraph.neural.autograd import Tensor
+from sitsgraph.neural.autograd import Relation, ScatterPlan, Tensor
 from sitsgraph.neural.classifier import classifier_from_checkpoint, graph_arrays, predict_nodes
-from sitsgraph.neural.nn import MLP, BatchNorm, cross_entropy, gcn_conv, relu, sage_conv
+from sitsgraph.neural.nn import MLP, BatchNorm, cross_entropy, gcn_conv, relation, relu, sage_conv
 from sitsgraph.segmentation import SegStack, felzenszwalb, segment_cube, slic
 from sitsgraph.stgraph import (
     SPATIOTEMPORAL,
@@ -241,7 +241,7 @@ def test_criterion_05_gradient_suite():
         w = Tensor(rng.normal(size=(din, dout)), requires_grad=True)
         b = Tensor(rng.normal(size=(1, dout)), requires_grad=True)
         probe = rng.normal(size=(n, dout))
-        record("linear", check_gradients(lambda: weighted_sum(ag.add(ag.matmul(x, w), b), probe), [w, b]))
+        record("linear", check_gradients(lambda: weighted_sum(ag.add(ag.linear(x, w), b), probe), [w, b]))
 
         # relu (gradient wrt input)
         xr = Tensor(rng.normal(size=(n, din)) + 0.05, requires_grad=True)
@@ -266,6 +266,7 @@ def test_criterion_05_gradient_suite():
         src, dst = src[keep], dst[keep]
         if len(src) == 0:
             src, dst = np.array([0]), np.array([min(1, n - 1)])
+        rel = relation((src, dst), n)
         xg = Tensor(rng.normal(size=(n, din)), requires_grad=True)
         wg = Tensor(rng.normal(size=(din, dout)), requires_grad=True)
         bg = Tensor(rng.normal(size=(1, dout)), requires_grad=True)
@@ -273,7 +274,7 @@ def test_criterion_05_gradient_suite():
         record(
             "gcn_conv",
             check_gradients(
-                lambda: weighted_sum(gcn_conv(xg, (src, dst), wg, bg), probeg), [xg, wg, bg]
+                lambda: weighted_sum(gcn_conv(xg, rel, wg, bg), probeg), [xg, wg, bg]
             ),
         )
         ws = Tensor(rng.normal(size=(din, dout)), requires_grad=True)
@@ -281,7 +282,7 @@ def test_criterion_05_gradient_suite():
         record(
             "sage_conv",
             check_gradients(
-                lambda: weighted_sum(sage_conv(xg, (src, dst), ws, wn), probeg), [xg, ws, wn]
+                lambda: weighted_sum(sage_conv(xg, rel, ws, wn), probeg), [xg, ws, wn]
             ),
         )
 
@@ -296,10 +297,11 @@ def test_criterion_05_gradient_suite():
         ee = Tensor(rng.normal(size=(len(src), hidden)), requires_grad=True)
         probee = rng.normal(size=(n, hidden))
         params = [xe, ee] + mlp_e.parameters() + mlp_v.parameters()
+        directed = Relation(ScatterPlan(src, n), ScatterPlan(dst, n))
         record(
             "gn_block",
             check_gradients(
-                lambda: weighted_sum(gn_block(xe, ee, src, dst, mlp_e, mlp_v)[0], probee), params
+                lambda: weighted_sum(gn_block(xe, ee, directed, mlp_e, mlp_v)[0], probee), params
             ),
         )
 
@@ -331,7 +333,7 @@ def test_criterion_05_gradient_suite():
         record(
             "head",
             check_gradients(
-                lambda: weighted_sum(ag.add(ag.matmul(relu(xh), wh), bh), probeh), [wh, bh]
+                lambda: weighted_sum(ag.add(ag.linear(relu(xh), wh), bh), probeh), [wh, bh]
             ),
         )
 

@@ -35,6 +35,9 @@ def _random_st_graph(rng, n_nodes=12, n_dates=4, p=0.4):
 
 
 class TestDetectEvents:
+    def test_graph_without_nodes_has_no_events(self):
+        assert detect_events(graph_from_objects([], [], [])) == []
+
     def test_chain(self):
         g = _chain_graph(3)
         events = {(r.node, r.event) for r in detect_events(g)}

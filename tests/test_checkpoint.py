@@ -78,6 +78,7 @@ def test_checkpoint_config_float_field_takes_a_whole_number(model):
         ("n_segments", 0),
         ("compactness", 0.0),
         ("compactness", -0.1),
+        ("compactness", float("nan")),
     ],
 )
 def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
@@ -85,6 +86,19 @@ def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
     config[key] = value
     with pytest.raises(ConfigMismatch, match=key):
         forecaster_from_checkpoint({"config": config, "state": []})
+
+
+@pytest.mark.parametrize("model", sorted(LOADERS))
+@pytest.mark.parametrize(
+    "key, value",
+    [("epochs", 0), ("epochs", -1), ("lr", -1e-3), ("lr", float("nan")), ("lr", float("inf"))],
+)
+def test_checkpoint_training_settings_fail_at_load(model, key, value):
+    load, cfg = LOADERS[model]
+    config = asdict(cfg)
+    config[key] = value
+    with pytest.raises(ConfigMismatch, match=f"{key} must be"):
+        load({"config": config, "in_dim": 2, "state": []})
 
 
 @pytest.mark.parametrize(

@@ -232,6 +232,27 @@ def _eval_graph_of_other_seg(tmp_path: Path) -> list[str]:
             "--seg", str(tmp_path / "seg"), "--cube", str(tmp_path / "cube"), "--out", str(tmp_path / "r")]
 
 
+def _labeled_graph(tmp_path: Path, *flags: str) -> list[str]:
+    """A train run with ``flags`` on a two-node graph whose nodes carry one
+    feature and the classes 0 and 1."""
+    argv = _graph_doc(tmp_path, lambda d: [n.update(label=n["id"]) for n in d["nodes"]], "train")
+    return [*argv, *flags, "--out", str(tmp_path / "m")]
+
+
+def _forecast_train(tmp_path: Path, *flags: str, nan_pixel: bool = False) -> list[str]:
+    """A small forecast train run with ``flags`` on three 8x8 sites of four
+    dates; ``nan_pixel`` makes one pixel of each site's last date NaN."""
+    cubes = []
+    for s in range(3):
+        cube, _ = synth_seasonal(seed=s, t=4, h=8, w=8, n_blobs=2, period_dates=2)
+        if nan_pixel:
+            cube.values[-1, 0, 3, 3] = np.nan
+        save_cube(cube, tmp_path / f"site{s}")
+        cubes.append(str(tmp_path / f"site{s}"))
+    return ["forecast", "train", "--cubes", *cubes, "--input-len", "2", "--segments", "4", "--hidden", "4",
+            "--rounds", "1", *flags, "--out", str(tmp_path / "fc")]
+
+
 def _wrong_kind(tmp_path: Path) -> list[str]:
     """A forecast predict run on a classifier checkpoint."""
     _classifier_checkpoint(tmp_path, lambda c, s: None)
@@ -384,6 +405,27 @@ FAILURES = {
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=2**40)), 1, "array 66:",
     ),
     "forecaster_checkpoint_of_a_classifier": (_wrong_kind, 1, "holds a 'classifier' model, not a forecaster"),
+    "train_epochs_zero": (lambda tmp: _labeled_graph(tmp, "--epochs", "0"), 1, "epochs must be >= 1, got 0"),
+    "train_lr_nan": (lambda tmp: _labeled_graph(tmp, "--lr", "nan", "--epochs", "1"), 1, "lr must be finite and >= 0, got nan"),
+    "train_val_frac_nan": (lambda tmp: _labeled_graph(tmp, "--val-frac", "nan"), 2, "invalid fraction in [0, 1] value: 'nan'"),
+    "train_val_frac_inf": (lambda tmp: _labeled_graph(tmp, "--val-frac", "inf"), 2, "invalid fraction in [0, 1] value: 'inf'"),
+    "forecast_train_epochs_zero": (lambda tmp: _forecast_train(tmp, "--epochs", "0"), 1, "epochs must be >= 1, got 0"),
+    "forecast_train_epochs_negative": (lambda tmp: _forecast_train(tmp, "--epochs", "-1"), 1, "epochs must be >= 1, got -1"),
+    "forecast_train_lr_nan": (lambda tmp: _forecast_train(tmp, "--lr", "nan"), 1, "lr must be finite and >= 0, got nan"),
+    "forecast_train_lr_negative": (lambda tmp: _forecast_train(tmp, "--lr", "-0.001"), 1, "lr must be finite and >= 0, got -0.001"),
+    "forecast_train_compactness_nan": (
+        lambda tmp: _forecast_train(tmp, "--compactness", "nan", "--epochs", "1"), 1, "compactness must be > 0, got nan",
+    ),
+    "forecast_train_nan_pixel": (
+        lambda tmp: _forecast_train(tmp, "--epochs", "1", nan_pixel=True), 1, "holds a non-finite pixel",
+    ),
+    "segment_scale_nan": (
+        lambda tmp: ["segment", "--cube", _cube(tmp), "--scale", "nan", "--out", str(tmp / "seg")], 1, "scale must be > 0, got nan",
+    ),
+    "segment_slic_compactness_nan": (
+        lambda tmp: ["segment", "--cube", _cube(tmp), "--algo", "slic", "--segments", "4", "--compactness", "nan", "--out", str(tmp / "seg")],
+        1, "compactness must be > 0, got nan",
+    ),
 }
 
 

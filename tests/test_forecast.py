@@ -7,7 +7,7 @@ from _gradcheck import check_gradients, randomize_biases, weighted_sum
 from _oracles import brute_adjacency, brute_decoder
 from sitsgraph import nearest
 from sitsgraph.datacube import synth_seasonal
-from sitsgraph.errors import LengthMismatch, MeshMismatch, NoData, SiteLeakage
+from sitsgraph.errors import Diverged, LengthMismatch, MeshMismatch, NoData, ShapeMismatch, SiteLeakage
 from sitsgraph.forecast import (
     ForecastConfig,
     ForecastSample,
@@ -24,7 +24,7 @@ from sitsgraph.forecast import (
 from sitsgraph.forecast import model as forecast_model
 from sitsgraph.forecast.model import pixel_pos_encoding
 from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
-from sitsgraph.neural.autograd import Tape, Tensor, no_grad
+from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor, no_grad
 from sitsgraph.neural.nn import MLP
 
 
@@ -109,6 +109,11 @@ class TestDecoderSearch:
         assert mesh.m2g_src.dtype == np.int64 and np.array_equal(mesh.m2g_src, want)
 
 
+def _relation(src, dst, n: int) -> Relation:
+    """The directed edges ``src -> dst`` over ``n`` nodes, planned."""
+    return Relation(ScatterPlan(np.asarray(src, dtype=np.int64), n), ScatterPlan(np.asarray(dst, dtype=np.int64), n))
+
+
 class TestGnBlock:
     def _mlps(self, hidden, zero=False):
         rng = np.random.default_rng(0)
@@ -126,7 +131,7 @@ class TestGnBlock:
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(5, 4)))
         e = Tensor(rng.normal(size=(3, 4)))
-        x2, e2 = gn_block(x, e, np.array([0, 1, 2]), np.array([1, 2, 3]), mlp_e, mlp_v)
+        x2, e2 = gn_block(x, e, _relation([0, 1, 2], [1, 2, 3], 5), mlp_e, mlp_v)
         assert np.array_equal(x2.data, x.data)
         assert np.array_equal(e2.data, e.data)
 
@@ -135,7 +140,7 @@ class TestGnBlock:
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(3, 4)))
         e = Tensor(np.zeros((0, 4)))
-        x2, _ = gn_block(x, e, np.array([], dtype=int), np.array([], dtype=int), mlp_e, mlp_v)
+        x2, _ = gn_block(x, e, _relation([], [], 3), mlp_e, mlp_v)
         with no_grad():
             expect = x.data + mlp_v(Tensor(np.concatenate([x.data, np.zeros_like(x.data)], axis=1))).data
         assert np.allclose(x2.data, expect)
@@ -148,7 +153,7 @@ class TestGnBlock:
         e = rng.normal(size=(2, hidden))
         src = np.array([0, 1])
         dst = np.array([2, 2])
-        x2, e2 = gn_block(Tensor(x), Tensor(e), src, dst, mlp_e, mlp_v)
+        x2, e2 = gn_block(Tensor(x), Tensor(e), _relation(src, dst, 3), mlp_e, mlp_v)
 
         def run_mlp(mlp, v):
             with no_grad():
@@ -166,6 +171,15 @@ class TestGnBlock:
         assert np.allclose(e2.data, e2_expect, atol=1e-12)
         assert np.allclose(x2.data, x2_expect, atol=1e-12)
 
+    def test_edge_features_and_nodes_must_match_the_relation(self):
+        mlp_e, mlp_v = self._mlps(4)
+        x = Tensor(np.zeros((3, 4)))
+        rel = _relation([0, 1, 2], [1, 2, 0], 3)
+        with pytest.raises(ShapeMismatch, match="2 edge features for 3 edges"):
+            gn_block(x, Tensor(np.zeros((2, 4))), rel, mlp_e, mlp_v)
+        with pytest.raises(ShapeMismatch, match="relation over 4 nodes used for 3"):
+            gn_block(x, Tensor(np.zeros((3, 4))), _relation([0, 1, 2], [1, 2, 3], 4), mlp_e, mlp_v)
+
     def test_gradients(self):
         hidden = 3
         mlp_e, mlp_v = self._mlps(hidden)
@@ -176,9 +190,10 @@ class TestGnBlock:
         dst = np.array([1, 2, 2])
         probe = rng.normal(size=(4, hidden))
         params = [x, e] + mlp_e.parameters() + mlp_v.parameters()
+        rel = _relation(src, dst, 4)
 
         def loss():
-            x2, _ = gn_block(x, e, src, dst, mlp_e, mlp_v)
+            x2, _ = gn_block(x, e, rel, mlp_e, mlp_v)
             return weighted_sum(x2, probe)
 
         assert check_gradients(loss, params) < 1e-6
@@ -421,6 +436,15 @@ class TestTraining:
         cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=1, epochs=1)
         with pytest.raises(SiteLeakage):
             train_forecaster(samples, samples, cfg)
+
+    def test_no_finite_validation_rmse_is_a_typed_error(self):
+        # a learning rate at float32's ceiling turns the weights infinite
+        samples = _make_samples(range(4), t=7)
+        train = [s for s in samples if s.site != "site3"]
+        val = [s for s in samples if s.site == "site3"]
+        cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=1, lr=3e38, epochs=2, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="no epoch of 2"):
+            train_forecaster(train, val, cfg)
 
     def test_zero_lr_val_rmse_equals_untrained(self):
         samples = _make_samples(range(4), t=8)

@@ -26,6 +26,7 @@ from sitsgraph.neural.nn import (
     PlateauScheduler,
     cross_entropy,
     gcn_conv,
+    relation,
     relu,
     sage_conv,
     softmax,
@@ -49,8 +50,8 @@ class TestPrimitives:
         w = Tensor(np.array([[2.0]]), requires_grad=True)
         x = Tensor(np.array([[1.0]]))
         with Tape() as tape:
-            a = ag.matmul(x, w)
-            b = ag.matmul(x, w)
+            a = ag.linear(x, w)
+            b = ag.linear(x, w)
             loss = ag.mean_all(ag.add(a, b))
             tape.backward(loss)
         assert w.grad[0, 0] == pytest.approx(2.0)
@@ -59,7 +60,7 @@ class TestPrimitives:
         w = Tensor(np.array([[2.0, -1.0]]), requires_grad=True)
         x = Tensor(np.array([[1.0], [3.0]]))
         with Tape() as tape:
-            h = ag.matmul(x, w)
+            h = ag.linear(x, w)
             a = relu(h)
             loss = ag.mean_all(a)
             tape.backward(loss)
@@ -135,12 +136,12 @@ class TestGcnConv:
     def test_empty_edges_identity(self):
         x = np.arange(4, dtype=np.float64).reshape(2, 2)
         w = Tensor(np.eye(2))
-        out = gcn_conv(Tensor(x), (np.array([], dtype=int), np.array([], dtype=int)), w)
+        out = gcn_conv(Tensor(x), relation((np.array([], dtype=int), np.array([], dtype=int)), 2), w)
         assert np.allclose(out.data, x)
 
     def test_two_node_hand_computation(self):
         x = Tensor(np.array([[1.0], [0.0]]))
-        out = gcn_conv(x, (np.array([0]), np.array([1])), Tensor(np.eye(1)))
+        out = gcn_conv(x, relation((np.array([0]), np.array([1])), 2), Tensor(np.eye(1)))
         assert out.data[:, 0] == pytest.approx([0.5, 0.5])
 
     def test_permutation_equivariance(self):
@@ -148,11 +149,11 @@ class TestGcnConv:
         x = rng.normal(size=(5, 3))
         w = rng.normal(size=(3, 2))
         edges = (np.array([0, 1, 2]), np.array([1, 3, 4]))
-        out = gcn_conv(Tensor(x), edges, Tensor(w)).data
+        out = gcn_conv(Tensor(x), relation(edges, 5), Tensor(w)).data
         perm = rng.permutation(5)
         inv = np.argsort(perm)
         pedges = (inv[edges[0]], inv[edges[1]])
-        pout = gcn_conv(Tensor(x[perm]), pedges, Tensor(w)).data
+        pout = gcn_conv(Tensor(x[perm]), relation(pedges, 5), Tensor(w)).data
         assert np.allclose(pout, out[perm], atol=1e-12)
 
 
@@ -161,14 +162,14 @@ class TestSageConv:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 2))
         ws, wn = Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2)))
-        out = sage_conv(Tensor(x), (np.array([0]), np.array([1])), ws, wn)
+        out = sage_conv(Tensor(x), relation((np.array([0]), np.array([1])), 3), ws, wn)
         assert np.allclose(out.data[2], x[2] @ ws.data)
 
     def test_identical_neighbors(self):
         x = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
         ws = Tensor(np.zeros((2, 2)))
         wn = Tensor(np.eye(2))
-        out = sage_conv(Tensor(x), (np.array([0, 1]), np.array([2, 2])), ws, wn)
+        out = sage_conv(Tensor(x), relation((np.array([0, 1]), np.array([2, 2])), 3), ws, wn)
         assert np.allclose(out.data[2], [1.0, 2.0])
 
     def test_four_node_fixture_matches_loop(self):
@@ -177,7 +178,7 @@ class TestSageConv:
         ws = rng.normal(size=(3, 2))
         wn = rng.normal(size=(3, 2))
         edges = (np.array([0, 1, 2]), np.array([1, 2, 3]))
-        out = sage_conv(Tensor(x), edges, Tensor(ws), Tensor(wn)).data
+        out = sage_conv(Tensor(x), relation(edges, 4), Tensor(ws), Tensor(wn)).data
         neigh = {0: [1], 1: [0, 2], 2: [1, 3], 3: [2]}
         for i in range(4):
             mean = np.mean([x[j] for j in neigh[i]], axis=0)
@@ -189,10 +190,10 @@ class TestSageConv:
         ws = Tensor(rng.normal(size=(3, 2)))
         wn = Tensor(rng.normal(size=(3, 2)))
         edges = (np.array([0, 2, 4]), np.array([1, 3, 5]))
-        out = sage_conv(Tensor(x), edges, ws, wn).data
+        out = sage_conv(Tensor(x), relation(edges, 6), ws, wn).data
         perm = rng.permutation(6)
         inv = np.argsort(perm)
-        pout = sage_conv(Tensor(x[perm]), (inv[edges[0]], inv[edges[1]]), ws, wn).data
+        pout = sage_conv(Tensor(x[perm]), relation((inv[edges[0]], inv[edges[1]]), 6), ws, wn).data
         assert np.allclose(pout, out[perm], atol=1e-12)
 
 
@@ -273,7 +274,7 @@ class TestGradients:
         probe = rng.normal(size=(4, 2))
 
         def loss():
-            return weighted_sum(relu(ag.add(ag.matmul(x, w), b)), probe)
+            return weighted_sum(relu(ag.add(ag.linear(x, w), b)), probe)
 
         assert check_gradients(loss, [w, b]) < 1e-6
 
@@ -524,6 +525,13 @@ class TestClassifier:
         )
         with pytest.raises(NoLabels):
             train_classifier([unlabeled], [unlabeled], ClassifierConfig(n_classes=2, conv="mlp", hidden=4, n_layers=2, epochs=1))
+
+    def test_validation_split_without_labels_raises_up_front(self):
+        g = _tiny_graph()
+        none = np.zeros(g.n_nodes, dtype=bool)
+        cfg = ClassifierConfig(n_classes=2, conv="mlp", hidden=4, n_layers=2, epochs=1)
+        with pytest.raises(NoLabels, match="validation split"):
+            train_classifier([g], [g], cfg, train_masks=[~none], val_masks=[none])
 
     def test_linearly_separable_mlp(self):
         rng = np.random.default_rng(0)

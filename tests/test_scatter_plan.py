@@ -1,5 +1,6 @@
 """The scatter plan behind message passing: byte-equal to ``np.add.at`` in
-the scatter forward and the gather backward, and strict about indices."""
+the scatter forward and the gather backward, and strict about indices; and
+the ``Relation`` that pairs a gather plan with a scatter plan."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from _oracles import addat_gather_rows_backward, addat_scatter_add_rows
 from sitsgraph.errors import ShapeMismatch
 from sitsgraph.neural import autograd as ag
-from sitsgraph.neural.autograd import ScatterPlan, Tape, Tensor
+from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor
+from sitsgraph.neural.nn import gcn_conv, relation, sage_conv
 
 
 def _cases(dtype):
@@ -32,8 +34,9 @@ def _cases(dtype):
 def test_scatter_forward_matches_add_at_bytes(dtype):
     for rows, idx, n in _cases(dtype):
         want = addat_scatter_add_rows(rows, idx, n)
-        assert ScatterPlan(idx, n).sum(rows).tobytes() == want.tobytes()
-        out = ag.scatter_add_rows(Tensor(rows), idx, n)
+        plan = ScatterPlan(idx, n)
+        assert plan.sum(rows).tobytes() == want.tobytes()
+        out = ag.scatter_add_rows(Tensor(rows), plan)
         assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
 
 
@@ -43,7 +46,7 @@ def test_gather_backward_matches_add_at_bytes(dtype):
     for g, idx, n in _cases(dtype):
         x = Tensor(rng.standard_normal((n, g.shape[1])).astype(dtype), requires_grad=True)
         with Tape() as tape:
-            ag.gather_rows(x, idx)
+            ag.gather_rows(x, ScatterPlan(idx, n))
         ((_, backward),) = tape._records
         backward(g)  # the case's rows as the upstream gradient
         want = np.zeros_like(x.data)
@@ -57,10 +60,12 @@ def test_one_plan_serves_scatter_and_gather():
     x = Tensor(np.arange(8.0).reshape(4, 2))
     assert np.array_equal(ag.gather_rows(x, plan).data, x.data[idx])
     rows = Tensor(np.arange(10.0).reshape(5, 2))
-    assert np.array_equal(ag.scatter_add_rows(rows, plan, 4).data, ag.scatter_add_rows(rows, idx, 4).data)
+    assert np.array_equal(ag.scatter_add_rows(rows, plan).data, addat_scatter_add_rows(rows.data, idx, 4))
     assert plan.counts.tolist() == [1, 1, 3, 0]
-    with pytest.raises(ShapeMismatch):
-        ag.scatter_add_rows(rows, plan, 5)
+    with pytest.raises(ShapeMismatch, match="plan over 4 rows used for 5"):
+        ag.gather_rows(Tensor(np.ones((5, 2))), plan)
+    with pytest.raises(ShapeMismatch, match="4 rows for 5 indices"):
+        ag.scatter_add_rows(Tensor(np.ones((4, 2))), plan)
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -68,7 +73,34 @@ def test_index_outside_rows_raises(bad):
     idx = np.array([0, bad, 1])
     with pytest.raises(ShapeMismatch, match=str(bad)):
         ScatterPlan(idx, 4)
-    with pytest.raises(ShapeMismatch):
-        ag.scatter_add_rows(Tensor(np.ones((3, 2))), idx, 4)
-    with pytest.raises(ShapeMismatch):
-        ag.gather_rows(Tensor(np.ones((4, 2))), idx)
+
+
+def test_indices_not_1d_raise():
+    with pytest.raises(ShapeMismatch, match="indices are 1-D"):
+        ScatterPlan(np.zeros((2, 2), dtype=np.int64), 4)
+
+
+@pytest.mark.parametrize(
+    "src, dst, named",
+    [
+        (([0, 1], 3), ([1, 2], 4), "over 3 rows, dst plan of 2 over 4"),
+        (([0, 1], 3), ([1], 3), "src plan of 2 edges over 3 rows, dst plan of 1"),
+    ],
+)
+def test_relation_plans_must_agree(src, dst, named):
+    with pytest.raises(ShapeMismatch, match=named):
+        Relation(ScatterPlan(np.array(src[0]), src[1]), ScatterPlan(np.array(dst[0]), dst[1]))
+
+
+def test_relation_needs_one_target_per_source():
+    with pytest.raises(ShapeMismatch, match="2 sources for 1 targets"):
+        relation((np.array([0, 1]), np.array([1])), 3)
+
+
+def test_convolutions_reject_a_relation_over_other_nodes():
+    rel = relation((np.array([0]), np.array([1])), 3)
+    x, w = Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2)))
+    with pytest.raises(ShapeMismatch, match="plan over 3 rows used for 4"):
+        gcn_conv(x, rel, w)
+    with pytest.raises(ShapeMismatch, match="plan over 3 rows used for 4"):
+        sage_conv(x, rel, w, w)

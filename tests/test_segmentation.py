@@ -73,6 +73,11 @@ class TestFelzenszwalb:
         with pytest.raises(EmptyImage):
             felzenszwalb(np.zeros((1, 0, 4)), scale=1.0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    def test_scale_not_above_zero_raises(self, scale):
+        with pytest.raises(ShapeMismatch, match="scale must be > 0"):
+            felzenszwalb(np.zeros((1, 4, 4)), scale=scale)
+
     @pytest.mark.parametrize("quantized", [False, True])
     @pytest.mark.parametrize("block", range(4))
     def test_matches_union_find_oracle(self, block, quantized):
@@ -177,6 +182,11 @@ class TestSlic:
         with pytest.raises(InvalidSegmentCount):
             slic(img, n_segments=17, compactness=0.1)
 
+    @pytest.mark.parametrize("compactness", [0.0, -1.0, float("nan")])
+    def test_compactness_not_above_zero_raises(self, compactness):
+        with pytest.raises(InvalidSegmentCount, match="compactness must be > 0"):
+            slic(np.zeros((1, 4, 4)), n_segments=4, compactness=compactness)
+
     @pytest.mark.parametrize("iters", [0, -3])
     def test_iters_below_one_raise(self, iters):
         with pytest.raises(InvalidSegmentCount, match="iters"):
@@ -209,6 +219,19 @@ class TestSlic:
             want = brute_slic(img, n, compactness, iters)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (img, n, compactness, iters)
+
+    def test_nan_pixels_leave_center_colors_finite(self):
+        # four flat quadrants with one NaN pixel each: a center's color is
+        # the mean of its finite members, so no center turns NaN and each
+        # quadrant stays one segment
+        img = np.zeros((1, 16, 16))
+        img[0, :8, 8:], img[0, 8:, :8], img[0, 8:, 8:] = 0.3, 0.6, 0.9
+        quadrants = np.zeros((16, 16), dtype=np.int32)
+        quadrants[:8, 8:], quadrants[8:, :8], quadrants[8:, 8:] = 1, 2, 3
+        for r, c in [(1, 2), (2, 13), (13, 1), (14, 14)]:
+            img[0, r, c] = np.nan
+        assert np.array_equal(slic(img, 4, 0.05, 10), quadrants)
+        assert np.array_equal(brute_slic(img, 4, 0.05, 10), quadrants)
 
     def test_matches_oracle_on_an_all_nan_image(self):
         img = np.full((2, 7, 5), np.nan)

@@ -130,6 +130,11 @@ class TestProximity:
         edges = eps_ball_edges(nodes, eps=5.0)
         assert _pairs(edges) == [(0, 1)]
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_eps_not_above_zero_raises(self, eps):
+        with pytest.raises(ShapeMismatch, match="eps must be > 0"):
+            eps_ball_edges(_nodes_at({0: (0.0, 0.0), 1: (0.0, 1.0)}), eps=eps)
+
     def test_knn_complete_graph(self):
         cents = {i: (0.0, float(i)) for i in range(4)}
         edges = knn_edges(_nodes_at(cents), k=3)
