@@ -9,7 +9,6 @@ import json
 import math
 import struct
 import typing
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -91,21 +90,3 @@ def config_from_dict(cls, config: dict):
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigMismatch(f"checkpoint config for {cls.__name__}: {name} = {value!r} is not {kind.__name__}")
     return cls(**config)
-
-
-def check_state(arrays: list[np.ndarray], shapes: Iterable[tuple], count: int, kind: str) -> None:
-    """Raise ``ShapeMismatch`` unless ``arrays`` holds one array of each of the
-    model's ``count`` ``shapes``, in order, naming the first index that
-    differs. ``shapes`` is read no further than one past the last array, so a
-    state is checked against a config that asks for a huge model without
-    building or listing that model."""
-    shapes = iter(shapes)
-    for i in range(max(len(arrays), count)):
-        got = tuple(np.shape(arrays[i])) if i < len(arrays) else None
-        want = tuple(next(shapes)) if i < count else None
-        if got != want:
-            raise ShapeMismatch(
-                f"{kind} state array {i}: {'missing' if got is None else f'shape {got}'},"
-                f" the model expects {'none' if want is None else f'shape {want}'}"
-                f" ({len(arrays)} arrays for a model of {count})"
-            )

@@ -22,9 +22,10 @@ from . import __version__, analysis, datacube, features, metrics, segmentation, 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError
 from .forecast import ForecastConfig, make_site_splits, train_forecaster
+from .forecast.model import MESH_SOURCES
 from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_next_frame
 from .neural import ClassifierConfig, train_classifier
-from .neural.classifier import classifier_from_checkpoint, predict_nodes
+from .neural.classifier import CONVS, classifier_from_checkpoint, predict_nodes
 
 # glibc mallopt parameters and the values set for them: the 64-bit ceiling of
 # glibc's dynamic mmap threshold, and twice it for the trim threshold, which
@@ -510,7 +511,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("train", help="train the node classifier on a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--conv", choices=["gcn", "sage", "mlp"], default="sage")
+    p.add_argument("--conv", choices=CONVS, default="sage")
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-4)
@@ -554,7 +555,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     pt.add_argument("--lr", type=float, default=1e-4)
     pt.add_argument("--epochs", type=int, default=50)
     pt.add_argument("--seed", type=_seed, default=0)
-    pt.add_argument("--mesh-from", choices=["last", "stack"], default="last")
+    pt.add_argument("--mesh-from", choices=MESH_SOURCES, default="last")
     pt.add_argument("--out", required=True)
     common(pt)
     pt.set_defaults(func=cmd_forecast_train)

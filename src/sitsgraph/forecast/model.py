@@ -10,7 +10,6 @@ parameters zero the network is exactly the persistence baseline.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,13 @@ from ..errors import ConfigMismatch, LengthMismatch, MeshMismatch, ShapeMismatch
 from ..features import pixel_pos_encoding  # noqa: F401 - the forecaster's pixel encoding
 from ..neural import autograd as ag
 from ..neural.autograd import Tensor, no_grad
-from ..neural.nn import MLP, Linear
+from ..neural.nn import MLP, Linear, StateReader
 from .mesh import MeshGraph
 
 huber = ag.huber
+
+# the image SLIC segments into the mesh: the window's last frame or its whole stack
+MESH_SOURCES = ("last", "stack")
 
 
 @dataclass
@@ -37,7 +39,7 @@ class ForecastConfig:
     epochs: int = 50
     huber_delta: float = 1.0
     seed: int = 0
-    mesh_from: str = "last"      # "last" | "stack"
+    mesh_from: str = "last"      # one of MESH_SOURCES
 
     def __post_init__(self):
         if self.input_len < 1:
@@ -55,8 +57,8 @@ class ForecastConfig:
             raise ConfigMismatch(f"processor_rounds must be >= 1, got {self.processor_rounds}")
         if self.hidden < 2 or self.hidden % 2:
             raise ConfigMismatch(f"hidden must be even and >= 2, got {self.hidden}")
-        if self.mesh_from not in ("last", "stack"):
-            raise ConfigMismatch(f"mesh_from must be 'last' or 'stack', got {self.mesh_from!r}")
+        if self.mesh_from not in MESH_SOURCES:
+            raise ConfigMismatch(f"mesh_from must be {' or '.join(map(repr, MESH_SOURCES))}, got {self.mesh_from!r}")
         if self.epochs < 1:
             raise ConfigMismatch(f"epochs must be >= 1, got {self.epochs}")
         if not 0 <= self.lr < np.inf:
@@ -167,12 +169,12 @@ def baseline_average(window: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    def __init__(self, rng, hidden: int, dtype, zero: bool):
+    def __init__(self, rng, hidden: int, dtype, zero: bool, state: StateReader | None):
         # zero output layers: blocks start as identities, so an untrained
         # network stays at the persistence point instead of saturating the
         # output clamp
-        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
-        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True)
+        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
+        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
 
     def __call__(self, x, e, rel, enc=None):
         return gn_block(x, e, rel, self.mlp_e, self.mlp_v, enc)
@@ -182,22 +184,30 @@ class _Block:
 
 
 class Forecaster:
-    def __init__(self, cfg: ForecastConfig, dtype=np.float32, zero: bool = False):
+    """The forecaster of ``cfg``: fresh weights drawn from ``cfg.seed`` (all
+    zero with ``zero``), or the arrays of a saved ``parameters()`` list, each
+    checked as its layer takes it, so a state for another model fails at its
+    first differing array before any later layer is built."""
+
+    def __init__(self, cfg: ForecastConfig, dtype=np.float32, zero: bool = False, state: list[np.ndarray] | None = None):
         self.cfg = cfg
         self.dtype = dtype
         rng = np.random.default_rng(cfg.seed)
+        reader = None if state is None else StateReader(state, "forecaster")
         h = cfg.hidden
         half = h // 2
-        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, zero=zero)
-        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, zero=zero)
-        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, zero=zero)
-        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, zero=zero)
-        self.enc_proc = Linear(rng, 2, h, dtype=dtype, zero=zero)
-        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, zero=zero)
-        self.block_g2m = _Block(rng, h, dtype, zero)
-        self.blocks_proc = [_Block(rng, h, dtype, zero) for _ in range(cfg.processor_rounds)]
-        self.block_m2g = _Block(rng, h, dtype, zero)
-        self.head = Linear(rng, h, 1, dtype=dtype, zero=True)  # residual head starts at zero
+        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, zero=zero, state=reader)
+        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, zero=zero, state=reader)
+        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, zero=zero, state=reader)
+        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
+        self.enc_proc = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
+        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
+        self.block_g2m = _Block(rng, h, dtype, zero, reader)
+        self.blocks_proc = [_Block(rng, h, dtype, zero, reader) for _ in range(cfg.processor_rounds)]
+        self.block_m2g = _Block(rng, h, dtype, zero, reader)
+        self.head = Linear(rng, h, 1, dtype=dtype, zero=True, state=reader)  # residual head starts at zero
+        if reader is not None:
+            reader.close()
 
     def parameters(self):
         out = (
@@ -261,28 +271,3 @@ class Forecaster:
             out = self.forward(window, mesh, pos)
         h, w = mesh.shape
         return out.data.reshape(h, w).astype(np.float32)
-
-
-def _mlp_shapes(dims: list[int]) -> Iterator[tuple[int, int]]:
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        yield (fan_in, fan_out)
-        yield (1, fan_out)
-
-
-def state_shapes(cfg: ForecastConfig) -> Iterator[tuple[int, int]]:
-    """The shapes of ``Forecaster(cfg).parameters()``, one at a time and
-    without building the model: ``state_count(cfg)`` of them."""
-    h, half = cfg.hidden, cfg.hidden // 2
-    yield from _mlp_shapes([cfg.input_len, half, half])
-    yield from _mlp_shapes([4, half, half])
-    yield from _mlp_shapes([h, h, h])
-    for _ in range(3):  # the grid-to-mesh, processor and mesh-to-grid edge encoders
-        yield from _mlp_shapes([2, h])
-    for _ in range(cfg.processor_rounds + 2):  # the processor's blocks between g2m's and m2g's
-        yield from _mlp_shapes([3 * h, h, h])
-        yield from _mlp_shapes([2 * h, h, h])
-    yield from _mlp_shapes([h, 1])
-
-
-def state_count(cfg: ForecastConfig) -> int:
-    return 8 * cfg.processor_rounds + 36

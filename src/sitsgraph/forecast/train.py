@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..checkpoint import check_state, config_from_dict
+from ..checkpoint import config_from_dict
 from ..datacube import GeoBounds
 from ..errors import Diverged, LengthMismatch, NoData, SiteLeakage
 from ..neural.autograd import Tape, Tensor
@@ -117,27 +117,28 @@ def train_forecaster(
 
     log: list[dict] = []
     best = (np.inf, 0, None)
-    for epoch in range(cfg.epochs):
-        for i in rng.permutation(len(prepared_train)):
-            s, mesh, pos = prepared_train[i]
-            with Tape() as tape:
-                out = model.forward(s.window, mesh, pos)
-                loss = fm.huber(out, s.target.reshape(-1, 1), delta=cfg.huber_delta)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-        val_loss, val_rmse = _eval(model, prepared_val, cfg.huber_delta)
-        reduced = sched.step(val_loss)
-        log.append(
-            {"epoch": epoch, "val_loss": val_loss, "val_rmse": val_rmse, "lr": opt.lr, "lr_reduced": reduced}
-        )
-        if val_rmse < best[0]:
-            best = (val_rmse, epoch, [p.data.copy() for p in model.parameters()])
+    # a learning rate near float32's ceiling overflows the weights; that shows
+    # as the Diverged error below, not as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            for i in rng.permutation(len(prepared_train)):
+                s, mesh, pos = prepared_train[i]
+                with Tape() as tape:
+                    out = model.forward(s.window, mesh, pos)
+                    loss = fm.huber(out, s.target.reshape(-1, 1), delta=cfg.huber_delta)
+                    tape.backward(loss)
+                opt.step()
+                opt.zero_grad()
+            val_loss, val_rmse = _eval(model, prepared_val, cfg.huber_delta)
+            reduced = sched.step(val_loss)
+            log.append(
+                {"epoch": epoch, "val_loss": val_loss, "val_rmse": val_rmse, "lr": opt.lr, "lr_reduced": reduced}
+            )
+            if val_rmse < best[0]:
+                best = (val_rmse, epoch, [p.data.copy() for p in model.parameters()])
 
     if best[2] is None:
         raise Diverged(f"no epoch of {cfg.epochs} gave a finite validation RMSE")
-    for p, a in zip(model.parameters(), best[2]):
-        p.data = a
     checkpoint = {
         "kind": "forecaster",
         "config": asdict(cfg),
@@ -150,12 +151,7 @@ def train_forecaster(
 
 def forecaster_from_checkpoint(checkpoint: dict) -> Forecaster:
     cfg = config_from_dict(ForecastConfig, checkpoint.get("config"))
-    # checked before the model is built, which could be of any size
-    check_state(checkpoint["state"], fm.state_shapes(cfg), fm.state_count(cfg), "forecaster")
-    model = Forecaster(cfg)
-    for p, a in zip(model.parameters(), checkpoint["state"]):
-        p.data = np.asarray(a, dtype=p.data.dtype)
-    return model
+    return Forecaster(cfg, state=checkpoint["state"])
 
 
 def predict_next_frame(model: Forecaster, window: np.ndarray, geo: GeoBounds, timestamp: str) -> np.ndarray:

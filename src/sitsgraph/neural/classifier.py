@@ -5,20 +5,20 @@ linear head."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..checkpoint import check_state, config_from_dict
+from ..checkpoint import config_from_dict
 from ..errors import ConfigMismatch, DimMismatch, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
 from .autograd import Relation, Tape, Tensor, no_grad
-from .nn import Adam, BatchNorm, Linear, cross_entropy, gcn_conv, glorot, relation, sage_conv, softmax
+from .nn import Adam, BatchNorm, Linear, StateReader, cross_entropy, gcn_conv, parameter, relation, sage_conv, softmax
 
-_SUPPORTED = ("gcn", "sage", "mlp")
+# the encoder layer kinds
+CONVS = ("gcn", "sage", "mlp")
 
 
 @dataclass
@@ -32,8 +32,8 @@ class ClassifierConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.conv not in _SUPPORTED:
-            raise ConfigMismatch(f"unknown convolution {self.conv!r}; pick one of {_SUPPORTED}")
+        if self.conv not in CONVS:
+            raise ConfigMismatch(f"unknown convolution {self.conv!r}; pick one of {CONVS}")
         if self.hidden < 1:
             raise ConfigMismatch(f"hidden must be >= 1, got {self.hidden}")
         if self.n_layers < 2:
@@ -49,16 +49,16 @@ class ClassifierConfig:
 
 
 class _ConvLayer:
-    def __init__(self, rng, kind: str, fan_in: int, fan_out: int, dtype):
+    def __init__(self, rng, kind: str, fan_in: int, fan_out: int, dtype, state: StateReader | None):
         self.kind = kind
         if kind == "gcn":
-            self.w = Tensor(glorot(rng, fan_in, fan_out, dtype), requires_grad=True)
-            self.b = Tensor(np.zeros((1, fan_out), dtype=dtype), requires_grad=True)
+            self.w = parameter((fan_in, fan_out), dtype, state, rng)
+            self.b = parameter((1, fan_out), dtype, state)
         elif kind == "sage":
-            self.w_self = Tensor(glorot(rng, fan_in, fan_out, dtype), requires_grad=True)
-            self.w_neigh = Tensor(glorot(rng, fan_in, fan_out, dtype), requires_grad=True)
+            self.w_self = parameter((fan_in, fan_out), dtype, state, rng)
+            self.w_neigh = parameter((fan_in, fan_out), dtype, state, rng)
         else:  # mlp: edge-free
-            self.lin = Linear(rng, fan_in, fan_out, dtype=dtype)
+            self.lin = Linear(rng, fan_in, fan_out, dtype=dtype, state=state)
 
     def __call__(self, x: Tensor, rel: Relation) -> Tensor:
         if self.kind == "gcn":
@@ -76,17 +76,28 @@ class _ConvLayer:
 
 
 class STClassifier:
-    def __init__(self, cfg: ClassifierConfig, in_dim: int):
+    """The classifier of ``cfg`` over ``in_dim`` node features: fresh weights
+    drawn from ``cfg.seed``, or the arrays of a saved ``state()``, each
+    checked as its layer takes it, so a state for another model fails at its
+    first differing array before any later layer is built."""
+
+    def __init__(self, cfg: ClassifierConfig, in_dim: int, state: list[np.ndarray] | None = None):
         dtype = np.float32
         self.cfg = cfg
         self.in_dim = in_dim
         rng = np.random.default_rng(cfg.seed)
-        dims = [in_dim] + [cfg.hidden] * cfg.n_layers
+        reader = None if state is None else StateReader(state, "classifier")
+        h = cfg.hidden
         self.convs = [
-            _ConvLayer(rng, cfg.conv, dims[i], dims[i + 1], dtype) for i in range(cfg.n_layers)
+            _ConvLayer(rng, cfg.conv, in_dim if i == 0 else h, h, dtype, reader) for i in range(cfg.n_layers)
         ]
-        self.norms = [BatchNorm(cfg.hidden, dtype=dtype) for _ in range(cfg.n_layers)]
-        self.head = Linear(rng, cfg.hidden, cfg.n_classes, dtype=dtype)
+        self.norms = [BatchNorm(h, dtype=dtype, state=reader) for _ in range(cfg.n_layers)]
+        self.head = Linear(rng, h, cfg.n_classes, dtype=dtype, state=reader)
+        if reader is not None:
+            for norm in self.norms:  # the running statistics follow the head, as state() lists them
+                norm.running_mean = reader.take((1, h), dtype).ravel()
+                norm.running_var = reader.take((1, h), dtype).ravel()
+            reader.close()
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -111,37 +122,6 @@ class STClassifier:
             arrays.append(norm.running_mean.copy().reshape(1, -1))
             arrays.append(norm.running_var.copy().reshape(1, -1))
         return arrays
-
-    def load_state(self, arrays: list[np.ndarray]) -> None:
-        shapes = [a.shape for a in self.state()]
-        check_state(arrays, shapes, len(shapes), "classifier")
-        params = self.parameters()
-        for p, a in zip(params, arrays):
-            p.data = np.asarray(a, dtype=p.data.dtype)
-        rest = arrays[len(params) :]
-        for i, norm in enumerate(self.norms):
-            norm.running_mean = np.asarray(rest[2 * i], dtype=norm.running_mean.dtype).ravel()
-            norm.running_var = np.asarray(rest[2 * i + 1], dtype=norm.running_var.dtype).ravel()
-
-
-def state_shapes(cfg: ClassifierConfig, in_dim: int) -> Iterator[tuple[int, int]]:
-    """The shapes of ``STClassifier(cfg, in_dim).state()``, one at a time and
-    without building the model: ``state_count(cfg)`` of them."""
-    h = cfg.hidden
-    for i in range(cfg.n_layers):
-        fan_in = in_dim if i == 0 else h
-        yield (fan_in, h)
-        yield (fan_in, h) if cfg.conv == "sage" else (1, h)
-    for _ in range(2 * cfg.n_layers):  # batch-norm scales and shifts
-        yield (1, h)
-    yield (h, cfg.n_classes)
-    yield (1, cfg.n_classes)
-    for _ in range(2 * cfg.n_layers):  # batch-norm running means and variances
-        yield (1, h)
-
-
-def state_count(cfg: ClassifierConfig) -> int:
-    return 6 * cfg.n_layers + 2
 
 
 def graph_arrays(g: StGraph):
@@ -250,7 +230,6 @@ def train_classifier(
         if val_miou > best[0]:
             best = (val_miou, epoch, model.state())
 
-    model.load_state(best[2])
     checkpoint = {
         "kind": "classifier",
         "config": asdict(cfg),
@@ -267,8 +246,4 @@ def classifier_from_checkpoint(checkpoint: dict) -> STClassifier:
     in_dim = checkpoint.get("in_dim")
     if not isinstance(in_dim, int) or in_dim < 1:
         raise ConfigMismatch(f"classifier checkpoint needs a positive integer in_dim, got {in_dim!r}")
-    # checked before the model is built, which could be of any size
-    check_state(checkpoint["state"], state_shapes(cfg, in_dim), state_count(cfg), "classifier")
-    model = STClassifier(cfg, in_dim)
-    model.load_state(checkpoint["state"])
-    return model
+    return STClassifier(cfg, in_dim, checkpoint["state"])

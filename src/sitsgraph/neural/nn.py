@@ -23,6 +23,48 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+class StateReader:
+    """A saved state's arrays, handed to a model's layers in the order its
+    constructor declares them. Each array's shape is checked as it is taken,
+    so a state for another model fails at its first differing array, before a
+    later layer is built; ``close`` then checks that no array is left over."""
+
+    def __init__(self, arrays: list[np.ndarray], kind: str):
+        self.arrays = arrays
+        self.kind = kind
+        self.taken = 0
+
+    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        i = self.taken
+        got = tuple(np.shape(self.arrays[i])) if i < len(self.arrays) else None
+        if got != shape:
+            self._mismatch(got, shape)
+        self.taken += 1
+        return np.asarray(self.arrays[i], dtype=dtype)
+
+    def close(self) -> None:
+        if self.taken < len(self.arrays):
+            self._mismatch(tuple(np.shape(self.arrays[self.taken])), None)
+
+    def _mismatch(self, got, want):
+        raise ShapeMismatch(
+            f"{self.kind} state array {self.taken}: {'missing' if got is None else f'shape {got}'},"
+            f" the model expects {'none' if want is None else f'shape {want}'} ({len(self.arrays)} arrays in the state)"
+        )
+
+
+def parameter(shape: tuple[int, int], dtype, state: StateReader | None, rng=None, fill: float = 0.0) -> Tensor:
+    """A trainable ``shape`` tensor: the next array of ``state`` when loading
+    one, else a glorot draw from ``rng``, else ``fill`` everywhere."""
+    if state is not None:
+        data = state.take(shape, dtype)
+    elif rng is not None:
+        data = glorot(rng, *shape, dtype)
+    else:
+        data = np.full(shape, fill, dtype=dtype)
+    return Tensor(data, requires_grad=True)
+
+
 class Linear:
     def __init__(
         self,
@@ -31,13 +73,10 @@ class Linear:
         fan_out: int,
         dtype=np.float32,
         zero: bool = False,
+        state: StateReader | None = None,
     ):
-        if zero or rng is None:
-            w = np.zeros((fan_in, fan_out), dtype=dtype)
-        else:
-            w = glorot(rng, fan_in, fan_out, dtype)
-        self.weight = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros((1, fan_out), dtype=dtype), requires_grad=True)
+        self.weight = parameter((fan_in, fan_out), dtype, state, None if zero else rng)
+        self.bias = parameter((1, fan_out), dtype, state)
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
         """``x @ weight + bias``, then a ReLU when ``relu``: one tape record."""
@@ -55,12 +94,20 @@ class MLP:
     branches built this way begin as identities.
     """
 
-    def __init__(self, rng, dims: list[int], dtype=np.float32, zero: bool = False, zero_last: bool = False):
+    def __init__(
+        self,
+        rng,
+        dims: list[int],
+        dtype=np.float32,
+        zero: bool = False,
+        zero_last: bool = False,
+        state: StateReader | None = None,
+    ):
         if len(dims) < 2:
             raise ShapeMismatch("an MLP needs at least input and output dims")
         last = len(dims) - 2
         self.layers = [
-            Linear(rng, a, b, dtype=dtype, zero=zero or (zero_last and i == last))
+            Linear(rng, a, b, dtype=dtype, zero=zero or (zero_last and i == last), state=state)
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
         ]
 
@@ -75,9 +122,12 @@ class MLP:
 
 
 class BatchNorm:
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gamma = Tensor(np.ones((1, dim), dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros((1, dim), dtype=dtype), requires_grad=True)
+    """Batch norm over rows. A loaded model sets the running statistics after
+    construction, where its state lists them."""
+
+    def __init__(self, dim: int, dtype=np.float32, state: StateReader | None = None):
+        self.gamma = parameter((1, dim), dtype, state, fill=1.0)
+        self.beta = parameter((1, dim), dtype, state)
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
 

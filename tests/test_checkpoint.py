@@ -2,6 +2,7 @@ import copy
 import json
 import struct
 import tempfile
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 from _fuzz import CLI_ERRORS, damage, mutate
 from sitsgraph.checkpoint import load_checkpoint
-from sitsgraph.errors import ConfigMismatch
-from sitsgraph.forecast import ForecastConfig, Forecaster
-from sitsgraph.forecast import model as fm
+from sitsgraph.errors import ConfigMismatch, ShapeMismatch
+from sitsgraph.forecast import ForecastConfig, Forecaster, build_mesh
+from sitsgraph.forecast.model import pixel_pos_encoding
 from sitsgraph.forecast.train import forecaster_from_checkpoint
-from sitsgraph.neural import ClassifierConfig, STClassifier, classifier
+from sitsgraph.neural import ClassifierConfig, STClassifier
+from sitsgraph.neural.autograd import Tensor, no_grad
 from sitsgraph.neural.classifier import classifier_from_checkpoint
+from sitsgraph.neural.nn import relation
 
 LOADERS = {
     "classifier": (classifier_from_checkpoint, ClassifierConfig(n_classes=2)),
@@ -112,14 +115,70 @@ def test_checkpoint_training_settings_fail_at_load(model, key, value):
     ],
     ids=["classifier_sage", "classifier_gcn", "classifier_mlp", "forecaster", "forecaster_small"],
 )
-def test_state_shapes_are_those_of_the_built_model(cfg, in_dim):
-    # the checkpoint loaders check a state against these before building the model
+def test_state_rebuilds_the_model(cfg, in_dim, geo):
+    # the loaders build the model from its saved arrays through its own constructor
+    rng = np.random.default_rng(7)
+    model = Forecaster(cfg) if in_dim is None else STClassifier(cfg, in_dim)
+    for p in model.parameters():  # off the zero and glorot starting points, so a swap shows
+        p.data = rng.normal(scale=0.05, size=p.data.shape).astype(np.float32)
     if in_dim is None:
-        want, got, count = [p.data.shape for p in Forecaster(cfg).parameters()], fm.state_shapes(cfg), fm.state_count(cfg)
+        state = [p.data.copy() for p in model.parameters()]
+        again = Forecaster(cfg, state=state)
+        window = rng.uniform(-0.9, 0.9, size=(cfg.input_len, 7, 9)).astype(np.float32)
+        mesh = build_mesh(window[-1][None], 5, cfg.compactness)
+        pos = pixel_pos_encoding(geo, 7, 9, "2020-06-01")
+        outs = [m.predict(window, mesh, pos) for m in (model, again)]
+        assert np.abs(outs[0] - window[-1]).max() > 0  # the weights move the output off persistence
     else:
-        want = [a.shape for a in STClassifier(cfg, in_dim).state()]
-        got, count = classifier.state_shapes(cfg, in_dim), classifier.state_count(cfg)
-    assert list(got) == want and count == len(want)
+        for norm in model.norms:
+            norm.running_mean = rng.normal(size=cfg.hidden).astype(np.float32)
+            norm.running_var = rng.uniform(0.5, 2.0, size=cfg.hidden).astype(np.float32)
+        state = model.state()
+        again = STClassifier(cfg, in_dim, state)
+        assert [a.tobytes() for a in again.state()] == [a.tobytes() for a in state]
+        x = rng.normal(size=(6, in_dim)).astype(np.float32)
+        rel = relation(([0, 1, 2, 3], [1, 2, 3, 4]), 6)
+        with no_grad():
+            outs = [m.forward(Tensor(x), rel, rel, train=False).data for m in (model, again)]
+    assert [p.data.tobytes() for p in again.parameters()] == [a.tobytes() for a in state[: len(model.parameters())]]
+    assert outs[0].tobytes() == outs[1].tobytes()
+
+
+# (loader, key, value, index of the first array that differs): configs of a
+# huge model against the state of the default one
+_HUGE = [
+    ("classifier", "hidden", 2**30, 0),
+    ("classifier", "hidden", 2**40, 0),
+    ("classifier", "in_dim", 2**40, 0),
+    ("classifier", "n_layers", 2**40, 8),
+    ("classifier", "n_classes", 2**40, 16),
+    ("forecaster", "hidden", 2**40, 0),
+    ("forecaster", "input_len", 2**40, 0),
+    ("forecaster", "processor_rounds", 2**30, 66),
+    ("forecaster", "processor_rounds", 2**40, 66),
+]
+
+
+@pytest.mark.parametrize("model, key, value, index", _HUGE)
+def test_huge_config_fails_before_allocating(model, key, value, index):
+    load, cfg = LOADERS[model]
+    checkpoint = {"config": asdict(cfg), "in_dim": 1}
+    if model == "forecaster":
+        checkpoint["state"] = [p.data for p in Forecaster(cfg).parameters()]
+    else:
+        checkpoint["state"] = STClassifier(cfg, in_dim=1).state()
+    if key == "in_dim":
+        checkpoint["in_dim"] = value
+    else:
+        checkpoint["config"][key] = value
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatch, match=f"{model} state array {index}: shape"):
+            load(checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _fuzz_checkpoint(header: dict) -> bytes:

@@ -178,15 +178,15 @@ def _checkpoint_without_in_dim(tmp_path: Path) -> list[str]:
     return ["predict", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "p")]
 
 
-def _classifier_checkpoint(tmp_path: Path, edit) -> list[str]:
+def _classifier_checkpoint(tmp_path: Path, edit, in_dim: int = 1) -> list[str]:
     """A predict run on a checkpoint of an untrained default classifier, after
-    ``edit(config, state)``."""
+    ``edit(config, state)``, whose header declares ``in_dim``."""
     node = {"id": 0, "t": 0, "pixel_count": 1, "centroid": [0.0, 0.0], "features": [0.0], "label": None}
     (tmp_path / "graph.json").write_text(json.dumps({"nodes": [node], "edges": [], "meta": {}}))
     cfg = ClassifierConfig(n_classes=2)
     config, state = dataclasses.asdict(cfg), STClassifier(cfg, in_dim=1).state()
     edit(config, state)
-    save_checkpoint(tmp_path / "c.bin", {"kind": "classifier", "config": config, "in_dim": 1}, state)
+    save_checkpoint(tmp_path / "c.bin", {"kind": "classifier", "config": config, "in_dim": in_dim}, state)
     return ["predict", "--checkpoint", str(tmp_path / "c.bin"), "--graph", str(tmp_path / "graph.json"), "--out", str(tmp_path / "p")]
 
 
@@ -405,6 +405,21 @@ FAILURES = {
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(processor_rounds=2**40)), 1, "array 66:",
     ),
     "forecaster_checkpoint_of_a_classifier": (_wrong_kind, 1, "holds a 'classifier' model, not a forecaster"),
+    "classifier_checkpoint_one_array_too_many": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: s.append(s[-1])), 1, "array 26: shape (1, 64), the model expects none",
+    ),
+    "forecaster_checkpoint_one_array_too_many": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: s.append(s[-1])), 1, "array 68: shape (1, 1), the model expects none",
+    ),
+    "classifier_checkpoint_hidden_huge": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=2**40)), 1, "array 0: shape (1, 64)",
+    ),
+    "classifier_checkpoint_in_dim_huge": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: None, in_dim=2**40), 1, "array 0: shape (1, 64)",
+    ),
+    "forecaster_checkpoint_hidden_huge": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: c.update(hidden=2**40)), 1, "array 0: shape (6, 32)",
+    ),
     "train_epochs_zero": (lambda tmp: _labeled_graph(tmp, "--epochs", "0"), 1, "epochs must be >= 1, got 0"),
     "train_lr_nan": (lambda tmp: _labeled_graph(tmp, "--lr", "nan", "--epochs", "1"), 1, "lr must be finite and >= 0, got nan"),
     "train_val_frac_nan": (lambda tmp: _labeled_graph(tmp, "--val-frac", "nan"), 2, "invalid fraction in [0, 1] value: 'nan'"),
@@ -415,6 +430,9 @@ FAILURES = {
     "forecast_train_lr_negative": (lambda tmp: _forecast_train(tmp, "--lr", "-0.001"), 1, "lr must be finite and >= 0, got -0.001"),
     "forecast_train_compactness_nan": (
         lambda tmp: _forecast_train(tmp, "--compactness", "nan", "--epochs", "1"), 1, "compactness must be > 0, got nan",
+    ),
+    "forecast_train_lr_diverges": (
+        lambda tmp: _forecast_train(tmp, "--lr", "3e38", "--epochs", "2"), 1, "no epoch of 2 gave a finite validation RMSE",
     ),
     "forecast_train_nan_pixel": (
         lambda tmp: _forecast_train(tmp, "--epochs", "1", nan_pixel=True), 1, "holds a non-finite pixel",
