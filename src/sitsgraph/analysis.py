@@ -11,8 +11,6 @@ from .errors import DegenerateFeature, DimMismatch, ShapeMismatch, UnknownNode
 from .features import FeatureMatrix
 from .stgraph import StGraph
 
-EVENT_KINDS = ("appearance", "disappearance", "split", "merge", "continuation")
-
 
 @dataclass(frozen=True)
 class EventRecord:

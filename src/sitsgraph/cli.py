@@ -43,7 +43,7 @@ def _threads(args) -> int:
     # serial by default: per-date felzenszwalb, the default algorithm, is
     # interpreter-bound and gains nothing from threads; slic spends its time
     # in NumPy and does gain from them
-    return max(1, args.threads or 1)
+    return args.threads or 1
 
 
 def _pin_malloc_thresholds() -> None:
@@ -112,15 +112,22 @@ def _load_model(path: str, kind: str):
     return from_checkpoint({**header, "state": state})
 
 
-def _seed(text: str) -> int:
-    """The ``type`` of ``--seed``: NumPy's generators take no negative seed."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(text)
-    return value
+def _int_at_least(low: int, name: str):
+    """A flag ``type``: an int of at least ``low``, named ``name`` in
+    argparse's and ``--config``'s messages."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ValueError(text)
+        return value
+
+    parse.__name__ = name
+    return parse
 
 
-_seed.__name__ = "non-negative int"  # argparse and --config name the type by it
+_seed = _int_at_least(0, "non-negative int")  # NumPy's generators take no negative seed
+_count = _int_at_least(1, "positive int")  # --threads: at least one worker
 
 
 def _fraction(text: str) -> float:
@@ -418,7 +425,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults (unknown keys rejected)")
-        p.add_argument("--threads", type=int, default=None, help="per-date worker threads for segment (default 1, serial)")
+        p.add_argument("--threads", type=_count, default=None, help="per-date worker threads for segment (default 1, serial)")
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")

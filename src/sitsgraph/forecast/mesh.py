@@ -68,8 +68,6 @@ def build_mesh(
     so the assembly can be run and timed without SLIC; the program never
     passes it."""
     img = np.asarray(last_image)
-    if img.ndim == 2:
-        img = img[None]
     if img.ndim != 3:
         raise ShapeMismatch(f"image must be (C,H,W), got {img.shape}")
     _, h, w = img.shape

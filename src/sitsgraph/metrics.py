@@ -23,7 +23,6 @@ SSIM_K2 = 0.03
 @dataclass
 class ConfusionMatrix:
     counts: np.ndarray          # (n_classes, n_classes); rows = truth
-    ignored: int = 0
 
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
@@ -48,7 +47,7 @@ def confusion(truth: np.ndarray, pred: np.ndarray, n_classes: int) -> ConfusionM
         if v.size and (v.min() < 0 or v.max() >= n_classes):
             raise ShapeMismatch(f"{name} label {v[(v < 0) | (v >= n_classes)][0]} outside [0, {n_classes})")
     counts = np.bincount(truth.astype(np.int64) * n_classes + pred, minlength=n_classes * n_classes)
-    return ConfusionMatrix(counts=counts.reshape(n_classes, n_classes), ignored=int((~ok).sum()))
+    return ConfusionMatrix(counts=counts.reshape(n_classes, n_classes))
 
 
 def iou_oa(cm: ConfusionMatrix) -> dict:

@@ -4,9 +4,10 @@ Forward ops append (output, backward closure) records to the active tape in
 execution order; ``Tape.backward`` replays them in exact reverse order, and
 every gradient accumulates (``Tensor.accumulate``) so parameters reused across
 ops collect contributions from every use. The replay frees each record and each
-intermediate gradient once consumed, so a tape replays once. Arrays are
-float32 by default; building the graph in float64 (for finite-difference
-checks) just means passing float64 data in.
+intermediate gradient once consumed, so a tape replays once. A tensor keeps
+the float array it is given: the models pass float32, and building the
+graph in float64 (for finite-difference checks) just means passing float64
+data in.
 
 Gradient arrays have one owner at a time, so the replay copies none it need
 not:
@@ -45,8 +46,6 @@ class Tensor:
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensors are 2-D, got shape {arr.shape}")
-        if arr.dtype.kind != "f":
-            arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -143,6 +142,8 @@ def recording() -> bool:
 
 
 def _emit(out: Tensor, fn) -> Tensor:
+    # only outputs that need a gradient are recorded, so the backward of an
+    # op with one tensor input never checks that input's requires_grad
     if out.requires_grad and _ACTIVE_TAPE is not None:
         out.recorded = True
         _ACTIVE_TAPE._records.append((out, fn))
@@ -223,8 +224,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.multiply(g, mask, out=g))
+        x.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 
@@ -269,8 +269,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[start:stop].copy(), requires_grad=x.requires_grad)
 
     def backward(g):
-        if not x.requires_grad:
-            return
         if x.grad is None:
             acc = np.zeros_like(x.data)
             acc[start:stop] = g
@@ -356,8 +354,7 @@ def gather_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
     out = Tensor(x.data[plan.idx], requires_grad=x.requires_grad)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(plan.sum(g))
+        x.accumulate(plan.sum(g))
 
     return _emit(out, backward)
 
@@ -368,8 +365,7 @@ def scatter_add_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
     out = Tensor(plan.sum(x.data), requires_grad=x.requires_grad)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(g[plan.idx])
+        x.accumulate(g[plan.idx])
 
     return _emit(out, backward)
 
@@ -382,8 +378,7 @@ def scale_rows(x: Tensor, coeff: np.ndarray) -> Tensor:
     out = Tensor(x.data * coeff, requires_grad=x.requires_grad)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(g * coeff)
+        x.accumulate(g * coeff)
 
     return _emit(out, backward)
 
@@ -393,8 +388,7 @@ def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.full_like(x.data, float(g[0, 0]) / n))
+        x.accumulate(np.full_like(x.data, float(g[0, 0]) / n))
 
     return _emit(out, backward)
 
@@ -404,8 +398,7 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     mask = (x.data >= lo) & (x.data <= hi)
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate(np.multiply(g, mask, out=g))
+        x.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 
@@ -488,11 +481,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     softmax_data = np.exp(logp)
 
     def backward(g):
-        if logits.requires_grad:
-            grad = softmax_data.copy()
-            grad[rows, labels[rows]] -= 1.0
-            grad[~keep] = 0.0
-            logits.accumulate(grad * (float(g[0, 0]) / n_valid))
+        grad = softmax_data.copy()
+        grad[rows, labels[rows]] -= 1.0
+        grad[~keep] = 0.0
+        logits.accumulate(grad * (float(g[0, 0]) / n_valid))
 
     return _emit(out, backward)
 
@@ -510,8 +502,7 @@ def huber(pred: Tensor, target: np.ndarray, delta: float = 1.0) -> Tensor:
     n = pred.data.size
 
     def backward(g):
-        if pred.requires_grad:
-            dr = np.where(quad, r, delta * np.sign(r))
-            pred.accumulate(dr * (float(g[0, 0]) / n))
+        dr = np.where(quad, r, delta * np.sign(r))
+        pred.accumulate(dr * (float(g[0, 0]) / n))
 
     return _emit(out, backward)

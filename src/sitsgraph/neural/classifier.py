@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..checkpoint import config_from_dict
-from ..errors import ConfigMismatch, DimMismatch, NoLabels
+from ..errors import ConfigMismatch, DimMismatch, Diverged, NoData, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
@@ -171,12 +171,7 @@ def _split(graphs: list[StGraph], masks, arrays: dict[int, tuple]) -> list[tuple
 def _miou(split: list[tuple[int, np.ndarray]], preds: dict[int, np.ndarray], n_classes: int) -> float:
     """mIoU over the labeled nodes of a split, from the predicted classes
     per distinct graph."""
-    cms = None
-    for key, labels in split:
-        cm = confusion(labels, preds[key], n_classes)
-        cms = cm.counts if cms is None else cms + cm.counts
-    if cms is None or cms.sum() == 0:
-        return float("nan")
+    cms = sum(confusion(labels, preds[key], n_classes).counts for key, labels in split)
     return iou_oa(ConfusionMatrix(cms))["miou"]
 
 
@@ -190,20 +185,21 @@ def train_classifier(
     """Full-graph training, one graph per optimizer step.
 
     Returns the checkpoint of the epoch with the highest validation mIoU and
-    the per-epoch metric log. ``*_masks`` optionally restrict which nodes of
-    each graph count as labeled for that split (node-level splits on a single
-    graph). A graph passed in both splits, or twice in one, is converted to
-    arrays once, and each epoch's evaluation runs one inference per distinct
-    graph.
+    the per-epoch metric log. An epoch whose validation logits are not all
+    finite is never the best one. ``*_masks`` optionally restrict which nodes
+    of each graph count as labeled for that split (node-level splits on a
+    single graph). A graph passed in both splits, or twice in one, is
+    converted to arrays once, and each epoch's evaluation runs one inference
+    per distinct graph.
     """
-    if not train_graphs:
-        raise NoLabels("no training graphs")
+    if not train_graphs or not val_graphs:
+        raise NoData("train and val graph lists must both be non-empty")
     arrays: dict[int, tuple] = {}
     train_split = _split(train_graphs, train_masks, arrays)
     val_split = _split(val_graphs, val_masks, arrays)
     if not any((labels >= 0).any() for _, labels in train_split):
         raise NoLabels("no labeled node in the training split")
-    if val_split and not any((labels >= 0).any() for _, labels in val_split):
+    if not any((labels >= 0).any() for _, labels in val_split):
         raise NoLabels("no labeled node in the validation split")
 
     in_dim = train_graphs[0].features.dim
@@ -212,24 +208,31 @@ def train_classifier(
 
     log: list[dict] = []
     best = (-np.inf, 0, None)
-    for epoch in range(cfg.epochs):
-        for key, labels in train_split:
-            if not (labels >= 0).any():
-                continue
-            x, es, est, _ = arrays[key]
-            with Tape() as tape:
-                logits = model.forward(Tensor(x), es, est, train=True)
-                loss = cross_entropy(logits, labels)
-                tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-        preds = {key: _logits(model, a).argmax(axis=1) for key, a in arrays.items()}
-        train_miou = _miou(train_split, preds, cfg.n_classes)
-        val_miou = _miou(val_split, preds, cfg.n_classes) if val_split else train_miou
-        log.append({"epoch": epoch, "train_miou": train_miou, "val_miou": val_miou})
-        if val_miou > best[0]:
-            best = (val_miou, epoch, model.state())
+    # a learning rate near float32's ceiling overflows the weights; that shows
+    # as the Diverged error below, not as NumPy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            for key, labels in train_split:
+                if not (labels >= 0).any():
+                    continue
+                x, es, est, _ = arrays[key]
+                with Tape() as tape:
+                    logits = model.forward(Tensor(x), es, est, train=True)
+                    loss = cross_entropy(logits, labels)
+                    tape.backward(loss)
+                opt.step()
+                opt.zero_grad()
+            scores = {key: _logits(model, a) for key, a in arrays.items()}
+            preds = {key: z.argmax(axis=1) for key, z in scores.items()}
+            train_miou = _miou(train_split, preds, cfg.n_classes)
+            val_miou = _miou(val_split, preds, cfg.n_classes)
+            log.append({"epoch": epoch, "train_miou": train_miou, "val_miou": val_miou})
+            finite = all(np.isfinite(scores[key]).all() for key, _ in val_split)
+            if finite and val_miou > best[0]:
+                best = (val_miou, epoch, model.state())
 
+    if best[2] is None:
+        raise Diverged(f"no epoch of {cfg.epochs} gave finite validation logits")
     checkpoint = {
         "kind": "classifier",
         "config": asdict(cfg),

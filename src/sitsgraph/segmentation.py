@@ -133,8 +133,6 @@ def _grid_edges_8(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarray:
     """Segment one (C, H, W) image; returns a 0-based int32 (H, W) partition."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[None]
     if image.ndim != 3 or image.shape[0] < 1:
         raise ShapeMismatch(f"image must be (C,H,W), got {image.shape}")
     c, h, w = image.shape
@@ -251,8 +249,6 @@ def slic(
     move to their members' means, each color channel averaged over its
     finite members only, and a final pass makes every segment 4-connected."""
     image = np.asarray(image, dtype=np.float64)
-    if image.ndim == 2:
-        image = image[None]
     if image.ndim != 3:
         raise ShapeMismatch(f"image must be (C,H,W), got {image.shape}")
     c, h, w = image.shape

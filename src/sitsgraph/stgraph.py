@@ -108,9 +108,9 @@ class StGraph:
             if dates[s_src[i]] != dates[s_dst[i]]:
                 raise ShapeMismatch(f"spatial edge {a}->{b} crosses dates")
             raise ShapeMismatch(f"negative weight on {a}->{b}")
-        s_key = s_src * n + s_dst  # ascending
-        both = (_rows(s_key, st_src * n + st_dst) >= 0) | (_rows(s_key, st_dst * n + st_src) >= 0)
-        bad = (st_src == st_dst) | (dates[st_src] >= dates[st_dst]) | (st_w < 0) | both
+        # a spatial edge joins two nodes of one date and a temporal edge two
+        # dates, so a pair given in both sets fails the orientation check
+        bad = (st_src == st_dst) | (dates[st_src] >= dates[st_dst]) | (st_w < 0)
         if bad.any():
             i = int(np.argmax(bad))
             a, b = int(ids[st_src[i]]), int(ids[st_dst[i]])
@@ -118,9 +118,7 @@ class StGraph:
                 raise ShapeMismatch(f"self-loop on node {a}")
             if dates[st_src[i]] >= dates[st_dst[i]]:
                 raise ShapeMismatch(f"temporal edge {a}->{b} not oriented past->future")
-            if st_w[i] < 0:
-                raise ShapeMismatch(f"negative weight on {a}->{b}")
-            raise ShapeMismatch(f"edge ({a},{b}) present in both relation sets")
+            raise ShapeMismatch(f"negative weight on {a}->{b}")
         self.spatial = EdgeColumns(_frozen(ids[s_src]), _frozen(ids[s_dst]), _frozen(s_w))
         self.st = EdgeColumns(_frozen(ids[st_src]), _frozen(ids[st_dst]), _frozen(st_w))
 

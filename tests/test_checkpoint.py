@@ -29,14 +29,16 @@ LOADERS = {
 
 
 @pytest.mark.parametrize("model", sorted(LOADERS))
-@pytest.mark.parametrize("change", ["unknown_key", "missing_key"])
+@pytest.mark.parametrize("change", ["unknown_key", "missing_key", "not_an_object"])
 def test_checkpoint_config_must_hold_exactly_the_config_fields(model, change):
     load, cfg = LOADERS[model]
     config = asdict(cfg)
     if change == "unknown_key":
         config["aggregation"] = "sum"
-    else:
+    elif change == "missing_key":
         del config["seed"]
+    else:
+        config = list(config.items())
     with pytest.raises(ConfigMismatch):
         load({"config": config, "in_dim": 2, "state": []})
 
@@ -82,6 +84,7 @@ def test_checkpoint_config_float_field_takes_a_whole_number(model):
         ("compactness", 0.0),
         ("compactness", -0.1),
         ("compactness", float("nan")),
+        ("mesh_from", "first"),
     ],
 )
 def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
@@ -89,6 +92,25 @@ def test_forecaster_checkpoint_mesh_settings_fail_at_load(key, value):
     config[key] = value
     with pytest.raises(ConfigMismatch, match=key):
         forecaster_from_checkpoint({"config": config, "state": []})
+
+
+@pytest.mark.parametrize(
+    "model, key, value, message",
+    [
+        ("forecaster", "input_len", 0, "input_len must be >= 1, got 0"),
+        ("forecaster", "processor_rounds", 0, "processor_rounds must be >= 1, got 0"),
+        ("forecaster", "hidden", 5, "hidden must be even and >= 2, got 5"),
+        ("classifier", "hidden", 0, "hidden must be >= 1, got 0"),
+        ("classifier", "n_layers", 1, "need at least 2 encoder layers, got 1"),
+        ("classifier", "n_classes", 1, "need at least 2 classes, got 1"),
+    ],
+)
+def test_checkpoint_architecture_settings_fail_at_load(model, key, value, message):
+    load, cfg = LOADERS[model]
+    config = asdict(cfg)
+    config[key] = value
+    with pytest.raises(ConfigMismatch, match=message):
+        load({"config": config, "in_dim": 2, "state": []})
 
 
 @pytest.mark.parametrize("model", sorted(LOADERS))

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sitsgraph import cli
+from sitsgraph import cli, stgraph
 from sitsgraph.checkpoint import save_checkpoint
 from sitsgraph.cli import _threads, build_parser, main
-from sitsgraph.datacube import save_cube, save_labels, synth_seasonal
+from sitsgraph.datacube import SitsCube, ndwi, save_cube, save_labels, synth_seasonal
 from sitsgraph.forecast import ForecastConfig, Forecaster
 from sitsgraph.neural import ClassifierConfig, STClassifier
 
@@ -239,15 +239,33 @@ def _labeled_graph(tmp_path: Path, *flags: str) -> list[str]:
     return [*argv, *flags, "--out", str(tmp_path / "m")]
 
 
-def _forecast_train(tmp_path: Path, *flags: str, nan_pixel: bool = False) -> list[str]:
+def _six_labeled_nodes(doc: dict) -> None:
+    """Six nodes over two dates, two features and alternating classes each."""
+    doc["nodes"] = [
+        {"id": i, "t": i % 2, "pixel_count": 1, "centroid": [0.0, float(i)], "features": [0.5 * i, 1.0 - i], "label": i % 2}
+        for i in range(6)
+    ]
+    doc["edges"] = [{"src": i, "dst": i + 1, "kind": "ST", "w": 1.0} for i in (0, 2, 4)]
+
+
+def _nan_pixel(cube: SitsCube) -> SitsCube:
+    cube.values[-1, 0, 3, 3] = np.nan
+    return cube
+
+
+def _green_nir(cube: SitsCube) -> SitsCube:
+    """The NDWI cube as B03/B08 bands whose NDWI it is."""
+    v = cube.values[:, 0]
+    return SitsCube(np.stack([(1 + v) / 2, (1 - v) / 2], axis=1), cube.timestamps, ["B03", "B08"], cube.geo)
+
+
+def _forecast_train(tmp_path: Path, *flags: str, edit=None) -> list[str]:
     """A small forecast train run with ``flags`` on three 8x8 sites of four
-    dates; ``nan_pixel`` makes one pixel of each site's last date NaN."""
+    dates, each site's cube saved as ``edit`` returns it."""
     cubes = []
     for s in range(3):
         cube, _ = synth_seasonal(seed=s, t=4, h=8, w=8, n_blobs=2, period_dates=2)
-        if nan_pixel:
-            cube.values[-1, 0, 3, 3] = np.nan
-        save_cube(cube, tmp_path / f"site{s}")
+        save_cube(edit(cube) if edit else cube, tmp_path / f"site{s}")
         cubes.append(str(tmp_path / f"site{s}"))
     return ["forecast", "train", "--cubes", *cubes, "--input-len", "2", "--segments", "4", "--hidden", "4",
             "--rounds", "1", *flags, "--out", str(tmp_path / "fc")]
@@ -435,7 +453,60 @@ FAILURES = {
         lambda tmp: _forecast_train(tmp, "--lr", "3e38", "--epochs", "2"), 1, "no epoch of 2 gave a finite validation RMSE",
     ),
     "forecast_train_nan_pixel": (
-        lambda tmp: _forecast_train(tmp, "--epochs", "1", nan_pixel=True), 1, "holds a non-finite pixel",
+        lambda tmp: _forecast_train(tmp, "--epochs", "1", edit=_nan_pixel), 1, "holds a non-finite pixel",
+    ),
+    "forecast_train_cube_without_ndwi_bands": (
+        lambda tmp: _forecast_train(tmp, edit=lambda c: SitsCube(c.values, c.timestamps, ["B02"], c.geo)),
+        1, "cube bands ['B02'] hold neither NDWI nor B03/B08",
+    ),
+    "forecast_train_cube_too_short": (lambda tmp: _forecast_train(tmp, "--input-len", "4"), 1, "holds 4 dates; need > input_len=4"),
+    "forecast_predict_window_end_out_of_range": (
+        lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: None), 1, "window end 4 out of range [6, 4]",
+    ),
+    "checkpoint_missing": (
+        lambda tmp: ["forecast", "predict", "--checkpoint", str(tmp / "absent.bin"), "--cube", "c", "--out", str(tmp / "p")],
+        1, "missing checkpoint",
+    ),
+    "features_seg_missing": (
+        lambda tmp: ["features", "--cube", _cube(tmp), "--seg", str(tmp / "absent"), "--out", str(tmp / "f")], 1, "seg_meta.json",
+    ),
+    "stats_cube_shape_unknown": (lambda tmp: _graph_doc(tmp, lambda d: None), 1, "cube shape unknown; pass --cube"),
+    "mine_graph_without_features": (
+        lambda tmp: [*_graph_doc(tmp, lambda d: [n.update(features=None) for n in d["nodes"]], "mine"), "--feature", "0",
+                     "--bins", "2", "--minsup", "1", "--maxlen", "2", "--out", str(tmp / "mine")],
+        1, "graph carries no features to symbolize",
+    ),
+    "train_graph_without_labels": (
+        lambda tmp: [*_graph_doc(tmp, lambda d: None, "train"), "--out", str(tmp / "m")], 1, "graph has no labeled nodes",
+    ),
+    "train_lr_diverges": (
+        lambda tmp: [*_graph_doc(tmp, _six_labeled_nodes, "train"), "--lr", "3e38", "--hidden", "4", "--layers", "2",
+                     "--epochs", "3", "--out", str(tmp / "m")],
+        1, "no epoch of 3 gave finite validation logits",
+    ),
+    "graph_not_utf8": (
+        lambda tmp: _not_utf8(_graph_doc(tmp, lambda d: None), tmp / "graph.json"), 1, "graph document is not UTF-8 text",
+    ),
+    "graph_w_not_a_number": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(w="1.0")), 1, "edge 'w' must be a number, got '1.0'"),
+    "graph_w_overflows": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(w=10**400)), 1, "edge 'w' does not fit a float"),
+    "graph_feature_overflows": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(features=[10**400])), 1, "graph node feature does not fit a float",
+    ),
+    "config_not_an_object": (lambda tmp: _config(tmp, "[1, 2]"), 2, "cfg.json must hold a JSON object"),
+    "config_without_value": (
+        lambda tmp: ["synth", "--seed", "1", "--out", str(tmp / "o"), "--config"], 2, "argument --config: expected one argument",
+    ),
+    "config_before_subcommand": (
+        lambda tmp: ["--config", _config(tmp, "{}")[2], "synth", "--seed", "1", "--out", str(tmp / "o")], 2, "invalid choice",
+    ),
+    "segment_threads_zero": (
+        lambda tmp: ["segment", "--cube", "c", "--threads", "0", "--out", str(tmp / "s")], 2, "invalid positive int value: '0'",
+    ),
+    "segment_threads_negative": (
+        lambda tmp: ["segment", "--cube", "c", "--threads", "-2", "--out", str(tmp / "s")], 2, "invalid positive int value: '-2'",
+    ),
+    "config_threads_zero": (
+        lambda tmp: _flag_config(tmp, "segment --cube c", {"threads": 0}), 2, "config 'threads' must be positive int, got 0",
     ),
     "segment_scale_nan": (
         lambda tmp: ["segment", "--cube", _cube(tmp), "--scale", "nan", "--out", str(tmp / "seg")], 1, "scale must be > 0, got nan",
@@ -461,6 +532,29 @@ def test_failure_is_one_error_line(case, tmp_path, capsys):
     assert got == code
     assert len(errors) == 1 and named in errors[0], err
     assert "Traceback" not in err
+
+
+def test_stats_takes_the_cube_shape_from_cube_and_counts_events(tmp_path, capsys):
+    # the graph's meta holds no cube shape, so only --cube gives one; node 1
+    # follows node 0 and ends, and node 2 appears at the last date
+    argv = [*_graph_doc(tmp_path, lambda d: d["nodes"].append({**d["nodes"][1], "id": 2, "t": 2})), "--cube", _cube(tmp_path)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    g = stgraph.import_graph((tmp_path / "graph.json").read_bytes())
+    assert report["event_summary"] == {"disappearance": 1, "appearance": 1}
+    assert report == json.loads(json.dumps({**stgraph.graph_stats(g, (4, 1, 8, 8), f_v=1), "event_summary": report["event_summary"]}))
+
+
+def test_forecast_train_computes_ndwi_from_green_and_nir(tmp_path):
+    # sites that hold B03/B08 train the model that their NDWI cubes train
+    runs = {}
+    for name, edit in (("green_nir", _green_nir), ("ndwi", lambda cube: ndwi(_green_nir(cube)))):
+        assert main(_forecast_train(tmp_path / name, "--epochs", "2", edit=edit)) == 0
+        runs[name] = _dir_bytes(tmp_path / name / "fc")
+    assert len(runs["green_nir"]["checkpoint.bin"]) > 0
+    for file in ("checkpoint.bin", "metrics.json"):
+        assert runs["green_nir"][file] == runs["ndwi"][file], file
 
 
 def test_cli_import_leaves_xml_and_http_unloaded():

@@ -97,6 +97,18 @@ class TestNdwi:
         out = ndwi(self._cube(np.nan, 0.5, geo))
         assert np.isnan(out.values[0, 0, 0, 0])
 
+    def test_finite_nodata_sentinel_is_missing(self, tmp_path, geo):
+        # the sentinel comes from meta.json; a sample equal to it is missing like NaN
+        vals = np.full((2, 2, 3, 3), 0.5, dtype=np.float32)
+        vals[1, 0, 2, 1] = -9999.0
+        save_cube(SitsCube(vals, ["2020-01-01", "2020-02-01"], ["B03", "B08"], geo, nodata=-9999.0), tmp_path)
+        cube = load_cube(tmp_path)
+        assert cube.nodata == -9999.0
+        assert np.argwhere(cube.invalid_mask()).tolist() == [[1, 0, 2, 1]]
+        frames = datacube.ndwi_values(cube)
+        assert np.argwhere(np.isnan(frames)).tolist() == [[1, 2, 1]]
+        assert np.nansum(np.abs(frames)) == 0.0
+
     @given(
         g=st.floats(0.0, 1.0, allow_nan=False),
         n=st.floats(0.0, 1.0, allow_nan=False),

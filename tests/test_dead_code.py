@@ -1,10 +1,12 @@
-"""Every public function and method of the package is used by the program,
-and every optional parameter of one is set by the program.
+"""Every public function, method, class and module-level constant of the
+package is used by the program, and every optional parameter of a function
+or method is set by the program.
 
 A name is used when src/ or perfbench/ code names it: as a name or an
 attribute, not in a string, a comment, a ``def``, an import or ``__all__``
-(a re-export is not a use). A name that only library users and tests call
-sits in ``LIBRARY_ONLY`` with the reason it stays.
+(a re-export is not a use). A class or constant must be read: the
+assignment that defines a constant is not a use. A name that only library
+users and tests call sits in ``LIBRARY_ONLY`` with the reason it stays.
 
 An optional parameter is set when a call in src/ or perfbench/ passes it by
 keyword, by position or through a ``*``/``**`` expansion; an option that no
@@ -63,13 +65,31 @@ def _public_defs() -> list[tuple[str, str]]:
     return out
 
 
-def _program_uses() -> Counter:
-    """Uses of each name in src/ and perfbench/ code."""
+def _public_names() -> list[tuple[str, str]]:
+    """(file, name) of every public module-level class and constant under
+    the package."""
+    out = []
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            out += [(str(path.relative_to(ROOT)), n) for n in names if not n.startswith("_")]
+    return out
+
+
+def _program_uses(reads_only: bool = False) -> Counter:
+    """Uses of each name in src/ and perfbench/ code; only the uses that
+    read it when ``reads_only``."""
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in _program_trees()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and not (reads_only and not isinstance(node.ctx, ast.Load))
     )
 
 
@@ -133,8 +153,14 @@ def test_every_public_function_is_used():
     assert unused == []
 
 
+def test_every_public_class_and_constant_is_read():
+    reads = _program_uses(reads_only=True)
+    unread = [f"{path}: {name}" for path, name in _public_names() if reads[name] <= 0 and name not in LIBRARY_ONLY]
+    assert unread == []
+
+
 def test_library_only_names_exist():
-    defined = {name for _, name in _public_defs()}
+    defined = {name for _, name in _public_defs() + _public_names()}
     assert sorted(set(LIBRARY_ONLY) - defined) == []
     assert all(reason.strip() for reason in LIBRARY_ONLY.values())
 

@@ -59,7 +59,6 @@ class TestIouOa:
 
     def test_ignored_pixels(self):
         cm = confusion(np.array([0, -1, 1]), np.array([0, 0, 1]), 2)
-        assert cm.ignored == 1
         assert cm.total == 2
 
 

@@ -7,7 +7,7 @@ from _gradcheck import check_gradients, weighted_sum
 from _oracles import OracleEdge as Edge
 from _oracles import OracleNode as Node
 from _oracles import graph_from_objects, graph_objects
-from sitsgraph.errors import AllIgnored, ConfigMismatch, NoLabels, ShapeMismatch, SitsGraphError
+from sitsgraph.errors import AllIgnored, ConfigMismatch, Diverged, NoLabels, ShapeMismatch, SitsGraphError
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tape, Tensor, no_grad
 from sitsgraph.neural.classifier import (
@@ -330,6 +330,31 @@ class TestGradients:
 
         assert check_gradients(loss, [x, bn.gamma, bn.beta]) < 1e-6
 
+    def test_batchnorm_eval_mode(self):
+        rng = np.random.default_rng(5)
+        bn = BatchNorm(3, dtype=np.float64)
+        bn.running_mean = rng.normal(size=3)
+        bn.running_var = rng.uniform(0.5, 2.0, size=3)
+        bn.gamma.data = rng.normal(size=(1, 3))
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        probe = rng.normal(size=(6, 3))
+
+        def loss():
+            return weighted_sum(bn(x, train=False), probe)
+
+        assert check_gradients(loss, [x, bn.gamma, bn.beta]) < 1e-6
+
+    def test_mul_both_inputs(self):
+        rng = np.random.default_rng(6)
+        a = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        probe = rng.normal(size=(4, 3))
+
+        def loss():
+            return weighted_sum(ag.mul(a, b), probe)
+
+        assert check_gradients(loss, [a, b]) < 1e-6
+
     def test_cross_entropy_grad(self):
         rng = np.random.default_rng(2)
         logits = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
@@ -532,6 +557,31 @@ class TestClassifier:
         cfg = ClassifierConfig(n_classes=2, conv="mlp", hidden=4, n_layers=2, epochs=1)
         with pytest.raises(NoLabels, match="validation split"):
             train_classifier([g], [g], cfg, train_masks=[~none], val_masks=[none])
+
+    def test_unlabeled_training_graph_is_skipped(self):
+        # a graph with no labeled node takes no step: the run is that of the
+        # labeled graph alone
+        g = _tiny_graph(seed=3)
+        v = graph_objects(g)
+        unlabeled = graph_from_objects(
+            [Node(n.id, n.t, n.pixel_count, n.centroid, label=None) for n in v.nodes],
+            v.edges_spatial,
+            v.edges_st,
+            features=g.features,
+        )
+        cfg = ClassifierConfig(n_classes=2, conv="sage", hidden=4, n_layers=2, lr=1e-2, epochs=3, seed=0)
+        alone, log_alone = train_classifier([g], [g], cfg)
+        both, log_both = train_classifier([unlabeled, g], [g], cfg)
+        assert log_both == log_alone
+        assert [a.tobytes() for a in both["state"]] == [a.tobytes() for a in alone["state"]]
+
+    def test_divergence_raises(self):
+        # at a learning rate near float32's ceiling no epoch has finite
+        # validation logits; the overflow stays silent under filterwarnings=error
+        g = _tiny_graph(seed=1)
+        cfg = ClassifierConfig(n_classes=2, conv="sage", hidden=4, n_layers=2, lr=3e38, epochs=3, seed=0)
+        with pytest.raises(Diverged, match="no epoch of 3 gave finite validation logits"):
+            train_classifier([g], [g], cfg)
 
     def test_linearly_separable_mlp(self):
         rng = np.random.default_rng(0)

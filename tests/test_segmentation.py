@@ -39,6 +39,11 @@ class TestFelzenszwalb:
         lab = felzenszwalb(np.full((2, 5, 7), 0.4), scale=1.0, min_size=1)
         assert np.all(lab == 0)
 
+    def test_single_pixel_image(self):
+        # a 1x1 image has no pixel pairs to merge
+        lab = felzenszwalb(np.full((2, 1, 1), 0.4), scale=1.0, min_size=2)
+        assert lab.tolist() == [[0]] and lab.dtype == np.int32
+
     def test_half_half_matches_cc_oracle(self):
         img = np.zeros((1, 4, 4))
         img[0, :, 2:] = 1.0

@@ -321,6 +321,18 @@ class TestBuilderColumns:
         assert all(a < b for a, b in zip(pairs, pairs[1:]))
         assert (len(cols) == 0) == (builder == "periodic_beyond_dates")
 
+    def test_empty_graph_gives_empty_columns(self):
+        g = graph_from_objects([], [], [])
+        fm = FeatureMatrix(values=np.zeros((0, 2)), names=["a", "b"])
+        for cols in (
+            eps_ball_edges(g, 1.0),
+            knn_edges(g, 1),
+            similarity_edges(fm, g.t, "within-date", 1),
+            similarity_edges(fm, g.t, "cross-date", 1),
+        ):
+            assert len(cols) == 0
+            assert (cols.src.dtype, cols.dst.dtype, cols.weight.dtype) == (np.int64, np.int64, np.float64)
+
     def test_overlap_and_cross_date_similarity_land_in_st(self):
         lab = np.zeros((3, 2, 2), dtype=np.int32)
         for t in range(3):
@@ -447,6 +459,14 @@ class TestGraphInvariants:
         assert shuffled.nodes == v.nodes
         assert shuffled.edges_spatial == v.edges_spatial
         assert shuffled.edges_st == v.edges_st
+
+    def test_pair_in_both_relations_fails_the_orientation_check(self):
+        # a spatial edge joins one date, so the same pair as a temporal edge
+        # never runs past -> future
+        nodes = [Node(0, 0, 1, (0, 0)), Node(1, 0, 1, (0, 1))]
+        for a, b in ((0, 1), (1, 0)):
+            with pytest.raises(ShapeMismatch, match=f"temporal edge {a}->{b} not oriented past->future"):
+                graph_from_objects(nodes, [Edge(0, 1, SPATIAL, 1.0)], [Edge(a, b, SPATIOTEMPORAL, 1.0)])
 
     def test_merge_node_in_degree(self):
         nodes = [Node(0, 0, 1, (0, 0)), Node(1, 0, 1, (1, 1)), Node(2, 1, 1, (0, 0))]
