@@ -637,6 +637,15 @@ def _preload_config(parser, registry, argv: list[str]) -> dict:
         return {}  # argparse reports the missing value
     if path is None:
         return {}
+    # the main parser's only options are --help and --version, so a --config
+    # before the subcommand is the first token; argparse would reject it there
+    # or take its file for the subcommand's name
+    try:
+        early = pre.parse_known_args(argv[:1])[0].config is not None
+    except argparse.ArgumentError:
+        early = True  # ``--config`` with its file in the next token
+    if early:
+        parser.error("--config goes after the subcommand, as in: sitsgraph synth --config FILE")
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:

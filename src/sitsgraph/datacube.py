@@ -295,9 +295,13 @@ def ndwi(cube: SitsCube) -> SitsCube:
 
 def ndwi_values(cube: SitsCube) -> np.ndarray:
     """(T, H, W) NDWI frames: the cube's own NDWI band when it has one,
-    otherwise ``ndwi`` computed from ``NDWI_GREEN``/``NDWI_NIR``."""
+    otherwise ``ndwi`` computed from ``NDWI_GREEN``/``NDWI_NIR``. Missing
+    samples (``invalid_mask``) are NaN either way."""
     if "NDWI" in cube.bands:
-        return cube.values[:, cube.bands.index("NDWI")]
+        i = cube.bands.index("NDWI")
+        band = cube.values[:, i]
+        missing = cube.invalid_mask()[:, i]
+        return np.where(missing, np.float32(np.nan), band) if missing.any() else band
     if NDWI_GREEN in cube.bands and NDWI_NIR in cube.bands:
         return ndwi(cube).values[:, 0]
     raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor {NDWI_GREEN}/{NDWI_NIR}")

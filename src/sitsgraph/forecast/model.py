@@ -93,6 +93,14 @@ class _Rows:
         return Tensor(x.data[plan.idx[self.lo : self.hi]])
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` row blocks of ``row_wise`` over ``n >= 2`` rows."""
+    bounds = list(range(0, n, ROW_BLOCK))
+    if n - bounds[-1] == 1:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [n]))
+
+
 def row_wise(stage, n: int) -> Tensor:
     """``stage(rows)`` for a stage that maps each of its ``n`` output rows from
     the same rows of its inputs (matmuls, adds, ReLUs, clamps; no sum over
@@ -106,11 +114,8 @@ def row_wise(stage, n: int) -> Tensor:
     BLAS's vector path, which rounds differently."""
     if ag.recording() or n <= ROW_BLOCK:
         return stage(_Rows())
-    bounds = list(range(0, n, ROW_BLOCK))
-    if n - bounds[-1] == 1:
-        bounds.pop()
     out = None
-    for lo, hi in zip(bounds, bounds[1:] + [n]):
+    for lo, hi in _blocks(n):
         part = stage(_Rows(lo, hi)).data
         if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
@@ -118,29 +123,57 @@ def row_wise(stage, n: int) -> Tensor:
     return Tensor(out)
 
 
-def gn_block(
-    x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc: Linear | None = None
-) -> tuple[Tensor, Tensor]:
-    """Residual relational block over the edges of ``rel`` on x's rows:
-    e' = e + MLP_e([e, x_src, x_dst]); x' = x + MLP_v([x, sum of incoming e']).
-    Nodes without incoming edges aggregate zero.
-    ``enc``, when given, first encodes the raw edge features ``e`` inside the
-    edge stage, so that a run without a tape never holds every encoded edge.
-    The edge and node updates run through ``row_wise``; the sum stays whole."""
+def _edge_update(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, enc: Linear | None):
+    """The row-wise edge stage of a relational block, e + MLP_e([e, x_src,
+    x_dst]), with ``e`` first encoded by ``enc`` when one is given."""
     n = x.data.shape[0]
     if rel.dst.n != n:
         raise ShapeMismatch(f"relation over {rel.dst.n} nodes used for {n}")
     if e.data.shape[0] != rel.src.size:
         raise ShapeMismatch(f"{e.data.shape[0]} edge features for {rel.src.size} edges")
 
-    def edge_update(rows):
+    def stage(rows):
         e_rows = rows(e) if enc is None else enc(rows(e))
         return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, rows.gather(x, rel.src), rows.gather(x, rel.dst)])))
 
-    e2 = row_wise(edge_update, rel.src.size)
-    agg = ag.scatter_add_rows(e2, rel.dst)
-    x2 = row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), n)
-    return x2, e2
+    return stage
+
+
+def _node_update(x: Tensor, agg: Tensor, mlp_v: MLP) -> Tensor:
+    return row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), x.data.shape[0])
+
+
+def gn_block(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP) -> tuple[Tensor, Tensor]:
+    """Residual relational block over the edges of ``rel`` on x's rows:
+    e' = e + MLP_e([e, x_src, x_dst]); x' = x + MLP_v([x, sum of incoming e']).
+    Nodes without incoming edges aggregate zero.
+    The edge and node updates run through ``row_wise``; the sum stays whole.
+    Returns (x', e')."""
+    e2 = row_wise(_edge_update(x, e, rel, mlp_e, None), rel.src.size)
+    return _node_update(x, ag.scatter_add_rows(e2, rel.dst), mlp_v), e2
+
+
+def gn_nodes(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc: Linear) -> Tensor:
+    """x' of ``gn_block`` over the raw edge features ``e``, which ``enc``
+    encodes inside the edge stage, for a block whose e' no caller reads.
+
+    Without a tape, and with more edges than node rows, e' would be the
+    block's largest array, so it is never built: the edge update runs over
+    ``row_wise``'s blocks of edges, and each block is added into the
+    aggregate as it comes (``ScatterPlan.add_to``). Each block's rows are
+    those ``row_wise`` computes, and each node still adds its edges from zero
+    in edge order, so the bytes are those of one whole pass."""
+    edge_update = _edge_update(x, e, rel, mlp_e, enc)
+    n_edges = rel.src.size
+    if ag.recording() or n_edges <= x.data.shape[0]:
+        return _node_update(x, ag.scatter_add_rows(row_wise(edge_update, n_edges), rel.dst), mlp_v)
+    agg = None
+    for lo, hi in _blocks(n_edges):
+        part = edge_update(_Rows(lo, hi)).data
+        if agg is None:
+            agg = np.zeros((rel.dst.n,) + part.shape[1:], dtype=part.dtype)
+        rel.dst.add_to(agg, part, lo)
+    return _node_update(x, Tensor(agg), mlp_v)
 
 
 def pixel_embedding(series: Tensor, pos: Tensor, mlp_ts: MLP, mlp_pos: MLP, mlp_mix: MLP) -> Tensor:
@@ -176,8 +209,11 @@ class _Block:
         self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
         self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
 
-    def __call__(self, x, e, rel, enc=None):
-        return gn_block(x, e, rel, self.mlp_e, self.mlp_v, enc)
+    def __call__(self, x, e, rel):
+        return gn_block(x, e, rel, self.mlp_e, self.mlp_v)
+
+    def nodes(self, x, e, rel, enc):
+        return gn_nodes(x, e, rel, self.mlp_e, self.mlp_v, enc)
 
     def parameters(self):
         return self.mlp_e.parameters() + self.mlp_v.parameters()
@@ -247,7 +283,7 @@ class Forecaster:
         # encoder: pixels push messages onto zero-initialized mesh nodes
         nodes = ag.concat_rows([row_wise(embed, p), Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         g2m_feat = Tensor(mesh.g2m_feat.astype(self.dtype))
-        nodes = self.block_g2m(nodes, g2m_feat, mesh.g2m, enc=self.enc_g2m)[0]
+        nodes = self.block_g2m.nodes(nodes, g2m_feat, mesh.g2m, self.enc_g2m)
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
 
@@ -260,7 +296,7 @@ class Forecaster:
         nodes = ag.concat_rows([mesh_latent, px_latent])
         del px_latent  # without a tape, nothing else holds these pixel rows
         m2g_feat = Tensor(mesh.m2g_feat.astype(self.dtype))
-        nodes = self.block_m2g(nodes, m2g_feat, mesh.m2g, enc=self.enc_m2g)[0]
+        nodes = self.block_m2g.nodes(nodes, m2g_feat, mesh.m2g, self.enc_m2g)
         px_out = ag.slice_rows(nodes, m, m + p)
 
         last = Tensor(window[-1].reshape(p, 1))

@@ -304,13 +304,7 @@ class ScatterPlan:
         self.idx = idx
         self.n = n
         self.counts = np.bincount(idx, minlength=n)
-        order = np.argsort(idx, kind="stable")
-        first = np.cumsum(self.counts) - self.counts  # first sorted position of each row
-        rank = np.arange(idx.size) - first[idx[order]]
-        by_rank = np.argsort(rank, kind="stable")
-        perm = order[by_rank]
-        bounds = np.cumsum(np.bincount(rank))
-        self._ranks = [(_run(idx[p]), _run(p)) for p in np.split(perm, bounds[:-1])]
+        self._ranks = _plan_ranks(idx, self.counts)
 
     @property
     def size(self) -> int:
@@ -320,9 +314,41 @@ class ScatterPlan:
         if rows.shape[0] != self.size:
             raise ShapeMismatch(f"{rows.shape[0]} rows for {self.size} indices")
         out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
-        for dst, src in self._ranks:
-            out[dst] += rows[src]  # no row repeats within a rank
+        self.add_to(out, rows)
         return out
+
+    def add_to(self, out: np.ndarray, rows: np.ndarray, lo: int = 0) -> None:
+        """``out[j] +=`` the rows whose index is ``j``, in edge order, where
+        ``rows`` holds the messages of edges ``[lo, lo + len(rows))``. Adding
+        consecutive blocks of the edges in turn into a zeroed ``out`` gives the
+        bytes of ``sum``: each row still adds its terms in edge order from
+        zero. A block of the edges is planned over its own target range, so
+        its cost grows with the block, not with ``n``."""
+        hi = lo + rows.shape[0]
+        if out.shape[0] != self.n or not 0 <= lo <= hi <= self.size:
+            raise ShapeMismatch(f"edges [{lo}, {hi}) into {out.shape[0]} rows for a plan of {self.size} edges over {self.n}")
+        if lo == 0 and hi == self.size:
+            ranks, base = self._ranks, 0
+        else:
+            idx = self.idx[lo:hi]
+            base = int(idx.min(initial=self.n))  # n: an empty block adds nothing
+            idx = idx - base
+            ranks = _plan_ranks(idx, np.bincount(idx))
+        view = out[base:]
+        for dst, src in ranks:
+            view[dst] += rows[src]  # no row repeats within a rank
+
+
+def _plan_ranks(idx: np.ndarray, counts: np.ndarray) -> list:
+    """(target rows, edge positions) per rank: the edges stable-sorted by
+    target row and grouped by their rank among the edges that share it."""
+    order = np.argsort(idx, kind="stable")
+    first = np.cumsum(counts) - counts  # first sorted position of each row
+    rank = np.arange(idx.size) - first[idx[order]]
+    by_rank = np.argsort(rank, kind="stable")
+    perm = order[by_rank]
+    bounds = np.cumsum(np.bincount(rank))
+    return [(_run(idx[p]), _run(p)) for p in np.split(perm, bounds[:-1])]
 
 
 def _run(a: np.ndarray):

@@ -253,6 +253,15 @@ def _nan_pixel(cube: SitsCube) -> SitsCube:
     return cube
 
 
+def _sentinel_pixel(cube: SitsCube) -> SitsCube:
+    """``_nan_pixel``'s pixel as the cube's finite nodata sentinel, a value
+    the NDWI band holds nowhere else."""
+    sentinel = -1.0
+    assert not (cube.values == sentinel).any()
+    cube.values[-1, 0, 3, 3] = sentinel
+    return SitsCube(cube.values, cube.timestamps, cube.bands, cube.geo, nodata=sentinel)
+
+
 def _green_nir(cube: SitsCube) -> SitsCube:
     """The NDWI cube as B03/B08 bands whose NDWI it is."""
     v = cube.values[:, 0]
@@ -497,8 +506,14 @@ FAILURES = {
         lambda tmp: ["synth", "--seed", "1", "--out", str(tmp / "o"), "--config"], 2, "argument --config: expected one argument",
     ),
     "config_before_subcommand": (
-        lambda tmp: ["--config", _config(tmp, "{}")[2], "synth", "--seed", "1", "--out", str(tmp / "o")], 2, "invalid choice",
+        lambda tmp: ["--config", _config(tmp, "{}")[2], "synth", "--seed", "1", "--out", str(tmp / "o")],
+        2, "--config goes after the subcommand",
     ),
+    "config_with_equals_before_subcommand": (
+        lambda tmp: [f"--config={_config(tmp, '{}')[2]}", "synth", "--seed", "1", "--out", str(tmp / "o")],
+        2, "--config goes after the subcommand",
+    ),
+    "config_with_unknown_subcommand": (lambda tmp: ["bogus", *_config(tmp, "{}")[1:]], 2, "invalid choice: 'bogus'"),
     "segment_threads_zero": (
         lambda tmp: ["segment", "--cube", "c", "--threads", "0", "--out", str(tmp / "s")], 2, "invalid positive int value: '0'",
     ),
@@ -555,6 +570,17 @@ def test_forecast_train_computes_ndwi_from_green_and_nir(tmp_path):
     assert len(runs["green_nir"]["checkpoint.bin"]) > 0
     for file in ("checkpoint.bin", "metrics.json"):
         assert runs["green_nir"][file] == runs["ndwi"][file], file
+
+
+def test_forecast_train_reads_the_nodata_sentinel_as_missing(tmp_path, capsys):
+    # the NDWI band's sentinel pixel ends the run as the same pixel as NaN does
+    errors = {}
+    for name, edit in (("nan", _nan_pixel), ("sentinel", _sentinel_pixel)):
+        capsys.readouterr()
+        assert main(_forecast_train(tmp_path / name, "--epochs", "1", edit=edit)) == 1
+        errors[name] = capsys.readouterr().err
+    assert "holds a non-finite pixel" in errors["nan"]
+    assert errors["sentinel"] == errors["nan"]
 
 
 def test_cli_import_leaves_xml_and_http_unloaded():

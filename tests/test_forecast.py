@@ -22,10 +22,10 @@ from sitsgraph.forecast import (
     train_forecaster,
 )
 from sitsgraph.forecast import model as forecast_model
-from sitsgraph.forecast.model import pixel_pos_encoding
+from sitsgraph.forecast.model import gn_nodes, pixel_pos_encoding
 from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor, no_grad
-from sitsgraph.neural.nn import MLP
+from sitsgraph.neural.nn import MLP, Linear
 
 
 class TestBuildMesh:
@@ -179,6 +179,24 @@ class TestGnBlock:
             gn_block(x, Tensor(np.zeros((2, 4))), rel, mlp_e, mlp_v)
         with pytest.raises(ShapeMismatch, match="relation over 4 nodes used for 3"):
             gn_block(x, Tensor(np.zeros((3, 4))), _relation([0, 1, 2], [1, 2, 3], 4), mlp_e, mlp_v)
+
+    @pytest.mark.parametrize("pixels", [10, 11, 22, 75])
+    def test_nodes_without_a_tape_equal_the_taped_pass(self, pixels, monkeypatch):
+        # 3 edges per pixel from 4 mesh nodes, in pixel order, summed in blocks
+        # of 32 edges: pixels 10 (edges 30, 31 | 32) and 21 (63 | 64, 65)
+        # straddle a block boundary, and 33 or 225 edges leave a 1-row remainder
+        monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+        hidden, m = 16, 4
+        mlp_e, mlp_v = self._mlps(hidden)
+        rng = np.random.default_rng(pixels)
+        enc = Linear(rng, 2, hidden, dtype=np.float64)
+        n = m + pixels
+        rel = _relation(rng.integers(0, m, 3 * pixels), np.repeat(np.arange(m, n), 3), n)
+        x = Tensor(rng.normal(size=(n, hidden)))
+        e = Tensor(rng.normal(size=(3 * pixels, 2)))
+        with Tape():
+            want = gn_nodes(x, e, rel, mlp_e, mlp_v, enc).data
+        assert gn_nodes(x, e, rel, mlp_e, mlp_v, enc).data.tobytes() == want.tobytes()
 
     def test_gradients(self):
         hidden = 3
@@ -375,8 +393,10 @@ class TestForecaster:
             ((3, 11), 5, "last"),  # one row past a block
             ((6, 7), 2, "last"),  # fewer than 3 regions
             ((7, 6), 6, "stack"),
+            ((3, 25), 5, "last"),  # 225 decoder edges: one edge past 7 blocks
+            ((4, 11), 6, "last"),  # pixel 10's 3 decoder edges are edges 30, 31 | 32
         ],
-        ids=["under_one_block", "one_block", "ragged", "one_row_past", "two_regions", "stack"],
+        ids=["under_one_block", "one_block", "ragged", "one_row_past", "two_regions", "stack", "edges_one_past", "edges_straddle"],
     )
     def test_predict_in_blocks_equals_taped_forward(self, shape, n_segments, mesh_from, geo, monkeypatch):
         monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
@@ -555,3 +575,22 @@ class TestMemoryGrowsWithOutput:
         window = rng.uniform(-1, 1, size=(6, 256, 256)).astype(np.float32)
         pos = pixel_pos_encoding(geo, 256, 256, "2020-06-01")
         assert _traced_peak(lambda: model.predict(window, mesh, pos)) < 160e6
+
+    def test_128_predict_never_holds_a_whole_decoder_edge_output(self, geo):
+        # the decoder's input, aggregate and output node arrays are whole in
+        # any design; a whole edge output (3 edges per pixel) on top of them
+        # breaks the bound, and the block temporaries fit under it
+        side, hidden = 128, 64
+        labels = _grid_labels(side, side, 8, 8)
+        mesh = build_mesh(np.zeros((1, side, side), np.float32), 64, 0.1, labels=labels)
+        model = Forecaster(ForecastConfig(input_len=6, n_segments=64, hidden=hidden, processor_rounds=4))
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            p.data = rng.normal(scale=0.1, size=p.data.shape).astype(np.float32)
+        window = rng.uniform(-1, 1, size=(6, side, side)).astype(np.float32)
+        pos = pixel_pos_encoding(geo, side, side, "2020-06-01")
+        pixels = side * side
+        node_array = (pixels + mesh.n_regions) * hidden * 4
+        edge_output = mesh.m2g_dst.size * hidden * 4
+        assert mesh.m2g_dst.size == 3 * pixels
+        assert _traced_peak(lambda: model.predict(window, mesh, pos)) < 3 * node_array + edge_output

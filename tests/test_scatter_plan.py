@@ -54,6 +54,27 @@ def test_gather_backward_matches_add_at_bytes(dtype):
         assert x.grad.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocks_added_in_turn_match_add_at_bytes(dtype):
+    # consecutive blocks of the edges, empty ones included, added in turn into
+    # one zeroed buffer give the bytes of the whole sum
+    rng = np.random.default_rng(2)
+    for rows, idx, n in _cases(dtype):
+        plan = ScatterPlan(idx, n)
+        cuts = np.sort(rng.integers(0, idx.size + 1, 4))
+        out = np.zeros((n,) + rows.shape[1:], dtype=dtype)
+        for lo, hi in zip([0, *cuts], [*cuts, idx.size]):
+            plan.add_to(out, rows[lo:hi], lo)
+        assert out.tobytes() == addat_scatter_add_rows(rows, idx, n).tobytes()
+
+
+@pytest.mark.parametrize("out_rows, n_rows, lo", [(4, 2, 4), (4, 2, -1), (5, 5, 0)])
+def test_block_outside_the_plan_raises(out_rows, n_rows, lo):
+    plan = ScatterPlan(np.array([2, 0, 2, 2, 1]), 4)
+    with pytest.raises(ShapeMismatch, match="for a plan of 5 edges over 4"):
+        plan.add_to(np.zeros((out_rows, 2)), np.ones((n_rows, 2)), lo)
+
+
 def test_one_plan_serves_scatter_and_gather():
     idx = np.array([2, 0, 2, 2, 1])
     plan = ScatterPlan(idx, 4)
