@@ -102,8 +102,8 @@ class SitsCube:
         for i, name in enumerate(self.bands):
             if name in RANGE_BOUND_BANDS:
                 band = v[:, i]
-                finite = band[np.isfinite(band)]
-                if finite.size and (finite.min() < -1.0 or finite.max() > 1.0):
+                valid = band[~_missing(band, self.nodata)]
+                if valid.size and (valid.min() < -1.0 or valid.max() > 1.0):
                     raise InvalidCube(f"band {name} has finite values outside [-1, 1]")
         self.values = v
 
@@ -119,10 +119,7 @@ class SitsCube:
 
     def invalid_mask(self) -> np.ndarray:
         """Boolean mask of missing samples (NaN or the nodata sentinel)."""
-        mask = ~np.isfinite(self.values)
-        if self.nodata is not None and math.isfinite(self.nodata):
-            mask |= self.values == self.nodata
-        return mask
+        return _missing(self.values, self.nodata)
 
     def pixel_geo(self, row: int, col: int, t: int) -> PixelGeo:
         t_, _, h, w = self.shape
@@ -132,6 +129,14 @@ class SitsCube:
         return PixelGeo(
             row=row, col=col, lat=float(lat[row]), lon=float(lon[col]), doy=day_of_year_fraction(self.timestamps[t])
         )
+
+
+def _missing(values: np.ndarray, nodata: float | None) -> np.ndarray:
+    """True where a sample is not finite or equals a finite ``nodata``."""
+    mask = ~np.isfinite(values)
+    if nodata is not None and math.isfinite(nodata):
+        mask |= values == nodata
+    return mask
 
 
 def _parse_date(s: str) -> datetime.date:

@@ -202,12 +202,12 @@ def baseline_average(window: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    def __init__(self, rng, hidden: int, dtype, zero: bool, state: StateReader | None):
+    def __init__(self, rng, hidden: int, dtype, state: StateReader | None):
         # zero output layers: blocks start as identities, so an untrained
         # network stays at the persistence point instead of saturating the
         # output clamp
-        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
-        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero=zero, zero_last=True, state=state)
+        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero_last=True, state=state)
+        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero_last=True, state=state)
 
     def __call__(self, x, e, rel):
         return gn_block(x, e, rel, self.mlp_e, self.mlp_v)
@@ -220,28 +220,28 @@ class _Block:
 
 
 class Forecaster:
-    """The forecaster of ``cfg``: fresh weights drawn from ``cfg.seed`` (all
-    zero with ``zero``), or the arrays of a saved ``parameters()`` list, each
-    checked as its layer takes it, so a state for another model fails at its
-    first differing array before any later layer is built."""
+    """The forecaster of ``cfg``: fresh weights drawn from ``cfg.seed``, or
+    the arrays of a saved ``state()``, each checked as its layer takes it, so
+    a state for another model fails at its first differing array before any
+    later layer is built."""
 
-    def __init__(self, cfg: ForecastConfig, dtype=np.float32, zero: bool = False, state: list[np.ndarray] | None = None):
+    def __init__(self, cfg: ForecastConfig, dtype=np.float32, state: list[np.ndarray] | None = None):
         self.cfg = cfg
         self.dtype = dtype
         rng = np.random.default_rng(cfg.seed)
         reader = None if state is None else StateReader(state, "forecaster")
         h = cfg.hidden
         half = h // 2
-        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, zero=zero, state=reader)
-        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, zero=zero, state=reader)
-        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, zero=zero, state=reader)
-        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
-        self.enc_proc = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
-        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, zero=zero, state=reader)
-        self.block_g2m = _Block(rng, h, dtype, zero, reader)
-        self.blocks_proc = [_Block(rng, h, dtype, zero, reader) for _ in range(cfg.processor_rounds)]
-        self.block_m2g = _Block(rng, h, dtype, zero, reader)
-        self.head = Linear(rng, h, 1, dtype=dtype, zero=True, state=reader)  # residual head starts at zero
+        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, state=reader)
+        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, state=reader)
+        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, state=reader)
+        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, state=reader)
+        self.enc_proc = Linear(rng, 2, h, dtype=dtype, state=reader)
+        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, state=reader)
+        self.block_g2m = _Block(rng, h, dtype, reader)
+        self.blocks_proc = [_Block(rng, h, dtype, reader) for _ in range(cfg.processor_rounds)]
+        self.block_m2g = _Block(rng, h, dtype, reader)
+        self.head = Linear(None, h, 1, dtype=dtype, state=reader)  # residual head starts at zero
         if reader is not None:
             reader.close()
 
@@ -259,6 +259,9 @@ class Forecaster:
             out += b.parameters()
         out += self.block_m2g.parameters() + self.head.parameters()
         return out
+
+    def state(self) -> list[np.ndarray]:
+        return [p.data.copy() for p in self.parameters()]
 
     def forward(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> Tensor:
         """Flat (H*W, 1) prediction tensor for one window. Without a tape,

@@ -8,9 +8,9 @@ import numpy as np
 
 from ..checkpoint import config_from_dict
 from ..datacube import GeoBounds
-from ..errors import Diverged, LengthMismatch, NoData, SiteLeakage
-from ..neural.autograd import Tape, Tensor
-from ..neural.nn import Adam, PlateauScheduler
+from ..errors import LengthMismatch, NoData, SiteLeakage
+from ..neural.autograd import Tensor
+from ..neural.nn import Adam, PlateauScheduler, fit
 from . import model as fm
 from .mesh import MeshGraph, build_mesh
 from .model import ForecastConfig, Forecaster
@@ -84,25 +84,15 @@ def _prepare(samples: list[ForecastSample], cfg: ForecastConfig):
     return out
 
 
-def _eval(model: Forecaster, prepared, delta: float) -> tuple[float, float]:
-    """(mean huber loss, rmse over all pixels), both in float64."""
-    losses = []
-    sq = []
-    for s, mesh, pos in prepared:
-        pred = Tensor(model.predict(s.window, mesh, pos).astype(np.float64))
-        losses.append(fm.huber(pred, s.target, delta).data[0, 0])
-        r = pred.data - s.target
-        sq.append((r * r).mean())
-    return float(np.mean(losses)), float(np.sqrt(np.mean(sq)))
-
-
 def train_forecaster(
     train: list[ForecastSample],
     val: list[ForecastSample],
     cfg: ForecastConfig,
 ) -> tuple[dict, list[dict]]:
     """Adam + plateau schedule (lr x0.1 after 5 stale epochs); returns the
-    checkpoint of the best-validation-RMSE epoch and the metric log."""
+    checkpoint of the best-validation-RMSE epoch and the metric log. An epoch
+    whose validation RMSE is not finite is never the best one and logs null
+    losses."""
     if not train or not val:
         raise NoData("train and val splits must both be non-empty")
     check_site_disjoint(train=train, val=val)
@@ -115,36 +105,31 @@ def train_forecaster(
     sched = PlateauScheduler(opt)
     rng = np.random.default_rng(cfg.seed)
 
-    log: list[dict] = []
-    best = (np.inf, 0, None)
-    # a learning rate near float32's ceiling overflows the weights; that shows
-    # as the Diverged error below, not as NumPy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            for i in rng.permutation(len(prepared_train)):
-                s, mesh, pos = prepared_train[i]
-                with Tape() as tape:
-                    out = model.forward(s.window, mesh, pos)
-                    loss = fm.huber(out, s.target.reshape(-1, 1), delta=cfg.huber_delta)
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-            val_loss, val_rmse = _eval(model, prepared_val, cfg.huber_delta)
-            reduced = sched.step(val_loss)
-            log.append(
-                {"epoch": epoch, "val_loss": val_loss, "val_rmse": val_rmse, "lr": opt.lr, "lr_reduced": reduced}
-            )
-            if val_rmse < best[0]:
-                best = (val_rmse, epoch, [p.data.copy() for p in model.parameters()])
+    def steps(epoch):
+        for i in rng.permutation(len(prepared_train)):
+            s, mesh, pos = prepared_train[i]
+            yield lambda: fm.huber(model.forward(s.window, mesh, pos), s.target.reshape(-1, 1), delta=cfg.huber_delta)
 
-    if best[2] is None:
-        raise Diverged(f"no epoch of {cfg.epochs} gave a finite validation RMSE")
+    def evaluate(epoch):
+        losses, sq = [], []  # mean huber loss and RMSE over all pixels, both in float64
+        for s, mesh, pos in prepared_val:
+            pred = Tensor(model.predict(s.window, mesh, pos).astype(np.float64))
+            losses.append(fm.huber(pred, s.target, cfg.huber_delta).data[0, 0])
+            r = pred.data - s.target
+            sq.append((r * r).mean())
+        val_loss, val_rmse = float(np.mean(losses)), float(np.sqrt(np.mean(sq)))
+        reduced = sched.step(val_loss)
+        if not np.isfinite(val_rmse):
+            val_loss = val_rmse = None
+        return val_rmse, {"val_loss": val_loss, "val_rmse": val_rmse, "lr": opt.lr, "lr_reduced": reduced}
+
+    best, state, log = fit(model, opt, cfg.epochs, steps, evaluate, "a finite validation RMSE")
     checkpoint = {
         "kind": "forecaster",
         "config": asdict(cfg),
-        "best_epoch": best[1],
-        "best_val_rmse": float(best[0]),
-        "state": best[2],
+        "best_epoch": best,
+        "best_val_rmse": log[best]["val_rmse"],
+        "state": state,
     }
     return checkpoint, log
 

@@ -10,12 +10,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..checkpoint import config_from_dict
-from ..errors import ConfigMismatch, DimMismatch, Diverged, NoData, NoLabels
+from ..errors import ConfigMismatch, DimMismatch, NoData, NoLabels
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
-from .autograd import Relation, Tape, Tensor, no_grad
-from .nn import Adam, BatchNorm, Linear, StateReader, cross_entropy, gcn_conv, parameter, relation, sage_conv, softmax
+from .autograd import Relation, Tensor, no_grad
+from .nn import Adam, BatchNorm, Linear, StateReader, cross_entropy, fit, gcn_conv, parameter, relation, sage_conv, softmax
 
 # the encoder layer kinds
 CONVS = ("gcn", "sage", "mlp")
@@ -186,11 +186,11 @@ def train_classifier(
 
     Returns the checkpoint of the epoch with the highest validation mIoU and
     the per-epoch metric log. An epoch whose validation logits are not all
-    finite is never the best one. ``*_masks`` optionally restrict which nodes
-    of each graph count as labeled for that split (node-level splits on a
-    single graph). A graph passed in both splits, or twice in one, is
-    converted to arrays once, and each epoch's evaluation runs one inference
-    per distinct graph.
+    finite is never the best one and logs null mIoUs. ``*_masks`` optionally
+    restrict which nodes of each graph count as labeled for that split
+    (node-level splits on a single graph). A graph passed in both splits, or
+    twice in one, is converted to arrays once, and each epoch's evaluation
+    runs one inference per distinct graph.
     """
     if not train_graphs or not val_graphs:
         raise NoData("train and val graph lists must both be non-empty")
@@ -204,42 +204,30 @@ def train_classifier(
 
     in_dim = train_graphs[0].features.dim
     model = STClassifier(cfg, in_dim)
-    opt = Adam(model.parameters(), lr=cfg.lr)
 
-    log: list[dict] = []
-    best = (-np.inf, 0, None)
-    # a learning rate near float32's ceiling overflows the weights; that shows
-    # as the Diverged error below, not as NumPy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            for key, labels in train_split:
-                if not (labels >= 0).any():
-                    continue
+    def steps(epoch):
+        for key, labels in train_split:
+            if (labels >= 0).any():
                 x, es, est, _ = arrays[key]
-                with Tape() as tape:
-                    logits = model.forward(Tensor(x), es, est, train=True)
-                    loss = cross_entropy(logits, labels)
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-            scores = {key: _logits(model, a) for key, a in arrays.items()}
-            preds = {key: z.argmax(axis=1) for key, z in scores.items()}
-            train_miou = _miou(train_split, preds, cfg.n_classes)
-            val_miou = _miou(val_split, preds, cfg.n_classes)
-            log.append({"epoch": epoch, "train_miou": train_miou, "val_miou": val_miou})
-            finite = all(np.isfinite(scores[key]).all() for key, _ in val_split)
-            if finite and val_miou > best[0]:
-                best = (val_miou, epoch, model.state())
+                yield lambda: cross_entropy(model.forward(Tensor(x), es, est, train=True), labels)
 
-    if best[2] is None:
-        raise Diverged(f"no epoch of {cfg.epochs} gave finite validation logits")
+    def evaluate(epoch):
+        scores = {key: _logits(model, a) for key, a in arrays.items()}
+        if not all(np.isfinite(scores[key]).all() for key, _ in val_split):
+            return None, {"train_miou": None, "val_miou": None}
+        preds = {key: z.argmax(axis=1) for key, z in scores.items()}
+        train_miou, val_miou = (_miou(split, preds, cfg.n_classes) for split in (train_split, val_split))
+        return -val_miou, {"train_miou": train_miou, "val_miou": val_miou}
+
+    opt = Adam(model.parameters(), lr=cfg.lr)
+    best, state, log = fit(model, opt, cfg.epochs, steps, evaluate, "finite validation logits")
     checkpoint = {
         "kind": "classifier",
         "config": asdict(cfg),
         "in_dim": in_dim,
-        "best_epoch": best[1],
-        "best_val_miou": float(best[0]),
-        "state": best[2],
+        "best_epoch": best,
+        "best_val_miou": float(log[best]["val_miou"]),
+        "state": state,
     }
     return checkpoint, log
 

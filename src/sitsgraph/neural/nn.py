@@ -1,12 +1,12 @@
-"""Layers, graph convolutions, optimizer and schedulers on top of the tape."""
+"""Layers, graph convolutions, optimizer, schedulers and the training loop on top of the tape."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import Diverged, ShapeMismatch
 from . import autograd as ag
-from .autograd import Relation, Tensor
+from .autograd import Relation, Tape, Tensor
 
 relu = ag.relu
 cross_entropy = ag.cross_entropy
@@ -72,10 +72,9 @@ class Linear:
         fan_in: int,
         fan_out: int,
         dtype=np.float32,
-        zero: bool = False,
         state: StateReader | None = None,
     ):
-        self.weight = parameter((fan_in, fan_out), dtype, state, None if zero else rng)
+        self.weight = parameter((fan_in, fan_out), dtype, state, rng)
         self.bias = parameter((1, fan_out), dtype, state)
 
     def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
@@ -91,7 +90,8 @@ class MLP:
 
     ``zero_last`` zeroes only the output layer, making the MLP start as the
     zero map while keeping trainable signal in the hidden layer; residual
-    branches built this way begin as identities.
+    branches built this way begin as identities. An ``rng`` of None draws
+    nothing and zeroes every layer.
     """
 
     def __init__(
@@ -99,7 +99,6 @@ class MLP:
         rng,
         dims: list[int],
         dtype=np.float32,
-        zero: bool = False,
         zero_last: bool = False,
         state: StateReader | None = None,
     ):
@@ -107,7 +106,7 @@ class MLP:
             raise ShapeMismatch("an MLP needs at least input and output dims")
         last = len(dims) - 2
         self.layers = [
-            Linear(rng, a, b, dtype=dtype, zero=zero or (zero_last and i == last), state=state)
+            Linear(None if zero_last and i == last else rng, a, b, dtype=dtype, state=state)
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
         ]
 
@@ -241,3 +240,27 @@ class PlateauScheduler:
             self.stale = 0
             return True
         return False
+
+
+def fit(model, opt: Adam, epochs: int, steps, evaluate, diverged: str) -> tuple[int, list[np.ndarray], list[dict]]:
+    """The one training loop. Each epoch takes a taped Adam step per loss
+    closure of ``steps(epoch)``, then logs the record of ``evaluate(epoch)``,
+    which returns (score, record); a score of None marks an epoch that is not
+    finite. Returns the first lowest-scoring epoch, its ``model.state()`` and
+    the log, or raises ``Diverged`` naming ``diverged`` if no epoch is finite."""
+    log: list[dict] = []
+    best = None  # (score, epoch, state)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a None score, not as warnings
+        for epoch in range(epochs):
+            for loss in steps(epoch):  # each closure runs before the next is drawn
+                with Tape() as tape:
+                    tape.backward(loss())
+                opt.step()
+                opt.zero_grad()
+            score, record = evaluate(epoch)
+            log.append({"epoch": epoch, **record})
+            if score is not None and (best is None or score < best[0]):
+                best = (score, epoch, model.state())
+    if best is None:
+        raise Diverged(f"no epoch of {epochs} gave {diverged}")
+    return best[1], best[2], log

@@ -529,7 +529,7 @@ def test_criterion_10_mesh_stability(forecast_runs):
 def test_criterion_09_residual_identity():
     rng = np.random.default_rng(17)
     cfg = ForecastConfig(input_len=6, n_segments=16, compactness=0.1, hidden=16, processor_rounds=2, seed=0)
-    model = Forecaster(cfg, zero=True)
+    model = Forecaster(cfg, state=[np.zeros_like(a) for a in Forecaster(cfg).state()])
     ok = True
     for _ in range(5):
         window = rng.uniform(-1.0, 1.0, size=(6, 16, 16)).astype(np.float32)

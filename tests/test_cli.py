@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from sitsgraph import cli, stgraph
-from sitsgraph.checkpoint import save_checkpoint
+from sitsgraph.checkpoint import load_checkpoint, save_checkpoint
 from sitsgraph.cli import _threads, build_parser, main
 from sitsgraph.datacube import SitsCube, ndwi, save_cube, save_labels, synth_seasonal
 from sitsgraph.forecast import ForecastConfig, Forecaster
@@ -280,6 +280,26 @@ def _forecast_train(tmp_path: Path, *flags: str, edit=None) -> list[str]:
             "--rounds", "1", *flags, "--out", str(tmp_path / "fc")]
 
 
+def _eval_forecast_nan_pred(tmp_path: Path) -> list[str]:
+    """An eval --task forecast run whose 4x4 --pred frame holds one NaN."""
+    argv = _eval_forecast(tmp_path, 16, 16)
+    pred = np.zeros(16, dtype="<f4")
+    pred[5] = np.nan
+    pred.tofile(tmp_path / "pred.bin")
+    return argv
+
+
+def _predict_nan_target(tmp_path: Path) -> list[str]:
+    """A forecast predict run of an untrained two-frame forecaster whose
+    target frame, the cube's last date, holds ``_nan_pixel``'s NaN."""
+    cfg = ForecastConfig(input_len=2, n_segments=4, hidden=4, processor_rounds=1)
+    save_checkpoint(tmp_path / "c.bin", {"kind": "forecaster", "config": dataclasses.asdict(cfg)}, Forecaster(cfg).state())
+    cube, _ = synth_seasonal(seed=0, t=4, h=8, w=8, n_blobs=2, period_dates=2)
+    save_cube(_nan_pixel(cube), tmp_path / "cube")
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", str(tmp_path / "cube"),
+            "--out", str(tmp_path / "p")]
+
+
 def _wrong_kind(tmp_path: Path) -> list[str]:
     """A forecast predict run on a classifier checkpoint."""
     _classifier_checkpoint(tmp_path, lambda c, s: None)
@@ -469,6 +489,8 @@ FAILURES = {
         1, "cube bands ['B02'] hold neither NDWI nor B03/B08",
     ),
     "forecast_train_cube_too_short": (lambda tmp: _forecast_train(tmp, "--input-len", "4"), 1, "holds 4 dates; need > input_len=4"),
+    "eval_forecast_nan_pred": (_eval_forecast_nan_pred, 1, "the predicted frame holds a non-finite sample"),
+    "forecast_predict_nan_target": (_predict_nan_target, 1, "the target frame holds a non-finite sample"),
     "forecast_predict_window_end_out_of_range": (
         lambda tmp: _forecaster_checkpoint(tmp, lambda c, s: None), 1, "window end 4 out of range [6, 4]",
     ),
@@ -581,6 +603,17 @@ def test_forecast_train_reads_the_nodata_sentinel_as_missing(tmp_path, capsys):
         errors[name] = capsys.readouterr().err
     assert "holds a non-finite pixel" in errors["nan"]
     assert errors["sentinel"] == errors["nan"]
+
+
+def test_train_logs_null_for_diverged_epochs(tmp_path):
+    # at lr 3e38 only epoch 0 has finite validation logits; epoch 2 logs null
+    # mIoUs, where the argmax of its NaN logits read as a perfect 1.0
+    assert main(_labeled_graph(tmp_path, "--lr", "3e38", "--hidden", "4", "--layers", "2", "--epochs", "3")) == 0
+    log = json.loads((tmp_path / "m" / "metrics.json").read_text())
+    header, _ = load_checkpoint(tmp_path / "m" / "checkpoint.bin")
+    assert header["best_epoch"] == 0 and header["best_val_miou"] == log[0]["val_miou"]
+    assert log[2] == {"epoch": 2, "train_miou": None, "val_miou": None}
+    json.dumps(log, allow_nan=False)
 
 
 def test_cli_import_leaves_xml_and_http_unloaded():

@@ -12,6 +12,7 @@ from _fuzz import CLI_ERRORS, damage, mutate
 from sitsgraph import datacube
 from sitsgraph.datacube import GeoBounds, SitsCube, load_cube, ndwi, save_cube, synth_seasonal
 from sitsgraph.errors import (
+    InvalidCube,
     InvalidSpec,
     MissingFile,
     NonMonotonicTimestamps,
@@ -108,6 +109,23 @@ class TestNdwi:
         frames = datacube.ndwi_values(cube)
         assert np.argwhere(np.isnan(frames)).tolist() == [[1, 2, 1]]
         assert np.nansum(np.abs(frames)) == 0.0
+
+    def test_ndwi_band_holds_its_nodata_sentinel(self, tmp_path, geo):
+        # the [-1, 1] check of an NDWI band skips the sentinel, which is missing
+        vals = np.full((2, 1, 3, 3), 0.25, dtype=np.float32)
+        vals[0, 0, 1, 2] = -9999.0
+        save_cube(SitsCube(vals, ["2020-01-01", "2020-02-01"], ["NDWI"], geo, nodata=-9999.0), tmp_path)
+        cube = load_cube(tmp_path)
+        assert cube.nodata == -9999.0 and cube.values.tobytes() == vals.tobytes()
+        frames = datacube.ndwi_values(cube)
+        assert np.argwhere(np.isnan(frames)).tolist() == [[0, 1, 2]]
+        assert np.nanmin(frames) == np.nanmax(frames) == np.float32(0.25)
+
+    def test_ndwi_band_outside_the_range_still_fails(self, geo):
+        vals = np.full((1, 1, 2, 2), 0.25, dtype=np.float32)
+        vals[0, 0, 0, 0] = -2.0
+        with pytest.raises(InvalidCube, match="band NDWI has finite values outside"):
+            SitsCube(vals, ["2020-01-01"], ["NDWI"], geo, nodata=-9999.0)
 
     @given(
         g=st.floats(0.0, 1.0, allow_nan=False),

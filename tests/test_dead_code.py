@@ -38,7 +38,6 @@ OPTIONS_KEPT = {
     "synth_seasonal(band)": "acceptance criterion 12 stacks seasonal cubes of several bands into one",
     "standardize(stats)": "reapplies training statistics to held-out rows (README)",
     "Forecaster(dtype)": "the float64 gradient checks build the forecaster in float64",
-    "Forecaster(zero)": "the all-zero forecaster is the persistence baseline of acceptance criterion 08",
 }
 
 

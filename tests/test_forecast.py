@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -118,8 +119,8 @@ class TestGnBlock:
     def _mlps(self, hidden, zero=False):
         rng = np.random.default_rng(0)
         mlps = (
-            MLP(rng, [3 * hidden, hidden, hidden], dtype=np.float64, zero=zero),
-            MLP(rng, [2 * hidden, hidden, hidden], dtype=np.float64, zero=zero),
+            MLP(None if zero else rng, [3 * hidden, hidden, hidden], dtype=np.float64),
+            MLP(None if zero else rng, [2 * hidden, hidden, hidden], dtype=np.float64),
         )
         if not zero:
             for m in mlps:
@@ -233,7 +234,7 @@ class TestPixelEmbedding:
     def test_zero_weights_zero_embedding(self):
         rng = np.random.default_rng(0)
         mlps = tuple(
-            MLP(rng, dims, dtype=np.float64, zero=True)
+            MLP(None, dims, dtype=np.float64)
             for dims in ([6, 2, 2], [4, 2, 2], [4, 4, 4])
         )
         out = pixel_embedding(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 4))), *mlps)
@@ -327,7 +328,7 @@ class TestForecaster:
 
     def test_zero_params_is_persistence(self, geo):
         cfg = self._cfg()
-        model = Forecaster(cfg, zero=True)
+        model = Forecaster(cfg, state=[np.zeros_like(a) for a in Forecaster(cfg).state()])
         rng = np.random.default_rng(0)
         window = rng.uniform(-0.9, 0.9, size=(6, 12, 12)).astype(np.float32)
         mesh = build_mesh(window[-1][None], cfg.n_segments, cfg.compactness)
@@ -463,8 +464,21 @@ class TestTraining:
         train = [s for s in samples if s.site != "site3"]
         val = [s for s in samples if s.site == "site3"]
         cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=1, lr=3e38, epochs=2, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(Diverged, match="no epoch of 2"):
+        with pytest.raises(Diverged, match="no epoch of 2"):
             train_forecaster(train, val, cfg)
+
+    def test_diverged_epochs_log_null_losses(self):
+        # the first step keeps epoch 0 finite; later steps overflow, and those
+        # epochs log null in place of NaN, so the log is strict JSON
+        samples = _make_samples(range(4), t=8)
+        train = [s for s in samples if s.site != "site3"]
+        val = [s for s in samples if s.site == "site3"]
+        cfg = ForecastConfig(input_len=6, n_segments=4, hidden=4, processor_rounds=1, lr=1e38, epochs=4, seed=0)
+        ckpt, log = train_forecaster(train, val, cfg)
+        assert ckpt["best_epoch"] == 0 and ckpt["best_val_rmse"] == log[0]["val_rmse"]
+        assert np.isfinite(log[0]["val_loss"]) and np.isfinite(log[0]["val_rmse"])
+        assert [(r["val_loss"], r["val_rmse"], r["lr"], r["lr_reduced"]) for r in log[1:]] == [(None, None, 1e38, False)] * 3
+        json.dumps(log, allow_nan=False)
 
     def test_zero_lr_val_rmse_equals_untrained(self):
         samples = _make_samples(range(4), t=8)

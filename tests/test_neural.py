@@ -37,7 +37,7 @@ from sitsgraph.features import FeatureMatrix
 
 class TestPrimitives:
     def test_linear_identity(self):
-        lin = Linear(None, 3, 3, zero=True)
+        lin = Linear(None, 3, 3)
         lin.weight.data = np.eye(3, dtype=np.float32)
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
         assert np.array_equal(lin(Tensor(x)).data, x)
