@@ -127,7 +127,7 @@ def _int_at_least(low: int, name: str):
 
 
 _seed = _int_at_least(0, "non-negative int")  # NumPy's generators take no negative seed
-_count = _int_at_least(1, "positive int")  # --threads: at least one worker
+_count = _int_at_least(1, "positive int")  # --threads (at least one worker), eval --height
 
 
 def _fraction(text: str) -> float:
@@ -340,7 +340,7 @@ def cmd_eval(args):
     else:
         pred = np.fromfile(args.pred, dtype="<f4")
         target = np.fromfile(args.target, dtype="<f4")
-        rows = args.height or int(np.sqrt(pred.size))
+        rows = int(np.sqrt(pred.size)) if args.height is None else args.height
         if rows < 1 or pred.size % rows or target.size != pred.size:
             raise ShapeMismatch(f"cannot form frames of {rows} rows from {pred.size} --pred and {target.size} --target floats")
         report = metrics.rmse_psnr_ssim(pred.reshape(rows, -1), target.reshape(rows, -1))
@@ -544,7 +544,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--cube")
     p.add_argument("--pred")
     p.add_argument("--target")
-    p.add_argument("--height", type=int, default=None, help="frame height for raw blobs (forecast task)")
+    p.add_argument("--height", type=_count, default=None, help="frame height for raw blobs (forecast task)")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(func=cmd_eval)

@@ -117,9 +117,12 @@ class SitsCube:
         except ValueError:
             raise UnknownBand(f"band {name!r} not in {self.bands}") from None
 
-    def invalid_mask(self) -> np.ndarray:
-        """Boolean mask of missing samples (NaN or the nodata sentinel)."""
-        return _missing(self.values, self.nodata)
+    def masked_values(self) -> np.ndarray:
+        """``values`` with NaN at every missing sample (``_missing``): the one
+        view of the samples that segmentation, features and NDWI read. It is
+        ``values`` itself when no sample is missing, otherwise a copy."""
+        missing = _missing(self.values, self.nodata)
+        return np.where(missing, np.float32(np.nan), self.values) if missing.any() else self.values
 
     def pixel_geo(self, row: int, col: int, t: int) -> PixelGeo:
         t_, _, h, w = self.shape
@@ -274,21 +277,18 @@ def ndwi(cube: SitsCube) -> SitsCube:
     """(green - nir) / (green + nir) over ``NDWI_GREEN`` and ``NDWI_NIR`` as
     a single-band cube named NDWI.
 
-    Near-zero denominators (|g+n| < 1e-12) map to 0; missing inputs propagate
-    as NaN; output is clipped to the physical [-1, 1] range.
+    Near-zero denominators (|g+n| < 1e-12) map to 0; missing inputs
+    (``masked_values``) propagate as NaN; output is clipped to the physical
+    [-1, 1] range.
     """
-    gi = cube.band_index(NDWI_GREEN)
-    ni = cube.band_index(NDWI_NIR)
-    g = cube.values[:, gi].astype(np.float64)
-    n = cube.values[:, ni].astype(np.float64)
-    invalid = cube.invalid_mask()
-    bad = invalid[:, gi] | invalid[:, ni]
+    values = cube.masked_values()
+    g = values[:, cube.band_index(NDWI_GREEN)].astype(np.float64)
+    n = values[:, cube.band_index(NDWI_NIR)].astype(np.float64)
     denom = g + n
     guard = np.abs(denom) < 1e-12
     safe = np.where(guard, 1.0, denom)
     out = np.where(guard, 0.0, (g - n) / safe)
     out = np.clip(out, -1.0, 1.0)
-    out[bad] = np.nan
     return SitsCube(
         values=out[:, None].astype(np.float32),
         timestamps=list(cube.timestamps),
@@ -301,12 +301,9 @@ def ndwi(cube: SitsCube) -> SitsCube:
 def ndwi_values(cube: SitsCube) -> np.ndarray:
     """(T, H, W) NDWI frames: the cube's own NDWI band when it has one,
     otherwise ``ndwi`` computed from ``NDWI_GREEN``/``NDWI_NIR``. Missing
-    samples (``invalid_mask``) are NaN either way."""
+    samples (``masked_values``) are NaN either way."""
     if "NDWI" in cube.bands:
-        i = cube.bands.index("NDWI")
-        band = cube.values[:, i]
-        missing = cube.invalid_mask()[:, i]
-        return np.where(missing, np.float32(np.nan), band) if missing.any() else band
+        return cube.masked_values()[:, cube.bands.index("NDWI")]
     if NDWI_GREEN in cube.bands and NDWI_NIR in cube.bands:
         return ndwi(cube).values[:, 0]
     raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor {NDWI_GREEN}/{NDWI_NIR}")

@@ -40,9 +40,9 @@ class FeatureMatrix:
 def band_stats(cube: SitsCube, seg: SegStack) -> FeatureMatrix:
     """Per object: [mean, std, min, max] of every band over the object's date.
 
-    std is the population standard deviation. Missing samples (NaN / nodata)
-    are excluded; an object whose pixels are all missing yields zeros and a
-    warning naming it.
+    std is the population standard deviation. Missing samples (NaN in
+    ``cube.masked_values()``) are excluded; an object whose pixels are all
+    missing yields zeros and a warning naming it.
     """
     t, c, h, w = cube.shape
     if seg.shape != (t, h, w):
@@ -50,14 +50,14 @@ def band_stats(cube: SitsCube, seg: SegStack) -> FeatureMatrix:
 
     n = seg.n_objects
     out = np.zeros((n, 4 * c), dtype=np.float64)
-    invalid = cube.invalid_mask()
+    values = cube.masked_values()
     empty_objects: list[int] = []
 
     for date in range(t):
         lab = seg.labels[date].ravel().astype(np.int64)
         for b in range(c):
-            vals = cube.values[date, b].ravel().astype(np.float64)
-            ok = ~invalid[date, b].ravel()
+            vals = values[date, b].ravel().astype(np.float64)
+            ok = ~np.isnan(vals)
             lab_ok = lab[ok]
             v = vals[ok]
             count = np.bincount(lab_ok, minlength=n).astype(np.float64)

@@ -436,13 +436,16 @@ def segment_cube(
     band_subset: list[str] | None = None,
     threads: int = 1,
 ) -> SegStack:
-    """Segment every date independently and offset ids to be globally unique."""
+    """Segment every date independently and offset ids to be globally unique.
+    Missing samples reach ``slic`` and ``felzenszwalb`` as NaN
+    (``cube.masked_values()``)."""
     t, c, h, w = cube.shape
     if band_subset:
         idx = [cube.band_index(b) for b in band_subset]
     else:
         idx = list(range(c))
-    frames = [cube.values[k][idx] for k in range(t)]
+    values = cube.masked_values()
+    frames = [values[k][idx] for k in range(t)]
 
     if algo == "felzenszwalb":
         def run(frame):

@@ -34,7 +34,8 @@ SPATIOTEMPORAL = "ST"
 
 @dataclass(frozen=True, eq=False)
 class EdgeColumns:
-    """One relation as parallel read-only arrays, sorted by ``(src, dst)``."""
+    """One relation as parallel arrays; a builder returns them read-only and
+    sorted by ``(src, dst)``."""
 
     src: np.ndarray       # int64 node ids
     dst: np.ndarray       # int64 node ids
@@ -184,7 +185,9 @@ def _rows(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _canonical(a, b, w, flip, n: int):
     """Edges ``a -> b`` (node rows) reversed where ``flip``, of each repeated
-    pair the last one, sorted by ``(a, b)``."""
+    pair the last one, sorted by ``(a, b)``. The edge builders find each
+    undirected pair from both ends with the same distance, so which copy
+    survives does not change their bytes."""
     a, b = np.where(flip, b, a), np.where(flip, a, b)
     key = a * n + b
     order = np.argsort(key, kind="stable")
@@ -213,34 +216,31 @@ def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
     if not eps > 0:
         raise ShapeMismatch(f"eps must be > 0, got {eps}")
     ids, dates, cent = g.ids, g.t, g.centroid
-    src, dst, dist = [], [], []
+    parts = []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
         for rows in row_blocks(members, len(members)):
             d = _centroid_distance(cent, rows[:, None], members[None, :])
             hit = (d <= eps) & (members[None, :] > rows[:, None])
             r, c = np.nonzero(hit)
-            src.append(rows[r])
-            dst.append(members[c])
-            dist.append(d[r, c])
-    pairs, dist = _unique_pairs(src, dst, dist)
-    return _edge_columns(ids[pairs[:, 0]], ids[pairs[:, 1]], dist)
+            parts.append(EdgeColumns(rows[r], members[c], d[r, c]))
+    a, b, dist = _joined(parts)
+    a, b, dist = _canonical(a, b, dist, a > b, len(ids))
+    return _edge_columns(ids[a], ids[b], dist)
 
 
 def knn_edges(g: StGraph, k: int) -> EdgeColumns:
     """Symmetrized k-nearest-neighbor relation over same-date centroids of ``g``."""
     ids, dates, cent = g.ids, g.t, g.centroid
-    src, dst, dist = [], [], []
+    parts = []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
         if k < 1 or k >= len(members):
             raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(members)}")
-        a, b, d = k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b))
-        src.append(np.minimum(a, b))
-        dst.append(np.maximum(a, b))
-        dist.append(d)
-    pairs, dist = _unique_pairs(src, dst, dist)
-    return _edge_columns(ids[pairs[:, 0]], ids[pairs[:, 1]], dist)
+        parts.append(EdgeColumns(*k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b))))
+    a, b, dist = _joined(parts)
+    a, b, dist = _canonical(a, b, dist, a > b, len(ids))
+    return _edge_columns(ids[a], ids[b], dist)
 
 
 def similarity_edges(
@@ -267,39 +267,22 @@ def similarity_edges(
         diff = v[b] - v[a]
         return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
-    src, dst, dist = [], [], []
+    parts = []
     for t in np.unique(node_dates):
         members = np.nonzero(node_dates == t)[0]
         cands = None if scope == "within-date" else np.nonzero(node_dates != t)[0]
-        a, b, d = k_nearest(members, cands, k, feature_distance)
-        if scope == "within-date":
-            a, b = np.minimum(a, b), np.maximum(a, b)
-        else:
-            past = node_dates[a] < node_dates[b]
-            a, b = np.where(past, a, b), np.where(past, b, a)
-        src.append(a)
-        dst.append(b)
-        dist.append(d)
-    pairs, dist = _unique_pairs(src, dst, dist)
+        parts.append(EdgeColumns(*k_nearest(members, cands, k, feature_distance)))
+    a, b, dist = _joined(parts)
+    flip = a > b if scope == "within-date" else node_dates[a] > node_dates[b]
+    a, b, dist = _canonical(a, b, dist, flip, v.shape[0])
     # d ** 2 on Python floats (libm pow) differs from NumPy's d * d in the
     # last bit for some d; the weights keep the scalar rule
     weights = np.exp(-np.array([d ** 2 for d in dist.tolist()]))
-    return _edge_columns(pairs[:, 0], pairs[:, 1], weights)
+    return _edge_columns(a, b, weights)
 
 
 def _centroid_distance(cent: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.hypot(cent[a, 0] - cent[b, 0], cent[a, 1] - cent[b, 1])
-
-
-def _unique_pairs(src: list, dst: list, dist: list) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ``(src, dst)`` pairs sorted with duplicates dropped, and
-    their distances. A duplicate pair always carries the same distance, so
-    which copy survives does not matter."""
-    if not src:
-        return np.empty((0, 2), dtype=np.int64), np.empty(0)
-    pairs = np.stack([np.concatenate(src), np.concatenate(dst)], axis=1)
-    pairs, first = np.unique(pairs, axis=0, return_index=True)
-    return pairs, np.concatenate(dist)[first]
 
 
 def overlap_edges(seg: SegStack, min_pixels: int = 1) -> EdgeColumns:

@@ -414,6 +414,12 @@ FAILURES = {
     "eval_forecast_rows_do_not_divide": (
         lambda tmp: _eval_forecast(tmp, 10, 10, "--height", "3"), 1, "cannot form frames of 3 rows from 10 --pred",
     ),
+    "eval_forecast_height_zero": (
+        lambda tmp: _eval_forecast(tmp, 16, 16, "--height", "0"), 2, "invalid positive int value: '0'",
+    ),
+    "eval_forecast_height_negative": (
+        lambda tmp: _eval_forecast(tmp, 16, 16, "--height", "-4"), 2, "invalid positive int value: '-4'",
+    ),
     "eval_forecast_empty_pred": (lambda tmp: _eval_forecast(tmp, 0, 9), 1, "from 0 --pred and 9 --target floats"),
     "eval_forecast_target_size_differs": (lambda tmp: _eval_forecast(tmp, 9, 16), 1, "from 9 --pred and 16 --target floats"),
     "eval_forecast_without_pred": (

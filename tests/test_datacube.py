@@ -105,7 +105,7 @@ class TestNdwi:
         save_cube(SitsCube(vals, ["2020-01-01", "2020-02-01"], ["B03", "B08"], geo, nodata=-9999.0), tmp_path)
         cube = load_cube(tmp_path)
         assert cube.nodata == -9999.0
-        assert np.argwhere(cube.invalid_mask()).tolist() == [[1, 0, 2, 1]]
+        assert np.argwhere(np.isnan(cube.masked_values())).tolist() == [[1, 0, 2, 1]]
         frames = datacube.ndwi_values(cube)
         assert np.argwhere(np.isnan(frames)).tolist() == [[1, 2, 1]]
         assert np.nansum(np.abs(frames)) == 0.0

@@ -724,6 +724,13 @@ class TestMatchesPerObjectOracles:
         assert [(e.src, e.dst, e.weight) for e in g.edges_spatial] == [(5, 9, 2.0)]
         assert [(e.src, e.dst, e.weight) for e in g.edges_st] == [(2, 5, 4.0), (2, 9, 5.0)]
 
+    @pytest.mark.parametrize("kind", [SPATIAL, SPATIOTEMPORAL])
+    def test_self_loop_is_a_typed_error(self, kind):
+        nodes = [Node(2, 0, 1, (0.0, 0.0)), Node(5, 1, 1, (0.0, 0.0))]
+        loop = [Edge(5, 5, kind, 1.0)]
+        with pytest.raises(ShapeMismatch, match="self-loop on node 5"):
+            graph_from_objects(nodes, loop if kind == SPATIAL else [], loop if kind == SPATIOTEMPORAL else [])
+
     def test_integer_centroids_are_written_as_floats(self):
         g = graph_from_objects([Node(0, 0, 1, (0, 3))], [], [])
         assert b'"centroid": [\n    0.0,\n    3.0\n   ]' in export_graph(g, "json")
