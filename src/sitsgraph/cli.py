@@ -39,13 +39,6 @@ class UsageError(Exception):
     """A bad flag combination or config value that argparse cannot see; exit code 2."""
 
 
-def _threads(args) -> int:
-    # serial by default: per-date felzenszwalb, the default algorithm, is
-    # interpreter-bound and gains nothing from threads; slic spends its time
-    # in NumPy and does gain from them
-    return args.threads or 1
-
-
 def _pin_malloc_thresholds() -> None:
     """Fix glibc's mmap and trim thresholds for this process.
 
@@ -187,7 +180,7 @@ def cmd_segment(args):
     else:
         params = {"n_segments": args.segments, "compactness": args.compactness, "iters": args.iters}
     bands = args.bands.split(",") if args.bands else None
-    seg = segmentation.segment_cube(cube, args.algo, params, band_subset=bands, threads=_threads(args))
+    seg = segmentation.segment_cube(cube, args.algo, params, band_subset=bands, threads=args.threads)
     segmentation.save_seg(seg, args.out)
     return f"segmented {seg.shape[0]} dates; objects per date: {seg.counts}", {}
 
@@ -425,7 +418,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def common(p):
         p.add_argument("--config", help="JSON file with parameter defaults (unknown keys rejected)")
-        p.add_argument("--threads", type=_count, default=None, help="per-date worker threads for segment (default 1, serial)")
+        p.add_argument("--threads", type=_count, default=None, help=(
+            "per-date worker processes for segment (default: the usable CPUs, capped at the"
+            f" dates; serial below {segmentation.POOL_MIN_PIXELS} pixels per date)"
+        ))
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")

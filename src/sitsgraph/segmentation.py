@@ -14,15 +14,16 @@ exact whatever the scatter order.
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .datacube import SitsCube, load_labels, save_labels
-from .errors import EmptyImage, InvalidSegmentCount, MissingFile, ShapeMismatch
+from .errors import EmptyImage, InvalidSegmentCount, MissingFile, ShapeMismatch, SitsGraphError
 from .nearest import k_nearest
 
 
@@ -130,6 +131,20 @@ def _grid_edges_8(image: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return src, dst, weight
 
 
+# edges converted to Python scalars at a time by the union-find loops, so a
+# date holds three lists of this length rather than three of all its edges
+_EDGE_CHUNK = 1 << 16
+
+
+def _edge_rows(*columns: np.ndarray):
+    """The rows of equally long 1-D arrays as tuples of Python scalars,
+    converting ``_EDGE_CHUNK`` rows at a time."""
+    return itertools.chain.from_iterable(
+        zip(*(col[i : i + _EDGE_CHUNK].tolist() for col in columns))
+        for i in range(0, len(columns[0]), _EDGE_CHUNK)
+    )
+
+
 def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarray:
     """Segment one (C, H, W) image; returns a 0-based int32 (H, W) partition."""
     image = np.asarray(image, dtype=np.float64)
@@ -154,7 +169,7 @@ def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarr
     parent = list(range(h * w))
     size = [1] * (h * w)
     thr = [scale] * (h * w)
-    for a, b, wt in zip(src.tolist(), dst.tolist(), weight.tolist()):
+    for a, b, wt in _edge_rows(src, dst, weight):
         while parent[a] != a:  # find with path halving
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -175,7 +190,7 @@ def felzenszwalb(image: np.ndarray, scale: float, min_size: int = 1) -> np.ndarr
         roots = _roots(parent)
         big = np.asarray(size)[roots] >= min_size
         live = (roots[src] != roots[dst]) & ~(big[src] & big[dst])
-        for a, b in zip(src[live].tolist(), dst[live].tolist()):
+        for a, b in _edge_rows(src[live], dst[live]):
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -429,43 +444,79 @@ def _enforce_connectivity(labels: np.ndarray, centers_rc: np.ndarray) -> np.ndar
     return frag_label[comp]
 
 
+# Dates with fewer pixels than this run serially whatever the worker count:
+# below it, forking and reaping the workers costs more than running dates
+# side by side saves (see README, CLI)
+POOL_MIN_PIXELS = 128 * 128
+
+
+def date_workers(threads: int | None, dates: int, pixels: int) -> int:
+    """Worker processes ``segment_cube`` runs ``dates`` dates of ``pixels``
+    pixels each on: ``threads``, or by default the CPUs this process may run
+    on, capped at ``dates``; 1, the serial path, below ``POOL_MIN_PIXELS``."""
+    if pixels < POOL_MIN_PIXELS:
+        return 1
+    return min(threads or len(os.sched_getaffinity(0)), dates)
+
+
+def _segment_date(job: tuple[np.ndarray, str, dict]) -> np.ndarray:
+    """Labels of one date: the one per-date step of ``segment_cube``, run by
+    the serial loop and by every worker process alike."""
+    frame, algo, params = job
+    if algo == "felzenszwalb":
+        return felzenszwalb(frame, scale=float(params["scale"]), min_size=int(params.get("min_size", 1)))
+    return slic(
+        frame,
+        n_segments=int(params["n_segments"]),
+        compactness=float(params["compactness"]),
+        iters=int(params.get("iters", 10)),
+    )
+
+
 def segment_cube(
     cube: SitsCube,
     algo: str,
     params: dict,
     band_subset: list[str] | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> SegStack:
     """Segment every date independently and offset ids to be globally unique.
     Missing samples reach ``slic`` and ``felzenszwalb`` as NaN
-    (``cube.masked_values()``)."""
+    (``cube.masked_values()``).
+
+    Dates run side by side in ``date_workers(threads, ...)`` processes forked
+    from this one, each of which receives its dates' frames and returns
+    their labels; the result does not depend on the worker count. An error
+    raised in a worker is raised here with its own type and message."""
     t, c, h, w = cube.shape
+    if algo not in ("felzenszwalb", "slic"):
+        raise ShapeMismatch(f"unknown segmentation algorithm {algo!r}")
     if band_subset:
         idx = [cube.band_index(b) for b in band_subset]
     else:
         idx = list(range(c))
     values = cube.masked_values()
-    frames = [values[k][idx] for k in range(t)]
+    jobs = [(values[k][idx], algo, params) for k in range(t)]
 
-    if algo == "felzenszwalb":
-        def run(frame):
-            return felzenszwalb(frame, scale=float(params["scale"]), min_size=int(params.get("min_size", 1)))
-    elif algo == "slic":
-        def run(frame):
-            return slic(
-                frame,
-                n_segments=int(params["n_segments"]),
-                compactness=float(params["compactness"]),
-                iters=int(params.get("iters", 10)),
-            )
-    else:
-        raise ShapeMismatch(f"unknown segmentation algorithm {algo!r}")
+    workers = date_workers(threads, t, h * w)
+    if workers > 1:
+        # imported here: they cost every CLI process about 8 ms at start-up.
+        # fork, not spawn: a spawned worker imports NumPy and the package
+        # afresh, about 90 ms, most of what a worker saves on a 192² cube;
+        # the pool forks all its workers before it starts a thread of its
+        # own, and OpenBLAS, whose threads are the only others, stops them
+        # around a fork
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_date = list(pool.map(run, frames))
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                per_date = list(pool.map(_segment_date, jobs))
+        except BrokenProcessPool as e:
+            raise SitsGraphError(f"a segment worker process ended abruptly: {e}") from None
     else:
-        per_date = [run(f) for f in frames]
+        per_date = list(map(_segment_date, jobs))
 
     labels = np.empty((t, h, w), dtype=np.int32)
     counts = []

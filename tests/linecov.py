@@ -11,8 +11,9 @@ whose value says why the line may stay unrun. Entries match on text, not
 line numbers, so they survive edits elsewhere in the file.
 
 It sees only this process and the threads it starts: a CLI run in a
-subprocess is not traced, so a line that only such runs reach counts as
-unrun. Tracing adds about half to the suite's run time, which is why the
+subprocess is not traced, nor is a forked ``segment`` worker (the serial
+path runs the same per-date function here), so a line that only such runs
+reach counts as unrun. Tracing adds about half to the suite's run time, which is why the
 plugin is not part of the default run.
 """
 

@@ -11,10 +11,11 @@ import pytest
 
 from sitsgraph import cli, stgraph
 from sitsgraph.checkpoint import load_checkpoint, save_checkpoint
-from sitsgraph.cli import _threads, build_parser, main
+from sitsgraph.cli import build_parser, main
 from sitsgraph.datacube import SitsCube, ndwi, save_cube, save_labels, synth_seasonal
 from sitsgraph.forecast import ForecastConfig, Forecaster
 from sitsgraph.neural import ClassifierConfig, STClassifier
+from sitsgraph.segmentation import POOL_MIN_PIXELS, date_workers
 
 
 def _dir_bytes(path: Path) -> dict[str, bytes]:
@@ -725,11 +726,26 @@ def test_malloc_thresholds_leave_train_bytes_unchanged(tmp_path):
         assert (tmp_path / "pinned" / name).read_bytes() == (tmp_path / "stub" / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("flag, want", [([], 1), (["--threads", "3"], 3)])
-def test_threads_default_serial(flag, want):
+@pytest.mark.parametrize(
+    "flag, dates, pixels, want",
+    [
+        ([], 8, POOL_MIN_PIXELS, 5),
+        ([], 3, POOL_MIN_PIXELS, 3),
+        ([], 8, POOL_MIN_PIXELS - 1, 1),
+        (["--threads", "3"], 8, POOL_MIN_PIXELS, 3),
+        (["--threads", "3"], 1, POOL_MIN_PIXELS, 1),
+        (["--threads", "3"], 8, POOL_MIN_PIXELS - 1, 1),
+    ],
+    ids=[
+        "default-cpus", "default-capped-at-dates", "default-below-floor",
+        "threads-3", "threads-3-one-date", "threads-3-below-floor",
+    ],
+)
+def test_threads_default_rule(monkeypatch, flag, dates, pixels, want):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
     parser, _ = build_parser()
     args = parser.parse_args(["segment", "--cube", "c", "--out", "o", *flag])
-    assert _threads(args) == want
+    assert date_workers(args.threads, dates, pixels) == want
 
 
 @pytest.fixture(scope="module")

@@ -117,7 +117,7 @@ class TestPosEncoding:
         lon=st.floats(-180, 180),
         doy=st.floats(0, 0.999),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, derandomize=True, deadline=None)
     def test_bounded(self, lat, lon, doy):
         enc = pos_encoding(PixelGeo(0, 0, lat=lat, lon=lon, doy=doy))
         assert np.all(np.abs(enc) <= 1.0 + 1e-12)

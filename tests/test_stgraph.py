@@ -666,7 +666,7 @@ def _edge_key(e):
 
 class TestMatchesPerObjectOracles:
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     def test_columns_and_bytes(self, seed):
         nodes, spatial, temporal, features, meta = _random_graph_parts(np.random.default_rng(seed))
         g = graph_from_objects(nodes, spatial, temporal, features=features, meta=meta)
@@ -684,7 +684,7 @@ class TestMatchesPerObjectOracles:
         assert list(map(_edge_key, graph_objects(back).edges_st)) == list(map(_edge_key, o_st))
 
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, derandomize=True, deadline=None)
     def test_errors(self, seed):
         nodes, spatial, temporal, features, meta = _random_graph_parts(np.random.default_rng(seed), invalid=True)
 
@@ -699,7 +699,7 @@ class TestMatchesPerObjectOracles:
         assert outcome(lambda: graph_from_objects(nodes, spatial, temporal, features=features)) == expect
 
     @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, derandomize=True, deadline=None)
     def test_queries(self, seed):
         nodes, spatial, temporal, features, _ = _random_graph_parts(np.random.default_rng(seed))
         g = graph_from_objects(nodes, spatial, temporal, features=features)
