@@ -371,8 +371,14 @@ def synth_seasonal(
     seeds = np.stack([seed_flat // w, seed_flat % w], axis=1).astype(np.float64)
 
     # nearest seed, ties resolved to the lower blob index
+    pix = np.arange(h * w)
     blob_map = k_nearest(
-        np.arange(h * w), np.arange(n_blobs), 1, lambda a, b: (a // w - seeds[b, 0]) ** 2 + (a % w - seeds[b, 1]) ** 2
+        pix,
+        np.arange(n_blobs),
+        1,
+        lambda a, b: (a // w - seeds[b, 0]) ** 2 + (a % w - seeds[b, 1]) ** 2,
+        (np.indices((h, w), dtype=np.float64).reshape(2, -1).T, seeds),
+        np.square,
     )[1].reshape(h, w)
 
     blob_class = (np.arange(n_blobs) % len(CLASS_NAMES)).astype(np.int32)

@@ -102,7 +102,12 @@ def build_mesh(
     # decoder: 3 nearest centroids -> pixel (ties by lower region id), by the
     # squared (d_row, d_col) summed as two terms, without a (pixels, M, 2) array
     m2g_dst, m2g_src, _ = k_nearest(
-        g2m_src, np.arange(m), 3, lambda a, b: (pix_pos[a, 0] - centroids[b, 0]) ** 2 + (pix_pos[a, 1] - centroids[b, 1]) ** 2
+        g2m_src,
+        np.arange(m),
+        3,
+        lambda a, b: (pix_pos[a, 0] - centroids[b, 0]) ** 2 + (pix_pos[a, 1] - centroids[b, 1]) ** 2,
+        (pix_pos, centroids),
+        np.square,
     )
     m2g_feat = (pix_pos[m2g_dst] - centroids[m2g_src]) / scale
 

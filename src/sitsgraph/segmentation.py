@@ -327,7 +327,11 @@ def slic(
         unassigned = labels_flat == no_center
         if unassigned.any():
             up = np.nonzero(unassigned)[0]
-            labels_flat[up] = k_nearest(up, np.arange(n_centers), 1, d2u)[1]
+            # a pixel with a channel that is not finite is NaN from every
+            # center, so its point is NaN too and it scores them all at once
+            pix = np.stack(np.divmod(np.arange(h * w), w), axis=1).astype(np.float64)
+            pix[~finite.all(axis=1)] = np.nan
+            labels_flat[up] = k_nearest(up, np.arange(n_centers), 1, d2u, (pix, centers_rc), lambda g: ratio2 * g * g)[1]
 
         counts, rsum, csum = region_moments(labels, n_centers)
         nonzero = counts > 0

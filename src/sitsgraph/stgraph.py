@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
 from .features import FeatureMatrix, geom_features
-from .nearest import k_nearest, row_blocks
+from .nearest import k_nearest, pairs_within
 from .segmentation import SegStack, label_pairs, region_adjacency
 
 SPATIAL = "S"
@@ -219,11 +219,7 @@ def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
     parts = []
     for t in np.unique(dates):
         members = np.nonzero(dates == t)[0]
-        for rows in row_blocks(members, len(members)):
-            d = _centroid_distance(cent, rows[:, None], members[None, :])
-            hit = (d <= eps) & (members[None, :] > rows[:, None])
-            r, c = np.nonzero(hit)
-            parts.append(EdgeColumns(rows[r], members[c], d[r, c]))
+        parts.append(EdgeColumns(*pairs_within(members, eps, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))))
     a, b, dist = _joined(parts)
     a, b, dist = _canonical(a, b, dist, a > b, len(ids))
     return _edge_columns(ids[a], ids[b], dist)
@@ -237,7 +233,7 @@ def knn_edges(g: StGraph, k: int) -> EdgeColumns:
         members = np.nonzero(dates == t)[0]
         if k < 1 or k >= len(members):
             raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(members)}")
-        parts.append(EdgeColumns(*k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b))))
+        parts.append(EdgeColumns(*k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))))
     a, b, dist = _joined(parts)
     a, b, dist = _canonical(a, b, dist, a > b, len(ids))
     return _edge_columns(ids[a], ids[b], dist)
@@ -267,11 +263,18 @@ def similarity_edges(
         diff = v[b] - v[a]
         return np.sqrt(np.square(diff, out=diff).sum(axis=-1))
 
+    # the first two features (a band's mean and standard deviation) bound the
+    # distance from below and prune more candidates than any other two; a row
+    # with a feature that is not finite scores every candidate at once, as a
+    # NaN feature leaves it no distance to bound
+    xy = np.zeros((v.shape[0], 2))
+    xy[:, : min(2, v.shape[1])] = v[:, :2]
+    xy[~np.isfinite(v).all(axis=1)] = np.nan
     parts = []
     for t in np.unique(node_dates):
         members = np.nonzero(node_dates == t)[0]
         cands = None if scope == "within-date" else np.nonzero(node_dates != t)[0]
-        parts.append(EdgeColumns(*k_nearest(members, cands, k, feature_distance)))
+        parts.append(EdgeColumns(*k_nearest(members, cands, k, feature_distance, (xy, xy))))
     a, b, dist = _joined(parts)
     flip = a > b if scope == "within-date" else node_dates[a] > node_dates[b]
     a, b, dist = _canonical(a, b, dist, flip, v.shape[0])

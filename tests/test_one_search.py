@@ -1,7 +1,7 @@
 """The package has one nearest-neighbour search: no module calls
-``argmin``, and only ``nearest.py`` names the k-smallest pick, so every
-nearest pick goes through ``nearest.k_nearest`` and its tie, NaN and
-memory rules."""
+``argmin``, and only ``nearest.py`` names the k-smallest pick and the
+distance blocks, so every nearest pick and radius query goes through
+``nearest`` and its tie, NaN and memory rules."""
 
 import ast
 from pathlib import Path
@@ -37,3 +37,7 @@ def test_no_module_calls_argmin():
 
 def test_only_nearest_names_smallest_k():
     assert _modules_naming({"smallest_k"}) == ["nearest.py"]
+
+
+def test_only_nearest_splits_distance_blocks():
+    assert _modules_naming({"row_blocks", "_row_blocks"}) == ["nearest.py"]

@@ -130,6 +130,17 @@ class TestProximity:
         edges = eps_ball_edges(nodes, eps=5.0)
         assert _pairs(edges) == [(0, 1)]
 
+    @pytest.mark.parametrize("eps", [1.0, float(np.hypot(1.0, 1.0)), 2.0, float(np.hypot(1.0, 2.0)), 3.0])
+    def test_eps_on_a_lattice_keeps_pairs_at_exactly_eps(self, eps):
+        # 18 x 18 integer centroids and one duplicate are more pairs than one
+        # distance block, so the radius search runs on a grid of cells, and
+        # many pairs lie exactly eps apart
+        cents = {i: (float(i // 18), float(i % 18)) for i in range(18 * 18)}
+        cents[18 * 18] = (5.0, 5.0)
+        edges = eps_ball_edges(_nodes_at(cents), eps=eps)
+        assert edge_map(edges) == brute_eps_ball(cents, eps)
+        assert eps in edges.weight.tolist()
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
     def test_eps_not_above_zero_raises(self, eps):
         with pytest.raises(ShapeMismatch, match="eps must be > 0"):
