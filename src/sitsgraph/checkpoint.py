@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatch, MissingFile, ShapeMismatch
+from .errors import ConfigMismatch, ShapeMismatch, int_column, json_object, number_column, read_file
 
 
 def save_checkpoint(path: str | Path, header: dict, params: list[np.ndarray]) -> None:
@@ -30,27 +30,18 @@ def save_checkpoint(path: str | Path, header: dict, params: list[np.ndarray]) ->
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"missing checkpoint {path}")
-    raw = path.read_bytes()
+    raw = read_file(path, "checkpoint")
     if len(raw) < 4:
         raise ShapeMismatch(f"checkpoint {path} holds {len(raw)} bytes, shorter than its 4-byte header length")
     (hlen,) = struct.unpack("<I", raw[:4])
     if 4 + hlen > len(raw):
         raise ShapeMismatch(f"checkpoint {path} declares a {hlen}-byte header but holds {len(raw) - 4} bytes after it")
-    try:
-        header = json.loads(raw[4 : 4 + hlen])
-    except UnicodeDecodeError as e:
-        raise ShapeMismatch(f"checkpoint {path} header is not UTF-8 text: {e}") from None
-    if not isinstance(header, dict) or not isinstance(header.get("shapes"), list):
-        raise ShapeMismatch(f"checkpoint {path} header carries no parameter shapes")
+    header = json_object(raw[4 : 4 + hlen], f"checkpoint {path} header", ShapeMismatch, {"shapes": list})
     shapes = []
     for i, s in enumerate(header["shapes"]):
-        if not isinstance(s, list) or not all(type(d) is int and d >= 0 for d in s):
-            raise ShapeMismatch(
-                f"checkpoint {path} parameter {i} has shape {s!r}, not a list of non-negative integers"
-            )
+        what = f"checkpoint {path} parameter {i} has shape {s!r}"
+        if not isinstance(s, list) or (int_column(s, f"{what}; a dimension", ShapeMismatch) < 0).any():
+            raise ShapeMismatch(f"{what}, not a list of non-negative integers")
         shapes.append(tuple(s))
     expected = sum(math.prod(s) * 4 for s in shapes)
     blob = raw[4 + hlen :]
@@ -68,15 +59,11 @@ def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:
     return header, params
 
 
-# the JSON values each config field type accepts: a number without a fraction
-# is a valid float, a bool is no number
-_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
-
-
 def config_from_dict(cls, config: dict):
     """Rebuild the config dataclass ``cls`` from a checkpoint header's
     ``config``, which must hold exactly the dataclass's fields, each with a
-    value of the field's type."""
+    value of the field's type: an ``int`` field takes a JSON integer, a
+    ``float`` field any JSON number, a ``str`` field a string."""
     fields = {f.name for f in dataclasses.fields(cls)}
     if not isinstance(config, dict):
         raise ConfigMismatch(f"checkpoint config is not a JSON object: {config!r}")
@@ -86,7 +73,11 @@ def config_from_dict(cls, config: dict):
         raise ConfigMismatch(f"checkpoint config for {cls.__name__}: unknown keys {unknown}, missing keys {missing}")
     hints = typing.get_type_hints(cls)
     for name, value in config.items():
-        kind = hints[name]
-        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise ConfigMismatch(f"checkpoint config for {cls.__name__}: {name} = {value!r} is not {kind.__name__}")
+        what = f"checkpoint config for {cls.__name__}: {name} = {value!r}"
+        if hints[name] is int:
+            int_column([value], what, ConfigMismatch)
+        elif hints[name] is float:
+            number_column([value], what, ConfigMismatch)
+        elif not isinstance(value, str):
+            raise ConfigMismatch(f"{what} must be a string")
     return cls(**config)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, analysis, datacube, features, metrics, segmentation, stgraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError
+from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError, int_column, json_object, read_file
 from .forecast import ForecastConfig, make_site_splits, train_forecaster
 from .forecast.model import MESH_SOURCES
 from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_next_frame
@@ -80,7 +80,7 @@ def _write(out: Path, files: dict) -> None:
 
 
 def _load_graph(path: str) -> stgraph.StGraph:
-    return stgraph.import_graph(Path(path).read_bytes())
+    return stgraph.import_graph(read_file(path, "--graph"), f"{path}: graph document")
 
 
 def _load_labels(cube_dir: str, cube: datacube.SitsCube) -> np.ndarray:
@@ -221,9 +221,11 @@ def cmd_build_graph(args):
 
 def cmd_stats(args):
     g = _load_graph(args.graph)
-    cube_shape = tuple(g.meta.get("cube_shape") or [])
     if args.cube:
         cube_shape = datacube.load_cube(args.cube).shape
+    else:
+        shape = g.meta.get("cube_shape") or []
+        cube_shape = tuple(int_column(shape, f"{args.graph} meta 'cube_shape'", ShapeMismatch).tolist())
     if len(cube_shape) != 4:
         raise SitsGraphError("cube shape unknown; pass --cube")
     f_v = g.features.dim if g.features is not None else 0
@@ -331,8 +333,13 @@ def cmd_eval(args):
         row += [f"{report['miou']:.6f}", f"{report['oa']:.6f}"]
         files["per_class_iou.csv"] = ",".join(header) + "\n" + ",".join(row) + "\n"
     else:
-        pred = np.fromfile(args.pred, dtype="<f4")
-        target = np.fromfile(args.target, dtype="<f4")
+        frames = []
+        for flag, path in (("--pred", args.pred), ("--target", args.target)):
+            raw = read_file(path, flag)
+            if len(raw) % 4:
+                raise ShapeMismatch(f"{flag} {path} holds {len(raw)} bytes, not a whole number of float32 values")
+            frames.append(np.frombuffer(raw, dtype="<f4"))
+        pred, target = frames
         rows = int(np.sqrt(pred.size)) if args.height is None else args.height
         if rows < 1 or pred.size % rows or target.size != pred.size:
             raise ShapeMismatch(f"cannot form frames of {rows} rows from {pred.size} --pred and {target.size} --target floats")
@@ -642,13 +649,7 @@ def _preload_config(parser, registry, argv: list[str]) -> dict:
         early = True  # ``--config`` with its file in the next token
     if early:
         parser.error("--config goes after the subcommand, as in: sitsgraph synth --config FILE")
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise InvalidSpec(f"--config {path} is not UTF-8 text: {e}") from None
-    cfg = json.loads(text)
-    if not isinstance(cfg, dict):
-        parser.error(f"--config {path} must hold a JSON object")
+    cfg = json_object(read_file(path, "--config"), f"--config {path}", InvalidSpec, {})
     positionals = [tok for tok in argv if not tok.startswith("-")]
     key = tuple(positionals[:2]) if positionals[:1] == ["forecast"] else tuple(positionals[:1])
     sp = registry.get(key)
@@ -686,7 +687,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except UsageError as e:
         parser.error(str(e))
-    except (SitsGraphError, OSError, json.JSONDecodeError) as e:
+    except (SitsGraphError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

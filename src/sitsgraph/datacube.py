@@ -21,10 +21,13 @@ import numpy as np
 from .errors import (
     InvalidCube,
     InvalidSpec,
-    MissingFile,
     NonMonotonicTimestamps,
     ShapeMismatch,
     UnknownBand,
+    int_column,
+    json_object,
+    number_column,
+    read_file,
 )
 from .nearest import k_nearest
 
@@ -158,7 +161,7 @@ def day_of_year_fraction(timestamp: str) -> float:
 # ---------------------------------------------------------------------------
 # directory layout
 
-_META_KEYS = ("T", "C", "H", "W", "bands", "timestamps", "geo")
+_META_FIELDS = {"T": object, "C": object, "H": object, "W": object, "bands": object, "timestamps": object, "geo": dict}
 _GEO_KEYS = ("lat0", "lat1", "lon0", "lon1")
 
 
@@ -166,50 +169,33 @@ def load_cube(path: str | Path) -> SitsCube:
     """Load ``meta.json`` + ``cube.bin`` from a directory."""
     path = Path(path)
     meta_path = path / "meta.json"
-    bin_path = path / "cube.bin"
-    if not meta_path.is_file():
-        raise MissingFile(f"missing {meta_path}")
-    if not bin_path.is_file():
-        raise MissingFile(f"missing {bin_path}")
-    try:
-        meta = json.loads(meta_path.read_bytes())
-    except UnicodeDecodeError as e:
-        raise InvalidCube(f"{meta_path} is not UTF-8 text: {e}") from None
-    if not isinstance(meta, dict):
-        raise InvalidCube(f"{meta_path} must hold a JSON object")
-    missing = [k for k in _META_KEYS if k not in meta]
-    geo_meta = meta["geo"] if isinstance(meta.get("geo"), dict) else {}
-    missing += [f"geo.{k}" for k in _GEO_KEYS if k not in geo_meta]
-    if missing:
-        raise InvalidCube(f"{meta_path} lacks required key(s) {missing}")
-
-    def number(key: str, value, kind):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidCube(f"{meta_path} key {key!r} is not a number: {value!r}") from None
-
-    t, c, h, w = (number(k, meta[k], int) for k in ("T", "C", "H", "W"))
+    meta = json_object(read_file(meta_path, "cube meta"), str(meta_path), InvalidCube, _META_FIELDS)
+    for k in _GEO_KEYS:
+        if k not in meta["geo"]:
+            raise InvalidCube(f"{meta_path} has no 'geo.{k}'")
+    t, c, h, w = (int_column([meta[k]], f"{meta_path} key {k!r}", InvalidCube).item() for k in ("T", "C", "H", "W"))
     if min(t, c, h, w) < 1:
         raise InvalidCube(f"{meta_path} declares a cube of shape {(t, c, h, w)}; every dimension must be >= 1")
     for key in ("timestamps", "bands"):
         if not isinstance(meta[key], list) or not all(isinstance(v, str) for v in meta[key]):
             raise InvalidCube(f"{meta_path} key {key!r} must be a list of strings")
     if meta.get("dtype", "f32") != "f32":
-        raise ShapeMismatch(f"unsupported dtype {meta.get('dtype')!r}")
-    blob = bin_path.read_bytes()
+        raise InvalidCube(f"{meta_path} declares unsupported dtype {meta.get('dtype')!r}")
+    geo = GeoBounds(**{k: number_column([meta["geo"][k]], f"{meta_path} key 'geo.{k}'", InvalidCube).item() for k in _GEO_KEYS})
+    nodata = meta.get("nodata")
+    if nodata is not None:
+        nodata = number_column([nodata], f"{meta_path} key 'nodata'", InvalidCube).item()
+    blob = read_file(path / "cube.bin", "cube data")
     expected = 4 * t * c * h * w
     if len(blob) != expected:
         raise ShapeMismatch(f"cube.bin holds {len(blob)} bytes, expected {expected}")
     values = np.frombuffer(blob, dtype="<f4").reshape(t, c, h, w).copy()
-    geo = GeoBounds(**{k: number(f"geo.{k}", meta["geo"][k], float) for k in _GEO_KEYS})
-    nodata = meta.get("nodata")
     cube = SitsCube(
         values=values,
         timestamps=list(meta["timestamps"]),
         bands=list(meta["bands"]),
         geo=geo,
-        nodata=None if nodata is None else number("nodata", nodata, float),
+        nodata=nodata,
     )
     cube.values.setflags(write=False)  # loaded cubes are shared read-only
     return cube
@@ -253,9 +239,7 @@ def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") 
     frames = []
     for k in range(t):
         f = path / f"{stem}_t{k}.bin"
-        if not f.is_file():
-            raise MissingFile(f"missing {f}")
-        blob = f.read_bytes()
+        blob = read_file(f, f"{stem} map")
         if len(blob) != 4 * h * w:
             raise ShapeMismatch(f"{f} holds {len(blob)} bytes, expected {4 * h * w}")
         frames.append(np.frombuffer(blob, dtype="<i4").reshape(h, w))

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..checkpoint import config_from_dict
-from ..errors import ConfigMismatch, DimMismatch, NoData, NoLabels
+from ..errors import ConfigMismatch, DimMismatch, NoData, NoLabels, int_column
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from . import autograd as ag
@@ -235,6 +235,6 @@ def train_classifier(
 def classifier_from_checkpoint(checkpoint: dict) -> STClassifier:
     cfg = config_from_dict(ClassifierConfig, checkpoint.get("config"))
     in_dim = checkpoint.get("in_dim")
-    if not isinstance(in_dim, int) or in_dim < 1:
+    if int_column([in_dim], "classifier checkpoint in_dim", ConfigMismatch)[0] < 1:
         raise ConfigMismatch(f"classifier checkpoint needs a positive integer in_dim, got {in_dim!r}")
     return STClassifier(cfg, in_dim, checkpoint["state"])

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .datacube import SitsCube, load_labels, save_labels
-from .errors import EmptyImage, InvalidSegmentCount, MissingFile, ShapeMismatch, SitsGraphError
+from .errors import EmptyImage, InvalidSegmentCount, ShapeMismatch, SitsGraphError, int_column, json_object, read_file
 from .nearest import k_nearest
 
 
@@ -559,22 +559,10 @@ def load_seg(path: str | Path) -> SegStack:
     range its count gives, ``[offset, offset + count)``."""
     path = Path(path)
     meta_path = path / "seg_meta.json"
-    if not meta_path.is_file():
-        raise MissingFile(f"missing {meta_path}")
-    try:
-        meta = json.loads(meta_path.read_bytes())
-    except UnicodeDecodeError as e:
-        raise ShapeMismatch(f"{meta_path} is not UTF-8 text: {e}") from None
-    if not isinstance(meta, dict):
-        raise ShapeMismatch(f"{meta_path} must hold a JSON object")
-    missing = [k for k in ("T", "H", "W", "counts") if k not in meta]
-    if missing:
-        raise ShapeMismatch(f"{meta_path} lacks required key(s) {missing}")
-    try:
-        t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-        counts = [int(x) for x in meta["counts"]]
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ShapeMismatch(f"{meta_path}: T, H, W and counts must be integers ({e})") from None
+    fields = {"T": object, "H": object, "W": object, "counts": object}
+    meta = json_object(read_file(meta_path, "seg meta"), str(meta_path), ShapeMismatch, fields)
+    t, h, w = (int_column([meta[k]], f"{meta_path} key {k!r}", ShapeMismatch).item() for k in ("T", "H", "W"))
+    counts = int_column(meta["counts"], f"{meta_path} key 'counts'", ShapeMismatch).tolist()
     if min(t, h, w) < 1:
         raise ShapeMismatch(f"{meta_path} declares T={t}, H={h}, W={w}; each must be >= 1")
     if len(counts) != t:

@@ -24,6 +24,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
+from .errors import int_column, json_object, number_column
 from .features import FeatureMatrix, geom_features
 from .nearest import k_nearest, pairs_within
 from .segmentation import SegStack, label_pairs, region_adjacency
@@ -78,7 +79,7 @@ class StGraph:
             i = empty[0]
             raise ShapeMismatch(f"node {int(ids[i])} has pixel_count {int(self.pixel_count[i])}; need at least 1")
         self.centroid = _frozen(centroid[order])
-        _ints([v for v in labels if v is not None], "node 'label'")
+        int_column([v for v in labels if v is not None], "node 'label'", ShapeMismatch)
         self.labels = tuple(None if labels[i] is None else int(labels[i]) for i in order.tolist())
         self.features = features
         self.meta = dict(meta or {})
@@ -530,58 +531,41 @@ def _to_json(g: StGraph) -> str:
     )
 
 
-def import_graph(blob: bytes | str) -> StGraph:
-    """The graph of a canonical JSON document; anything else raises
-    ``ShapeMismatch`` (``UnknownNode`` for an edge to a missing node)."""
-    try:
-        doc = json.loads(blob)
-    except UnicodeDecodeError as e:
-        raise ShapeMismatch(f"graph document is not UTF-8 text: {e}") from None
-    if not isinstance(doc, dict):
-        raise ShapeMismatch(f"graph document must be a JSON object, got {type(doc).__name__}")
-    nodes = _json_array(doc, "nodes")
-    edges = _json_array(doc, "edges")
+def import_graph(blob: bytes | str, source: str = "graph document") -> StGraph:
+    """The graph of a canonical JSON document, called ``source`` in errors;
+    anything else raises ``ShapeMismatch`` (``UnknownNode`` for an edge to a
+    missing node)."""
+    doc = json_object(blob, source, ShapeMismatch, {"nodes": list, "edges": list})
+    nodes, edges = doc["nodes"], doc["edges"]
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise ShapeMismatch(f"graph 'meta' must be an object, got {type(meta).__name__}")
     ids, t, px, cent = _json_columns(nodes, ("id", "t", "pixel_count", "centroid"), "node")
-    ids, t, px = (_ints(v, f"node {k!r}") for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
-    try:
-        centroid = np.array([(c[0], c[1]) for c in cent], dtype=np.float64).reshape(len(cent), 2)
-    except (TypeError, ValueError, KeyError, IndexError, OverflowError) as e:
-        raise ShapeMismatch(f"graph node centroid is malformed: {e}") from None
+    ids, t, px = (int_column(v, f"node {k!r}", ShapeMismatch) for k, v in (("id", ids), ("t", t), ("pixel_count", px)))
+    if not (set(map(type, cent)) <= {list} and set(map(len, cent)) <= {2}):
+        bad = next(c for c in cent if type(c) is not list or len(c) != 2)
+        raise ShapeMismatch(f"node 'centroid' must be a list of two numbers, got {bad!r}")
+    centroid = number_column(list(chain.from_iterable(cent)), "node 'centroid'", ShapeMismatch).reshape(len(cent), 2)
     labels = [n.get("label") for n in nodes]
 
     src, dst, kind, w = _json_columns(edges, ("src", "dst", "kind", "w"), "edge")
-    src, dst = _ints(src, "edge 'src'"), _ints(dst, "edge 'dst'")
+    src, dst = int_column(src, "edge 'src'", ShapeMismatch), int_column(dst, "edge 'dst'", ShapeMismatch)
     bad = [k for k in kind if k not in (SPATIAL, SPATIOTEMPORAL)]
     if bad:
         raise ShapeMismatch(f"edge kind must be 'S' or 'ST', got {bad[0]!r}")
-    if not set(map(type, w)) <= {int, float}:
-        bad = next(v for v in w if type(v) not in (int, float))
-        raise ShapeMismatch(f"edge 'w' must be a number, got {bad!r}")
-    try:
-        w = np.array(w, dtype=np.float64)
-    except OverflowError:
-        raise ShapeMismatch("edge 'w' does not fit a float") from None
+    w = number_column(w, "edge 'w'", ShapeMismatch)
     is_s = np.array([k == SPATIAL for k in kind], dtype=bool)
 
     features = None
     rows = [n.get("features") for n in nodes]
     if all(r is not None for r in rows) and rows:
-        if not (
-            set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= {int, float}
-            and len(set(map(len, rows))) == 1
-        ):
+        if not (set(map(type, rows)) <= {list} and len(set(map(len, rows))) == 1):
             raise ShapeMismatch("graph node features must be equal-length lists of numbers")
-        try:
-            values = np.array(rows, dtype=np.float64)
-        except OverflowError:
-            raise ShapeMismatch("graph node feature does not fit a float") from None
+        values = number_column(list(chain.from_iterable(rows)), "node 'features'", ShapeMismatch)
+        values = values.reshape(len(rows), len(rows[0]))
         names = meta.get("feature_names", [f"f{i}" for i in range(values.shape[1])])
-        if not isinstance(names, list):
-            raise ShapeMismatch("graph 'meta.feature_names' must be a list")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ShapeMismatch(f"graph 'meta.feature_names' must be a list of strings, got {names!r}")
         order = np.argsort(ids, kind="stable")
         features = FeatureMatrix(values=values[order], names=list(names))
     meta = {k: v for k, v in meta.items() if k != "feature_names"}
@@ -594,14 +578,6 @@ def import_graph(blob: bytes | str) -> StGraph:
     )
 
 
-def _json_array(doc: dict, key: str) -> list:
-    if key not in doc:
-        raise ShapeMismatch(f"graph document has no {key!r}")
-    if not isinstance(doc[key], list):
-        raise ShapeMismatch(f"graph {key!r} must be a list, got {type(doc[key]).__name__}")
-    return doc[key]
-
-
 def _json_columns(items: list, keys: tuple[str, ...], what: str) -> list[list]:
     """``keys`` of every object in ``items``, one list per key."""
     try:
@@ -610,18 +586,6 @@ def _json_columns(items: list, keys: tuple[str, ...], what: str) -> list[list]:
         raise ShapeMismatch(f"graph {what} without {e}") from None
     except TypeError:
         raise ShapeMismatch(f"graph {what}s must be JSON objects") from None
-
-
-def _ints(values: list, what: str) -> np.ndarray:
-    """``values`` as int64, each a Python or NumPy integer (no bool)."""
-    types = set(map(type, values))
-    if bool in types or not all(issubclass(t, (int, np.integer)) for t in types):
-        bad = next(v for v in values if type(v) is bool or not isinstance(v, (int, np.integer)))
-        raise ShapeMismatch(f"{what} must be an integer, got {bad!r}")
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise ShapeMismatch(f"{what} out of the 64-bit range") from None
 
 
 _GRAPHML_HEAD = (

@@ -52,6 +52,8 @@ def test_checkpoint_config_must_hold_exactly_the_config_fields(model, change):
         ("forecaster", "input_len", "x"),
         ("forecaster", "hidden", 64.0),
         ("forecaster", "compactness", None),
+        ("forecaster", "mesh_from", 0),
+        ("classifier", "conv", ["sage"]),
     ],
 )
 def test_checkpoint_config_values_must_have_the_field_types(model, key, value):

@@ -307,6 +307,23 @@ def _wrong_kind(tmp_path: Path) -> list[str]:
     return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
 
 
+def _overwrite(argv: list[str], path: Path, blob: bytes) -> list[str]:
+    """``argv``, after ``path`` is overwritten with ``blob``."""
+    path.write_bytes(blob)
+    return argv
+
+
+def _checkpoint_header(tmp_path: Path, head: bytes) -> list[str]:
+    """A forecast predict run on a checkpoint whose header is ``head`` and
+    whose blob is empty."""
+    (tmp_path / "c.bin").write_bytes(len(head).to_bytes(4, "little") + head)
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "c.bin"), "--cube", _cube(tmp_path), "--out", str(tmp_path / "p")]
+
+
+# JSON nested deeper than the decoder follows
+DEEP = b"[" * 200_000
+
+
 # (argv builder, exit code, text the error line must name)
 FAILURES = {
     "config_missing_file": (lambda tmp: ["synth", "--config", str(tmp / "absent.json"), "--out", str(tmp / "o")], 1, "absent.json"),
@@ -340,6 +357,9 @@ FAILURES = {
     "checkpoint_shape_not_integer": (lambda tmp: _checkpoint_shapes(tmp, [["a"]]), 1, "parameter 0 has shape ['a']"),
     "checkpoint_shape_negative": (lambda tmp: _checkpoint_shapes(tmp, [[2], [-1]]), 1, "parameter 1 has shape [-1]"),
     "checkpoint_shape_beyond_numpy": (lambda tmp: _checkpoint_shapes(tmp, [[0, 10**30]]), 1, "parameter 0 has shape"),
+    "checkpoint_shape_beyond_numpy_within_64_bits": (
+        lambda tmp: _checkpoint_shapes(tmp, [[0, 2**62]]), 1, "parameter 0 has shape [0, 4611686018427387904]: array is too big",
+    ),
     "classifier_checkpoint_hidden_edited": (
         lambda tmp: _classifier_checkpoint(tmp, lambda c, s: c.update(hidden=32)), 1, "array 0:",
     ),
@@ -428,13 +448,13 @@ FAILURES = {
     ),
     "meta_not_utf8": (lambda tmp: _not_utf8(_cube_meta(tmp, lambda m: None), tmp / "cube" / "meta.json"), 1, "is not UTF-8 text"),
     "meta_dims_negative": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=-4, C=-1)), 1, "every dimension must be >= 1"),
-    "meta_count_infinite": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "'T' is not a number"),
+    "meta_count_infinite": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "'T' must be an integer, got inf"),
     "seg_meta_not_utf8": (lambda tmp: _not_utf8(_seg_meta(tmp, lambda m: None), tmp / "seg" / "seg_meta.json"), 1, "is not UTF-8 text"),
     "seg_meta_not_an_object": (_seg_meta_not_an_object, 1, "must hold a JSON object"),
-    "seg_meta_count_infinite": (lambda tmp: _seg_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "must be integers"),
+    "seg_meta_count_infinite": (lambda tmp: _seg_meta(tmp, lambda m: m.update(T=float("inf"))), 1, "'T' must be an integer, got inf"),
     "seg_meta_size_negative": (lambda tmp: _seg_meta(tmp, lambda m: m.update(H=-8, W=-8)), 1, "each must be >= 1"),
     "seg_count_beyond_pixels": (
-        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 2**63)), 1, "objects at date 3, which has 64 pixels",
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 2**40)), 1, "objects at date 3, which has 64 pixels",
     ),
     "checkpoint_header_not_utf8": (_checkpoint_header_not_utf8, 1, "header is not UTF-8 text"),
     "config_not_utf8": (lambda tmp: _not_utf8(_config(tmp, "{}"), tmp / "cfg.json"), 1, "cfg.json is not UTF-8 text"),
@@ -528,9 +548,9 @@ FAILURES = {
     "graph_w_not_a_number": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(w="1.0")), 1, "edge 'w' must be a number, got '1.0'"),
     "graph_w_overflows": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(w=10**400)), 1, "edge 'w' does not fit a float"),
     "graph_feature_overflows": (
-        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(features=[10**400])), 1, "graph node feature does not fit a float",
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][0].update(features=[10**400])), 1, "node 'features' does not fit a float",
     ),
-    "config_not_an_object": (lambda tmp: _config(tmp, "[1, 2]"), 2, "cfg.json must hold a JSON object"),
+    "config_not_an_object": (lambda tmp: _config(tmp, "[1, 2]"), 1, "cfg.json must hold a JSON object"),
     "config_without_value": (
         lambda tmp: ["synth", "--seed", "1", "--out", str(tmp / "o"), "--config"], 2, "argument --config: expected one argument",
     ),
@@ -558,6 +578,70 @@ FAILURES = {
     "segment_slic_compactness_nan": (
         lambda tmp: ["segment", "--cube", _cube(tmp), "--algo", "slic", "--segments", "4", "--compactness", "nan", "--out", str(tmp / "seg")],
         1, "compactness must be > 0, got nan",
+    ),
+    "meta_malformed_json": (
+        lambda tmp: _overwrite(_cube_meta(tmp, lambda m: None), tmp / "cube" / "meta.json", b'{"T": 4,'), 1, "meta.json is not valid JSON",
+    ),
+    "seg_meta_malformed_json": (
+        lambda tmp: _overwrite(_seg_meta(tmp, lambda m: None), tmp / "seg" / "seg_meta.json", b'{"T": 4,'), 1, "seg_meta.json is not valid JSON",
+    ),
+    "graph_malformed_json": (
+        lambda tmp: _overwrite(_graph_doc(tmp, lambda d: None), tmp / "graph.json", b'{"nodes": ['), 1, "graph.json: graph document is not valid JSON",
+    ),
+    "checkpoint_header_malformed_json": (lambda tmp: _checkpoint_header(tmp, b'{"shapes": ['), 1, "c.bin header is not valid JSON"),
+    "meta_nested_too_deep": (
+        lambda tmp: _overwrite(_cube_meta(tmp, lambda m: None), tmp / "cube" / "meta.json", DEEP), 1, "meta.json nests too deep to read",
+    ),
+    "seg_meta_nested_too_deep": (
+        lambda tmp: _overwrite(_seg_meta(tmp, lambda m: None), tmp / "seg" / "seg_meta.json", DEEP), 1, "seg_meta.json nests too deep to read",
+    ),
+    "graph_nested_too_deep": (
+        lambda tmp: _overwrite(_graph_doc(tmp, lambda d: None), tmp / "graph.json", DEEP), 1, "graph.json: graph document nests too deep to read",
+    ),
+    "checkpoint_header_nested_too_deep": (lambda tmp: _checkpoint_header(tmp, DEEP), 1, "c.bin header nests too deep to read"),
+    "graph_integer_beyond_digit_limit": (
+        lambda tmp: _overwrite(_graph_doc(tmp, lambda d: None), tmp / "graph.json", b'{"nodes": [], "edges": [], "w": 1' + b"0" * 5000 + b"}"),
+        1, "graph.json: graph document is not valid JSON: Exceeds the limit (4300 digits)",
+    ),
+    "meta_T_fractional": (lambda tmp: _cube_meta(tmp, lambda m: m.update(T=4.9)), 1, "meta.json key 'T' must be an integer, got 4.9"),
+    "meta_C_boolean": (lambda tmp: _cube_meta(tmp, lambda m: m.update(C=True)), 1, "meta.json key 'C' must be an integer, got True"),
+    "meta_H_string": (lambda tmp: _cube_meta(tmp, lambda m: m.update(H="8")), 1, "meta.json key 'H' must be an integer, got '8'"),
+    "meta_W_float": (lambda tmp: _cube_meta(tmp, lambda m: m.update(W=8.0)), 1, "meta.json key 'W' must be an integer, got 8.0"),
+    "seg_meta_T_fractional": (
+        lambda tmp: _seg_meta(tmp, lambda m: m.update(T=4.2)), 1, "seg_meta.json key 'T' must be an integer, got 4.2",
+    ),
+    "seg_meta_count_fractional": (
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 0.4)), 1, "seg_meta.json key 'counts' must be an integer, got",
+    ),
+    "seg_count_beyond_64_bits": (
+        lambda tmp: _seg_meta(tmp, lambda m: m["counts"].append(m["counts"].pop() + 2**63)), 1, "key 'counts' out of the 64-bit range",
+    ),
+    "eval_forecast_trailing_bytes": (
+        lambda tmp: _overwrite(_eval_forecast(tmp, 1, 1), tmp / "pred.bin", bytes(5)), 1,
+        "pred.bin holds 5 bytes, not a whole number of float32 values",
+    ),
+    "graph_centroid_not_numbers": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(centroid=["1.5", True])), 1, "node 'centroid' must be a number, got '1.5'",
+    ),
+    "graph_cube_shape_not_a_list": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["meta"].update(cube_shape=5)), 1, "graph.json meta 'cube_shape' must be integers in a list, got int",
+    ),
+    "graph_cube_shape_not_integers": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["meta"].update(cube_shape=["4", 1, 8, 8])), 1,
+        "graph.json meta 'cube_shape' must be an integer, got '4'",
+    ),
+    "classifier_checkpoint_in_dim_boolean": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: None, in_dim=True), 1, "classifier checkpoint in_dim must be an integer, got True",
+    ),
+    "classifier_checkpoint_in_dim_zero": (
+        lambda tmp: _classifier_checkpoint(tmp, lambda c, s: None, in_dim=0), 1, "needs a positive integer in_dim, got 0",
+    ),
+    "graph_feature_names_not_strings": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["meta"].update(feature_names=[5])), 1, "'meta.feature_names' must be a list of strings, got [5]",
+    ),
+    "graph_centroid_three_entries": (
+        lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(centroid=[1.0, 2.0, 3.0])), 1,
+        "node 'centroid' must be a list of two numbers, got [1.0, 2.0, 3.0]",
     ),
 }
 

@@ -63,6 +63,13 @@ class TestLoadCube:
         with pytest.raises(MissingFile):
             load_cube(tmp_path)
 
+    def test_unsupported_dtype_is_an_invalid_cube(self, tmp_path):
+        _write_cube_dir(tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, "dtype": "f64"}))
+        with pytest.raises(InvalidCube, match="meta.json declares unsupported dtype 'f64'"):
+            load_cube(tmp_path)
+
     def test_roundtrip_is_byte_identical(self, tmp_path):
         (tmp_path / "a").mkdir()
         cube = load_cube(_write_cube_dir(tmp_path / "a"))

@@ -819,7 +819,7 @@ class TestImportGraphFuzz:
         blob = truncate(data, json.dumps(mutate(data, _fuzz_doc())).encode())
         try:
             g = import_graph(blob)
-        except (SitsGraphError, json.JSONDecodeError):
+        except SitsGraphError:
             return
         again = export_graph(g, "json")
         assert export_graph(import_graph(again), "json") == again
