@@ -364,13 +364,31 @@ class Relation:
     each edge's source row, ``dst`` scatters its message onto the target row.
     Both plans cover the same ``n`` rows and the same edges."""
 
-    __slots__ = ("src", "dst")
+    __slots__ = ("src", "dst", "_passes")
 
     def __init__(self, src: ScatterPlan, dst: ScatterPlan):
         if src.n != dst.n or src.size != dst.size:
             raise ShapeMismatch(f"src plan of {src.size} edges over {src.n} rows, dst plan of {dst.size} over {dst.n}")
         self.src = src
         self.dst = dst
+        self._passes = None
+
+    def passes(self) -> tuple[list, list]:
+        """``propagate``'s composed plans: each rank of the dst plan composed
+        with ``src.idx`` into (target rows, source rows, edge positions) for
+        the forward pass, and each rank of the src plan with ``dst.idx`` for
+        the backward pass, so a pass reads its rows straight from the node
+        array. They are composed once, on first use; a relation that only
+        gathers and scatters (the forecaster's) never holds them."""
+        if self._passes is None:
+            self._passes = (_compose(self.dst._ranks, self.src.idx), _compose(self.src._ranks, self.dst.idx))
+        return self._passes
+
+
+def _compose(ranks: list, idx: np.ndarray) -> list:
+    """(rows written, rows of ``idx`` read, edge positions) per rank of a
+    plan."""
+    return [(rows, _run(idx[edges]), edges) for rows, edges in ranks]
 
 
 def gather_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
@@ -394,6 +412,38 @@ def scatter_add_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
         x.accumulate(g[plan.idx])
 
     return _emit(out, backward)
+
+
+def propagate(x: Tensor, rel: Relation, coeff: np.ndarray | None = None) -> Tensor:
+    """out[j] = sum of x[src] over the edges of ``rel`` into j, in edge order,
+    each term times its edge's ``coeff`` when given: the bytes of
+    ``scatter_add_rows(gather_rows(x, rel.src), rel.dst)``, with
+    ``scale_rows`` by ``coeff`` between them, as one record with no per-edge
+    array. Each pass is one loop over the ranks of a composed plan
+    (``Relation.passes``) that adds the same terms in the same order."""
+    if rel.src.n != x.data.shape[0]:
+        raise ShapeMismatch(f"plan over {rel.src.n} rows used for {x.data.shape[0]}")
+    if coeff is not None:
+        coeff = np.asarray(coeff, dtype=x.data.dtype).reshape(-1, 1)
+        if coeff.shape[0] != rel.src.size:
+            raise ShapeMismatch(f"{coeff.shape[0]} coefficients for {rel.src.size} edges")
+    push, pull = rel.passes()
+    out = Tensor(_pass(push, x.data, coeff), requires_grad=x.requires_grad)
+
+    def backward(g):
+        x.accumulate(_pass(pull, g, coeff))
+
+    return _emit(out, backward)
+
+
+def _pass(ranks: list, rows: np.ndarray, coeff: np.ndarray | None) -> np.ndarray:
+    out = np.zeros(rows.shape, dtype=rows.dtype)
+    for dst, src, edges in ranks:  # no row repeats within a rank
+        if coeff is None:
+            out[dst] += rows[src]
+        else:
+            out[dst] += rows[src] * coeff[edges]
+    return out
 
 
 def scale_rows(x: Tensor, coeff: np.ndarray) -> Tensor:
@@ -444,43 +494,63 @@ def batchnorm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
+    relu: bool = False,
 ) -> Tensor:
-    """Column-wise batch normalization over the row (node) batch.
+    """Column-wise batch normalization over the row (node) batch, then a ReLU
+    when ``relu``, as one tape record.
 
     Train mode normalizes with batch moments (population variance) and updates
     the running stats in place with momentum ``BN_MOMENTUM``; eval mode uses
-    the running stats. ``BN_EPS`` guards the variance.
+    the running stats. ``BN_EPS`` guards the variance. The batch mean is
+    taken once, as ``np.mean`` takes it (``np.add.reduce``, then
+    ``true_divide`` by the row count), and the variance and ``xhat`` come
+    from the one centred array, so the bytes are those of ``x.mean`` and
+    ``x.var``. The affine step and the ReLU work in place, and backward
+    reuses two buffers.
     """
     if gamma.data.shape != (1, x.data.shape[1]) or beta.data.shape != (1, x.data.shape[1]):
         raise ShapeMismatch("gamma/beta must be (1, dim) rows")
+    buf = None
     if train:
-        mean = x.data.mean(axis=0, keepdims=True)
-        var = x.data.var(axis=0, keepdims=True)
+        rows = np.intp(x.data.shape[0])
+        mean = np.add.reduce(x.data, axis=0, keepdims=True)
+        np.true_divide(mean, rows, out=mean, casting="unsafe")
+        d = x.data - mean
+        buf = np.square(d)
+        var = np.add.reduce(buf, axis=0, keepdims=True)
+        np.true_divide(var, rows, out=var, casting="unsafe")
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mean[0]
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var[0]
     else:
-        mean = running_mean[None, :]
+        d = x.data - running_mean[None, :]
         var = running_var[None, :]
     inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean) * inv
-    out = Tensor(xhat * gamma.data + beta.data, requires_grad=_needs(x, gamma, beta))
-    n = x.data.shape[0]
+    xhat = np.multiply(d, inv, out=d)
+    y = np.multiply(xhat, gamma.data, out=buf)
+    y += beta.data
+    if relu:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y, requires_grad=_needs(x, gamma, beta))
 
     def backward(g):
+        if relu:
+            np.multiply(g, y > 0, out=g)
+        tmp = np.multiply(g, xhat)
         if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True))
+            gamma.accumulate(tmp.sum(axis=0, keepdims=True))
         if beta.requires_grad:
             beta.accumulate(g.sum(axis=0, keepdims=True))
         if x.requires_grad:
-            gy = g * gamma.data
+            gy = np.multiply(g, gamma.data, out=g)
             if train:
-                x.accumulate(
-                    inv * (gy - gy.mean(axis=0, keepdims=True) - xhat * (gy * xhat).mean(axis=0, keepdims=True))
-                )
-            else:
-                x.accumulate(gy * inv)
+                m1 = gy.mean(axis=0, keepdims=True)
+                m2 = np.multiply(gy, xhat, out=tmp).mean(axis=0, keepdims=True)
+                gy -= m1
+                gy -= np.multiply(xhat, m2, out=tmp)
+            gy *= inv
+            x.accumulate(gy)
 
     return _emit(out, backward)
 

@@ -13,7 +13,6 @@ from ..checkpoint import config_from_dict
 from ..errors import ConfigMismatch, DimMismatch, NoData, NoLabels, int_column
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
-from . import autograd as ag
 from .autograd import Relation, Tensor, no_grad
 from .nn import Adam, BatchNorm, Linear, StateReader, cross_entropy, fit, gcn_conv, parameter, relation, sage_conv, softmax
 
@@ -111,9 +110,7 @@ class STClassifier:
     def forward(self, x: Tensor, es: Relation, est: Relation, train: bool) -> Tensor:
         half = len(self.convs) // 2
         for i, (conv, norm) in enumerate(zip(self.convs, self.norms)):
-            x = conv(x, es if i < half else est)
-            x = norm(x, train=train)
-            x = ag.relu(x)
+            x = norm(conv(x, es if i < half else est), train=train, relu=True)
         return self.head(x)
 
     def state(self) -> list[np.ndarray]:

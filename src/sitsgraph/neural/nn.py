@@ -130,8 +130,9 @@ class BatchNorm:
         self.running_mean = np.zeros(dim, dtype=dtype)
         self.running_var = np.ones(dim, dtype=dtype)
 
-    def __call__(self, x: Tensor, train: bool) -> Tensor:
-        return ag.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, train=train)
+    def __call__(self, x: Tensor, train: bool, relu: bool = False) -> Tensor:
+        """The normalized rows, then a ReLU when ``relu``: one tape record."""
+        return ag.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, train=train, relu=relu)
 
     def parameters(self) -> list[Tensor]:
         return [self.gamma, self.beta]
@@ -139,7 +140,8 @@ class BatchNorm:
 
 # ---------------------------------------------------------------------------
 # graph convolutions; messages pass over a ``Relation`` planned once per
-# edge set, which ``relation`` builds from an undirected edge list
+# edge set, which ``relation`` builds from an undirected edge list, through
+# the one ``propagate`` record
 
 
 def relation(edges, n: int) -> Relation:
@@ -158,11 +160,10 @@ def gcn_conv(x: Tensor, rel: Relation, w: Tensor, bias: Tensor | None = None) ->
     """Symmetric-normalized propagation with self-loops: D^-1/2 (A+I) D^-1/2 X W.
 
     Each row adds its neighbour terms in edge order and its self-loop last."""
-    s, d = rel.src.idx, rel.dst.idx
     deg = (rel.dst.counts + 1).astype(x.data.dtype)
     h = ag.linear(x, w)
-    msg = ag.scale_rows(ag.gather_rows(h, rel.src), 1.0 / np.sqrt(deg[s] * deg[d]))
-    out = ag.add(ag.scatter_add_rows(msg, rel.dst), ag.scale_rows(h, 1.0 / np.sqrt(deg * deg)))
+    neigh = ag.propagate(h, rel, 1.0 / np.sqrt(deg[rel.src.idx] * deg[rel.dst.idx]))
+    out = ag.add(neigh, ag.scale_rows(h, 1.0 / np.sqrt(deg * deg)))
     if bias is not None:
         out = ag.add(out, bias)
     return out
@@ -172,8 +173,7 @@ def sage_conv(x: Tensor, rel: Relation, w_self: Tensor, w_neigh: Tensor) -> Tens
     """out_i = x_i W_self + mean_{j in N(i)} x_j W_neigh; empty neighborhoods
     contribute a zero mean."""
     deg = rel.dst.counts.astype(x.data.dtype)
-    neigh_sum = ag.scatter_add_rows(ag.gather_rows(x, rel.src), rel.dst)
-    neigh_mean = ag.scale_rows(neigh_sum, 1.0 / np.maximum(deg, 1.0))
+    neigh_mean = ag.scale_rows(ag.propagate(x, rel), 1.0 / np.maximum(deg, 1.0))
     return ag.add(ag.linear(x, w_self), ag.linear(neigh_mean, w_neigh))
 
 

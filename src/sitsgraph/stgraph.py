@@ -558,7 +558,10 @@ def import_graph(blob: bytes | str, source: str = "graph document") -> StGraph:
 
     features = None
     rows = [n.get("features") for n in nodes]
-    if all(r is not None for r in rows) and rows:
+    bare = [i for i, r in enumerate(rows) if r is None]
+    if bare and len(bare) < len(rows):
+        raise ShapeMismatch(f"node {ids[bare[0]]} has no 'features' where other nodes have them")
+    if rows and not bare:
         if not (set(map(type, rows)) <= {list} and len(set(map(len, rows))) == 1):
             raise ShapeMismatch("graph node features must be equal-length lists of numbers")
         values = number_column(list(chain.from_iterable(rows)), "node 'features'", ShapeMismatch)

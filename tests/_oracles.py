@@ -813,3 +813,63 @@ def brute_k_nearest(rows, cands, k: int, points: np.ndarray):
         out_n += c[order].tolist()
         out_d += d[order].tolist()
     return out_r, out_n, out_d
+
+
+def reference_batchnorm(x, gamma, beta, running_mean, running_var, train: bool):
+    """Batch norm by ``x.mean`` and ``x.var``, as one tape record with no ReLU:
+    the op ``autograd.batchnorm`` was before it took the batch mean once,
+    reused its buffers and carried the ReLU that follows it."""
+    from sitsgraph.neural import autograd as ag
+
+    if train:
+        mean = x.data.mean(axis=0, keepdims=True)
+        var = x.data.var(axis=0, keepdims=True)
+        running_mean *= 1.0 - ag.BN_MOMENTUM
+        running_mean += ag.BN_MOMENTUM * mean[0]
+        running_var *= 1.0 - ag.BN_MOMENTUM
+        running_var += ag.BN_MOMENTUM * var[0]
+    else:
+        mean = running_mean[None, :]
+        var = running_var[None, :]
+    inv = 1.0 / np.sqrt(var + ag.BN_EPS)
+    xhat = (x.data - mean) * inv
+    needs = x.requires_grad or gamma.requires_grad or beta.requires_grad
+    out = ag.Tensor(xhat * gamma.data + beta.data, requires_grad=needs)
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True))
+        if beta.requires_grad:
+            beta.accumulate(g.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            gy = g * gamma.data
+            if train:
+                x.accumulate(inv * (gy - gy.mean(axis=0, keepdims=True) - xhat * (gy * xhat).mean(axis=0, keepdims=True)))
+            else:
+                x.accumulate(gy * inv)
+
+    return ag._emit(out, backward)
+
+
+def unfused_gcn_conv(x, rel, w, bias=None):
+    """``nn.gcn_conv`` from separate records: gather each edge's source row,
+    scale it by its coefficient, scatter it onto its target and add the
+    scaled self-loop."""
+    from sitsgraph.neural import autograd as ag
+
+    s, d = rel.src.idx, rel.dst.idx
+    deg = (rel.dst.counts + 1).astype(x.data.dtype)
+    h = ag.linear(x, w)
+    msg = ag.scale_rows(ag.gather_rows(h, rel.src), 1.0 / np.sqrt(deg[s] * deg[d]))
+    out = ag.add(ag.scatter_add_rows(msg, rel.dst), ag.scale_rows(h, 1.0 / np.sqrt(deg * deg)))
+    return out if bias is None else ag.add(out, bias)
+
+
+def unfused_sage_conv(x, rel, w_self, w_neigh):
+    """``nn.sage_conv`` from separate gather, scatter and scale records."""
+    from sitsgraph.neural import autograd as ag
+
+    deg = rel.dst.counts.astype(x.data.dtype)
+    neigh_sum = ag.scatter_add_rows(ag.gather_rows(x, rel.src), rel.dst)
+    neigh_mean = ag.scale_rows(neigh_sum, 1.0 / np.maximum(deg, 1.0))
+    return ag.add(ag.linear(x, w_self), ag.linear(neigh_mean, w_neigh))

@@ -420,6 +420,10 @@ FAILURES = {
     "graph_kind_unknown": (lambda tmp: _graph_doc(tmp, lambda d: d["edges"][0].update(kind="X")), 1, "got 'X'"),
     "graph_features_ragged": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=[0.5, 1.0])), 1, "features"),
     "graph_features_not_numbers": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(features=["x"])), 1, "features"),
+    "graph_features_partly_null": (
+        lambda tmp: [*_graph_doc(tmp, lambda d: d["nodes"][1].update(features=None)), "--cube", _cube(tmp)], 1,
+        "node 1 has no 'features'",
+    ),
     "graph_duplicate_node_id": (lambda tmp: _graph_doc(tmp, lambda d: d["nodes"][1].update(id=0)), 1, "duplicate node id 0"),
     "seg_meta_without_counts": (lambda tmp: _seg_meta(tmp, lambda m: m.pop("counts")), 1, "counts"),
     "seg_ids_outside_counts": (

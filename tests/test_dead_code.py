@@ -29,6 +29,7 @@ LIBRARY_ONLY = {
     "pos_encoding": "the positional encoding of one PixelGeo, the scalar form of pixel_pos_encoding",
     "pixel_geo": "geolocates one pixel of a cube, the PixelGeo that pos_encoding reads",
     "mul": "elementwise product op; the gradient checks' weighted loss (tests/_gradcheck.py) is built on it",
+    "relu": "elementwise ReLU op; the program fuses each ReLU into linear or batchnorm, and gradient checks and acceptance tests use it",
 }
 
 # "callee(parameter)": the callee is a function's name, ``Class`` for its
