@@ -165,12 +165,22 @@ def mine_frequent(
     def seed(symbol: int) -> dict[int, set[int]]:
         return {v: {v} for v in sorted(sym) if sym[v] == symbol}
 
-    def extend(state: dict[int, set[int]], symbol: int) -> dict[int, set[int]]:
-        out = {}
+    def extend(state: dict[int, set[int]]) -> dict[int, dict[int, set[int]]]:
+        # the state of every one-symbol extension, keyed by its symbol, from
+        # one walk over the successors of each (start, end) pair: each start
+        # keeps its place in ``state``, and its new ends arrive in the order
+        # of a walk restricted to one symbol
+        out: dict[int, dict[int, set[int]]] = {}
         for start, ends in state.items():
-            new_ends = {w for e in ends for w in succ[e] if sym[w] == symbol}
-            if new_ends:
-                out[start] = new_ends
+            for e in ends:
+                for w in succ[e]:
+                    by_start = out.get(sym[w])
+                    if by_start is None:
+                        out[sym[w]] = {start: {w}}
+                    elif start in by_start:
+                        by_start[start].add(w)
+                    else:
+                        by_start[start] = {w}
         return out
 
     stack = [((s,), seed(s)) for s in reversed(alphabet)]
@@ -182,10 +192,10 @@ def mine_frequent(
         )
         if len(pattern) >= maxlen:
             continue
+        nxt = extend(state)
         for s in reversed(alphabet):
-            nxt = extend(state, s)
-            if len(nxt) >= minsup:
-                stack.append((pattern + (s,), nxt))
+            if len(nxt.get(s, ())) >= minsup:
+                stack.append((pattern + (s,), nxt[s]))
     results.sort(key=lambda p: (len(p.symbols), p.symbols))
     return results
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import os
 import sys
@@ -241,7 +240,7 @@ def cmd_events(args):
     records = analysis.detect_events(_load_graph(args.graph))
     files = {
         "events.csv": analysis.events_csv(records),
-        "events.json": [dataclasses.asdict(r) for r in records],
+        "events.json": [{"node": r.node, "event": r.event, "t": r.t} for r in records],
     }
     return f"{len(records)} events -> {Path(args.out)}", files
 

@@ -75,22 +75,16 @@ ROW_BLOCK = 4096
 
 class _Rows:
     """The rows ``[lo, hi)`` of a row-wise stage's inputs, or all of them
-    (``lo is None``) as the tensors themselves, so a taped run records the
+    (``hi is None``) as the tensors themselves, so a taped run records the
     same ops as a direct call."""
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: int | None = None, hi: int | None = None):
+    def __init__(self, lo: int = 0, hi: int | None = None):
         self.lo, self.hi = lo, hi
 
     def __call__(self, t: Tensor) -> Tensor:
-        return t if self.lo is None else Tensor(t.data[self.lo : self.hi])
-
-    def gather(self, x: Tensor, plan: ag.ScatterPlan) -> Tensor:
-        """The rows of ``gather_rows(x, plan)``."""
-        if self.lo is None:
-            return ag.gather_rows(x, plan)
-        return Tensor(x.data[plan.idx[self.lo : self.hi]])
+        return t if self.hi is None else Tensor(t.data[self.lo : self.hi])
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -101,20 +95,21 @@ def _blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:] + [n]))
 
 
-def row_wise(stage, n: int) -> Tensor:
+def row_wise(stage, n: int, out: np.ndarray | None = None) -> Tensor:
     """``stage(rows)`` for a stage that maps each of its ``n`` output rows from
     the same rows of its inputs (matmuls, adds, ReLUs, clamps; no sum over
     rows), where ``rows`` takes the stage's inputs.
 
-    While a tape records, the stage runs once over all rows. Otherwise it
-    runs over blocks of ``ROW_BLOCK`` rows into one preallocated output, with
-    the same bytes as one pass: blocks start at multiples of ``ROW_BLOCK``, a
-    power of two, so every row keeps its place in BLAS's unrolled loops, and a
-    1-row remainder joins the block before it, since a single row would take
-    BLAS's vector path, which rounds differently."""
+    While a tape records, or over at most ``ROW_BLOCK`` rows, the stage runs
+    once over all rows. Otherwise it runs over blocks of ``ROW_BLOCK`` rows
+    into one output array, ``out`` when given, with the same bytes as one
+    pass: blocks start at multiples of ``ROW_BLOCK``, a power of two, so
+    every row keeps its place in BLAS's unrolled loops, and a 1-row remainder
+    joins the block before it, since a single row would take BLAS's vector
+    path, which rounds differently. ``out`` may be an input of the stage: a
+    block reads only its own rows, and is written over them once computed."""
     if ag.recording() or n <= ROW_BLOCK:
         return stage(_Rows())
-    out = None
     for lo, hi in _blocks(n):
         part = stage(_Rows(lo, hi)).data
         if out is None:
@@ -125,7 +120,8 @@ def row_wise(stage, n: int) -> Tensor:
 
 def _edge_update(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, enc: Linear | None):
     """The row-wise edge stage of a relational block, e + MLP_e([e, x_src,
-    x_dst]), with ``e`` first encoded by ``enc`` when one is given."""
+    x_dst]), with ``e`` first encoded by ``enc`` when one is given. The
+    residual is added inside the MLP's last layer."""
     n = x.data.shape[0]
     if rel.dst.n != n:
         raise ShapeMismatch(f"relation over {rel.dst.n} nodes used for {n}")
@@ -134,13 +130,21 @@ def _edge_update(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, enc: Linear
 
     def stage(rows):
         e_rows = rows(e) if enc is None else enc(rows(e))
-        return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, rows.gather(x, rel.src), rows.gather(x, rel.dst)])))
+        return mlp_e(ag.edge_inputs(e_rows, x, rel, rows.lo), residual=e_rows)
 
     return stage
 
 
 def _node_update(x: Tensor, agg: Tensor, mlp_v: MLP) -> Tensor:
-    return row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), x.data.shape[0])
+    """x + MLP_v([x, agg]). Without a tape, a node set of more than one
+    block is updated in place: each block is written over its own rows of
+    ``x``, which no later block reads."""
+
+    def stage(rows):
+        x_rows = rows(x)
+        return mlp_v(ag.concat_cols([x_rows, rows(agg)]), residual=x_rows)
+
+    return row_wise(stage, x.data.shape[0], x.data)
 
 
 def gn_block(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP) -> tuple[Tensor, Tensor]:
@@ -148,7 +152,8 @@ def gn_block(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP) -> 
     e' = e + MLP_e([e, x_src, x_dst]); x' = x + MLP_v([x, sum of incoming e']).
     Nodes without incoming edges aggregate zero.
     The edge and node updates run through ``row_wise``; the sum stays whole.
-    Returns (x', e')."""
+    Without a tape, a node set of more than ``ROW_BLOCK`` rows is updated in
+    place, so x' holds x's array. Returns (x', e')."""
     e2 = row_wise(_edge_update(x, e, rel, mlp_e, None), rel.src.size)
     return _node_update(x, ag.scatter_add_rows(e2, rel.dst), mlp_v), e2
 
@@ -162,7 +167,9 @@ def gn_nodes(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc
     ``row_wise``'s blocks of edges, and each block is added into the
     aggregate as it comes (``ScatterPlan.add_to``). Each block's rows are
     those ``row_wise`` computes, and each node still adds its edges from zero
-    in edge order, so the bytes are those of one whole pass."""
+    in edge order, so the bytes are those of one whole pass. The node update
+    is ``gn_block``'s: over more than ``ROW_BLOCK`` rows, x' is written over
+    x's array."""
     edge_update = _edge_update(x, e, rel, mlp_e, enc)
     n_edges = rel.src.size
     if ag.recording() or n_edges <= x.data.shape[0]:
@@ -289,6 +296,7 @@ class Forecaster:
         nodes = self.block_g2m.nodes(nodes, g2m_feat, mesh.g2m, self.enc_g2m)
         px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
+        del nodes  # without a tape, the two slices are all that is read
 
         # processor on the region adjacency graph
         e_proc = self.enc_proc(Tensor(mesh.proc_feat.astype(self.dtype)))
@@ -303,7 +311,7 @@ class Forecaster:
         px_out = ag.slice_rows(nodes, m, m + p)
 
         last = Tensor(window[-1].reshape(p, 1))
-        return row_wise(lambda rows: ag.clamp(ag.add(rows(last), self.head(rows(px_out))), -1.0, 1.0), p)
+        return row_wise(lambda rows: ag.clamp(self.head(rows(px_out), residual=rows(last)), -1.0, 1.0), p)
 
     def predict(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> np.ndarray:
         with no_grad():

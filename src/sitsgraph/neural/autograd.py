@@ -158,25 +158,43 @@ def _needs(*tensors: Tensor) -> bool:
 # primitives
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False) -> Tensor:
-    """``x @ w + b``, then a ReLU when ``relu``, as one tape record. The bias
-    and the ReLU are applied in place on the matmul's output, and backward
-    masks its ``g`` in place, so the layer makes one activation and one
-    gradient array where separate ops make up to three of each."""
+def linear(
+    x: Tensor, w: Tensor, b: Tensor | None = None, relu: bool = False, residual: Tensor | None = None
+) -> Tensor:
+    """``x @ w + b``, plus ``residual`` when given, then a ReLU when
+    ``relu``, as one tape record. The bias, the residual and the ReLU are
+    applied in place on the matmul's output, and backward masks its ``g`` in
+    place, so the layer makes one activation and one gradient array where
+    separate ops make up to four of each. Adding the residual last gives the
+    bytes of ``add(residual, linear(x, w, b))``, since ``y + r`` is ``r + y``,
+    and backward hands ``g`` to the residual first, as that ``add`` did."""
     if x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"matmul {x.shape} @ {w.shape}")
     if b is not None and b.data.shape != (1, w.data.shape[1]):
         raise ShapeMismatch(f"add {(x.data.shape[0], w.data.shape[1])} + {b.shape}")
+    if residual is not None and residual.data.shape != (x.data.shape[0], w.data.shape[1]):
+        raise ShapeMismatch(f"add {residual.shape} + {(x.data.shape[0], w.data.shape[1])}")
     y = x.data @ w.data
     if b is not None:
         y += b.data
+    if residual is not None:
+        y += residual.data
     if relu:
         np.maximum(y, 0, out=y)
-    out = Tensor(y, requires_grad=_needs(x, w) or (b is not None and b.requires_grad))
+    out = Tensor(
+        y,
+        requires_grad=_needs(x, w)
+        or (b is not None and b.requires_grad)
+        or (residual is not None and residual.requires_grad),
+    )
 
     def backward(g):
         if relu:
             np.multiply(g, out.data > 0, out=g)
+        if residual is not None and residual.requires_grad:
+            residual.accumulate(g)
+            if residual.grad is g and (residual is x or residual is b):
+                g = g.copy()  # the accumulate below would add into the residual's g
         if b is not None and b.requires_grad:
             b.accumulate(g.sum(axis=0, keepdims=True))
         if x.requires_grad:
@@ -304,7 +322,16 @@ class ScatterPlan:
         self.idx = idx
         self.n = n
         self.counts = np.bincount(idx, minlength=n)
-        self._ranks = _plan_ranks(idx, self.counts)
+        self._ranks = None
+
+    @property
+    def ranks(self) -> list:
+        """(target rows, edge positions) per rank, planned on first use: a
+        plan whose whole edge set is never summed (an untaped pass's gather
+        plans, or one summed only in blocks) never holds them."""
+        if self._ranks is None:
+            self._ranks = _plan_ranks(self.idx, self.counts)
+        return self._ranks
 
     @property
     def size(self) -> int:
@@ -328,7 +355,7 @@ class ScatterPlan:
         if out.shape[0] != self.n or not 0 <= lo <= hi <= self.size:
             raise ShapeMismatch(f"edges [{lo}, {hi}) into {out.shape[0]} rows for a plan of {self.size} edges over {self.n}")
         if lo == 0 and hi == self.size:
-            ranks, base = self._ranks, 0
+            ranks, base = self.ranks, 0
         else:
             idx = self.idx[lo:hi]
             base = int(idx.min(initial=self.n))  # n: an empty block adds nothing
@@ -381,7 +408,7 @@ class Relation:
         array. They are composed once, on first use; a relation that only
         gathers and scatters (the forecaster's) never holds them."""
         if self._passes is None:
-            self._passes = (_compose(self.dst._ranks, self.src.idx), _compose(self.src._ranks, self.dst.idx))
+            self._passes = (_compose(self.dst.ranks, self.src.idx), _compose(self.src.ranks, self.dst.idx))
         return self._passes
 
 
@@ -410,6 +437,40 @@ def scatter_add_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
 
     def backward(g):
         x.accumulate(g[plan.idx])
+
+    return _emit(out, backward)
+
+
+def edge_inputs(e: Tensor, x: Tensor, rel: Relation, lo: int = 0) -> Tensor:
+    """``[e, x[src], x[dst]]`` for the edges ``[lo, lo + len(e))`` of ``rel``,
+    each row an edge's features then its source and target node rows: the
+    bytes of ``concat_cols([e, gather_rows(x, rel.src), gather_rows(x,
+    rel.dst)])`` over those edges, as one record and one array. Each node
+    third is fancy-indexed from ``x`` and assigned into its columns.
+
+    Backward hands the edge third to ``e``, then adds the target third and
+    then the source third into ``x``, each summed over its plan, in the
+    order in which the concat's and the two gathers' records replayed."""
+    k = e.data.shape[0]
+    if rel.src.n != x.data.shape[0]:
+        raise ShapeMismatch(f"relation over {rel.src.n} nodes used for {x.data.shape[0]}")
+    if not 0 <= lo <= lo + k <= rel.src.size:
+        raise ShapeMismatch(f"{k} edge features from edge {lo} for {rel.src.size} edges")
+    we, h = e.data.shape[1], x.data.shape[1]
+    out = np.empty((k, we + 2 * h), dtype=np.result_type(e.data, x.data))
+    out[:, :we] = e.data
+    out[:, we : we + h] = x.data[rel.src.idx[lo : lo + k]]
+    out[:, we + h :] = x.data[rel.dst.idx[lo : lo + k]]
+    out = Tensor(out, requires_grad=_needs(e, x))
+
+    def backward(g):
+        if e.requires_grad:
+            e.accumulate(g[:, :we])
+        if x.requires_grad:
+            for plan, col in ((rel.dst, we + h), (rel.src, we)):
+                acc = np.zeros((plan.n, h), dtype=g.dtype)
+                plan.add_to(acc, g[:, col : col + h], lo)
+                x.accumulate(acc)
 
     return _emit(out, backward)
 

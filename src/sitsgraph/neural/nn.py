@@ -77,9 +77,10 @@ class Linear:
         self.weight = parameter((fan_in, fan_out), dtype, state, rng)
         self.bias = parameter((1, fan_out), dtype, state)
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        """``x @ weight + bias``, then a ReLU when ``relu``: one tape record."""
-        return ag.linear(x, self.weight, self.bias, relu)
+    def __call__(self, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
+        """``x @ weight + bias``, plus ``residual`` when given, then a ReLU
+        when ``relu``: one tape record."""
+        return ag.linear(x, self.weight, self.bias, relu, residual)
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -110,10 +111,12 @@ class MLP:
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
         ]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        """The stack's output, plus ``residual`` when given, which the last
+        layer adds inside its record."""
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            x = layer(x, relu=i < last)
+            x = layer(x, relu=i < last, residual=residual if i == last else None)
         return x
 
     def parameters(self) -> list[Tensor]:

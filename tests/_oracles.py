@@ -873,3 +873,28 @@ def unfused_sage_conv(x, rel, w_self, w_neigh):
     neigh_sum = ag.scatter_add_rows(ag.gather_rows(x, rel.src), rel.dst)
     neigh_mean = ag.scale_rows(neigh_sum, 1.0 / np.maximum(deg, 1.0))
     return ag.add(ag.linear(x, w_self), ag.linear(neigh_mean, w_neigh))
+
+
+def unfused_edge_update(x, e, rel, mlp_e, enc):
+    """The forecaster's row-wise edge stage from separate records: both ends
+    gathered by ``gather_rows`` (by plain indexing over a block of edges),
+    ``concat_cols`` and an ``add`` of the residual after the edge MLP."""
+    from sitsgraph.neural import autograd as ag
+
+    def gather(rows, plan):
+        return ag.gather_rows(x, plan) if rows.hi is None else ag.Tensor(x.data[plan.idx[rows.lo : rows.hi]])
+
+    def stage(rows):
+        e_rows = rows(e) if enc is None else enc(rows(e))
+        return ag.add(e_rows, mlp_e(ag.concat_cols([e_rows, gather(rows, rel.src), gather(rows, rel.dst)])))
+
+    return stage
+
+
+def unfused_node_update(x, agg, mlp_v):
+    """The forecaster's node update from ``concat_cols`` and an ``add`` of
+    the residual, into a new array."""
+    from sitsgraph.forecast.model import row_wise
+    from sitsgraph.neural import autograd as ag
+
+    return row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), x.data.shape[0])

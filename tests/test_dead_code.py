@@ -4,8 +4,10 @@ or method is set by the program.
 
 A name is used when src/ or perfbench/ code names it: as a name or an
 attribute, not in a string, a comment, a ``def``, an import or ``__all__``
-(a re-export is not a use). A class or constant must be read: the
-assignment that defines a constant is not a use. A name that only library
+(a re-export is not a use), and not as a parameter of a function around it
+(``relu`` inside ``linear(..., relu)`` reads the flag, not the op). A class
+or constant must be read: the assignment that defines a constant is not a
+use. A name that only library
 users and tests call sits in ``LIBRARY_ONLY`` with the reason it stays.
 
 An optional parameter is set when a call in src/ or perfbench/ passes it by
@@ -30,6 +32,7 @@ LIBRARY_ONLY = {
     "pixel_geo": "geolocates one pixel of a cube, the PixelGeo that pos_encoding reads",
     "mul": "elementwise product op; the gradient checks' weighted loss (tests/_gradcheck.py) is built on it",
     "relu": "elementwise ReLU op; the program fuses each ReLU into linear or batchnorm, and gradient checks and acceptance tests use it",
+    "gather_rows": "the one-plan gather op; the program gathers inside edge_inputs and propagate, whose byte oracles and the unfused reference convolutions build on it",
 }
 
 # "callee(parameter)": the callee is a function's name, ``Class`` for its
@@ -82,15 +85,36 @@ def _public_names() -> list[tuple[str, str]]:
     return out
 
 
+def _params(fn: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
+    a = fn.args
+    return {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None}
+
+
+def _uses(node: ast.AST, params: frozenset, reads_only: bool, out: Counter) -> None:
+    """Count the names and attributes under ``node``, where ``params`` are
+    the parameters of the functions around it: a ``Name`` that reads one of
+    them is that parameter, not a use of a public name."""
+    if isinstance(node, ast.Name):
+        if node.id not in params and not (reads_only and not isinstance(node.ctx, ast.Load)):
+            out[node.id] += 1
+    elif isinstance(node, ast.Attribute) and not (reads_only and not isinstance(node.ctx, ast.Load)):
+        out[node.attr] += 1
+    inner, body = params, set()
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        # defaults and decorators run in the enclosing scope, the body in the function's
+        inner = params | _params(node)
+        body = {id(b) for b in (node.body if isinstance(node.body, list) else [node.body])}
+    for child in ast.iter_child_nodes(node):
+        _uses(child, inner if id(child) in body else params, reads_only, out)
+
+
 def _program_uses(reads_only: bool = False) -> Counter:
     """Uses of each name in src/ and perfbench/ code; only the uses that
     read it when ``reads_only``."""
-    return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in _program_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute)) and not (reads_only and not isinstance(node.ctx, ast.Load))
-    )
+    out = Counter()
+    for tree in _program_trees():
+        _uses(tree, frozenset(), reads_only, out)
+    return out
 
 
 def _callables(tree: ast.Module):
@@ -169,3 +193,20 @@ def test_every_option_is_set():
     # both ways: an entry whose option is gone or now set is stale
     assert sorted(set(_unset_options()) ^ set(OPTIONS_KEPT)) == []
     assert all(reason.strip() for reason in OPTIONS_KEPT.values())
+
+
+def test_a_parameter_is_not_a_use():
+    # a parameter, read in its function or in a closure or lambda inside it,
+    # is not a use; a default value or decorator outside the body is
+    tree = ast.parse(
+        "def linear(x, relu=False):\n"
+        "    def backward(g):\n"
+        "        return relu and g\n"
+        "    return (lambda huber: huber)(relu)\n"
+        "@relu\n"
+        "def f(x=huber, *args, **kw):\n"
+        "    return x, args, kw, scale\n"
+    )
+    uses = Counter()
+    _uses(tree, frozenset(), False, uses)
+    assert (uses["relu"], uses["huber"], uses["scale"], uses["args"]) == (1, 1, 1, 0)
