@@ -118,7 +118,7 @@ def _int_at_least(low: int, name: str):
     return parse
 
 
-_seed = _int_at_least(0, "non-negative int")  # NumPy's generators take no negative seed
+_non_negative = _int_at_least(0, "non-negative int")  # --seed (NumPy's generators take no negative seed), stats --fe
 _count = _int_at_least(1, "positive int")  # --threads (at least one worker), eval --height
 
 
@@ -431,7 +431,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("synth", help="generate a synthetic labeled cube")
     p.add_argument("--kind", choices=["seasonal", "context"], default="seasonal")
-    p.add_argument("--seed", type=_seed, required=True)
+    p.add_argument("--seed", type=_non_negative, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=int, default=8)
     p.add_argument("--height", type=int, default=32)
@@ -489,7 +489,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("stats", help="size/degree report with compression ratio")
     p.add_argument("--graph", required=True)
     p.add_argument("--cube", default=None)
-    p.add_argument("--fe", type=int, default=0)
+    p.add_argument("--fe", type=_non_negative, default=0)
     p.add_argument("--map-stored", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out", default=None)
     common(p)
@@ -525,7 +525,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--layers", type=int, default=4)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--val-frac", type=_fraction, default=0.25)
     p.add_argument("--out", required=True)
     common(p)
@@ -563,7 +563,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     pt.add_argument("--rounds", type=int, default=4)
     pt.add_argument("--lr", type=float, default=1e-4)
     pt.add_argument("--epochs", type=int, default=50)
-    pt.add_argument("--seed", type=_seed, default=0)
+    pt.add_argument("--seed", type=_non_negative, default=0)
     pt.add_argument("--mesh-from", choices=MESH_SOURCES, default="last")
     pt.add_argument("--out", required=True)
     common(pt)

@@ -18,7 +18,7 @@ from ..errors import ConfigMismatch, LengthMismatch, MeshMismatch, ShapeMismatch
 from ..features import pixel_pos_encoding  # noqa: F401 - the forecaster's pixel encoding
 from ..neural import autograd as ag
 from ..neural.autograd import Tensor, no_grad
-from ..neural.nn import MLP, Linear, StateReader
+from ..neural.nn import MLP, Linear, Parameters
 from .mesh import MeshGraph
 
 huber = ag.huber
@@ -209,21 +209,18 @@ def baseline_average(window: np.ndarray) -> np.ndarray:
 
 
 class _Block:
-    def __init__(self, rng, hidden: int, dtype, state: StateReader | None):
+    def __init__(self, rng, hidden: int, dtype, params: Parameters):
         # zero output layers: blocks start as identities, so an untrained
         # network stays at the persistence point instead of saturating the
         # output clamp
-        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero_last=True, state=state)
-        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero_last=True, state=state)
+        self.mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=dtype, zero_last=True, params=params)
+        self.mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=dtype, zero_last=True, params=params)
 
     def __call__(self, x, e, rel):
         return gn_block(x, e, rel, self.mlp_e, self.mlp_v)
 
     def nodes(self, x, e, rel, enc):
         return gn_nodes(x, e, rel, self.mlp_e, self.mlp_v, enc)
-
-    def parameters(self):
-        return self.mlp_e.parameters() + self.mlp_v.parameters()
 
 
 class Forecaster:
@@ -236,39 +233,26 @@ class Forecaster:
         self.cfg = cfg
         self.dtype = dtype
         rng = np.random.default_rng(cfg.seed)
-        reader = None if state is None else StateReader(state, "forecaster")
+        self.registry = params = Parameters(state, "forecaster")
         h = cfg.hidden
         half = h // 2
-        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, state=reader)
-        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, state=reader)
-        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, state=reader)
-        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, state=reader)
-        self.enc_proc = Linear(rng, 2, h, dtype=dtype, state=reader)
-        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, state=reader)
-        self.block_g2m = _Block(rng, h, dtype, reader)
-        self.blocks_proc = [_Block(rng, h, dtype, reader) for _ in range(cfg.processor_rounds)]
-        self.block_m2g = _Block(rng, h, dtype, reader)
-        self.head = Linear(None, h, 1, dtype=dtype, state=reader)  # residual head starts at zero
-        if reader is not None:
-            reader.close()
+        self.mlp_ts = MLP(rng, [cfg.input_len, half, half], dtype=dtype, params=params)
+        self.mlp_pos = MLP(rng, [4, half, half], dtype=dtype, params=params)
+        self.mlp_mix = MLP(rng, [h, h, h], dtype=dtype, params=params)
+        self.enc_g2m = Linear(rng, 2, h, dtype=dtype, params=params)
+        self.enc_proc = Linear(rng, 2, h, dtype=dtype, params=params)
+        self.enc_m2g = Linear(rng, 2, h, dtype=dtype, params=params)
+        self.block_g2m = _Block(rng, h, dtype, params)
+        self.blocks_proc = [_Block(rng, h, dtype, params) for _ in range(cfg.processor_rounds)]
+        self.block_m2g = _Block(rng, h, dtype, params)
+        self.head = Linear(None, h, 1, dtype=dtype, params=params)  # residual head starts at zero
+        params.close()
 
-    def parameters(self):
-        out = (
-            self.mlp_ts.parameters()
-            + self.mlp_pos.parameters()
-            + self.mlp_mix.parameters()
-            + self.enc_g2m.parameters()
-            + self.enc_proc.parameters()
-            + self.enc_m2g.parameters()
-            + self.block_g2m.parameters()
-        )
-        for b in self.blocks_proc:
-            out += b.parameters()
-        out += self.block_m2g.parameters() + self.head.parameters()
-        return out
+    def parameters(self) -> list[Tensor]:
+        return list(self.registry.tensors)
 
     def state(self) -> list[np.ndarray]:
-        return [p.data.copy() for p in self.parameters()]
+        return self.registry.state()
 
     def forward(self, window: np.ndarray, mesh: MeshGraph, pos: np.ndarray) -> Tensor:
         """Flat (H*W, 1) prediction tensor for one window. Without a tape,

@@ -14,7 +14,7 @@ from ..errors import ConfigMismatch, DimMismatch, NoData, NoLabels, int_column
 from ..metrics import ConfusionMatrix, confusion, iou_oa
 from ..stgraph import StGraph
 from .autograd import Relation, Tensor, no_grad
-from .nn import Adam, BatchNorm, Linear, StateReader, cross_entropy, fit, gcn_conv, parameter, relation, sage_conv, softmax
+from .nn import Adam, BatchNorm, Linear, Parameters, cross_entropy, fit, gcn_conv, relation, sage_conv, softmax
 
 # the encoder layer kinds
 CONVS = ("gcn", "sage", "mlp")
@@ -47,31 +47,18 @@ class ClassifierConfig:
             raise ConfigMismatch(f"lr must be finite and >= 0, got {self.lr}")
 
 
-class _ConvLayer:
-    def __init__(self, rng, kind: str, fan_in: int, fan_out: int, dtype, state: StateReader | None):
-        self.kind = kind
-        if kind == "gcn":
-            self.w = parameter((fan_in, fan_out), dtype, state, rng)
-            self.b = parameter((1, fan_out), dtype, state)
-        elif kind == "sage":
-            self.w_self = parameter((fan_in, fan_out), dtype, state, rng)
-            self.w_neigh = parameter((fan_in, fan_out), dtype, state, rng)
-        else:  # mlp: edge-free
-            self.lin = Linear(rng, fan_in, fan_out, dtype=dtype, state=state)
-
-    def __call__(self, x: Tensor, rel: Relation) -> Tensor:
-        if self.kind == "gcn":
-            return gcn_conv(x, rel, self.w, self.b)
-        if self.kind == "sage":
-            return sage_conv(x, rel, self.w_self, self.w_neigh)
-        return self.lin(x)
-
-    def parameters(self):
-        if self.kind == "gcn":
-            return [self.w, self.b]
-        if self.kind == "sage":
-            return [self.w_self, self.w_neigh]
-        return self.lin.parameters()
+def _conv(rng, kind: str, fan_in: int, fan_out: int, dtype, params: Parameters):
+    """The encoder layer of ``kind``, as a closure ``(x, rel) -> out`` over
+    the tensors it declares in ``params``."""
+    if kind == "mlp":  # edge-free
+        lin = Linear(rng, fan_in, fan_out, dtype=dtype, params=params)
+        return lambda x, rel: lin(x)
+    w = params.tensor((fan_in, fan_out), dtype, rng)
+    if kind == "gcn":
+        b = params.tensor((1, fan_out), dtype)
+        return lambda x, rel: gcn_conv(x, rel, w, b)
+    w_neigh = params.tensor((fan_in, fan_out), dtype, rng)
+    return lambda x, rel: sage_conv(x, rel, w, w_neigh)
 
 
 class STClassifier:
@@ -85,27 +72,15 @@ class STClassifier:
         self.cfg = cfg
         self.in_dim = in_dim
         rng = np.random.default_rng(cfg.seed)
-        reader = None if state is None else StateReader(state, "classifier")
+        self.registry = params = Parameters(state, "classifier")
         h = cfg.hidden
-        self.convs = [
-            _ConvLayer(rng, cfg.conv, in_dim if i == 0 else h, h, dtype, reader) for i in range(cfg.n_layers)
-        ]
-        self.norms = [BatchNorm(h, dtype=dtype, state=reader) for _ in range(cfg.n_layers)]
-        self.head = Linear(rng, h, cfg.n_classes, dtype=dtype, state=reader)
-        if reader is not None:
-            for norm in self.norms:  # the running statistics follow the head, as state() lists them
-                norm.running_mean = reader.take((1, h), dtype).ravel()
-                norm.running_var = reader.take((1, h), dtype).ravel()
-            reader.close()
+        self.convs = [_conv(rng, cfg.conv, in_dim if i == 0 else h, h, dtype, params) for i in range(cfg.n_layers)]
+        self.norms = [BatchNorm(h, dtype=dtype, params=params) for _ in range(cfg.n_layers)]
+        self.head = Linear(rng, h, cfg.n_classes, dtype=dtype, params=params)
+        params.close()
 
     def parameters(self) -> list[Tensor]:
-        out = []
-        for conv in self.convs:
-            out.extend(conv.parameters())
-        for norm in self.norms:
-            out.extend(norm.parameters())
-        out.extend(self.head.parameters())
-        return out
+        return list(self.registry.tensors)
 
     def forward(self, x: Tensor, es: Relation, est: Relation, train: bool) -> Tensor:
         half = len(self.convs) // 2
@@ -114,11 +89,7 @@ class STClassifier:
         return self.head(x)
 
     def state(self) -> list[np.ndarray]:
-        arrays = [p.data.copy() for p in self.parameters()]
-        for norm in self.norms:
-            arrays.append(norm.running_mean.copy().reshape(1, -1))
-            arrays.append(norm.running_var.copy().reshape(1, -1))
-        return arrays
+        return self.registry.state()
 
 
 def graph_arrays(g: StGraph):

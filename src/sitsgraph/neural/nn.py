@@ -23,46 +23,68 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-class StateReader:
-    """A saved state's arrays, handed to a model's layers in the order its
-    constructor declares them. Each array's shape is checked as it is taken,
-    so a state for another model fails at its first differing array, before a
-    later layer is built; ``close`` then checks that no array is left over."""
+class Parameters:
+    """The one declaration of a model's arrays, in construction order: each
+    layer creates its trainable tensors here, and registers those it keeps
+    off the tape (batch norm's running statistics) as buffers. That order is
+    the optimizer's list and the saved state's.
 
-    def __init__(self, arrays: list[np.ndarray], kind: str):
-        self.arrays = arrays
+    Given ``saved`` arrays, each tensor is the next one, its shape checked as
+    it is taken, so a state for another model fails at its first differing
+    array before a later layer is built; ``close`` fills the buffers from the
+    arrays after the tensors and checks that none is left over."""
+
+    def __init__(self, saved: list[np.ndarray] | None = None, kind: str = "model"):
+        self.saved = saved
         self.kind = kind
         self.taken = 0
+        self.tensors: list[Tensor] = []
+        self.buffers: list[tuple[object, str]] = []  # (owner, attribute), so a rebound array stays visible
 
-    def take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+    def tensor(self, shape: tuple[int, int], dtype, rng=None, fill: float = 0.0) -> Tensor:
+        """A trainable ``shape`` tensor: the next saved array when loading,
+        else a glorot draw from ``rng``, else ``fill`` everywhere."""
+        if self.saved is not None:
+            data = self._take(shape, dtype)
+        elif rng is not None:
+            data = glorot(rng, *shape, dtype)
+        else:
+            data = np.full(shape, fill, dtype=dtype)
+        self.tensors.append(Tensor(data, requires_grad=True))
+        return self.tensors[-1]
+
+    def buffer(self, owner, name: str, value: np.ndarray) -> None:
+        """Set ``owner.name`` to the 1-D ``value``, which the state holds as
+        one row after the tensors."""
+        setattr(owner, name, value)
+        self.buffers.append((owner, name))
+
+    def close(self) -> None:
+        if self.saved is None:
+            return
+        for owner, name in self.buffers:
+            value = getattr(owner, name)
+            setattr(owner, name, self._take((1, value.size), value.dtype).ravel())
+        if self.taken < len(self.saved):
+            self._mismatch(tuple(np.shape(self.saved[self.taken])), None)
+
+    def state(self) -> list[np.ndarray]:
+        """Copies of the tensors' arrays, then of the buffers' as rows."""
+        return [t.data.copy() for t in self.tensors] + [getattr(o, n).copy().reshape(1, -1) for o, n in self.buffers]
+
+    def _take(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         i = self.taken
-        got = tuple(np.shape(self.arrays[i])) if i < len(self.arrays) else None
+        got = tuple(np.shape(self.saved[i])) if i < len(self.saved) else None
         if got != shape:
             self._mismatch(got, shape)
         self.taken += 1
-        return np.asarray(self.arrays[i], dtype=dtype)
-
-    def close(self) -> None:
-        if self.taken < len(self.arrays):
-            self._mismatch(tuple(np.shape(self.arrays[self.taken])), None)
+        return np.asarray(self.saved[i], dtype=dtype)
 
     def _mismatch(self, got, want):
         raise ShapeMismatch(
             f"{self.kind} state array {self.taken}: {'missing' if got is None else f'shape {got}'},"
-            f" the model expects {'none' if want is None else f'shape {want}'} ({len(self.arrays)} arrays in the state)"
+            f" the model expects {'none' if want is None else f'shape {want}'} ({len(self.saved)} arrays in the state)"
         )
-
-
-def parameter(shape: tuple[int, int], dtype, state: StateReader | None, rng=None, fill: float = 0.0) -> Tensor:
-    """A trainable ``shape`` tensor: the next array of ``state`` when loading
-    one, else a glorot draw from ``rng``, else ``fill`` everywhere."""
-    if state is not None:
-        data = state.take(shape, dtype)
-    elif rng is not None:
-        data = glorot(rng, *shape, dtype)
-    else:
-        data = np.full(shape, fill, dtype=dtype)
-    return Tensor(data, requires_grad=True)
 
 
 class Linear:
@@ -72,10 +94,11 @@ class Linear:
         fan_in: int,
         fan_out: int,
         dtype=np.float32,
-        state: StateReader | None = None,
+        params: Parameters | None = None,
     ):
-        self.weight = parameter((fan_in, fan_out), dtype, state, rng)
-        self.bias = parameter((1, fan_out), dtype, state)
+        params = Parameters() if params is None else params
+        self.weight = params.tensor((fan_in, fan_out), dtype, rng)
+        self.bias = params.tensor((1, fan_out), dtype)
 
     def __call__(self, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
         """``x @ weight + bias``, plus ``residual`` when given, then a ReLU
@@ -101,13 +124,13 @@ class MLP:
         dims: list[int],
         dtype=np.float32,
         zero_last: bool = False,
-        state: StateReader | None = None,
+        params: Parameters | None = None,
     ):
         if len(dims) < 2:
             raise ShapeMismatch("an MLP needs at least input and output dims")
         last = len(dims) - 2
         self.layers = [
-            Linear(None if zero_last and i == last else rng, a, b, dtype=dtype, state=state)
+            Linear(None if zero_last and i == last else rng, a, b, dtype=dtype, params=params)
             for i, (a, b) in enumerate(zip(dims[:-1], dims[1:]))
         ]
 
@@ -124,14 +147,15 @@ class MLP:
 
 
 class BatchNorm:
-    """Batch norm over rows. A loaded model sets the running statistics after
-    construction, where its state lists them."""
+    """Batch norm over rows. The running statistics are buffers of
+    ``params``, which a loaded model fills when it closes the registry."""
 
-    def __init__(self, dim: int, dtype=np.float32, state: StateReader | None = None):
-        self.gamma = parameter((1, dim), dtype, state, fill=1.0)
-        self.beta = parameter((1, dim), dtype, state)
-        self.running_mean = np.zeros(dim, dtype=dtype)
-        self.running_var = np.ones(dim, dtype=dtype)
+    def __init__(self, dim: int, dtype=np.float32, params: Parameters | None = None):
+        params = Parameters() if params is None else params
+        self.gamma = params.tensor((1, dim), dtype, fill=1.0)
+        self.beta = params.tensor((1, dim), dtype)
+        params.buffer(self, "running_mean", np.zeros(dim, dtype=dtype))
+        params.buffer(self, "running_var", np.ones(dim, dtype=dtype))
 
     def __call__(self, x: Tensor, train: bool, relu: bool = False) -> Tensor:
         """The normalized rows, then a ReLU when ``relu``: one tape record."""
@@ -174,10 +198,11 @@ def gcn_conv(x: Tensor, rel: Relation, w: Tensor, bias: Tensor | None = None) ->
 
 def sage_conv(x: Tensor, rel: Relation, w_self: Tensor, w_neigh: Tensor) -> Tensor:
     """out_i = x_i W_self + mean_{j in N(i)} x_j W_neigh; empty neighborhoods
-    contribute a zero mean."""
+    contribute a zero mean. The self term is the neighbour linear's
+    residual, so the sum takes no record of its own."""
     deg = rel.dst.counts.astype(x.data.dtype)
     neigh_mean = ag.scale_rows(ag.propagate(x, rel), 1.0 / np.maximum(deg, 1.0))
-    return ag.add(ag.linear(x, w_self), ag.linear(neigh_mean, w_neigh))
+    return ag.linear(neigh_mean, w_neigh, residual=ag.linear(x, w_self))
 
 
 # ---------------------------------------------------------------------------

@@ -212,32 +212,37 @@ def adjacency_edges(seg: SegStack, t: int) -> EdgeColumns:
     return _edge_columns(pairs[:, 0], pairs[:, 1], length)
 
 
+def _per_date(dates: np.ndarray, search, across: bool = False):
+    """(a, b, distance) rows of the pairs ``search(members, t)`` finds for
+    the rows ``members`` of each date ``t`` in ascending order, joined and
+    made canonical: each pair once, from the lower row, or from the earlier
+    date when ``across``."""
+    a, b, dist = _joined([EdgeColumns(*search(np.nonzero(dates == t)[0], t)) for t in np.unique(dates)])
+    return _canonical(a, b, dist, dates[a] > dates[b] if across else a > b, len(dates))
+
+
 def eps_ball_edges(g: StGraph, eps: float) -> EdgeColumns:
     """Centroid distance <= eps (inclusive) between same-date nodes of ``g``."""
     if not eps > 0:
         raise ShapeMismatch(f"eps must be > 0, got {eps}")
-    ids, dates, cent = g.ids, g.t, g.centroid
-    parts = []
-    for t in np.unique(dates):
-        members = np.nonzero(dates == t)[0]
-        parts.append(EdgeColumns(*pairs_within(members, eps, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))))
-    a, b, dist = _joined(parts)
-    a, b, dist = _canonical(a, b, dist, a > b, len(ids))
-    return _edge_columns(ids[a], ids[b], dist)
+    cent = g.centroid
+    a, b, dist = _per_date(
+        g.t, lambda members, t: pairs_within(members, eps, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))
+    )
+    return _edge_columns(g.ids[a], g.ids[b], dist)
 
 
 def knn_edges(g: StGraph, k: int) -> EdgeColumns:
     """Symmetrized k-nearest-neighbor relation over same-date centroids of ``g``."""
-    ids, dates, cent = g.ids, g.t, g.centroid
-    parts = []
-    for t in np.unique(dates):
-        members = np.nonzero(dates == t)[0]
+    cent = g.centroid
+
+    def search(members, t):
         if k < 1 or k >= len(members):
             raise TooFewNodes(f"k={k} needs at least k+1 nodes at date {t}, have {len(members)}")
-        parts.append(EdgeColumns(*k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))))
-    a, b, dist = _joined(parts)
-    a, b, dist = _canonical(a, b, dist, a > b, len(ids))
-    return _edge_columns(ids[a], ids[b], dist)
+        return k_nearest(members, None, k, lambda a, b: _centroid_distance(cent, a, b), (cent, cent))
+
+    a, b, dist = _per_date(g.t, search)
+    return _edge_columns(g.ids[a], g.ids[b], dist)
 
 
 def similarity_edges(
@@ -271,14 +276,13 @@ def similarity_edges(
     xy = np.zeros((v.shape[0], 2))
     xy[:, : min(2, v.shape[1])] = v[:, :2]
     xy[~np.isfinite(v).all(axis=1)] = np.nan
-    parts = []
-    for t in np.unique(node_dates):
-        members = np.nonzero(node_dates == t)[0]
-        cands = None if scope == "within-date" else np.nonzero(node_dates != t)[0]
-        parts.append(EdgeColumns(*k_nearest(members, cands, k, feature_distance, (xy, xy))))
-    a, b, dist = _joined(parts)
-    flip = a > b if scope == "within-date" else node_dates[a] > node_dates[b]
-    a, b, dist = _canonical(a, b, dist, flip, v.shape[0])
+    across = scope == "cross-date"
+
+    def search(members, t):
+        cands = np.nonzero(node_dates != t)[0] if across else None
+        return k_nearest(members, cands, k, feature_distance, (xy, xy))
+
+    a, b, dist = _per_date(node_dates, search, across)
     # d ** 2 on Python floats (libm pow) differs from NumPy's d * d in the
     # last bit for some d; the weights keep the scalar rule
     weights = np.exp(-np.array([d ** 2 for d in dist.tolist()]))
@@ -431,14 +435,15 @@ def graph_stats(
     """Size report with the storage compression ratio.
 
     ratio = C*T*H*W / (f_v*|V| + |E| + f_e*|E| [+ T*H*W if the object-pixel
-    map is stored]).
+    map is stored]), or None where that denominator is 0 (an empty graph
+    without the map), so the report stays strict JSON.
     """
     t, c, h, w = cube_shape
     n_edges = len(g.spatial) + len(g.st)
     denom = f_v * g.n_nodes + n_edges + f_e * n_edges
     if map_stored:
         denom += t * h * w
-    ratio = (c * t * h * w) / denom if denom > 0 else float("inf")
+    ratio = (c * t * h * w) / denom if denom > 0 else None
 
     dates, per_date = np.unique(g.t, return_counts=True)
     indeg, outdeg = g.degrees(g.st)

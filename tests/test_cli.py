@@ -343,6 +343,8 @@ FAILURES = {
     "config_negatable_switch_given_a_string": (
         lambda tmp: _flag_config(tmp, "stats --graph g", {"map_stored": "false"}), 2, "config 'map_stored' must be true or false",
     ),
+    "stats_fe_negative": (lambda tmp: [*_graph_doc(tmp, lambda d: None), "--fe", "-3"], 2, "invalid non-negative int value: '-3'"),
+    "config_fe_negative": (lambda tmp: _flag_config(tmp, "stats --graph g", {"fe": -3}), 2, "config 'fe' must be non-negative int, got -3"),
     "spatial_adjacency_with_argument": (
         lambda tmp: ["build-graph", "--cube", "c", "--seg", "s", "--spatial", "adjacency:5", "--out", str(tmp / "g")],
         2, "bad --spatial spec 'adjacency:5'",
@@ -676,6 +678,15 @@ def test_stats_takes_the_cube_shape_from_cube_and_counts_events(tmp_path, capsys
     g = stgraph.import_graph((tmp_path / "graph.json").read_bytes())
     assert report["event_summary"] == {"disappearance": 1, "appearance": 1}
     assert report == json.loads(json.dumps({**stgraph.graph_stats(g, (4, 1, 8, 8), f_v=1), "event_summary": report["event_summary"]}))
+
+
+def test_stats_of_an_empty_graph_without_the_map_is_strict_json(tmp_path):
+    # the ratio's denominator is 0: the report names no ratio rather than Infinity
+    argv = _graph_doc(tmp_path, lambda d: d.update(nodes=[], edges=[], meta={"cube_shape": [2, 1, 4, 4]}))
+    assert main([*argv, "--no-map-stored", "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "stats.json").read_text())
+    json.dumps(report, allow_nan=False)
+    assert report["compression_ratio"] is None
 
 
 def test_forecast_train_computes_ndwi_from_green_and_nir(tmp_path):
