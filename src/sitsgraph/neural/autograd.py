@@ -1,20 +1,30 @@
 """Minimal reverse-mode autodiff over dense 2-D arrays.
 
-Forward ops append (output, backward closure) records to the active tape in
-execution order; ``Tape.backward`` replays them in exact reverse order, and
-every gradient accumulates (``Tensor.accumulate``) so parameters reused across
-ops collect contributions from every use. The replay frees each record and each
-intermediate gradient once consumed, so a tape replays once. A tensor keeps
-the float array it is given: the models pass float32, and building the
-graph in float64 (for finite-difference checks) just means passing float64
-data in.
+Forward ops append (gradient slot, backward closure) records to the active
+tape in execution order; ``Tape.backward`` replays them in exact reverse
+order, and every gradient accumulates (``Grad.accumulate``) so parameters
+reused across ops collect contributions from every use. The replay frees each
+record and each intermediate gradient once consumed, so a tape replays once.
+A tensor keeps the float array it is given: the models pass float32, and
+building the graph in float64 (for finite-difference checks) just means
+passing float64 data in.
+
+A tensor is its ``data`` and its gradient slot (``Grad``): the gradient, the
+flags and the shape and dtype the gradient takes. The tape and the backward
+closures hold slots, never tensors, and a closure keeps only the arrays its
+backward reads: ``linear`` keeps its input when the weight needs a gradient,
+its weight when the input does and its output only for the ReLU mask, ``mul``
+its operands, ``batchnorm`` ``xhat``, the inverse deviation, ``gamma`` and
+its output for the ReLU mask, and the other ops masks, plans and shapes. An
+activation that no backward reads is freed as soon as the forward code
+drops it.
 
 Gradient arrays have one owner at a time, so the replay copies none it need
 not:
 
 - a backward closure owns the ``g`` it receives (``Tape.backward`` detaches
-  it from the output's ``.grad`` first) and may overwrite it, as the ReLU
-  and clamp masks do;
+  it from the output's slot first) and may overwrite it, as the ReLU and
+  clamp masks do;
 - an array passed to ``accumulate`` becomes the receiver's, and the caller
   neither reads nor writes it afterwards. An op output (a tensor that
   ``_emit`` recorded) stores its first gradient as is; a leaf (a parameter
@@ -39,43 +49,81 @@ import numpy as np
 from ..errors import AllIgnored, ShapeMismatch, TapeReplayed
 
 
+class Grad:
+    """A tensor's gradient slot: its gradient, whether it needs one, whether
+    an op recorded it on a tape, and the shape and dtype of its data, without
+    the data itself."""
+
+    __slots__ = ("grad", "requires_grad", "recorded", "shape", "dtype")
+
+    def __init__(self, requires_grad: bool):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self.recorded = False  # an op output on a tape, set by _emit
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` to ``.grad``, in the dtype and shape of the data.
+
+        ``grad`` becomes this slot's: the caller neither reads nor writes it
+        afterwards. An op output stores its first gradient as is when the
+        dtype and shape match. Any other first gradient, and every first
+        gradient of a leaf, is stored in one pass as ``grad + 0.0`` into a
+        fresh array, never as an alias of ``grad``; adding ``+0.0`` turns a
+        ``-0.0`` into ``+0.0``, as ``zeros_like(data) + grad`` does, so the
+        stored bytes are those of a zero-initialized sum. Later gradients
+        are added with ``+=``.
+        """
+        if self.grad is not None:
+            self.grad += grad
+        elif self.recorded and grad.dtype == self.dtype and grad.shape == self.shape:
+            self.grad = grad
+        else:
+            self.grad = np.add(grad, 0.0, out=np.empty(self.shape, self.dtype), casting="same_kind")
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "recorded")
+    """A 2-D array and its gradient slot; ``grad``, ``requires_grad`` and
+    ``accumulate`` are the slot's."""
+
+    __slots__ = ("_data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.ndim != 2:
             raise ShapeMismatch(f"tensors are 2-D, got shape {arr.shape}")
+        self.slot = Grad(bool(requires_grad))
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self.recorded = False  # an op output on a tape, set by _emit
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        self._data = arr
+        self.slot.shape, self.slot.dtype = arr.shape, arr.dtype
 
     @property
     def shape(self):
-        return self.data.shape
+        return self._data.shape
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self.slot.grad = grad
 
     def accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` to ``.grad``, in the dtype and shape of ``.data``.
-
-        ``grad`` becomes this tensor's: the caller neither reads nor writes
-        it afterwards. An op output stores its first gradient as is when
-        the dtype and shape match. Any other first gradient, and every
-        first gradient of a leaf, is stored in one pass as ``grad + 0.0``
-        into a fresh array, never as an alias of ``grad``; adding ``+0.0``
-        turns a ``-0.0`` into ``+0.0``, as ``zeros_like(data) + grad`` does,
-        so the stored bytes are those of a zero-initialized sum. Later
-        gradients are added with ``+=``.
-        """
-        if self.grad is not None:
-            self.grad += grad
-        elif self.recorded and grad.dtype == self.data.dtype and grad.shape == self.data.shape:
-            self.grad = grad
-        else:
-            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data), casting="same_kind")
+        self.slot.accumulate(grad)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.slot.grad = None
 
 
 _ACTIVE_TAPE: "Tape | None" = None
@@ -84,15 +132,16 @@ _ACTIVE_TAPE: "Tape | None" = None
 class Tape:
     """Operation record in execution order.
 
+    A record is an op output's gradient slot and the op's backward closure.
     ``backward`` drops each record once it has replayed it and clears the
-    ``.grad`` of each op output once that gradient has been passed on, so
-    activations and intermediate gradients are freed in reverse order while
-    the replay runs; leaf and parameter gradients are kept. A tape therefore
-    replays once. ``len`` counts the recorded ops, before and after.
+    gradient of each op output once it has been passed on, so the arrays a
+    closure keeps and the intermediate gradients are freed in reverse order
+    while the replay runs; leaf and parameter gradients are kept. A tape
+    therefore replays once. ``len`` counts the recorded ops, before and after.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, callable]] = []
+        self._records: list[tuple[Grad, callable]] = []
         self._replayed: int | None = None  # records freed by backward
 
     def __enter__(self):
@@ -118,8 +167,8 @@ class Tape:
         self._replayed = len(records)
         loss.grad = np.ones_like(loss.data)
         while records:
-            out, fn = records.pop()
-            g, out.grad = out.grad, None
+            slot, fn = records.pop()
+            g, slot.grad = slot.grad, None
             if g is not None:
                 fn(g)
 
@@ -144,9 +193,10 @@ def recording() -> bool:
 def _emit(out: Tensor, fn) -> Tensor:
     # only outputs that need a gradient are recorded, so the backward of an
     # op with one tensor input never checks that input's requires_grad
-    if out.requires_grad and _ACTIVE_TAPE is not None:
-        out.recorded = True
-        _ACTIVE_TAPE._records.append((out, fn))
+    slot = out.slot
+    if slot.requires_grad and _ACTIVE_TAPE is not None:
+        slot.recorded = True
+        _ACTIVE_TAPE._records.append((slot, fn))
     return out
 
 
@@ -187,20 +237,26 @@ def linear(
         or (b is not None and b.requires_grad)
         or (residual is not None and residual.requires_grad),
     )
+    xs, ws = x.slot, w.slot
+    bs = None if b is None else b.slot
+    rs = None if residual is None else residual.slot
+    x_data = x.data if ws.requires_grad else None
+    w_data = w.data if xs.requires_grad else None
+    relu_out = y if relu else None
 
     def backward(g):
-        if relu:
-            np.multiply(g, out.data > 0, out=g)
-        if residual is not None and residual.requires_grad:
-            residual.accumulate(g)
-            if residual.grad is g and (residual is x or residual is b):
+        if relu_out is not None:
+            np.multiply(g, relu_out > 0, out=g)
+        if rs is not None and rs.requires_grad:
+            rs.accumulate(g)
+            if rs.grad is g and (rs is xs or rs is bs):
                 g = g.copy()  # the accumulate below would add into the residual's g
-        if b is not None and b.requires_grad:
-            b.accumulate(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            x.accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate(x.data.T @ g)
+        if bs is not None and bs.requires_grad:
+            bs.accumulate(g.sum(axis=0, keepdims=True))
+        if xs.requires_grad:
+            xs.accumulate(g @ w_data.T)
+        if ws.requires_grad:
+            ws.accumulate(x_data.T @ g)
 
     return _emit(out, backward)
 
@@ -210,15 +266,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape and not (b.data.shape == (1, a.data.shape[1])):
         raise ShapeMismatch(f"add {a.shape} + {b.shape}")
     out = Tensor(a.data + b.data, requires_grad=_needs(a, b))
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            if b.data.shape != g.shape:
-                b.accumulate(g.sum(axis=0, keepdims=True))
+        if sa.requires_grad:
+            sa.accumulate(g)
+        if sb.requires_grad:
+            if sb.shape != g.shape:
+                sb.accumulate(g.sum(axis=0, keepdims=True))
             else:
-                b.accumulate(g.copy() if a.grad is g else g)
+                sb.accumulate(g.copy() if sa.grad is g else g)
 
     return _emit(out, backward)
 
@@ -227,22 +284,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeMismatch(f"mul {a.shape} * {b.shape}")
     out = Tensor(a.data * b.data, requires_grad=_needs(a, b))
+    sa, sb, a_data, b_data = a.slot, b.slot, a.data, b.data
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
+        if sa.requires_grad:
+            sa.accumulate(g * b_data)
+        if sb.requires_grad:
+            sb.accumulate(g * a_data)
 
     return _emit(out, backward)
 
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
-    mask = x.data > 0
+    xs, mask = x.slot, x.data > 0
 
     def backward(g):
-        x.accumulate(np.multiply(g, mask, out=g))
+        xs.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 
@@ -252,13 +310,14 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     if len(rows) != 1:
         raise ShapeMismatch(f"concat over mismatched row counts {rows}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=1), requires_grad=_needs(*parts))
-    widths = [p.data.shape[1] for p in parts]
+    slots = [p.slot for p in parts]
 
     def backward(g):
         off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p.accumulate(g[:, off : off + w])
+        for s in slots:
+            w = s.shape[1]
+            if s.requires_grad:
+                s.accumulate(g[:, off : off + w])
             off += w
 
     return _emit(out, backward)
@@ -269,13 +328,14 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     if len(cols) != 1:
         raise ShapeMismatch(f"concat over mismatched column counts {cols}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=0), requires_grad=_needs(*parts))
-    heights = [p.data.shape[0] for p in parts]
+    slots = [p.slot for p in parts]
 
     def backward(g):
         off = 0
-        for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p.accumulate(g[off : off + h])
+        for s in slots:
+            h = s.shape[0]
+            if s.requires_grad:
+                s.accumulate(g[off : off + h])
             off += h
 
     return _emit(out, backward)
@@ -285,15 +345,16 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start <= stop <= x.data.shape[0]):
         raise ShapeMismatch(f"slice [{start}:{stop}] outside {x.data.shape[0]} rows")
     out = Tensor(x.data[start:stop].copy(), requires_grad=x.requires_grad)
+    xs = x.slot
 
     def backward(g):
-        if x.grad is None:
-            acc = np.zeros_like(x.data)
+        if xs.grad is None:
+            acc = np.zeros(xs.shape, xs.dtype)
             acc[start:stop] = g
-            x.accumulate(acc)
+            xs.accumulate(acc)
         else:
             # a later gradient touches only the sliced rows
-            x.grad[start:stop] += g
+            xs.grad[start:stop] += g
 
     return _emit(out, backward)
 
@@ -423,9 +484,10 @@ def gather_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
     if plan.n != x.data.shape[0]:
         raise ShapeMismatch(f"plan over {plan.n} rows used for {x.data.shape[0]}")
     out = Tensor(x.data[plan.idx], requires_grad=x.requires_grad)
+    xs = x.slot
 
     def backward(g):
-        x.accumulate(plan.sum(g))
+        xs.accumulate(plan.sum(g))
 
     return _emit(out, backward)
 
@@ -434,9 +496,10 @@ def scatter_add_rows(x: Tensor, plan: ScatterPlan) -> Tensor:
     """out[j] = sum of x rows whose plan index equals j (zero rows if none),
     over ``plan.n`` rows."""
     out = Tensor(plan.sum(x.data), requires_grad=x.requires_grad)
+    xs = x.slot
 
     def backward(g):
-        x.accumulate(g[plan.idx])
+        xs.accumulate(g[plan.idx])
 
     return _emit(out, backward)
 
@@ -462,15 +525,16 @@ def edge_inputs(e: Tensor, x: Tensor, rel: Relation, lo: int = 0) -> Tensor:
     out[:, we : we + h] = x.data[rel.src.idx[lo : lo + k]]
     out[:, we + h :] = x.data[rel.dst.idx[lo : lo + k]]
     out = Tensor(out, requires_grad=_needs(e, x))
+    es, xs = e.slot, x.slot
 
     def backward(g):
-        if e.requires_grad:
-            e.accumulate(g[:, :we])
-        if x.requires_grad:
+        if es.requires_grad:
+            es.accumulate(g[:, :we])
+        if xs.requires_grad:
             for plan, col in ((rel.dst, we + h), (rel.src, we)):
                 acc = np.zeros((plan.n, h), dtype=g.dtype)
                 plan.add_to(acc, g[:, col : col + h], lo)
-                x.accumulate(acc)
+                xs.accumulate(acc)
 
     return _emit(out, backward)
 
@@ -490,9 +554,10 @@ def propagate(x: Tensor, rel: Relation, coeff: np.ndarray | None = None) -> Tens
             raise ShapeMismatch(f"{coeff.shape[0]} coefficients for {rel.src.size} edges")
     push, pull = rel.passes()
     out = Tensor(_pass(push, x.data, coeff), requires_grad=x.requires_grad)
+    xs = x.slot
 
     def backward(g):
-        x.accumulate(_pass(pull, g, coeff))
+        xs.accumulate(_pass(pull, g, coeff))
 
     return _emit(out, backward)
 
@@ -513,29 +578,30 @@ def scale_rows(x: Tensor, coeff: np.ndarray) -> Tensor:
     if coeff.shape[0] != x.data.shape[0]:
         raise ShapeMismatch(f"{coeff.shape[0]} coefficients for {x.data.shape[0]} rows")
     out = Tensor(x.data * coeff, requires_grad=x.requires_grad)
+    xs = x.slot
 
     def backward(g):
-        x.accumulate(g * coeff)
+        xs.accumulate(g * coeff)
 
     return _emit(out, backward)
 
 
 def mean_all(x: Tensor) -> Tensor:
     out = Tensor(np.array([[x.data.mean()]], dtype=x.data.dtype), requires_grad=x.requires_grad)
-    n = x.data.size
+    xs, n = x.slot, x.data.size
 
     def backward(g):
-        x.accumulate(np.full_like(x.data, float(g[0, 0]) / n))
+        xs.accumulate(np.full(xs.shape, float(g[0, 0]) / n, xs.dtype))
 
     return _emit(out, backward)
 
 
 def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     out = Tensor(np.clip(x.data, lo, hi), requires_grad=x.requires_grad)
-    mask = (x.data >= lo) & (x.data <= hi)
+    xs, mask = x.slot, (x.data >= lo) & (x.data <= hi)
 
     def backward(g):
-        x.accumulate(np.multiply(g, mask, out=g))
+        xs.accumulate(np.multiply(g, mask, out=g))
 
     return _emit(out, backward)
 
@@ -594,24 +660,26 @@ def batchnorm(
     if relu:
         np.maximum(y, 0, out=y)
     out = Tensor(y, requires_grad=_needs(x, gamma, beta))
+    xs, gs, bs, gamma_data = x.slot, gamma.slot, beta.slot, gamma.data
+    relu_out = y if relu else None
 
     def backward(g):
-        if relu:
-            np.multiply(g, y > 0, out=g)
+        if relu_out is not None:
+            np.multiply(g, relu_out > 0, out=g)
         tmp = np.multiply(g, xhat)
-        if gamma.requires_grad:
-            gamma.accumulate(tmp.sum(axis=0, keepdims=True))
-        if beta.requires_grad:
-            beta.accumulate(g.sum(axis=0, keepdims=True))
-        if x.requires_grad:
-            gy = np.multiply(g, gamma.data, out=g)
+        if gs.requires_grad:
+            gs.accumulate(tmp.sum(axis=0, keepdims=True))
+        if bs.requires_grad:
+            bs.accumulate(g.sum(axis=0, keepdims=True))
+        if xs.requires_grad:
+            gy = np.multiply(g, gamma_data, out=g)
             if train:
                 m1 = gy.mean(axis=0, keepdims=True)
                 m2 = np.multiply(gy, xhat, out=tmp).mean(axis=0, keepdims=True)
                 gy -= m1
                 gy -= np.multiply(xhat, m2, out=tmp)
             gy *= inv
-            x.accumulate(gy)
+            xs.accumulate(gy)
 
     return _emit(out, backward)
 
@@ -636,12 +704,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     nll = -logp[rows, labels[rows]]
     out = Tensor(np.array([[nll.mean()]], dtype=logits.data.dtype), requires_grad=logits.requires_grad)
     softmax_data = np.exp(logp)
+    ls = logits.slot
 
     def backward(g):
         grad = softmax_data.copy()
         grad[rows, labels[rows]] -= 1.0
         grad[~keep] = 0.0
-        logits.accumulate(grad * (float(g[0, 0]) / n_valid))
+        ls.accumulate(grad * (float(g[0, 0]) / n_valid))
 
     return _emit(out, backward)
 
@@ -656,10 +725,10 @@ def huber(pred: Tensor, target: np.ndarray, delta: float = 1.0) -> Tensor:
     quad = absr <= delta
     vals = np.where(quad, 0.5 * r * r, delta * (absr - 0.5 * delta))
     out = Tensor(np.array([[vals.mean()]], dtype=pred.data.dtype), requires_grad=pred.requires_grad)
-    n = pred.data.size
+    ps, n = pred.slot, pred.data.size
 
     def backward(g):
         dr = np.where(quad, r, delta * np.sign(r))
-        pred.accumulate(dr * (float(g[0, 0]) / n))
+        ps.accumulate(dr * (float(g[0, 0]) / n))
 
     return _emit(out, backward)

@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
+from .errors import ConfigMismatch, DimMismatch, InvalidLag, InvalidSpec, ShapeMismatch, TooFewNodes, UnknownNode
 from .errors import int_column, json_object, number_column
 from .features import FeatureMatrix, geom_features
 from .nearest import k_nearest, pairs_within
@@ -436,8 +436,11 @@ def graph_stats(
 
     ratio = C*T*H*W / (f_v*|V| + |E| + f_e*|E| [+ T*H*W if the object-pixel
     map is stored]), or None where that denominator is 0 (an empty graph
-    without the map), so the report stays strict JSON.
+    without the map), so the report stays strict JSON. A negative ``f_v``
+    or ``f_e`` raises ``ConfigMismatch``.
     """
+    if f_v < 0 or f_e < 0:
+        raise ConfigMismatch(f"f_v and f_e must be >= 0, got f_v={f_v}, f_e={f_e}")
     t, c, h, w = cube_shape
     n_edges = len(g.spatial) + len(g.st)
     denom = f_v * g.n_nodes + n_edges + f_e * n_edges

@@ -27,6 +27,7 @@ from _oracles import (
 )
 from sitsgraph.cli import build_parser
 from sitsgraph.errors import (
+    ConfigMismatch,
     DimMismatch,
     InvalidLag,
     InvalidSpec,
@@ -515,6 +516,15 @@ class TestGraphStats:
         r1 = graph_stats(g1, shape, f_v=2, map_stored=False)["compression_ratio"]
         r2 = graph_stats(g2, shape, f_v=2, map_stored=False)["compression_ratio"]
         assert r2 < r1
+
+    @pytest.mark.parametrize("sizes", [{"f_v": -5}, {"f_v": 1, "f_e": -3, "map_stored": False}], ids=["f_v", "f_e"])
+    def test_negative_sizes_are_a_typed_error(self, sizes):
+        # a negative size would shrink the denominator: f_v=-5 gave a ratio
+        # of 2.29 and f_e=-3 without the map gave None
+        nodes = [Node(i, 0, 1, (0.0, float(i))) for i in range(2)]
+        g = graph_from_objects(nodes, [Edge(0, 1, SPATIAL, 1.0)], [])
+        with pytest.raises(ConfigMismatch, match="must be >= 0"):
+            graph_stats(g, (1, 1, 4, 4), **sizes)
 
 
 class TestExport:
