@@ -349,6 +349,8 @@ def synth_seasonal(
         raise InvalidSpec(f"n_blobs={n_blobs} exceeds pixel count {h * w}")
     if period_dates < 1:
         raise InvalidSpec(f"period_dates must be >= 1, got {period_dates}")
+    if not 0 <= sigma < np.inf:
+        raise InvalidSpec(f"sigma must be finite and >= 0, got {sigma}")
 
     rng = np.random.default_rng(seed)
     seed_flat = rng.choice(h * w, size=n_blobs, replace=False)

@@ -84,12 +84,15 @@ def majority_upper_bound(seg: SegStack, label_maps: np.ndarray) -> float:
 
 def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:
     """Frame reconstruction report for index-valued images in [-1, 1]. A
-    non-finite sample in either frame is a ``NoData`` error: its RMSE would be
-    NaN, which the PSNR cap would report as a perfect frame."""
+    frame with no pixel or a non-finite sample in either frame is a
+    ``NoData`` error: its RMSE would be NaN, which the PSNR cap would report
+    as a perfect frame."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 2:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
+    if pred.size == 0:
+        raise NoData(f"the frames hold no pixel (shape {pred.shape})")
     for name, frame in (("predicted", pred), ("target", target)):
         if not np.isfinite(frame).all():
             raise NoData(f"the {name} frame holds a non-finite sample")

@@ -82,8 +82,8 @@ class Grad:
 
 
 class Tensor:
-    """A 2-D array and its gradient slot; ``grad``, ``requires_grad`` and
-    ``accumulate`` are the slot's."""
+    """A 2-D array and its gradient slot; ``grad`` and ``requires_grad`` are
+    the slot's."""
 
     __slots__ = ("_data", "slot")
 
@@ -118,9 +118,6 @@ class Tensor:
     @grad.setter
     def grad(self, grad: np.ndarray | None) -> None:
         self.slot.grad = grad
-
-    def accumulate(self, grad: np.ndarray) -> None:
-        self.slot.accumulate(grad)
 
     def zero_grad(self) -> None:
         self.slot.grad = None

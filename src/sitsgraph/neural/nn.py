@@ -94,9 +94,9 @@ class Linear:
         fan_in: int,
         fan_out: int,
         dtype=np.float32,
-        params: Parameters | None = None,
+        *,
+        params: Parameters,
     ):
-        params = Parameters() if params is None else params
         self.weight = params.tensor((fan_in, fan_out), dtype, rng)
         self.bias = params.tensor((1, fan_out), dtype)
 
@@ -104,9 +104,6 @@ class Linear:
         """``x @ weight + bias``, plus ``residual`` when given, then a ReLU
         when ``relu``: one tape record."""
         return ag.linear(x, self.weight, self.bias, relu, residual)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
 
 class MLP:
@@ -124,7 +121,8 @@ class MLP:
         dims: list[int],
         dtype=np.float32,
         zero_last: bool = False,
-        params: Parameters | None = None,
+        *,
+        params: Parameters,
     ):
         if len(dims) < 2:
             raise ShapeMismatch("an MLP needs at least input and output dims")
@@ -142,16 +140,12 @@ class MLP:
             x = layer(x, relu=i < last, residual=residual if i == last else None)
         return x
 
-    def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
-
 
 class BatchNorm:
     """Batch norm over rows. The running statistics are buffers of
     ``params``, which a loaded model fills when it closes the registry."""
 
-    def __init__(self, dim: int, dtype=np.float32, params: Parameters | None = None):
-        params = Parameters() if params is None else params
+    def __init__(self, dim: int, dtype=np.float32, *, params: Parameters):
         self.gamma = params.tensor((1, dim), dtype, fill=1.0)
         self.beta = params.tensor((1, dim), dtype)
         params.buffer(self, "running_mean", np.zeros(dim, dtype=dtype))
@@ -160,9 +154,6 @@ class BatchNorm:
     def __call__(self, x: Tensor, train: bool, relu: bool = False) -> Tensor:
         """The normalized rows, then a ReLU when ``relu``: one tape record."""
         return ag.batchnorm(x, self.gamma, self.beta, self.running_mean, self.running_var, train=train, relu=relu)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.gamma, self.beta]
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ def weighted_sum(out: Tensor, weights: np.ndarray) -> Tensor:
     return ag.mean_all(ag.mul(out, Tensor(weights * out.data.size)))
 
 
-def randomize_biases(module, rng, scale: float = 0.1) -> None:
-    """Move zero-initialized biases off 0 so no ReLU sits exactly on its kink
-    (finite differences are ill-defined there)."""
-    for p in module.parameters():
+def randomize_biases(params: list[Tensor], rng, scale: float = 0.1) -> None:
+    """Move zero-initialized biases among ``params`` off 0 so no ReLU sits
+    exactly on its kink (finite differences are ill-defined there)."""
+    for p in params:
         if p.data.shape[0] == 1 and np.all(p.data == 0):
             p.data = rng.normal(scale=scale, size=p.data.shape).astype(p.data.dtype)

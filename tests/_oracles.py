@@ -838,15 +838,15 @@ def reference_batchnorm(x, gamma, beta, running_mean, running_var, train: bool):
 
     def backward(g):
         if gamma.requires_grad:
-            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True))
+            gamma.slot.accumulate((g * xhat).sum(axis=0, keepdims=True))
         if beta.requires_grad:
-            beta.accumulate(g.sum(axis=0, keepdims=True))
+            beta.slot.accumulate(g.sum(axis=0, keepdims=True))
         if x.requires_grad:
             gy = g * gamma.data
             if train:
-                x.accumulate(inv * (gy - gy.mean(axis=0, keepdims=True) - xhat * (gy * xhat).mean(axis=0, keepdims=True)))
+                x.slot.accumulate(inv * (gy - gy.mean(axis=0, keepdims=True) - xhat * (gy * xhat).mean(axis=0, keepdims=True)))
             else:
-                x.accumulate(gy * inv)
+                x.slot.accumulate(gy * inv)
 
     return ag._emit(out, backward)
 

@@ -46,7 +46,7 @@ from sitsgraph.neural import ClassifierConfig, train_classifier
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tensor
 from sitsgraph.neural.classifier import classifier_from_checkpoint, graph_arrays, predict_nodes
-from sitsgraph.neural.nn import MLP, BatchNorm, cross_entropy, gcn_conv, relation, relu, sage_conv
+from sitsgraph.neural.nn import MLP, BatchNorm, Parameters, cross_entropy, gcn_conv, relation, relu, sage_conv
 from sitsgraph.segmentation import SegStack, felzenszwalb, segment_cube, slic
 from sitsgraph.stgraph import (
     SPATIOTEMPORAL,
@@ -249,7 +249,7 @@ def test_criterion_05_gradient_suite():
         record("relu", check_gradients(lambda: weighted_sum(relu(xr), prober), [xr]))
 
         # batchnorm, train mode
-        bn = BatchNorm(din, dtype=np.float64)
+        bn = BatchNorm(din, dtype=np.float64, params=Parameters())
         xb = Tensor(rng.normal(size=(n + 1, din)), requires_grad=True)
         probeb = rng.normal(size=(n + 1, din))
         record(
@@ -287,16 +287,16 @@ def test_criterion_05_gradient_suite():
         )
 
         # relational block
-        mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=np.float64)
-        mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=np.float64)
-        randomize_biases(mlp_e, rng)
-        randomize_biases(mlp_v, rng)
+        block = Parameters()
+        mlp_e = MLP(rng, [3 * hidden, hidden, hidden], dtype=np.float64, params=block)
+        mlp_v = MLP(rng, [2 * hidden, hidden, hidden], dtype=np.float64, params=block)
+        randomize_biases(block.tensors, rng)
         from sitsgraph.forecast.model import gn_block, pixel_embedding
 
         xe = Tensor(rng.normal(size=(n, hidden)), requires_grad=True)
         ee = Tensor(rng.normal(size=(len(src), hidden)), requires_grad=True)
         probee = rng.normal(size=(n, hidden))
-        params = [xe, ee] + mlp_e.parameters() + mlp_v.parameters()
+        params = [xe, ee] + block.tensors
         directed = Relation(ScatterPlan(src, n), ScatterPlan(dst, n))
         record(
             "gn_block",
@@ -308,15 +308,15 @@ def test_criterion_05_gradient_suite():
         # pixel embedding
         nser = int(rng.integers(2, 5))
         half = hidden // 2
-        mlp_ts = MLP(rng, [nser, half, half], dtype=np.float64)
-        mlp_pos = MLP(rng, [4, half, half], dtype=np.float64)
-        mlp_mix = MLP(rng, [hidden, hidden, hidden], dtype=np.float64)
-        for m in (mlp_ts, mlp_pos, mlp_mix):
-            randomize_biases(m, rng)
+        embed = Parameters()
+        mlp_ts = MLP(rng, [nser, half, half], dtype=np.float64, params=embed)
+        mlp_pos = MLP(rng, [4, half, half], dtype=np.float64, params=embed)
+        mlp_mix = MLP(rng, [hidden, hidden, hidden], dtype=np.float64, params=embed)
+        randomize_biases(embed.tensors, rng)
         series = Tensor(rng.normal(size=(n, nser)), requires_grad=True)
         pos = Tensor(rng.normal(size=(n, 4)))
         probep = rng.normal(size=(n, hidden))
-        params = [series] + mlp_ts.parameters() + mlp_pos.parameters() + mlp_mix.parameters()
+        params = [series] + embed.tensors
         record(
             "pixel_embedding",
             check_gradients(

@@ -20,7 +20,7 @@ from sitsgraph.metrics import ConfusionMatrix, confusion, ssim
 from sitsgraph.neural import ClassifierConfig, train_classifier
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tensor
-from sitsgraph.neural.nn import MLP
+from sitsgraph.neural.nn import MLP, Parameters
 from sitsgraph.segmentation import SegStack, felzenszwalb, segment_cube, slic
 from sitsgraph.stgraph import adjacency_edges, build_graph, export_graph, overlap_edges, similarity_edges
 
@@ -120,7 +120,7 @@ ARGUMENT_ERRORS = {
     "cross_entropy_label_count": (lambda tmp: ag.cross_entropy(_t(2, 2), [0]), ShapeMismatch, "1 labels for 2 rows"),
     "cross_entropy_label_outside": (lambda tmp: ag.cross_entropy(_t(2, 2), [0, 2]), ShapeMismatch, "label outside [0, n_classes)"),
     "huber_target_shape": (lambda tmp: ag.huber(_t(2, 1), np.zeros((1, 2))), ShapeMismatch, "target (1, 2) vs pred (2, 1)"),
-    "mlp_one_dim": (lambda tmp: MLP(np.random.default_rng(0), [3]), ShapeMismatch, "at least input and output dims"),
+    "mlp_one_dim": (lambda tmp: MLP(np.random.default_rng(0), [3], params=Parameters()), ShapeMismatch, "at least input and output dims"),
     "classifier_no_train_graphs": (lambda tmp: _train_classifier([], [_graph(features=_fm(2))]), NoData, "must both be non-empty"),
     "classifier_no_val_graphs": (lambda tmp: _train_classifier([_graph(features=_fm(2))], []), NoData, "must both be non-empty"),
     # segmentation

@@ -130,6 +130,11 @@ def _mine_feature(tmp_path: Path, index: int) -> list[str]:
             "--maxlen", "2", "--out", str(tmp_path / "mine")]
 
 
+def _synth_sigma(tmp_path: Path, sigma: str) -> list[str]:
+    return ["synth", "--seed", "0", "--t", "4", "--height", "8", "--width", "8", "--blobs", "2", "--period", "2",
+            "--sigma", sigma, "--out", str(tmp_path / "o")]
+
+
 def _eval_forecast(tmp_path: Path, n_pred: int, n_target: int, *flags: str) -> list[str]:
     """An eval --task forecast run on blobs of ``n_pred`` and ``n_target`` floats."""
     for name, n in (("pred", n_pred), ("target", n_target)):
@@ -448,6 +453,7 @@ FAILURES = {
         lambda tmp: _eval_forecast(tmp, 16, 16, "--height", "-4"), 2, "invalid positive int value: '-4'",
     ),
     "eval_forecast_empty_pred": (lambda tmp: _eval_forecast(tmp, 0, 9), 1, "from 0 --pred and 9 --target floats"),
+    "eval_forecast_empty_frames": (lambda tmp: _eval_forecast(tmp, 0, 0, "--height", "3"), 1, "the frames hold no pixel"),
     "eval_forecast_target_size_differs": (lambda tmp: _eval_forecast(tmp, 9, 16), 1, "from 9 --pred and 16 --target floats"),
     "eval_forecast_without_pred": (
         lambda tmp: ["eval", "--task", "forecast", "--target", "t.bin", "--out", str(tmp / "r")], 2, "--pred",
@@ -465,6 +471,9 @@ FAILURES = {
     "checkpoint_header_not_utf8": (_checkpoint_header_not_utf8, 1, "header is not UTF-8 text"),
     "config_not_utf8": (lambda tmp: _not_utf8(_config(tmp, "{}"), tmp / "cfg.json"), 1, "cfg.json is not UTF-8 text"),
     "seed_negative": (lambda tmp: ["synth", "--seed", "-1", "--out", str(tmp / "o")], 2, "invalid non-negative int value: '-1'"),
+    "synth_sigma_negative": (lambda tmp: _synth_sigma(tmp, "-1"), 1, "sigma must be finite and >= 0, got -1.0"),
+    "synth_sigma_nan": (lambda tmp: _synth_sigma(tmp, "nan"), 1, "sigma must be finite and >= 0, got nan"),
+    "synth_sigma_inf": (lambda tmp: _synth_sigma(tmp, "inf"), 1, "sigma must be finite and >= 0, got inf"),
     "forecast_train_seed_negative": (
         lambda tmp: ["forecast", "train", "--cubes", "a", "b", "c", "--seed", "-1", "--out", str(tmp / "o")],
         2, "invalid non-negative int value: '-1'",

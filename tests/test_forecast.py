@@ -26,7 +26,7 @@ from sitsgraph.forecast import model as forecast_model
 from sitsgraph.forecast.model import gn_nodes, pixel_pos_encoding
 from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor, no_grad
-from sitsgraph.neural.nn import MLP, Linear
+from sitsgraph.neural.nn import MLP, Linear, Parameters
 
 
 class TestBuildMesh:
@@ -117,18 +117,17 @@ def _relation(src, dst, n: int) -> Relation:
 
 class TestGnBlock:
     def _mlps(self, hidden, zero=False):
+        """The edge and node MLPs and the registry that holds their tensors."""
         rng = np.random.default_rng(0)
-        mlps = (
-            MLP(None if zero else rng, [3 * hidden, hidden, hidden], dtype=np.float64),
-            MLP(None if zero else rng, [2 * hidden, hidden, hidden], dtype=np.float64),
-        )
+        params = Parameters()
+        mlp_e = MLP(None if zero else rng, [3 * hidden, hidden, hidden], dtype=np.float64, params=params)
+        mlp_v = MLP(None if zero else rng, [2 * hidden, hidden, hidden], dtype=np.float64, params=params)
         if not zero:
-            for m in mlps:
-                randomize_biases(m, rng)
-        return mlps
+            randomize_biases(params.tensors, rng)
+        return mlp_e, mlp_v, params
 
     def test_zero_mlps_identity(self):
-        mlp_e, mlp_v = self._mlps(4, zero=True)
+        mlp_e, mlp_v, _ = self._mlps(4, zero=True)
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(5, 4)))
         e = Tensor(rng.normal(size=(3, 4)))
@@ -137,7 +136,7 @@ class TestGnBlock:
         assert np.array_equal(e2.data, e.data)
 
     def test_no_edges_zero_aggregate(self):
-        mlp_e, mlp_v = self._mlps(4)
+        mlp_e, mlp_v, _ = self._mlps(4)
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(3, 4)))
         e = Tensor(np.zeros((0, 4)))
@@ -148,7 +147,7 @@ class TestGnBlock:
 
     def test_three_node_fixture_matches_loop(self):
         hidden = 3
-        mlp_e, mlp_v = self._mlps(hidden)
+        mlp_e, mlp_v, _ = self._mlps(hidden)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, hidden))
         e = rng.normal(size=(2, hidden))
@@ -173,7 +172,7 @@ class TestGnBlock:
         assert np.allclose(x2.data, x2_expect, atol=1e-12)
 
     def test_edge_features_and_nodes_must_match_the_relation(self):
-        mlp_e, mlp_v = self._mlps(4)
+        mlp_e, mlp_v, _ = self._mlps(4)
         x = Tensor(np.zeros((3, 4)))
         rel = _relation([0, 1, 2], [1, 2, 0], 3)
         with pytest.raises(ShapeMismatch, match="2 edge features for 3 edges"):
@@ -188,9 +187,9 @@ class TestGnBlock:
         # straddle a block boundary, and 33 or 225 edges leave a 1-row remainder
         monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
         hidden, m = 16, 4
-        mlp_e, mlp_v = self._mlps(hidden)
+        mlp_e, mlp_v, _ = self._mlps(hidden)
         rng = np.random.default_rng(pixels)
-        enc = Linear(rng, 2, hidden, dtype=np.float64)
+        enc = Linear(rng, 2, hidden, dtype=np.float64, params=Parameters())
         n = m + pixels
         rel = _relation(rng.integers(0, m, 3 * pixels), np.repeat(np.arange(m, n), 3), n)
         x = Tensor(rng.normal(size=(n, hidden)))
@@ -201,14 +200,14 @@ class TestGnBlock:
 
     def test_gradients(self):
         hidden = 3
-        mlp_e, mlp_v = self._mlps(hidden)
+        mlp_e, mlp_v, block = self._mlps(hidden)
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(4, hidden)), requires_grad=True)
         e = Tensor(rng.normal(size=(3, hidden)), requires_grad=True)
         src = np.array([0, 1, 3])
         dst = np.array([1, 2, 2])
         probe = rng.normal(size=(4, hidden))
-        params = [x, e] + mlp_e.parameters() + mlp_v.parameters()
+        params = [x, e] + block.tensors
         rel = _relation(src, dst, 4)
 
         def loss():
@@ -222,19 +221,20 @@ class TestPixelEmbedding:
     def _mlps(self, n, hidden):
         rng = np.random.default_rng(0)
         half = hidden // 2
+        params = Parameters()
         mlps = (
-            MLP(rng, [n, half, half], dtype=np.float64),
-            MLP(rng, [4, half, half], dtype=np.float64),
-            MLP(rng, [hidden, hidden, hidden], dtype=np.float64),
+            MLP(rng, [n, half, half], dtype=np.float64, params=params),
+            MLP(rng, [4, half, half], dtype=np.float64, params=params),
+            MLP(rng, [hidden, hidden, hidden], dtype=np.float64, params=params),
         )
-        for m in mlps:
-            randomize_biases(m, rng)
+        randomize_biases(params.tensors, rng)
         return mlps
 
     def test_zero_weights_zero_embedding(self):
         rng = np.random.default_rng(0)
+        params = Parameters()
         mlps = tuple(
-            MLP(None, dims, dtype=np.float64)
+            MLP(None, dims, dtype=np.float64, params=params)
             for dims in ([6, 2, 2], [4, 2, 2], [4, 4, 4])
         )
         out = pixel_embedding(Tensor(rng.normal(size=(5, 6))), Tensor(rng.normal(size=(5, 4))), *mlps)

@@ -19,7 +19,7 @@ from sitsgraph.forecast.model import ForecastConfig, Forecaster, gn_nodes, huber
 from sitsgraph.forecast.train import _window_mesh
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor
-from sitsgraph.neural.nn import MLP, Adam, Linear
+from sitsgraph.neural.nn import MLP, Adam, Linear, Parameters
 from test_forecast import _grid_labels
 from test_fused_kernels import _relations, _rows
 
@@ -232,7 +232,7 @@ def test_predict_over_blocks_written_in_place_equals_taped_forward(geo, monkeypa
 def test_untaped_node_update_writes_over_its_input(monkeypatch):
     monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
     rng = np.random.default_rng(18)
-    mlp_v = MLP(rng, [8, 4, 4], dtype=np.float64)
+    mlp_v = MLP(rng, [8, 4, 4], dtype=np.float64, params=Parameters())
     x = Tensor(rng.normal(size=(70, 4)))
     agg = Tensor(rng.normal(size=(70, 4)))
     with Tape():
@@ -281,9 +281,10 @@ def test_untaped_decoder_block_holds_two_node_arrays(monkeypatch):
     hidden, m, pixels = 64, 64, 128 * 128
     n = m + pixels
     rng = np.random.default_rng(19)
-    mlp_e = MLP(rng, [3 * hidden, hidden, hidden])
-    mlp_v = MLP(rng, [2 * hidden, hidden, hidden])
-    enc = Linear(rng, 2, hidden)
+    params = Parameters()
+    mlp_e = MLP(rng, [3 * hidden, hidden, hidden], params=params)
+    mlp_v = MLP(rng, [2 * hidden, hidden, hidden], params=params)
+    enc = Linear(rng, 2, hidden, params=params)
     src = rng.integers(0, m, 3 * pixels)
     rel = Relation(ScatterPlan(src, n), ScatterPlan(np.repeat(np.arange(m, n), 3), n))
     x = Tensor(rng.normal(size=(n, hidden)).astype(np.float32))

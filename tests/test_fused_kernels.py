@@ -20,7 +20,7 @@ from sitsgraph.neural import autograd as ag
 from sitsgraph.neural import classifier
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor, no_grad
 from sitsgraph.neural.classifier import ClassifierConfig, STClassifier
-from sitsgraph.neural.nn import Adam, BatchNorm, cross_entropy, relation
+from sitsgraph.neural.nn import Adam, BatchNorm, Parameters, cross_entropy, relation
 
 
 def _relations():
@@ -164,7 +164,7 @@ def test_batchnorm_matches_mean_var_and_a_separate_relu_bytes(dtype, train, relu
 
 
 def test_batchnorm_relu_is_one_record():
-    bn = BatchNorm(4)
+    bn = BatchNorm(4, params=Parameters())
     x = Tensor(np.random.default_rng(5).normal(size=(6, 4)).astype(np.float32), requires_grad=True)
     with Tape() as tape:
         out = bn(x, train=True, relu=True)
@@ -174,11 +174,12 @@ def test_batchnorm_relu_is_one_record():
 @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
 def test_batchnorm_relu_gradients(train):
     rng = np.random.default_rng(6)
-    bn = BatchNorm(3, dtype=np.float64)
+    params = Parameters()
+    bn = BatchNorm(3, dtype=np.float64, params=params)
     bn.running_mean = rng.normal(size=3)
     bn.running_var = rng.uniform(0.5, 2.0, size=3)
     bn.gamma.data = rng.normal(1.0, 0.5, size=(1, 3))
-    randomize_biases(bn, rng, scale=0.5)
+    randomize_biases(params.tensors, rng, scale=0.5)
     x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
     probe = rng.normal(size=(7, 3))
     stats = bn.running_mean.copy(), bn.running_var.copy()

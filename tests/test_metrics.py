@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import modal_label_accuracy
-from sitsgraph.errors import EmptyMatrix, NoLabels, ShapeMismatch
+from sitsgraph.errors import EmptyMatrix, NoData, NoLabels, ShapeMismatch
 from sitsgraph.metrics import (
     ConfusionMatrix,
     confusion,
@@ -146,3 +146,9 @@ class TestFrameMetrics:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             rmse_psnr_ssim(np.zeros((4, 4)), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
+    def test_a_frame_with_no_pixel_is_no_data(self, shape):
+        # its RMSE and SSIM would be NaN, and the PSNR cap a perfect 100 dB
+        with pytest.raises(NoData, match="no pixel"):
+            rmse_psnr_ssim(np.zeros(shape), np.zeros(shape))

@@ -14,7 +14,7 @@ from sitsgraph.forecast.train import _window_mesh
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tape, Tensor
 from sitsgraph.neural.classifier import ClassifierConfig, STClassifier
-from sitsgraph.neural.nn import MLP, Linear, cross_entropy, relation
+from sitsgraph.neural.nn import MLP, Linear, Parameters, cross_entropy, relation
 from test_neural import _ALIASING, _leaf_grads
 
 
@@ -83,8 +83,9 @@ def test_classifier_step_tape_shrinks(conv):
 
 def test_an_activation_no_backward_reads_dies_before_backward():
     rng = np.random.default_rng(1)
-    mlp = MLP(rng, [4, 8, 8])
-    lin = Linear(rng, 4, 8)
+    params = Parameters()
+    mlp = MLP(rng, [4, 8, 8], params=params)
+    lin = Linear(rng, 4, 8, params=params)
     x = Tensor(rng.normal(size=(5, 4)).astype(np.float32))
     with Tape() as tape:
         out = mlp(x)  # its last linear has no ReLU, so no backward reads its output
@@ -95,7 +96,7 @@ def test_an_activation_no_backward_reads_dies_before_backward():
         assert dead() is None and alive() is not None
         tape.backward(loss)
     assert alive() is None  # the replay frees what the closures kept
-    assert all(p.grad is not None for p in [lin.weight, lin.bias] + [q for layer in mlp.layers for q in (layer.weight, layer.bias)])
+    assert all(p.grad is not None for p in params.tensors)
 
 
 def _tensors_in_closures(tape: Tape) -> int:
