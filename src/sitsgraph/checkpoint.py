@@ -13,20 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigMismatch, ShapeMismatch, int_column, json_object, number_column, read_file
+from .errors import ConfigMismatch, ShapeMismatch, int_column, json_object, number_column, read_file, write_files
 
 
 def save_checkpoint(path: str | Path, header: dict, params: list[np.ndarray]) -> None:
     header = dict(header)
     header["shapes"] = [list(p.shape) for p in params]
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
     hj = json.dumps(header, sort_keys=True).encode()
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(struct.pack("<I", len(hj)))
-        f.write(hj)
-        f.write(blob)
+    arrays = (np.ascontiguousarray(p, dtype="<f4") for p in params)
+    write_files(path.parent, {path.name: b"".join([struct.pack("<I", len(hj)), hj, *arrays])})
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, list[np.ndarray]]:

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__, analysis, datacube, features, metrics, segmentation, stgraph
 from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError, int_column, json_object, read_file
+from .errors import ConfigMismatch, InvalidSpec, ShapeMismatch, SitsGraphError, int_column, json_object, read_array, read_file
+from .errors import write_files
 from .forecast import ForecastConfig, make_site_splits, train_forecaster
 from .forecast.model import MESH_SOURCES
 from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_next_frame
@@ -63,19 +64,6 @@ def _pin_malloc_thresholds() -> None:
 def _run_config(args) -> str:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     return json.dumps({**params, "version": __version__}, indent=2, sort_keys=True) + "\n"
-
-
-def _write(out: Path, files: dict) -> None:
-    """Make the directory ``out`` and write each named file into it: bytes
-    and text as they are, anything else in the ``indent=2`` JSON layout."""
-    out.mkdir(parents=True, exist_ok=True)
-    for name, body in files.items():
-        if isinstance(body, bytes):
-            (out / name).write_bytes(body)
-        elif isinstance(body, str):
-            (out / name).write_text(body)
-        else:
-            (out / name).write_text(json.dumps(body, indent=2) + "\n")
 
 
 def _load_graph(path: str) -> stgraph.StGraph:
@@ -267,7 +255,7 @@ def cmd_mine(args):
 def cmd_export(args):
     blob = stgraph.export_graph(_load_graph(args.graph), args.format)
     out = Path(args.out)  # a file, not a run directory
-    _write(out.parent, {out.name: blob})
+    write_files(out.parent, {out.name: blob})
     return f"wrote {args.format} ({len(blob)} bytes) -> {args.out}", None
 
 
@@ -332,13 +320,7 @@ def cmd_eval(args):
         row += [f"{report['miou']:.6f}", f"{report['oa']:.6f}"]
         files["per_class_iou.csv"] = ",".join(header) + "\n" + ",".join(row) + "\n"
     else:
-        frames = []
-        for flag, path in (("--pred", args.pred), ("--target", args.target)):
-            raw = read_file(path, flag)
-            if len(raw) % 4:
-                raise ShapeMismatch(f"{flag} {path} holds {len(raw)} bytes, not a whole number of float32 values")
-            frames.append(np.frombuffer(raw, dtype="<f4"))
-        pred, target = frames
+        pred, target = read_array(args.pred, "--pred", "<f4", (-1,)), read_array(args.target, "--target", "<f4", (-1,))
         rows = int(np.sqrt(pred.size)) if args.height is None else args.height
         if rows < 1 or pred.size % rows or target.size != pred.size:
             raise ShapeMismatch(f"cannot form frames of {rows} rows from {pred.size} --pred and {target.size} --target floats")
@@ -404,7 +386,7 @@ def cmd_forecast_predict(args):
         raise SitsGraphError(f"window end {end} out of range [{n}, {t}]")
     window = values[end - n : end].astype(np.float32)
     pred = predict_next_frame(model, window, cube.geo, cube.timestamps[end - 1])
-    files = {"frame.bin": np.ascontiguousarray(pred, dtype="<f4").tobytes()}
+    files = {"frame.bin": np.ascontiguousarray(pred, dtype="<f4")}
     report = {}
     if end < t:
         report = metrics.rmse_psnr_ssim(pred, values[end])
@@ -520,12 +502,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("train", help="train the node classifier on a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--conv", choices=CONVS, default="sage")
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--conv", choices=CONVS, default=ClassifierConfig.conv)
+    p.add_argument("--hidden", type=int, default=ClassifierConfig.hidden)
+    p.add_argument("--layers", type=int, default=ClassifierConfig.n_layers)
+    p.add_argument("--lr", type=float, default=ClassifierConfig.lr)
+    p.add_argument("--epochs", type=int, default=ClassifierConfig.epochs)
+    p.add_argument("--seed", type=_non_negative, default=ClassifierConfig.seed)
     p.add_argument("--val-frac", type=_fraction, default=0.25)
     p.add_argument("--out", required=True)
     common(p)
@@ -556,15 +538,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     pt = fsub.add_parser("train")
     pt.add_argument("--cubes", nargs="+", required=True, help="cube dirs; one site each")
-    pt.add_argument("--input-len", type=int, default=6)
-    pt.add_argument("--segments", type=int, default=256)
-    pt.add_argument("--compactness", type=float, default=0.1)
-    pt.add_argument("--hidden", type=int, default=64)
-    pt.add_argument("--rounds", type=int, default=4)
-    pt.add_argument("--lr", type=float, default=1e-4)
-    pt.add_argument("--epochs", type=int, default=50)
-    pt.add_argument("--seed", type=_non_negative, default=0)
-    pt.add_argument("--mesh-from", choices=MESH_SOURCES, default="last")
+    pt.add_argument("--input-len", type=int, default=ForecastConfig.input_len)
+    pt.add_argument("--segments", type=int, default=ForecastConfig.n_segments)
+    pt.add_argument("--compactness", type=float, default=ForecastConfig.compactness)
+    pt.add_argument("--hidden", type=int, default=ForecastConfig.hidden)
+    pt.add_argument("--rounds", type=int, default=ForecastConfig.processor_rounds)
+    pt.add_argument("--lr", type=float, default=ForecastConfig.lr)
+    pt.add_argument("--epochs", type=int, default=ForecastConfig.epochs)
+    pt.add_argument("--seed", type=_non_negative, default=ForecastConfig.seed)
+    pt.add_argument("--mesh-from", choices=MESH_SOURCES, default=ForecastConfig.mesh_from)
     pt.add_argument("--out", required=True)
     common(pt)
     pt.set_defaults(func=cmd_forecast_train)
@@ -681,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
                 setattr(args, dest, value)
         shown, files = args.func(args)
         if files is not None:
-            _write(Path(args.out), {**files, "run_config.json": _run_config(args)})
+            write_files(args.out, {**files, "run_config.json": _run_config(args)})
         print(shown if isinstance(shown, str) else json.dumps(shown, indent=2))
         return 0
     except UsageError as e:

@@ -11,7 +11,6 @@ label maps live next to it as ``labels_t{k}.bin`` (int32 row-major,
 from __future__ import annotations
 
 import datetime
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,9 @@ from .errors import (
     int_column,
     json_object,
     number_column,
+    read_array,
     read_file,
+    write_files,
 )
 from .nearest import k_nearest
 
@@ -185,25 +186,16 @@ def load_cube(path: str | Path) -> SitsCube:
     nodata = meta.get("nodata")
     if nodata is not None:
         nodata = number_column([nodata], f"{meta_path} key 'nodata'", InvalidCube).item()
-    blob = read_file(path / "cube.bin", "cube data")
-    expected = 4 * t * c * h * w
-    if len(blob) != expected:
-        raise ShapeMismatch(f"cube.bin holds {len(blob)} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f4").reshape(t, c, h, w).copy()
-    cube = SitsCube(
-        values=values,
+    return SitsCube(  # a loaded cube is shared read-only: its values view the file's bytes
+        values=read_array(path / "cube.bin", "cube data", "<f4", (t, c, h, w)),
         timestamps=list(meta["timestamps"]),
         bands=list(meta["bands"]),
         geo=geo,
         nodata=nodata,
     )
-    cube.values.setflags(write=False)  # loaded cubes are shared read-only
-    return cube
 
 
 def save_cube(cube: SitsCube, path: str | Path) -> None:
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     t, c, h, w = cube.shape
     meta = {
         "T": t,
@@ -216,33 +208,22 @@ def save_cube(cube: SitsCube, path: str | Path) -> None:
         "geo": cube.geo.as_dict(),
         "nodata": cube.nodata,
     }
-    (path / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    (path / "cube.bin").write_bytes(np.ascontiguousarray(cube.values, dtype="<f4").tobytes())
+    write_files(path, {"meta.json": meta, "cube.bin": np.ascontiguousarray(cube.values, dtype="<f4")})
 
 
 def save_labels(labels: np.ndarray, path: str | Path, stem: str = "labels") -> None:
     """Write per-date maps as ``{stem}_t{k}.bin`` (int32 row-major); the
     segmentation writes its object id maps with ``stem="seg"``."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
     labels = np.asarray(labels, dtype="<i4")
     if labels.ndim != 3:
         raise ShapeMismatch(f"labels must be (T,H,W), got {labels.shape}")
-    for k in range(labels.shape[0]):
-        (path / f"{stem}_t{k}.bin").write_bytes(np.ascontiguousarray(labels[k]).tobytes())
+    write_files(path, {f"{stem}_t{k}.bin": np.ascontiguousarray(frame) for k, frame in enumerate(labels)})
 
 
 def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") -> np.ndarray:
     """The ``t`` maps ``{stem}_t{k}.bin`` as an int32 ``(t, h, w)`` array;
     sizes from a damaged file allocate nothing before each file is checked."""
-    path = Path(path)
-    frames = []
-    for k in range(t):
-        f = path / f"{stem}_t{k}.bin"
-        blob = read_file(f, f"{stem} map")
-        if len(blob) != 4 * h * w:
-            raise ShapeMismatch(f"{f} holds {len(blob)} bytes, expected {4 * h * w}")
-        frames.append(np.frombuffer(blob, dtype="<i4").reshape(h, w))
+    frames = [read_array(Path(path) / f"{stem}_t{k}.bin", f"{stem} map", "<i4", (h, w)) for k in range(t)]
     return np.array(frames, dtype=np.int32).reshape(t, h, w)
 
 

@@ -1,14 +1,17 @@
 """Exception and warning types shared across the package, and the one rule
-for reading files from outside the program.
+each for reading files from outside the program and for writing its own.
 
 Data errors derive from ``SitsGraphError`` so the CLI can map them to a
 single exit code; misuse of an API (bad argument combinations) raises the
 specific subclass named after the violated precondition. Every loader reads
-its file through ``read_file`` and ``json_object`` and types its fields with
-``int_column`` and ``number_column``, which raise the caller's error type.
+its file through ``read_file`` and ``json_object``, or ``read_array`` for a
+raw array, and types its fields with ``int_column`` and ``number_column``,
+which raise the caller's error type. Every writer hands its files to
+``write_files``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +129,7 @@ class DegenerateFeature(UserWarning):
     """All feature values identical; symbolization produced a single bin."""
 
 
-# -- reading input from outside the program ----------------------------------
+# -- reading input from outside the program, and writing output ------------
 
 def read_file(path: str | Path, what: str) -> bytes:
     """The bytes of the file ``path``, called ``what`` when it is missing."""
@@ -134,6 +137,36 @@ def read_file(path: str | Path, what: str) -> bytes:
     if not path.is_file():
         raise MissingFile(f"missing {what} {path}")
     return path.read_bytes()
+
+
+def read_array(path: str | Path, what: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The file ``path``, called ``what``, as a read-only ``dtype`` array of
+    ``shape`` that views its bytes with no copy. A ``-1`` dimension takes
+    whatever the file holds; a file of any other size is a ``ShapeMismatch``
+    naming it."""
+    raw = read_file(path, what)
+    dtype = np.dtype(dtype)
+    if -1 in shape:
+        if len(raw) % dtype.itemsize:
+            raise ShapeMismatch(f"{what} {path} holds {len(raw)} bytes, not a whole number of {dtype.name} values")
+    elif len(raw) != dtype.itemsize * math.prod(shape):
+        raise ShapeMismatch(f"{what} {path} holds {len(raw)} bytes, expected {dtype.itemsize * math.prod(shape)}")
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def write_files(out: str | Path, files: dict) -> None:
+    """Make the directory ``out`` and write each named file into it: bytes,
+    and C-contiguous arrays as their raw bytes with no copy, text as it is,
+    and anything else in the ``indent=2`` JSON layout."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if isinstance(body, (bytes, np.ndarray)):
+            (out / name).write_bytes(body)
+        elif isinstance(body, str):
+            (out / name).write_text(body)
+        else:
+            (out / name).write_text(json.dumps(body, indent=2) + "\n")
 
 
 def json_object(raw: bytes | str, source: str, error: type[SitsGraphError], fields: dict[str, type]) -> dict:

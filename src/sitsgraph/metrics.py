@@ -82,6 +82,17 @@ def majority_upper_bound(seg: SegStack, label_maps: np.ndarray) -> float:
     return float(table.max(axis=1).sum() / labeled)
 
 
+def _check_data(frames: dict[str, np.ndarray]) -> None:
+    """Raise ``NoData`` unless the named frames, all of one shape, hold a
+    pixel and only finite samples."""
+    shape = next(iter(frames.values())).shape
+    if 0 in shape:
+        raise NoData(f"the frames hold no pixel (shape {shape})")
+    for name, frame in frames.items():
+        if not np.isfinite(frame).all():
+            raise NoData(f"the {name} frame holds a non-finite sample")
+
+
 def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:
     """Frame reconstruction report for index-valued images in [-1, 1]. A
     frame with no pixel or a non-finite sample in either frame is a
@@ -91,11 +102,7 @@ def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape or pred.ndim != 2:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
-    if pred.size == 0:
-        raise NoData(f"the frames hold no pixel (shape {pred.shape})")
-    for name, frame in (("predicted", pred), ("target", target)):
-        if not np.isfinite(frame).all():
-            raise NoData(f"the {name} frame holds a non-finite sample")
+    _check_data({"predicted": pred, "target": target})
     rmse = float(np.sqrt(np.mean((pred - target) ** 2)))
     if rmse < DATA_RANGE * 1e-5:
         psnr = PSNR_CAP_DB
@@ -107,11 +114,13 @@ def rmse_psnr_ssim(pred: np.ndarray, target: np.ndarray) -> dict:
 def ssim(x: np.ndarray, y: np.ndarray) -> float:
     """Mean structural similarity with a uniform ``SSIM_WINDOW`` window,
     shrunk to fit a smaller image, over fully interior positions. Moments are
-    population moments."""
+    population moments. A frame with no pixel or a non-finite sample is a
+    ``NoData`` error, as in ``rmse_psnr_ssim``."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 2:
         raise ShapeMismatch(f"x {x.shape} vs y {y.shape}")
+    _check_data({"x": x, "y": y})
     h, w = x.shape
     win = min(SSIM_WINDOW, h, w)
     c1 = (SSIM_K1 * DATA_RANGE) ** 2

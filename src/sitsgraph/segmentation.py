@@ -15,7 +15,6 @@ exact whatever the scatter order.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,7 @@ import numpy as np
 
 from .datacube import SitsCube, load_labels, save_labels
 from .errors import EmptyImage, InvalidSegmentCount, ShapeMismatch, SitsGraphError, int_column, json_object, read_file
+from .errors import write_files
 from .nearest import k_nearest
 
 
@@ -550,7 +550,7 @@ def save_seg(seg: SegStack, path: str | Path) -> None:
         "counts": [int(x) for x in seg.counts],
         "provenance": seg.provenance,
     }
-    (Path(path) / "seg_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    write_files(path, {"seg_meta.json": meta})
 
 
 def load_seg(path: str | Path) -> SegStack:

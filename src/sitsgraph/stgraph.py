@@ -94,35 +94,26 @@ class StGraph:
             i = unknown[0]
             raise UnknownNode(f"edge {src[i]}->{dst[i]} names a node that does not exist")
         k = len(spatial[0])
-        s_src, s_dst, st_src, st_dst = src_row[:k], dst_row[:k], src_row[k:], dst_row[k:]
         dates = self.t
-        s_src, s_dst, s_w = _canonical(s_src, s_dst, np.asarray(spatial[2], dtype=np.float64), s_src > s_dst, n)
-        st_src, st_dst, st_w = _canonical(
-            st_src, st_dst, np.asarray(st[2], dtype=np.float64), dates[st_src] > dates[st_dst], n
-        )
-
-        bad = (s_src == s_dst) | (dates[s_src] != dates[s_dst]) | (s_w < 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            a, b = int(ids[s_src[i]]), int(ids[s_dst[i]])
-            if a == b:
-                raise ShapeMismatch(f"self-loop on node {a}")
-            if dates[s_src[i]] != dates[s_dst[i]]:
-                raise ShapeMismatch(f"spatial edge {a}->{b} crosses dates")
-            raise ShapeMismatch(f"negative weight on {a}->{b}")
-        # a spatial edge joins two nodes of one date and a temporal edge two
-        # dates, so a pair given in both sets fails the orientation check
-        bad = (st_src == st_dst) | (dates[st_src] >= dates[st_dst]) | (st_w < 0)
-        if bad.any():
-            i = int(np.argmax(bad))
-            a, b = int(ids[st_src[i]]), int(ids[st_dst[i]])
-            if a == b:
-                raise ShapeMismatch(f"self-loop on node {a}")
-            if dates[st_src[i]] >= dates[st_dst[i]]:
-                raise ShapeMismatch(f"temporal edge {a}->{b} not oriented past->future")
-            raise ShapeMismatch(f"negative weight on {a}->{b}")
-        self.spatial = EdgeColumns(_frozen(ids[s_src]), _frozen(ids[s_dst]), _frozen(s_w))
-        self.st = EdgeColumns(_frozen(ids[st_src]), _frozen(ids[st_dst]), _frozen(st_w))
+        columns = []
+        for temporal, a, b, w in ((False, src_row[:k], dst_row[:k], spatial[2]), (True, src_row[k:], dst_row[k:], st[2])):
+            a, b, w = _canonical(a, b, np.asarray(w, dtype=np.float64), dates[a] > dates[b] if temporal else a > b, n)
+            # a spatial edge joins two nodes of one date and a temporal edge
+            # two dates, so a pair given in both sets fails the date check
+            wrong_dates = dates[a] >= dates[b] if temporal else dates[a] != dates[b]
+            bad = (a == b) | wrong_dates | (w < 0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                u, v = int(ids[a[i]]), int(ids[b[i]])
+                if u == v:
+                    raise ShapeMismatch(f"self-loop on node {u}")
+                if wrong_dates[i] and temporal:
+                    raise ShapeMismatch(f"temporal edge {u}->{v} not oriented past->future")
+                if wrong_dates[i]:
+                    raise ShapeMismatch(f"spatial edge {u}->{v} crosses dates")
+                raise ShapeMismatch(f"negative weight on {u}->{v}")
+            columns.append(EdgeColumns(_frozen(ids[a]), _frozen(ids[b]), _frozen(w)))
+        self.spatial, self.st = columns
 
         if features is not None:
             if features.values.shape[0] != n:

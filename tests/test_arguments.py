@@ -104,6 +104,7 @@ ARGUMENT_ERRORS = {
     "confusion_lengths_differ": (lambda tmp: confusion([0, 1, 1], [0, 1], 2), ShapeMismatch, "truth (3,) vs pred (2,)"),
     "confusion_label_outside": (lambda tmp: confusion([0, 2], [0, 0], 2), ShapeMismatch, "truth label 2 outside [0, 2)"),
     "ssim_shapes_differ": (lambda tmp: ssim(np.zeros((4, 4)), np.zeros((4, 5))), ShapeMismatch, "x (4, 4) vs y (4, 5)"),
+    "ssim_non_finite": (lambda tmp: ssim(np.zeros((4, 4)), np.full((4, 4), np.inf)), NoData, "the y frame holds a non-finite"),
     # neural
     "tensor_1d": (lambda tmp: Tensor(np.zeros(3)), ShapeMismatch, "tensors are 2-D"),
     "linear_inner_dims": (lambda tmp: ag.linear(_t(2, 3), _t(4, 2)), ShapeMismatch, "matmul (2, 3) @ (4, 2)"),

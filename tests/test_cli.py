@@ -731,6 +731,34 @@ def test_train_logs_null_for_diverged_epochs(tmp_path):
     json.dumps(log, allow_nan=False)
 
 
+class _Built(Exception):
+    """Raised in place of training; holds the config that was built."""
+
+
+def _raise_built(train, val, cfg, **kwargs):
+    raise _Built(cfg)
+
+
+@pytest.mark.parametrize("command", ["train", "forecast train"])
+def test_flag_defaults_are_the_config_defaults(command, tmp_path, monkeypatch):
+    # each flag reads its default from the config field it sets, so a run
+    # given only the required flags trains with the dataclass's defaults
+    if command == "train":
+        monkeypatch.setattr(cli, "train_classifier", _raise_built)
+        argv, want = _labeled_graph(tmp_path), ClassifierConfig(n_classes=2)
+    else:
+        monkeypatch.setattr(cli, "train_forecaster", _raise_built)
+        cubes = []
+        for s in range(3):
+            cube, _ = synth_seasonal(seed=s, t=ForecastConfig.input_len + 1, h=8, w=8, n_blobs=2, period_dates=2)
+            save_cube(cube, tmp_path / f"site{s}")
+            cubes.append(str(tmp_path / f"site{s}"))
+        argv, want = ["forecast", "train", "--cubes", *cubes, "--out", str(tmp_path / "fc")], ForecastConfig()
+    with pytest.raises(_Built) as e:
+        main(argv)
+    assert e.value.args[0] == want
+
+
 def test_cli_import_leaves_xml_and_http_unloaded():
     # every subcommand pays for what importing the CLI loads
     src = Path(__file__).resolve().parents[1] / "src"

@@ -1,5 +1,6 @@
-"""``tools/compare_chains.py``: which files it counts as differing, and the
-classify chain's convolution swap."""
+"""``tools/compare_chains.py``: which files it counts as differing, the
+classify chain's convolution swap, and the runs one command plans over
+seeds and convolutions."""
 
 import importlib.util
 from pathlib import Path
@@ -37,3 +38,34 @@ def test_conv_swaps_only_the_train_step():
     assert [a for a in train.argv if a != "gcn"] == [a for a in steps["train"].argv if a != "sage"]
     assert compare_chains.with_conv(steps["predict"], "gcn") is steps["predict"]
     assert compare_chains.with_conv(steps["train"], None) is steps["train"]
+
+
+def test_plan_runs_each_workload_once_per_seed_and_classify_per_extra_conv():
+    workloads = ["classify", "forecast", "objects"]
+    assert compare_chains.plan(workloads, [0], None) == [(0, "classify", "sage"), (0, "forecast", None), (0, "objects", None)]
+    assert compare_chains.plan(workloads, [0, 1], ["gcn", "mlp"]) == [
+        (0, "classify", "gcn"), (0, "forecast", None), (0, "objects", None), (0, "classify", "mlp"),
+        (1, "classify", "gcn"), (1, "forecast", None), (1, "objects", None), (1, "classify", "mlp"),
+    ]
+    assert compare_chains.plan(["objects"], [3], ["sage", "gcn"]) == [(3, "objects", None)]
+
+
+def test_every_line_names_its_run_and_any_difference_fails(tmp_path, monkeypatch, capsys):
+    # one run of three differs between the trees: the exit code is 1
+    def run_chain(tree, workload, seed, root, conv):
+        _tree(root, {"out/a.bin": b"1" if (tree.name, seed, conv) == ("changed", 1, "mlp") else b"0"})
+        return ["train"] if (tree.name, seed) == ("base", 0) and conv == "mlp" else []
+
+    monkeypatch.setattr(compare_chains, "warm", lambda tree: None)
+    monkeypatch.setattr(compare_chains, "run_chain", run_chain)
+    argv = [str(tmp_path / "base"), str(tmp_path / "changed"), "--workload", "classify"]
+    assert compare_chains.main([*argv, "--seed", "0", "1", "--conv", "sage", "mlp", "--work", str(tmp_path / "w1")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "classify seed 0 conv sage: 1 files, 0 differ",
+        "classify seed 0 conv mlp: base failed at train",
+        "classify seed 0 conv mlp: 1 files, 0 differ",
+        "classify seed 1 conv sage: 1 files, 0 differ",
+        "classify seed 1 conv mlp: differs out/a.bin",
+        "classify seed 1 conv mlp: 1 files, 1 differ",
+    ]
+    assert compare_chains.main([*argv, "--seed", "2", "--conv", "mlp", "--work", str(tmp_path / "w2")]) == 0

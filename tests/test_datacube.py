@@ -76,6 +76,33 @@ class TestLoadCube:
         save_cube(cube, tmp_path / "b")
         assert (tmp_path / "a" / "cube.bin").read_bytes() == (tmp_path / "b" / "cube.bin").read_bytes()
 
+    def test_load_and_save_copy_no_values(self, tmp_path):
+        # load_cube's values view the file's bytes; what it holds above them
+        # is the NDWI range check's copy of the valid samples and its mask.
+        # save_cube writes the values from where they are.
+        cube, _ = synth_seasonal(seed=0, t=6, h=256, w=256, n_blobs=8, period_dates=3)
+        data = cube.values.nbytes
+        assert _peak(lambda: save_cube(cube, tmp_path / "c")) <= 0.25 * data
+        loaded = None
+
+        def load():
+            nonlocal loaded
+            loaded = load_cube(tmp_path / "c")
+
+        assert _peak(load) <= 2.5 * data
+        assert not loaded.values.flags.writeable
+        np.testing.assert_array_equal(loaded.values, cube.values)
+
+
+def _peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestNdwi:
     def _cube(self, g, n, geo):

@@ -150,5 +150,6 @@ class TestFrameMetrics:
     @pytest.mark.parametrize("shape", [(3, 0), (0, 3), (0, 0)])
     def test_a_frame_with_no_pixel_is_no_data(self, shape):
         # its RMSE and SSIM would be NaN, and the PSNR cap a perfect 100 dB
-        with pytest.raises(NoData, match="no pixel"):
-            rmse_psnr_ssim(np.zeros(shape), np.zeros(shape))
+        for metric in (rmse_psnr_ssim, ssim):
+            with pytest.raises(NoData, match="no pixel"):
+                metric(np.zeros(shape), np.zeros(shape))

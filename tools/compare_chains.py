@@ -2,13 +2,15 @@
 output byte for byte.
 
     python3 tools/compare_chains.py BASE_TREE CHANGED_TREE --seed 0
-    python3 tools/compare_chains.py BASE CHANGED --workload classify --conv gcn
+    python3 tools/compare_chains.py BASE CHANGED --seed 0 1 --conv sage gcn mlp
 
-For each workload (all three by default) and each tree, the workload's
-set-up (``synth``) and then its chain of subcommands run as child processes
-of ``python -m sitsgraph.cli`` with that tree's ``src/`` on ``PYTHONPATH``.
-The step templates are those of ``perfbench/workloads.py`` in this checkout;
-``--conv`` swaps the convolution of the classify chain's ``train`` step.
+For each seed, each workload (all three by default) and each tree, the
+workload's set-up (``synth``) and then its chain of subcommands run as child
+processes of ``python -m sitsgraph.cli`` with that tree's ``src/`` on
+``PYTHONPATH``. The step templates are those of ``perfbench/workloads.py`` in
+this checkout; ``--conv`` swaps the convolution of the classify chain's
+``train`` step. Each seed runs every workload once, with the first ``--conv``;
+each further ``--conv`` reruns only the chains that have a convolution.
 Each tree is warmed once (its package byte-compiled) before anything runs,
 and ``PYTHONDONTWRITEBYTECODE`` and the BLAS thread variables are removed
 from the children's environment, as the benchmark removes them.
@@ -17,7 +19,8 @@ Every file that the set-up or the chain writes, and each step's standard
 output, is then compared between the trees. ``run_config.json`` and the step
 logs record the directory they were written to, so that directory is masked
 in them first. Each file whose bytes differ, or that only one tree wrote, is
-listed; the exit code is 1 if any differs or any step failed, else 0.
+listed under its workload, seed and convolution; the exit code is 1 if any
+file of any run differs or any step failed, else 0.
 """
 
 from __future__ import annotations
@@ -49,6 +52,26 @@ def _env(tree: Path) -> dict[str, str]:
 def warm(tree: Path) -> None:
     """Byte-compile the tree's package, so no run pays for it."""
     subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")], env=_env(tree), check=True)
+
+
+def own_conv(workload: str) -> str | None:
+    """The convolution that ``workload``'s chain trains with, or None when
+    it trains none."""
+    return next((s.argv[s.argv.index("--conv") + 1] for s in WORKLOADS[workload].steps if "--conv" in s.argv), None)
+
+
+def plan(workloads: list[str], seeds: list[int], convs: list[str] | None) -> list[tuple[int, str, str | None]]:
+    """The (seed, workload, conv) runs: per seed, every workload once with
+    the first of ``convs`` (default: its own), then each workload with a
+    convolution again for each further conv. A workload without one runs
+    with conv None."""
+    first, *extra = convs or [None]
+    runs = []
+    for seed in seeds:
+        for w in workloads:
+            runs.append((seed, w, (first or own_conv(w)) if own_conv(w) else None))
+        runs += [(seed, w, conv) for conv in extra for w in workloads if own_conv(w)]
+    return runs
 
 
 def with_conv(step: Step, conv: str | None) -> Step:
@@ -102,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("base", type=Path, help="source tree whose outputs are the reference")
     p.add_argument("changed", type=Path, help="source tree to compare against it")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, nargs="+", default=[0])
     p.add_argument("--workload", nargs="+", choices=sorted(WORKLOADS), default=sorted(WORKLOADS))
-    p.add_argument("--conv", choices=["sage", "gcn", "mlp"], help="convolution of the classify chain's train step")
+    p.add_argument("--conv", nargs="+", choices=["sage", "gcn", "mlp"], help="convolutions of the classify chain's train step")
     p.add_argument("--work", type=Path, help="new directory for the outputs, kept afterwards (default: a temporary one)")
     args = p.parse_args(argv)
     trees = {"base": args.base.resolve(), "changed": args.changed.resolve()}
@@ -113,16 +136,17 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare_chains_") as tmp:
         work = args.work.resolve() if args.work else Path(tmp)
         status = 0
-        for workload in args.workload:
-            roots = {side: work / workload / side for side in trees}
-            failed = {side: run_chain(tree, workload, args.seed, roots[side], args.conv) for side, tree in trees.items()}
+        for seed, workload, conv in plan(args.workload, args.seed, args.conv):
+            label = f"{workload} seed {seed} conv {conv or '-'}"
+            roots = {side: work / f"seed{seed}" / f"{workload}-{conv or 'none'}" / side for side in trees}
+            failed = {side: run_chain(tree, workload, seed, roots[side], conv) for side, tree in trees.items()}
             n, diff = differing(roots["base"], roots["changed"])
             for side, labels in failed.items():
                 if labels:
-                    print(f"{workload}: {side} failed at {', '.join(labels)}")
+                    print(f"{label}: {side} failed at {', '.join(labels)}")
             for rel in diff:
-                print(f"{workload}: differs {rel}")
-            print(f"{workload}: {n} files, {len(diff)} differ")
+                print(f"{label}: differs {rel}")
+            print(f"{label}: {n} files, {len(diff)} differ")
             status |= bool(diff or any(failed.values()))
     return int(status)
 
