@@ -23,6 +23,7 @@ from .errors import (
     NonMonotonicTimestamps,
     ShapeMismatch,
     UnknownBand,
+    check_array,
     int_column,
     json_object,
     number_column,
@@ -221,10 +222,16 @@ def save_labels(labels: np.ndarray, path: str | Path, stem: str = "labels") -> N
 
 
 def load_labels(path: str | Path, t: int, h: int, w: int, stem: str = "labels") -> np.ndarray:
-    """The ``t`` maps ``{stem}_t{k}.bin`` as an int32 ``(t, h, w)`` array;
-    sizes from a damaged file allocate nothing before each file is checked."""
-    frames = [read_array(Path(path) / f"{stem}_t{k}.bin", f"{stem} map", "<i4", (h, w)) for k in range(t)]
-    return np.array(frames, dtype=np.int32).reshape(t, h, w)
+    """The ``t`` maps ``{stem}_t{k}.bin`` as an int32 ``(t, h, w)`` array,
+    filled one date at a time; sizes from a damaged file allocate nothing
+    before each file is checked."""
+    files = [Path(path) / f"{stem}_t{k}.bin" for k in range(t)]
+    for f in files:
+        check_array(f, f"{stem} map", "<i4", (h, w))
+    out = np.empty((t, h, w), dtype=np.int32)
+    for k, f in enumerate(files):
+        out[k] = read_array(f, f"{stem} map", "<i4", (h, w))
+    return out
 
 
 def has_labels(path: str | Path) -> bool:

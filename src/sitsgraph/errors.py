@@ -131,12 +131,17 @@ class DegenerateFeature(UserWarning):
 
 # -- reading input from outside the program, and writing output ------------
 
-def read_file(path: str | Path, what: str) -> bytes:
-    """The bytes of the file ``path``, called ``what`` when it is missing."""
+def _existing(path: str | Path, what: str) -> Path:
+    """``path``, which must be a file; a missing one is named as ``what``."""
     path = Path(path)
     if not path.is_file():
         raise MissingFile(f"missing {what} {path}")
-    return path.read_bytes()
+    return path
+
+
+def read_file(path: str | Path, what: str) -> bytes:
+    """The bytes of the file ``path``, called ``what`` when it is missing."""
+    return _existing(path, what).read_bytes()
 
 
 def read_array(path: str | Path, what: str, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -145,13 +150,22 @@ def read_array(path: str | Path, what: str, dtype: str, shape: tuple[int, ...]) 
     whatever the file holds; a file of any other size is a ``ShapeMismatch``
     naming it."""
     raw = read_file(path, what)
-    dtype = np.dtype(dtype)
-    if -1 in shape:
-        if len(raw) % dtype.itemsize:
-            raise ShapeMismatch(f"{what} {path} holds {len(raw)} bytes, not a whole number of {dtype.name} values")
-    elif len(raw) != dtype.itemsize * math.prod(shape):
-        raise ShapeMismatch(f"{what} {path} holds {len(raw)} bytes, expected {dtype.itemsize * math.prod(shape)}")
+    _check_size(path, what, len(raw), np.dtype(dtype), shape)
     return np.frombuffer(raw, dtype=dtype).reshape(shape)
+
+
+def check_array(path: str | Path, what: str, dtype: str, shape: tuple[int, ...]) -> None:
+    """Raise what ``read_array`` would for a missing file or one of the
+    wrong size, from the file's size alone, reading none of it."""
+    _check_size(path, what, _existing(path, what).stat().st_size, np.dtype(dtype), shape)
+
+
+def _check_size(path: str | Path, what: str, size: int, dtype: np.dtype, shape: tuple[int, ...]) -> None:
+    if -1 in shape:
+        if size % dtype.itemsize:
+            raise ShapeMismatch(f"{what} {path} holds {size} bytes, not a whole number of {dtype.name} values")
+    elif size != dtype.itemsize * math.prod(shape):
+        raise ShapeMismatch(f"{what} {path} holds {size} bytes, expected {dtype.itemsize * math.prod(shape)}")
 
 
 def write_files(out: str | Path, files: dict) -> None:

@@ -83,8 +83,26 @@ class _Rows:
     def __init__(self, lo: int = 0, hi: int | None = None):
         self.lo, self.hi = lo, hi
 
-    def __call__(self, t: Tensor) -> Tensor:
+    def __call__(self, t: Tensor | _ZeroBelow) -> Tensor:
+        if isinstance(t, _ZeroBelow):
+            return t.block(self.lo, t.n if self.hi is None else self.hi)
         return t if self.hi is None else Tensor(t.data[self.lo : self.hi])
+
+
+class _ZeroBelow:
+    """An ``n``-row array whose rows below ``base`` are zero, holding only
+    ``above``, its rows from ``base`` on: a block of rows is handed out with
+    zeros for the rows below ``base``."""
+
+    __slots__ = ("above", "base", "n")
+
+    def __init__(self, above: np.ndarray, base: int):
+        self.above, self.base, self.n = above, base, base + above.shape[0]
+
+    def block(self, lo: int, hi: int) -> Tensor:
+        out = np.zeros((hi - lo,) + self.above.shape[1:], dtype=self.above.dtype)
+        out[max(self.base - lo, 0) :] = self.above[max(lo - self.base, 0) : max(hi - self.base, 0)]
+        return Tensor(out)
 
 
 def _blocks(n: int) -> list[tuple[int, int]]:
@@ -135,10 +153,10 @@ def _edge_update(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, enc: Linear
     return stage
 
 
-def _node_update(x: Tensor, agg: Tensor, mlp_v: MLP) -> Tensor:
+def _node_update(x: Tensor, agg: Tensor | _ZeroBelow, mlp_v: MLP) -> Tensor:
     """x + MLP_v([x, agg]). Without a tape, a node set of more than one
     block is updated in place: each block is written over its own rows of
-    ``x``, which no later block reads."""
+    ``x``, which no later block reads, and ``agg`` may be a ``_ZeroBelow``."""
 
     def stage(rows):
         x_rows = rows(x)
@@ -162,18 +180,25 @@ def gn_nodes(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc
     """x' of ``gn_block`` over the raw edge features ``e``, which ``enc``
     encodes inside the edge stage, for a block whose e' no caller reads.
 
-    Without a tape, and with more edges than node rows, e' would be the
-    block's largest array, so it is never built: the edge update runs over
-    ``row_wise``'s blocks of edges, and each block is added into the
-    aggregate as it comes (``ScatterPlan.add_to``). Each block's rows are
+    Without a tape, and with more edges than node rows (the decoder's), e'
+    would be the block's largest array, so it is never built: the edge update
+    runs over ``row_wise``'s blocks of edges, and each block is added into
+    the aggregate as it comes (``ScatterPlan.add_to``). Each block's rows are
     those ``row_wise`` computes, and each node still adds its edges from zero
-    in edge order, so the bytes are those of one whole pass. The node update
-    is ``gn_block``'s: over more than ``ROW_BLOCK`` rows, x' is written over
-    x's array."""
+    in edge order, so the bytes are those of one whole pass. With at most one
+    edge per node row (the encoder's, whose edges all reach region rows), e'
+    is built whole and summed with the whole plan into the rows from the
+    lowest target row on only; the node update gets zeros for the rows below
+    it one block at a time (``_ZeroBelow``). The node update is
+    ``gn_block``'s: over more than ``ROW_BLOCK`` rows, x' is written over x's
+    array."""
     edge_update = _edge_update(x, e, rel, mlp_e, enc)
     n_edges = rel.src.size
-    if ag.recording() or n_edges <= x.data.shape[0]:
+    if ag.recording():
         return _node_update(x, ag.scatter_add_rows(row_wise(edge_update, n_edges), rel.dst), mlp_v)
+    if n_edges <= x.data.shape[0]:
+        base = int(rel.dst.idx.min(initial=rel.dst.n))
+        return _node_update(x, _ZeroBelow(rel.dst.sum(row_wise(edge_update, n_edges).data, base), base), mlp_v)
     agg = None
     for lo, hi in _blocks(n_edges):
         part = edge_update(_Rows(lo, hi)).data
@@ -278,9 +303,9 @@ class Forecaster:
         nodes = ag.concat_rows([row_wise(embed, p), Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         g2m_feat = Tensor(mesh.g2m_feat.astype(self.dtype))
         nodes = self.block_g2m.nodes(nodes, g2m_feat, mesh.g2m, self.enc_g2m)
-        px_latent = ag.slice_rows(nodes, 0, p)
+        px_latent = ag.slice_rows(nodes, 0, p)  # without a tape, views of the encoder's array
         mesh_latent = ag.slice_rows(nodes, p, p + m)
-        del nodes  # without a tape, the two slices are all that is read
+        del nodes
 
         # processor on the region adjacency graph
         e_proc = self.enc_proc(Tensor(mesh.proc_feat.astype(self.dtype)))
@@ -289,10 +314,10 @@ class Forecaster:
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
-        del px_latent  # without a tape, nothing else holds these pixel rows
+        del px_latent, mesh_latent  # without a tape, this frees the encoder's array
         m2g_feat = Tensor(mesh.m2g_feat.astype(self.dtype))
         nodes = self.block_m2g.nodes(nodes, m2g_feat, mesh.m2g, self.enc_m2g)
-        px_out = ag.slice_rows(nodes, m, m + p)
+        px_out = ag.slice_rows(nodes, m, m + p)  # without a tape, the head reads these rows in place
 
         last = Tensor(window[-1].reshape(p, 1))
         return row_wise(lambda rows: ag.clamp(self.head(rows(px_out), residual=rows(last)), -1.0, 1.0), p)

@@ -339,9 +339,12 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``[start, stop)`` of ``x``: a copy while a tape records, else a
+    view of ``x``'s array, so an untaped pass holds no second copy of them."""
     if not (0 <= start <= stop <= x.data.shape[0]):
         raise ShapeMismatch(f"slice [{start}:{stop}] outside {x.data.shape[0]} rows")
-    out = Tensor(x.data[start:stop].copy(), requires_grad=x.requires_grad)
+    rows = x.data[start:stop]
+    out = Tensor(rows.copy() if recording() else rows, requires_grad=x.requires_grad)
     xs = x.slot
 
     def backward(g):
@@ -395,11 +398,19 @@ class ScatterPlan:
     def size(self) -> int:
         return self.idx.shape[0]
 
-    def sum(self, rows: np.ndarray) -> np.ndarray:
+    def sum(self, rows: np.ndarray, base: int = 0) -> np.ndarray:
+        """The sum's rows from ``base`` on, where ``base`` is at most the
+        lowest target row, so the rows below it, all zero, are never held."""
         if rows.shape[0] != self.size:
             raise ShapeMismatch(f"{rows.shape[0]} rows for {self.size} indices")
-        out = np.zeros((self.n,) + rows.shape[1:], dtype=rows.dtype)
-        self.add_to(out, rows)
+        if base and not 0 < base <= self.idx.min(initial=self.n):
+            raise ShapeMismatch(f"sum from row {base} of a plan whose lowest target row is {self.idx.min(initial=self.n)}")
+        out = np.zeros((self.n - base,) + rows.shape[1:], dtype=rows.dtype)
+        if base == 0:
+            self.add_to(out, rows)
+        else:  # the whole plan's ranks, shifted down by base
+            for dst, src in self.ranks:
+                out[_shift(dst, base)] += rows[src]
         return out
 
     def add_to(self, out: np.ndarray, rows: np.ndarray, lo: int = 0) -> None:
@@ -434,6 +445,11 @@ def _plan_ranks(idx: np.ndarray, counts: np.ndarray) -> list:
     perm = order[by_rank]
     bounds = np.cumsum(np.bincount(rank))
     return [(_run(idx[p]), _run(p)) for p in np.split(perm, bounds[:-1])]
+
+
+def _shift(rows, by: int):
+    """A rank's target rows (a slice or an index array) moved down by ``by``."""
+    return slice(rows.start - by, rows.stop - by) if isinstance(rows, slice) else rows - by
 
 
 def _run(a: np.ndarray):

@@ -798,11 +798,44 @@ class TestMallocThresholds:
         # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
         assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
-    def test_main_pins_before_dispatch(self, monkeypatch):
+    @staticmethod
+    def _dispatch(monkeypatch, handler: str, argv: list[str]) -> tuple[list, list]:
+        """(mallopt calls made by ``main(argv)``, the count of them made
+        when ``handler``, stood in for, ran)."""
+        calls, seen = _fake_libc(monkeypatch), []
+
+        def stand_in(args):
+            seen.append(len(calls))
+            return "", None
+
+        monkeypatch.setattr(cli, handler, stand_in)
+        assert main(argv) == 0
+        return calls, seen
+
+    @pytest.mark.parametrize(
+        "handler, argv",
+        [("cmd_train", ["train", "--graph", "g.json", "--out", "o"]),
+         ("cmd_forecast_train", ["forecast", "train", "--cubes", "c", "--out", "o"])],
+        ids=["train", "forecast-train"],
+    )
+    def test_step_loops_pin_before_their_handler_runs(self, monkeypatch, handler, argv):
+        calls, seen = self._dispatch(monkeypatch, handler, argv)
+        assert len(calls) == 2 and seen == [2]
+
+    @pytest.mark.parametrize(
+        "handler, argv",
+        [("cmd_forecast_predict", ["forecast", "predict", "--checkpoint", "m", "--cube", "c", "--out", "o"]),
+         ("cmd_segment", ["segment", "--cube", "c", "--out", "o"])],
+        ids=["forecast-predict", "segment"],
+    )
+    def test_other_subcommands_keep_the_dynamic_rule(self, monkeypatch, handler, argv):
+        assert self._dispatch(monkeypatch, handler, argv) == ([], [0])
+
+    def test_a_usage_error_pins_nothing(self, monkeypatch):
         calls = _fake_libc(monkeypatch)
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-        assert len(calls) == 2
+        assert calls == []
 
     @pytest.mark.parametrize(
         "names, version",

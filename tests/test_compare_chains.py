@@ -1,8 +1,11 @@
 """``tools/compare_chains.py``: which files it counts as differing, the
-classify chain's convolution swap, and the runs one command plans over
-seeds and convolutions."""
+classify chain's convolution swap, the runs one command plans over seeds and
+convolutions, and the per-step peak RSS and faults it reports from a process
+without NumPy."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +72,25 @@ def test_every_line_names_its_run_and_any_difference_fails(tmp_path, monkeypatch
         "classify seed 1 conv mlp: 1 files, 1 differ",
     ]
     assert compare_chains.main([*argv, "--seed", "2", "--conv", "mlp", "--work", str(tmp_path / "w2")]) == 0
+
+
+def test_usage_lines_give_each_steps_peak_and_faults_on_both_trees(tmp_path):
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    compare_chains.usage_file(base).write_text("synth0\t51200\t9000\nforecast-predict\t117965\t30211\n")
+    compare_chains.usage_file(changed).write_text("synth0\t51302\t9004\nforecast-predict\t107315\t27003\n")
+    assert compare_chains.read_usage(base) == [("synth0", 51200, 9000), ("forecast-predict", 117965, 30211)]
+    assert compare_chains.read_usage(tmp_path / "never_ran") == []
+    lines = compare_chains.usage_lines("forecast seed 0 conv -", compare_chains.read_usage(base), compare_chains.read_usage(changed))
+    assert lines == [
+        "forecast seed 0 conv -: synth0 peak 50.0 -> 50.1 MB, minor faults 9000 -> 9004",
+        "forecast seed 0 conv -: forecast-predict peak 115.2 -> 104.8 MB, minor faults 30211 -> 27003",
+    ]
+    # the record sits beside the run's directory, outside what is compared
+    assert compare_chains.usage_file(base).parent == tmp_path
+    assert compare_chains.usage_lines("x", compare_chains.read_usage(base), []) == []
+
+
+def test_the_tool_imports_no_numpy():
+    # a vfork child's peak RSS starts from its parent's
+    code = f"import runpy, sys; runpy.run_path({str(ROOT / 'tools' / 'compare_chains.py')!r}); print('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout == "False\n"

@@ -104,6 +104,35 @@ def _peak(fn) -> int:
         tracemalloc.stop()
 
 
+class TestLoadLabels:
+    def _saved(self, tmp_path) -> np.ndarray:
+        labels = np.random.default_rng(0).integers(0, 1000, size=(6, 256, 256)).astype(np.int32)
+        datacube.save_labels(labels, tmp_path)
+        return labels
+
+    def test_holds_one_date_beside_the_stack(self, tmp_path):
+        # joining every date's bytes at the end peaked at 2.0x the stack
+        labels = self._saved(tmp_path)
+        loaded = None
+
+        def load():
+            nonlocal loaded
+            loaded = datacube.load_labels(tmp_path, 6, 256, 256)
+
+        assert _peak(load) <= 1.25 * labels.nbytes
+        assert loaded.dtype == np.int32 and loaded.tobytes() == labels.tobytes()
+
+    def test_a_damaged_date_fails_before_the_stack_is_allocated(self, tmp_path):
+        labels = self._saved(tmp_path)
+        (tmp_path / "labels_t5.bin").write_bytes(b"\0" * 5)
+
+        def load():
+            with pytest.raises(ShapeMismatch, match="labels_t5.bin holds 5 bytes, expected 262144"):
+                datacube.load_labels(tmp_path, 6, 256, 256)
+
+        assert _peak(load) < labels[0].nbytes
+
+
 class TestNdwi:
     def _cube(self, g, n, geo):
         vals = np.zeros((1, 2, 1, 1), dtype=np.float32)

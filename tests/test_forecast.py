@@ -590,10 +590,27 @@ class TestMemoryGrowsWithOutput:
         pos = pixel_pos_encoding(geo, 256, 256, "2020-06-01")
         assert _traced_peak(lambda: model.predict(window, mesh, pos)) < 160e6
 
+    def test_256_predict_holds_under_three_node_arrays(self, geo):
+        # the encoder's aggregate over every node row, pixel rows no edge
+        # reaches included, and copies of the pixel rows for the decoder and
+        # the head put the peak at 3.35 node arrays; it is 2.77 without them
+        labels = _grid_labels(256, 256, 8, 16)
+        mesh = build_mesh(np.zeros((1, 256, 256), np.float32), 128, 0.1, labels=labels)
+        hidden = 64
+        model = Forecaster(ForecastConfig(input_len=6, n_segments=128, hidden=hidden, processor_rounds=4))
+        rng = np.random.default_rng(0)
+        for p in model.parameters():
+            p.data = rng.normal(scale=0.1, size=p.data.shape).astype(np.float32)
+        window = rng.uniform(-1, 1, size=(6, 256, 256)).astype(np.float32)
+        pos = pixel_pos_encoding(geo, 256, 256, "2020-06-01")
+        node_array = (256 * 256 + mesh.n_regions) * hidden * 4
+        assert _traced_peak(lambda: model.predict(window, mesh, pos)) <= 3.0 * node_array
+
     def test_128_predict_never_holds_a_whole_decoder_edge_output(self, geo):
-        # the decoder's input, aggregate and output node arrays are whole in
-        # any design; a whole edge output (3 edges per pixel) on top of them
-        # breaks the bound, and the block temporaries fit under it
+        # the decoder's input and aggregate are whole node arrays, and its
+        # output is written over its input block by block; a whole edge
+        # output (3 edges per pixel) on top of them breaks the bound, and the
+        # block temporaries fit under it
         side, hidden = 128, 64
         labels = _grid_labels(side, side, 8, 8)
         mesh = build_mesh(np.zeros((1, side, side), np.float32), 64, 0.1, labels=labels)

@@ -297,3 +297,30 @@ def test_untaped_decoder_block_holds_two_node_arrays(monkeypatch):
     finally:
         tracemalloc.stop()
     assert x.data.nbytes + peak <= 2.5 * n * hidden * 4
+
+
+def test_untaped_encoder_block_holds_two_node_arrays(monkeypatch):
+    # the encoder's input and whole edge output, one edge per pixel, are two
+    # node arrays; an aggregate over every node row, whose pixel rows no edge
+    # reaches, made a third (3.2 at the peak with the input), and is now held
+    # for the region rows alone
+    monkeypatch.setattr(forecast_model, "ROW_BLOCK", 512)
+    hidden, m, pixels = 64, 64, 128 * 128
+    n = pixels + m
+    rng = np.random.default_rng(20)
+    params = Parameters()
+    mlp_e = MLP(rng, [3 * hidden, hidden, hidden], params=params)
+    mlp_v = MLP(rng, [2 * hidden, hidden, hidden], params=params)
+    enc = Linear(rng, 2, hidden, params=params)
+    dst = rng.integers(pixels, n, pixels)
+    rel = Relation(ScatterPlan(np.arange(pixels), n), ScatterPlan(dst, n))
+    x = Tensor(rng.normal(size=(n, hidden)).astype(np.float32))
+    e = Tensor(rng.normal(size=(pixels, 2)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        gn_nodes(x, e, rel, mlp_e, mlp_v, enc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert x.data.nbytes + peak <= 2.5 * n * hidden * 4

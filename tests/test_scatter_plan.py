@@ -41,6 +41,20 @@ def test_scatter_forward_matches_add_at_bytes(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sum_from_a_base_row_holds_the_rows_from_it_on(dtype):
+    for rows, idx, n in _cases(dtype):
+        idx, n = idx + 5, n + 5  # no edge reaches the first five rows
+        want = addat_scatter_add_rows(rows, idx, n)
+        plan = ScatterPlan(idx, n)
+        for base in (0, 3, int(idx.min(initial=n))):
+            got = plan.sum(rows, base)
+            assert got.shape == (n - base, rows.shape[1]) and got.tobytes() == want[base:].tobytes()
+    plan = ScatterPlan(np.array([3, 2, 4]), 6)
+    with pytest.raises(ShapeMismatch, match="sum from row 3 of a plan whose lowest target row is 2"):
+        plan.sum(np.ones((3, 1)), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gather_backward_matches_add_at_bytes(dtype):
     rng = np.random.default_rng(1)
     for g, idx, n in _cases(dtype):

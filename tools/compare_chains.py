@@ -21,6 +21,12 @@ logs record the directory they were written to, so that directory is masked
 in them first. Each file whose bytes differ, or that only one tree wrote, is
 listed under its workload, seed and convolution; the exit code is 1 if any
 file of any run differs or any step failed, else 0.
+
+Each child is reaped with ``os.wait4``, and beside the comparison each step's
+peak RSS (MB of 2**20 bytes, as the benchmark's ``peak_rss_mb``) and minor
+page faults are printed for both trees. A child started by vfork carries its
+parent's peak RSS into its own, so this process imports no NumPy: its own
+peak stays below that of every step.
 """
 
 from __future__ import annotations
@@ -83,24 +89,60 @@ def with_conv(step: Step, conv: str | None) -> Step:
     return Step(step.stage, step.label, tuple(argv))
 
 
+def usage_file(root: Path) -> Path:
+    """Where ``run_chain`` records each step's usage: beside ``root``, so
+    the comparison of the trees' files does not see it."""
+    return root.with_name(root.name + ".steps.tsv")
+
+
 def run_chain(tree: Path, workload: str, seed: int, root: Path, conv: str | None) -> list[str]:
     """Run ``workload``'s set-up and chain from ``tree`` under ``root``;
-    return the labels of the steps that failed."""
+    return the labels of the steps that failed. Each step's label, peak RSS
+    in KiB and minor faults go to ``usage_file(root)``, one step a line."""
     w = WORKLOADS[workload]
     setup, out, logs = root / "setup", root / "out", root / "logs"
     for d in (setup, out, logs):
         d.mkdir(parents=True)
     steps = [(f"synth{i}", [a.format(setup=setup) for a in cmd]) for i, cmd in enumerate(w.setup(seed))]
     steps += [(s.label, with_conv(s, conv).args(setup=setup, out=out, seed=seed)) for s in w.steps]
-    failed = []
+    failed, usage = [], []
     for label, args in steps:
         with open(logs / f"{label}.log", "wb") as log:
-            rc = subprocess.run(
+            proc = subprocess.Popen(
                 [sys.executable, "-m", "sitsgraph.cli", *args], stdout=log, stderr=subprocess.STDOUT, env=_env(tree), cwd=tree
-            ).returncode
-        if rc != 0:
+            )
+            try:
+                _, status, ru = os.wait4(proc.pid, 0)
+            except BaseException:  # interrupted: leave no child behind
+                proc.kill()
+                proc.wait()
+                raise
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        usage.append(f"{label}\t{ru.ru_maxrss}\t{ru.ru_minflt}\n")
+        if proc.returncode != 0:
             failed.append(label)
+    usage_file(root).write_text("".join(usage))
     return failed
+
+
+def read_usage(root: Path) -> list[tuple[str, int, int]]:
+    """(step label, peak RSS in KiB, minor faults) per step of the chain run
+    under ``root``, or none when no usage was recorded for it."""
+    path = usage_file(root)
+    if not path.is_file():
+        return []
+    return [(label, int(kib), int(faults)) for label, kib, faults in (line.split("\t") for line in path.read_text().splitlines())]
+
+
+def usage_lines(label: str, base: list[tuple[str, int, int]], changed: list[tuple[str, int, int]]) -> list[str]:
+    """One line per step that both trees ran: its peak RSS and minor faults
+    on the base tree, then on the changed one."""
+    other = {step: (kib, faults) for step, kib, faults in changed}
+    return [
+        f"{label}: {step} peak {kib / 1024:.1f} -> {other[step][0] / 1024:.1f} MB, minor faults {faults} -> {other[step][1]}"
+        for step, kib, faults in base
+        if step in other
+    ]
 
 
 def _contents(path: Path, root: Path) -> bytes:
@@ -144,6 +186,8 @@ def main(argv: list[str] | None = None) -> int:
             for side, labels in failed.items():
                 if labels:
                     print(f"{label}: {side} failed at {', '.join(labels)}")
+            for line in usage_lines(label, read_usage(roots["base"]), read_usage(roots["changed"])):
+                print(line)
             for rel in diff:
                 print(f"{label}: differs {rel}")
             print(f"{label}: {n} files, {len(diff)} differ")
