@@ -68,10 +68,6 @@ class ForecastConfig:
 # ---------------------------------------------------------------------------
 # functional pieces
 
-# rows per block of a row-wise stage run without a tape: bounds the stage's
-# temporaries (edge MLP inputs are 3 x hidden wide) whatever the scene size
-ROW_BLOCK = 4096
-
 
 class _Rows:
     """The rows ``[lo, hi)`` of a row-wise stage's inputs, or all of them
@@ -105,30 +101,23 @@ class _ZeroBelow:
         return Tensor(out)
 
 
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` row blocks of ``row_wise`` over ``n >= 2`` rows."""
-    bounds = list(range(0, n, ROW_BLOCK))
-    if n - bounds[-1] == 1:
-        bounds.pop()
-    return list(zip(bounds, bounds[1:] + [n]))
-
-
 def row_wise(stage, n: int, out: np.ndarray | None = None) -> Tensor:
     """``stage(rows)`` for a stage that maps each of its ``n`` output rows from
     the same rows of its inputs (matmuls, adds, ReLUs, clamps; no sum over
     rows), where ``rows`` takes the stage's inputs.
 
-    While a tape records, or over at most ``ROW_BLOCK`` rows, the stage runs
-    once over all rows. Otherwise it runs over blocks of ``ROW_BLOCK`` rows
-    into one output array, ``out`` when given, with the same bytes as one
-    pass: blocks start at multiples of ``ROW_BLOCK``, a power of two, so
-    every row keeps its place in BLAS's unrolled loops, and a 1-row remainder
-    joins the block before it, since a single row would take BLAS's vector
-    path, which rounds differently. ``out`` may be an input of the stage: a
-    block reads only its own rows, and is written over them once computed."""
-    if ag.recording() or n <= ROW_BLOCK:
+    While a tape records, or over at most ``ag.ROW_BLOCK`` rows, the stage
+    runs once over all rows. Otherwise it runs over the blocks of
+    ``ag.row_spans``, the ones ``linear`` multiplies in, into one output
+    array, ``out`` when given, with the same bytes as one pass: a forward
+    product gives a row the same bytes in any block that starts at a multiple
+    of ``ROW_BLOCK``, and only a lone row takes BLAS's vector path, so a
+    1-row remainder joins the block before it. ``out`` may be an input of the
+    stage: a block reads only its own rows, and is written over them once
+    computed."""
+    if ag.recording() or n <= ag.ROW_BLOCK:
         return stage(_Rows())
-    for lo, hi in _blocks(n):
+    for lo, hi in ag.row_spans(n):
         part = stage(_Rows(lo, hi)).data
         if out is None:
             out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
@@ -170,8 +159,8 @@ def gn_block(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP) -> 
     e' = e + MLP_e([e, x_src, x_dst]); x' = x + MLP_v([x, sum of incoming e']).
     Nodes without incoming edges aggregate zero.
     The edge and node updates run through ``row_wise``; the sum stays whole.
-    Without a tape, a node set of more than ``ROW_BLOCK`` rows is updated in
-    place, so x' holds x's array. Returns (x', e')."""
+    Without a tape, a node set of more than ``ag.ROW_BLOCK`` rows is updated
+    in place, so x' holds x's array. Returns (x', e')."""
     e2 = row_wise(_edge_update(x, e, rel, mlp_e, None), rel.src.size)
     return _node_update(x, ag.scatter_add_rows(e2, rel.dst), mlp_v), e2
 
@@ -190,8 +179,8 @@ def gn_nodes(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc
     is built whole and summed with the whole plan into the rows from the
     lowest target row on only; the node update gets zeros for the rows below
     it one block at a time (``_ZeroBelow``). The node update is
-    ``gn_block``'s: over more than ``ROW_BLOCK`` rows, x' is written over x's
-    array."""
+    ``gn_block``'s: over more than ``ag.ROW_BLOCK`` rows, x' is written over
+    x's array."""
     edge_update = _edge_update(x, e, rel, mlp_e, enc)
     n_edges = rel.src.size
     if ag.recording():
@@ -200,7 +189,7 @@ def gn_nodes(x: Tensor, e: Tensor, rel: ag.Relation, mlp_e: MLP, mlp_v: MLP, enc
         base = int(rel.dst.idx.min(initial=rel.dst.n))
         return _node_update(x, _ZeroBelow(rel.dst.sum(row_wise(edge_update, n_edges).data, base), base), mlp_v)
     agg = None
-    for lo, hi in _blocks(n_edges):
+    for lo, hi in ag.row_spans(n_edges):
         part = edge_update(_Rows(lo, hi)).data
         if agg is None:
             agg = np.zeros((rel.dst.n,) + part.shape[1:], dtype=part.dtype)

@@ -90,6 +90,18 @@ def test_usage_lines_give_each_steps_peak_and_faults_on_both_trees(tmp_path):
     assert compare_chains.usage_lines("x", compare_chains.read_usage(base), []) == []
 
 
+def test_peak_line_names_the_chain_step_that_sets_each_trees_peak():
+    base = [("synth0", 190000, 1), ("forecast-train", 113664, 2), ("forecast-predict", 101581, 3)]
+    changed = [("synth0", 190000, 1), ("forecast-train", 100352, 2), ("forecast-predict", 101581, 3)]
+    chain = {"forecast-train", "forecast-predict"}
+    # the set-up's synth peaks higher, but the benchmark's peak is the chain's
+    assert compare_chains.peak_line("forecast seed 0 conv -", chain, base, changed) == (
+        "forecast seed 0 conv -: chain peak forecast-train 111.0 -> forecast-predict 99.2 MB"
+    )
+    assert compare_chains.peak_line("x", chain, base, []) is None
+    assert compare_chains.peak_line("x", chain, base, [("synth0", 1, 1)]) is None
+
+
 def test_the_tool_imports_no_numpy():
     # a vfork child's peak RSS starts from its parent's
     code = f"import runpy, sys; runpy.run_path({str(ROOT / 'tools' / 'compare_chains.py')!r}); print('numpy' in sys.modules)"

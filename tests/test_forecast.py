@@ -22,9 +22,9 @@ from sitsgraph.forecast import (
     pixel_embedding,
     train_forecaster,
 )
-from sitsgraph.forecast import model as forecast_model
 from sitsgraph.forecast.model import gn_nodes, pixel_pos_encoding
 from sitsgraph.forecast.train import _window_mesh, check_site_disjoint, forecaster_from_checkpoint, predict_next_frame
+from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Relation, ScatterPlan, Tape, Tensor, no_grad
 from sitsgraph.neural.nn import MLP, Linear, Parameters
 
@@ -185,7 +185,7 @@ class TestGnBlock:
         # 3 edges per pixel from 4 mesh nodes, in pixel order, summed in blocks
         # of 32 edges: pixels 10 (edges 30, 31 | 32) and 21 (63 | 64, 65)
         # straddle a block boundary, and 33 or 225 edges leave a 1-row remainder
-        monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+        monkeypatch.setattr(ag, "ROW_BLOCK", 32)
         hidden, m = 16, 4
         mlp_e, mlp_v, _ = self._mlps(hidden)
         rng = np.random.default_rng(pixels)
@@ -400,7 +400,7 @@ class TestForecaster:
         ids=["under_one_block", "one_block", "ragged", "one_row_past", "two_regions", "stack", "edges_one_past", "edges_straddle"],
     )
     def test_predict_in_blocks_equals_taped_forward(self, shape, n_segments, mesh_from, geo, monkeypatch):
-        monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+        monkeypatch.setattr(ag, "ROW_BLOCK", 32)
         # hidden 64: a 1-row product of that width takes BLAS's vector path,
         # whose sums round differently from the matrix path
         cfg = self._cfg(input_len=4, n_segments=n_segments, hidden=64, processor_rounds=2, mesh_from=mesh_from)
@@ -494,8 +494,6 @@ class TestTraining:
         assert log[-1]["val_rmse"] == pytest.approx(pers, rel=1e-6)
 
     def test_scatter_plans_built_once_per_mesh(self, monkeypatch):
-        from sitsgraph.neural import autograd as ag
-
         built = []
         init = ag.ScatterPlan.__init__
 

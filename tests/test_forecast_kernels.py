@@ -211,7 +211,7 @@ def test_predict_over_blocks_written_in_place_equals_taped_forward(geo, monkeypa
     # blocks of 32 rows: 90 pixels and 7 regions give node arrays of 97 rows,
     # three blocks and a 1-row remainder that joins the last block, and 270
     # decoder edges; hidden 64 puts a lone row on BLAS's vector path
-    monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+    monkeypatch.setattr(ag, "ROW_BLOCK", 32)
     cfg = ForecastConfig(input_len=4, n_segments=7, compactness=0.1, hidden=64, processor_rounds=2, seed=0)
     model = Forecaster(cfg)
     rng = np.random.default_rng(17)
@@ -221,7 +221,7 @@ def test_predict_over_blocks_written_in_place_equals_taped_forward(geo, monkeypa
     mesh = build_mesh(window[-1][None], cfg.n_segments, cfg.compactness, labels=_grid_labels(9, 10, 7, 1))
     p, m = 90, mesh.n_regions
     assert m == 7 and p + m > 2 * 32 and p % 32 and (p + m) % 32 == 1
-    assert forecast_model._blocks(p + m)[-1] == (64, 97)
+    assert ag.row_spans(p + m)[-1] == (64, 97)
     pos = pixel_pos_encoding(geo, 9, 10, "2020-06-01")
     with Tape():
         taped = model.forward(window, mesh, pos).data.reshape(9, 10)
@@ -230,7 +230,7 @@ def test_predict_over_blocks_written_in_place_equals_taped_forward(geo, monkeypa
 
 
 def test_untaped_node_update_writes_over_its_input(monkeypatch):
-    monkeypatch.setattr(forecast_model, "ROW_BLOCK", 32)
+    monkeypatch.setattr(ag, "ROW_BLOCK", 32)
     rng = np.random.default_rng(18)
     mlp_v = MLP(rng, [8, 4, 4], dtype=np.float64, params=Parameters())
     x = Tensor(rng.normal(size=(70, 4)))
@@ -277,7 +277,7 @@ def test_untaped_decoder_block_holds_two_node_arrays(monkeypatch):
     # the decoder's input and aggregate are whole; its output used to be a
     # third whole array (3.2 node arrays at the peak with the input), and is
     # now written over the input block by block (2.2)
-    monkeypatch.setattr(forecast_model, "ROW_BLOCK", 512)
+    monkeypatch.setattr(ag, "ROW_BLOCK", 512)
     hidden, m, pixels = 64, 64, 128 * 128
     n = m + pixels
     rng = np.random.default_rng(19)
@@ -304,7 +304,7 @@ def test_untaped_encoder_block_holds_two_node_arrays(monkeypatch):
     # node arrays; an aggregate over every node row, whose pixel rows no edge
     # reaches, made a third (3.2 at the peak with the input), and is now held
     # for the region rows alone
-    monkeypatch.setattr(forecast_model, "ROW_BLOCK", 512)
+    monkeypatch.setattr(ag, "ROW_BLOCK", 512)
     hidden, m, pixels = 64, 64, 128 * 128
     n = pixels + m
     rng = np.random.default_rng(20)

@@ -18,20 +18,25 @@ from sitsgraph.neural.nn import MLP, Linear, Parameters, cross_entropy, relation
 from test_neural import _ALIASING, _leaf_grads
 
 
-def _held(loss_fn) -> int:
+def _held_and_replay_peak(loss_fn) -> tuple[int, int]:
     """Bytes allocated by a taped ``loss_fn()`` and still held when it
-    returns, which is what the tape keeps for the backward pass; the tape is
-    then replayed."""
+    returns, which is what the tape keeps for the backward pass, and the
+    peak above the same base while the tape then replays."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             loss = loss_fn()
             held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
             tape.backward(loss)
-        return held
+        return held, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def _held(loss_fn) -> int:
+    return _held_and_replay_peak(loss_fn)[0]
 
 
 def _forecaster_step(size=64, hidden=64, segments=128):
@@ -63,6 +68,17 @@ def test_forecaster_step_tape_keeps_only_what_backward_reads():
     step = _forecaster_step()
     _held(step)  # plans the mesh's ranks
     assert _held(step) <= 33e6
+
+
+def test_forecaster_step_replay_stays_near_the_tape():
+    # linear's backward used to allocate its input's gradient while it still
+    # held the input (the decoder's first edge layer: 9 MB beside 9 MB), and
+    # the replay peaked at 43.3 MB over a 30.8 MB tape (1.41x); with the
+    # weight's gradient first and the input freed before the input's, 1.13x
+    step = _forecaster_step()
+    _held(step)  # plans the mesh's ranks
+    held, peak = _held_and_replay_peak(step)
+    assert peak <= 1.2 * held
 
 
 # tape bytes of one classifier step on _classifier_step's graph while every

@@ -24,9 +24,10 @@ file of any run differs or any step failed, else 0.
 
 Each child is reaped with ``os.wait4``, and beside the comparison each step's
 peak RSS (MB of 2**20 bytes, as the benchmark's ``peak_rss_mb``) and minor
-page faults are printed for both trees. A child started by vfork carries its
-parent's peak RSS into its own, so this process imports no NumPy: its own
-peak stays below that of every step.
+page faults are printed for both trees, then the step of the chain that sets
+its peak on each tree. A child started by vfork carries its parent's peak
+RSS into its own, so this process imports no NumPy: its own peak stays below
+that of every step.
 """
 
 from __future__ import annotations
@@ -145,6 +146,18 @@ def usage_lines(label: str, base: list[tuple[str, int, int]], changed: list[tupl
     ]
 
 
+def peak_line(label: str, chain: set[str], base: list[tuple[str, int, int]], changed: list[tuple[str, int, int]]) -> str | None:
+    """The step that sets the chain's peak RSS on the base tree and on the
+    changed one, with that peak, or None when a tree recorded no step of the
+    chain. Only the steps in ``chain`` count, not the set-up, as in the
+    benchmark's ``peak_rss_mb``."""
+    peaks = [max(((kib, step) for step, kib, _ in usage if step in chain), default=None) for usage in (base, changed)]
+    if None in peaks:
+        return None
+    (kib_a, step_a), (kib_b, step_b) = peaks
+    return f"{label}: chain peak {step_a} {kib_a / 1024:.1f} -> {step_b} {kib_b / 1024:.1f} MB"
+
+
 def _contents(path: Path, root: Path) -> bytes:
     data = path.read_bytes()
     return data.replace(str(root).encode(), MASK) if path.name.endswith(MASKED) else data
@@ -186,8 +199,12 @@ def main(argv: list[str] | None = None) -> int:
             for side, labels in failed.items():
                 if labels:
                     print(f"{label}: {side} failed at {', '.join(labels)}")
-            for line in usage_lines(label, read_usage(roots["base"]), read_usage(roots["changed"])):
+            usage = [read_usage(roots[side]) for side in trees]
+            for line in usage_lines(label, *usage):
                 print(line)
+            peak = peak_line(label, {s.label for s in WORKLOADS[workload].steps}, *usage)
+            if peak:
+                print(peak)
             for rel in diff:
                 print(f"{label}: differs {rel}")
             print(f"{label}: {n} files, {len(diff)} differ")
