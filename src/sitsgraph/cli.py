@@ -9,9 +9,7 @@ flags still win). Exit codes: 0 success, 1 data error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,49 +25,14 @@ from .forecast.train import ForecastSample, forecaster_from_checkpoint, predict_
 from .neural import ClassifierConfig, train_classifier
 from .neural.classifier import CONVS, classifier_from_checkpoint, predict_nodes
 
-# glibc mallopt parameters and the values set for them: the 64-bit ceiling of
-# glibc's dynamic mmap threshold, and twice it for the trim threshold, which
-# is where glibc's own rule moves them once large blocks have been freed
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20
-_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
-
 
 class UsageError(Exception):
     """A bad flag combination or config value that argparse cannot see; exit code 2."""
 
 
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds for this process.
-
-    Left to glibc's dynamic rule, every training step frees its
-    activations, glibc returns the freed top of the heap to the OS, and the
-    next step page-faults the same working set in again. With the thresholds
-    fixed, blocks below 32 MiB come from the heap and up to 64 MiB of free
-    heap is kept for reuse. Both are set, since setting either one stops the
-    dynamic rule and would leave the other at its 128 KiB start. A no-op on
-    any C library other than glibc.
-
-    ``main`` pins only the subcommands that run a step loop, ``train`` and
-    ``forecast train``. Every other subcommand keeps the dynamic rule, under
-    which a large freed block goes back to the OS: a pinned ``forecast
-    predict`` kept its freed node arrays on the heap and peaked at 115 MB on
-    the benchmark's 256x256 scene, where it peaks at 105 MB unpinned.
-    """
-    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
-        return
-    if not os.confstr("CS_GNU_LIBC_VERSION"):
-        return
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-
-
-def _run_config(args) -> str:
+def _run_config(args) -> dict:
     params = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    return json.dumps({**params, "version": __version__}, indent=2, sort_keys=True) + "\n"
+    return dict(sorted({**params, "version": __version__}.items()))
 
 
 def _load_graph(path: str) -> stgraph.StGraph:
@@ -346,8 +309,8 @@ def _cube_to_samples(cube_dir: str, input_len: int) -> list[ForecastSample]:
     for k in range(t - input_len):
         out.append(
             ForecastSample(
-                window=values[k : k + input_len].astype(np.float32),
-                target=values[k + input_len].astype(np.float32),
+                window=values[k : k + input_len],
+                target=values[k + input_len],
                 site=site,
                 geo=cube.geo,
                 timestamp=cube.timestamps[k + input_len - 1],
@@ -390,7 +353,7 @@ def cmd_forecast_predict(args):
     end = args.window_end if args.window_end is not None else (t - 1 if t > n else t)
     if end < n or end > t:
         raise SitsGraphError(f"window end {end} out of range [{n}, {t}]")
-    window = values[end - n : end].astype(np.float32)
+    window = values[end - n : end]
     pred = predict_next_frame(model, window, cube.geo, cube.timestamps[end - 1])
     files = {"frame.bin": np.ascontiguousarray(pred, dtype="<f4")}
     report = {}
@@ -666,8 +629,6 @@ def main(argv: list[str] | None = None) -> int:
         for dest, value in lists.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-        if args.func in (cmd_train, cmd_forecast_train):  # the step loops
-            _pin_malloc_thresholds()
         shown, files = args.func(args)
         if files is not None:
             write_files(args.out, {**files, "run_config.json": _run_config(args)})

@@ -107,8 +107,9 @@ class SitsCube:
         for i, name in enumerate(self.bands):
             if name in RANGE_BOUND_BANDS:
                 band = v[:, i]
-                valid = band[~_missing(band, self.nodata)]
-                if valid.size and (valid.min() < -1.0 or valid.max() > 1.0):
+                ok = _missing(band, self.nodata)
+                np.logical_not(ok, out=ok)  # the valid samples, in the mask's own array
+                if band.min(where=ok, initial=np.inf) < -1.0 or band.max(where=ok, initial=-np.inf) > 1.0:
                     raise InvalidCube(f"band {name} has finite values outside [-1, 1]")
         self.values = v
 
@@ -141,7 +142,8 @@ class SitsCube:
 
 def _missing(values: np.ndarray, nodata: float | None) -> np.ndarray:
     """True where a sample is not finite or equals a finite ``nodata``."""
-    mask = ~np.isfinite(values)
+    mask = np.isfinite(values)
+    np.logical_not(mask, out=mask)
     if nodata is not None and math.isfinite(nodata):
         mask |= values == nodata
     return mask
@@ -253,16 +255,8 @@ def ndwi(cube: SitsCube) -> SitsCube:
     (``masked_values``) propagate as NaN; output is clipped to the physical
     [-1, 1] range.
     """
-    values = cube.masked_values()
-    g = values[:, cube.band_index(NDWI_GREEN)].astype(np.float64)
-    n = values[:, cube.band_index(NDWI_NIR)].astype(np.float64)
-    denom = g + n
-    guard = np.abs(denom) < 1e-12
-    safe = np.where(guard, 1.0, denom)
-    out = np.where(guard, 0.0, (g - n) / safe)
-    out = np.clip(out, -1.0, 1.0)
     return SitsCube(
-        values=out[:, None].astype(np.float32),
+        values=_ndwi_frames(cube)[:, None],
         timestamps=list(cube.timestamps),
         bands=["NDWI"],
         geo=cube.geo,
@@ -270,14 +264,33 @@ def ndwi(cube: SitsCube) -> SitsCube:
     )
 
 
+def _ndwi_frames(cube: SitsCube) -> np.ndarray:
+    """``ndwi``'s (T, H, W) float32 frames, computed in place on the two
+    float64 band stacks: the quotient is written over the green stack."""
+    values = cube.masked_values()
+    g = values[:, cube.band_index(NDWI_GREEN)].astype(np.float64)
+    n = values[:, cube.band_index(NDWI_NIR)].astype(np.float64)
+    del values
+    denom = g + n
+    g -= n
+    del n
+    guard = np.abs(denom) < 1e-12
+    denom[guard] = 1.0
+    g /= denom
+    del denom
+    g[guard] = 0.0
+    np.clip(g, -1.0, 1.0, out=g)
+    return g.astype(np.float32)
+
+
 def ndwi_values(cube: SitsCube) -> np.ndarray:
     """(T, H, W) NDWI frames: the cube's own NDWI band when it has one,
-    otherwise ``ndwi`` computed from ``NDWI_GREEN``/``NDWI_NIR``. Missing
-    samples (``masked_values``) are NaN either way."""
+    otherwise ``ndwi``'s frames computed from ``NDWI_GREEN``/``NDWI_NIR``.
+    Missing samples (``masked_values``) are NaN either way."""
     if "NDWI" in cube.bands:
         return cube.masked_values()[:, cube.bands.index("NDWI")]
     if NDWI_GREEN in cube.bands and NDWI_NIR in cube.bands:
-        return ndwi(cube).values[:, 0]
+        return _ndwi_frames(cube)
     raise UnknownBand(f"cube bands {cube.bands} hold neither NDWI nor {NDWI_GREEN}/{NDWI_NIR}")
 
 

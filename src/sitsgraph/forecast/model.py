@@ -292,7 +292,7 @@ class Forecaster:
         nodes = ag.concat_rows([row_wise(embed, p), Tensor(np.zeros((m, self.cfg.hidden), dtype=self.dtype))])
         g2m_feat = Tensor(mesh.g2m_feat.astype(self.dtype))
         nodes = self.block_g2m.nodes(nodes, g2m_feat, mesh.g2m, self.enc_g2m)
-        px_latent = ag.slice_rows(nodes, 0, p)  # without a tape, views of the encoder's array
+        px_latent = ag.slice_rows(nodes, 0, p)
         mesh_latent = ag.slice_rows(nodes, p, p + m)
         del nodes
 
@@ -303,10 +303,10 @@ class Forecaster:
 
         # decoder: 3 nearest mesh nodes per pixel
         nodes = ag.concat_rows([mesh_latent, px_latent])
-        del px_latent, mesh_latent  # without a tape, this frees the encoder's array
+        del px_latent, mesh_latent
         m2g_feat = Tensor(mesh.m2g_feat.astype(self.dtype))
         nodes = self.block_m2g.nodes(nodes, m2g_feat, mesh.m2g, self.enc_m2g)
-        px_out = ag.slice_rows(nodes, m, m + p)  # without a tape, the head reads these rows in place
+        px_out = ag.slice_rows(nodes, m, m + p)
 
         last = Tensor(window[-1].reshape(p, 1))
         return row_wise(lambda rows: ag.clamp(self.head(rows(px_out), residual=rows(last)), -1.0, 1.0), p)

@@ -378,12 +378,12 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``[start, stop)`` of ``x``: a copy while a tape records, else a
-    view of ``x``'s array, so an untaped pass holds no second copy of them."""
+    """Rows ``[start, stop)`` of ``x``, as a view of ``x``'s array: no taped
+    op writes into its input and no backward reads a slice's data, so a
+    copy would only hold the rows twice."""
     if not (0 <= start <= stop <= x.data.shape[0]):
         raise ShapeMismatch(f"slice [{start}:{stop}] outside {x.data.shape[0]} rows")
-    rows = x.data[start:stop]
-    out = Tensor(rows.copy() if recording() else rows, requires_grad=x.requires_grad)
+    out = Tensor(x.data[start:stop], requires_grad=x.requires_grad)
     xs = x.slot
 
     def backward(g):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+
 import numpy as np
 
 from ..errors import Diverged, ShapeMismatch
@@ -261,12 +264,51 @@ class PlateauScheduler:
         return False
 
 
+# glibc mallopt parameters and the values set for them: the 64-bit ceiling of
+# glibc's dynamic mmap threshold, and twice it for the trim threshold, which
+# is where glibc's own rule moves them once large blocks have been freed
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
+
+
+def _pin_malloc_thresholds() -> None:
+    """Fix glibc's mmap and trim thresholds for this process.
+
+    Left to glibc's dynamic rule, every training step frees its
+    activations, glibc returns the freed top of the heap to the OS, and the
+    next step page-faults the same working set in again. With the thresholds
+    fixed, blocks below 32 MiB come from the heap and up to 64 MiB of free
+    heap is kept for reuse. Both are set, since setting either one stops the
+    dynamic rule and would leave the other at its 128 KiB start. A no-op on
+    any C library other than glibc.
+
+    ``fit`` pins before its first step, so every trainer runs pinned
+    whoever calls it. A process that runs no step loop keeps the dynamic
+    rule, under which a large freed block goes back to the OS: a pinned
+    ``forecast predict`` kept its freed node arrays on the heap and peaked
+    at 115 MB on the benchmark's 256x256 scene, where it peaks at 105 MB
+    unpinned.
+    """
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", {}):
+        return
+    if not os.confstr("CS_GNU_LIBC_VERSION"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 def fit(model, opt: Adam, epochs: int, steps, evaluate, diverged: str) -> tuple[int, list[np.ndarray], list[dict]]:
     """The one training loop. Each epoch takes a taped Adam step per loss
     closure of ``steps(epoch)``, then logs the record of ``evaluate(epoch)``,
     which returns (score, record); a score of None marks an epoch that is not
     finite. Returns the first lowest-scoring epoch, its ``model.state()`` and
-    the log, or raises ``Diverged`` naming ``diverged`` if no epoch is finite."""
+    the log, or raises ``Diverged`` naming ``diverged`` if no epoch is finite.
+    Pins glibc's malloc thresholds (``_pin_malloc_thresholds``) first."""
+    _pin_malloc_thresholds()
     log: list[dict] = []
     best = None  # (score, epoch, state)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows as a None score, not as warnings

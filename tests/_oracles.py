@@ -8,6 +8,7 @@ the library code paths it checks.
 from __future__ import annotations
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -898,3 +899,19 @@ def unfused_node_update(x, agg, mlp_v):
     from sitsgraph.neural import autograd as ag
 
     return row_wise(lambda rows: ag.add(rows(x), mlp_v(ag.concat_cols([rows(x), rows(agg)]))), x.data.shape[0])
+
+
+def ndwi_per_sample(green: np.ndarray, nir: np.ndarray, nodata: float | None = None) -> np.ndarray:
+    """(g - n) / (g + n) sample by sample in Python floats: NaN where either
+    sample is not finite or equals ``nodata``, 0 where |g + n| < 1e-12,
+    clipped to [-1, 1], as float32."""
+    out = np.empty(green.shape, dtype=np.float32)
+    for i in np.ndindex(green.shape):
+        g, n = float(green[i]), float(nir[i])
+        if not all(math.isfinite(v) and v != nodata for v in (g, n)):
+            out[i] = np.nan
+        elif abs(g + n) < 1e-12:
+            out[i] = 0.0
+        else:
+            out[i] = min(max((g - n) / (g + n), -1.0), 1.0)
+    return out

@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from sitsgraph import cli
 from sitsgraph.datacube import GeoBounds, SitsCube
-
-
-@pytest.fixture(scope="session", autouse=True)
-def cli_malloc_policy():
-    """Pin glibc's malloc thresholds as ``cli.main`` does for its training
-    subcommands, so every test that trains in-process runs under the CLI's
-    allocator policy whatever the test order."""
-    cli._pin_malloc_thresholds()
 
 
 @pytest.fixture

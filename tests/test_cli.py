@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -13,8 +14,9 @@ from sitsgraph import cli, stgraph
 from sitsgraph.checkpoint import load_checkpoint, save_checkpoint
 from sitsgraph.cli import build_parser, main
 from sitsgraph.datacube import SitsCube, ndwi, save_cube, save_labels, synth_seasonal
-from sitsgraph.forecast import ForecastConfig, Forecaster
-from sitsgraph.neural import ClassifierConfig, STClassifier
+from sitsgraph.forecast import ForecastConfig, Forecaster, ForecastSample, train_forecaster
+from sitsgraph.neural import ClassifierConfig, STClassifier, nn
+from sitsgraph.neural import autograd as ag
 from sitsgraph.segmentation import POOL_MIN_PIXELS, date_workers
 
 
@@ -782,7 +784,7 @@ def _fake_libc(monkeypatch, names=_GLIBC, version="glibc 2.36") -> list:
         calls.append((param, value))
         return 1
 
-    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(nn.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
     if names is None:
         monkeypatch.delattr(os, "confstr_names", raising=False)
     else:
@@ -791,45 +793,60 @@ def _fake_libc(monkeypatch, names=_GLIBC, version="glibc 2.36") -> list:
     return calls
 
 
+def _trained_forecast_predict(tmp_path: Path) -> list[str]:
+    """A forecast predict run on the first site of ``_forecast_train``,
+    with the checkpoint that run wrote."""
+    assert main(_forecast_train(tmp_path)) == 0
+    return ["forecast", "predict", "--checkpoint", str(tmp_path / "fc" / "checkpoint.bin"), "--cube",
+            str(tmp_path / "site0"), "--out", str(tmp_path / "p")]
+
+
+# M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
+_PINNED = [(-3, 32 << 20), (-1, 64 << 20)]
+
+
 class TestMallocThresholds:
     def test_glibc_gets_both_thresholds(self, monkeypatch):
         calls = _fake_libc(monkeypatch)
-        cli._pin_malloc_thresholds()
-        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        nn._pin_malloc_thresholds()
+        assert calls == _PINNED
 
-    @staticmethod
-    def _dispatch(monkeypatch, handler: str, argv: list[str]) -> tuple[list, list]:
-        """(mallopt calls made by ``main(argv)``, the count of them made
-        when ``handler``, stood in for, ran)."""
+    def test_fit_pins_before_its_first_step(self, monkeypatch):
         calls, seen = _fake_libc(monkeypatch), []
+        w = ag.Tensor(np.ones((2, 1), dtype=np.float32), requires_grad=True)
 
-        def stand_in(args):
-            seen.append(len(calls))
-            return "", None
+        def steps(epoch):
+            seen.append(list(calls))
+            yield lambda: ag.mean_all(w)
 
-        monkeypatch.setattr(cli, handler, stand_in)
+        nn.fit(types.SimpleNamespace(state=lambda: []), nn.Adam([w], lr=0.1), 2, steps, lambda epoch: (0.0, {}), "a score")
+        assert seen == [_PINNED, _PINNED]
+
+    def test_an_in_process_forecaster_training_runs_pinned(self, monkeypatch, geo):
+        # no caller pins for it: train_forecaster runs outside the CLI here
+        calls = _fake_libc(monkeypatch)
+        frames = np.random.default_rng(0).uniform(-1, 1, (3, 3, 8, 8)).astype(np.float32)
+        samples = [ForecastSample(f[:2], f[2], f"site{s}", geo, "2020-02-01") for s, f in enumerate(frames)]
+        train_forecaster(samples[:2], samples[2:], ForecastConfig(input_len=2, n_segments=4, hidden=4, processor_rounds=1, epochs=1))
+        assert calls == _PINNED
+
+    @pytest.mark.parametrize("argv", [_labeled_graph, _forecast_train], ids=["train", "forecast-train"])
+    def test_step_loops_run_pinned(self, monkeypatch, tmp_path, argv):
+        argv = argv(tmp_path)
+        calls = _fake_libc(monkeypatch)
         assert main(argv) == 0
-        return calls, seen
+        assert calls == _PINNED
 
     @pytest.mark.parametrize(
-        "handler, argv",
-        [("cmd_train", ["train", "--graph", "g.json", "--out", "o"]),
-         ("cmd_forecast_train", ["forecast", "train", "--cubes", "c", "--out", "o"])],
-        ids=["train", "forecast-train"],
-    )
-    def test_step_loops_pin_before_their_handler_runs(self, monkeypatch, handler, argv):
-        calls, seen = self._dispatch(monkeypatch, handler, argv)
-        assert len(calls) == 2 and seen == [2]
-
-    @pytest.mark.parametrize(
-        "handler, argv",
-        [("cmd_forecast_predict", ["forecast", "predict", "--checkpoint", "m", "--cube", "c", "--out", "o"]),
-         ("cmd_segment", ["segment", "--cube", "c", "--out", "o"])],
+        "argv",
+        [_trained_forecast_predict, lambda tmp: ["segment", "--cube", _cube(tmp), "--out", str(tmp / "o")]],
         ids=["forecast-predict", "segment"],
     )
-    def test_other_subcommands_keep_the_dynamic_rule(self, monkeypatch, handler, argv):
-        assert self._dispatch(monkeypatch, handler, argv) == ([], [0])
+    def test_other_subcommands_keep_the_dynamic_rule(self, monkeypatch, tmp_path, argv):
+        argv = argv(tmp_path)
+        calls = _fake_libc(monkeypatch)
+        assert main(argv) == 0
+        assert calls == []
 
     def test_a_usage_error_pins_nothing(self, monkeypatch):
         calls = _fake_libc(monkeypatch)
@@ -844,8 +861,17 @@ class TestMallocThresholds:
     )
     def test_other_libcs_are_left_alone(self, names, version, monkeypatch):
         calls = _fake_libc(monkeypatch, names, version)
-        cli._pin_malloc_thresholds()
+        nn._pin_malloc_thresholds()
         assert calls == []
+
+
+def test_main_names_no_handler():
+    # main dispatches through args.func; what a subcommand needs, such as the
+    # step loops' allocator policy, belongs to the code that runs it
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    named = {n.id for n in ast.walk(main_def) if isinstance(n, ast.Name) and n.id.startswith("cmd_")}
+    assert named == set()
 
 
 def _grid_graph(path: Path, rows: int = 40, cols: int = 20, dates: int = 2) -> None:
@@ -882,9 +908,9 @@ def test_malloc_thresholds_leave_train_bytes_unchanged(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = (
-        "import sys, sitsgraph.cli as cli\n"
+        "import sys, sitsgraph.cli as cli, sitsgraph.neural.nn as nn\n"
         "if sys.argv[1] == 'stub':\n"
-        "    cli._pin_malloc_thresholds = lambda: None\n"
+        "    nn._pin_malloc_thresholds = lambda: None\n"
         "sys.exit(cli.main(sys.argv[2:]))"
     )
     for mode in ("pinned", "stub"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _fuzz import CLI_ERRORS, damage, mutate
+from _oracles import ndwi_per_sample
 from sitsgraph import datacube
 from sitsgraph.datacube import GeoBounds, SitsCube, load_cube, ndwi, save_cube, synth_seasonal
 from sitsgraph.errors import (
@@ -189,6 +190,35 @@ class TestNdwi:
         vals[0, 0, 0, 0] = -2.0
         with pytest.raises(InvalidCube, match="band NDWI has finite values outside"):
             SitsCube(vals, ["2020-01-01"], ["NDWI"], geo, nodata=-9999.0)
+
+    @pytest.mark.parametrize("nodata", [None, -9999.0])
+    def test_frames_equal_the_per_sample_rule(self, geo, nodata):
+        rng = np.random.default_rng(0)
+        vals = rng.uniform(-0.5, 1.0, (3, 2, 8, 8)).astype(np.float32)
+        vals[0, 1, 0, :4] = -vals[0, 0, 0, :4]  # zero sums
+        vals[1, 0, 2, :3] = [np.nan, np.inf, -np.inf]
+        vals[1, 1, 3, :3] = [np.nan, np.inf, -np.inf]
+        vals[2, 0, 4, 0] = vals[2, 1, 5, 1] = -9999.0
+        cube = SitsCube(vals, ["2020-01-01", "2020-02-01", "2020-03-01"], ["B03", "B08"], geo, nodata=nodata)
+        want = ndwi_per_sample(vals[:, 0], vals[:, 1], nodata)
+        frames = datacube.ndwi_values(cube)
+        assert frames.dtype == np.float32 and frames.shape == (3, 8, 8)
+        np.testing.assert_array_equal(frames, want)
+        np.testing.assert_array_equal(ndwi(cube).values[:, 0], want)
+
+    @pytest.mark.parametrize("frames", [datacube.ndwi_values, lambda cube: ndwi(cube).values], ids=["ndwi_values", "ndwi"])
+    def test_holds_two_float64_stacks_and_their_sum(self, geo, frames):
+        # whole-array temporaries, then a throwaway cube whose range check
+        # copied the frames, peaked at 50 bytes per output sample
+        t, h, w = 6, 256, 256
+        vals = np.random.default_rng(0).uniform(0.0, 1.0, (t, 2, h, w)).astype(np.float32)
+        cube = SitsCube(vals, [f"2020-{m + 1:02d}-01" for m in range(t)], ["B03", "B08"], geo)
+        assert _peak(lambda: frames(cube)) <= 26 * t * h * w
+
+    def test_range_check_holds_one_mask(self, geo):
+        # copying the valid samples out peaked at 5 bytes per sample
+        vals = np.random.default_rng(0).uniform(-1.0, 1.0, (6, 1, 256, 256)).astype(np.float32)
+        assert _peak(lambda: SitsCube(vals, [f"2020-{m + 1:02d}-01" for m in range(6)], ["NDWI"], geo)) <= 1.25 * vals.size
 
     @given(
         g=st.floats(0.0, 1.0, allow_nan=False),

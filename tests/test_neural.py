@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from _gradcheck import check_gradients, weighted_sum
 from _oracles import OracleEdge as Edge
 from _oracles import OracleNode as Node
 from _oracles import graph_from_objects, graph_objects
+from test_one_search import PACKAGE
 from sitsgraph.errors import AllIgnored, ConfigMismatch, Diverged, NoLabels, ShapeMismatch, SitsGraphError
 from sitsgraph.neural import autograd as ag
 from sitsgraph.neural.autograd import Tape, Tensor, no_grad
@@ -291,6 +293,13 @@ class TestGradients:
             return weighted_sum(ag.concat_rows(parts), probe)
 
         assert check_gradients(loss, [x]) < 1e-6
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "untaped"])
+    def test_a_slice_views_its_input(self, taped):
+        x = Tensor(np.arange(12.0).reshape(6, 2), requires_grad=True)
+        with Tape() if taped else no_grad():
+            part = ag.slice_rows(x, 1, 4)
+        assert np.shares_memory(part.data, x.data) and part.requires_grad
 
     @pytest.mark.parametrize("bias", [True, False])
     @pytest.mark.parametrize("with_relu", [True, False])
@@ -647,3 +656,16 @@ class TestClassifier:
             {"config": header2["config"], "in_dim": header2["in_dim"], "state": params}
         )
         assert np.array_equal(predict_nodes(model2, g), before)
+
+
+def test_only_the_forecaster_asks_whether_a_tape_records():
+    # row_wise and gn_nodes run other blocks without a tape, for bytes and
+    # memory; every op runs one path with or without one
+    def calls_recording(tree: ast.Module) -> bool:
+        return any(
+            isinstance(n, ast.Call) and "recording" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+            for n in ast.walk(tree)
+        )
+
+    callers = sorted(str(p.relative_to(PACKAGE)) for p in PACKAGE.rglob("*.py") if calls_recording(ast.parse(p.read_text())))
+    assert callers == ["forecast/model.py"]
